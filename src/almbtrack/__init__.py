@@ -1,13 +1,12 @@
 """Multi-object tracking with adaptive mixed labeled multi-Bernoulli densities."""
 
 from .densities import (DglmbDensity, Hypothesis, Label, LmbDensity, Track,
-                        dglmb_cardinality, dglmb_to_lmb, existence_from_dglmb,
-                        lmb_cardinality, lmb_to_dglmb, mean_cardinality)
+                        dglmb_cardinality, dglmb_to_lmb, lmb_cardinality,
+                        lmb_to_dglmb)
 from .dglmb import dglmb_predict, dglmb_prune, dglmb_update
 from .errors import ConfigurationError, NumericalError, UsageError
 from .gaussian import (GaussianComponent, GaussianMixture, MotionModel,
-                       SensorModel, gm_covariance, gm_kalman_update,
-                       gm_log_likelihood, gm_mean, gm_predict, gm_reduce)
+                       SensorModel, gm_predict, gm_reduce)
 from .lmb import lmb_predict, lmb_update
 from .metrics import OspaParams, ospa, ospat
 from .pipeline import (BirthEntry, BirthModel, DensityGroup,
@@ -31,11 +30,10 @@ __all__ = [
     "PipelineConfig", "RepresentationState", "ScenarioConfig", "SensorModel",
     "Track", "Trigger", "UsageError", "association_entropy",
     "builtin_scenario", "decide_switch", "dglmb_cardinality", "dglmb_predict",
-    "dglmb_prune", "dglmb_to_lmb", "dglmb_update", "existence_from_dglmb",
-    "extract_tracks", "generate_measurements", "generate_truth",
-    "gm_covariance", "gm_kalman_update", "gm_log_likelihood", "gm_mean",
-    "gm_predict", "gm_reduce", "kl_criterion", "kl_divergence",
-    "lmb_cardinality", "lmb_predict", "lmb_to_dglmb", "lmb_update",
-    "load_scenario", "mean_cardinality", "ospa", "ospat", "pipeline_step",
-    "scenario_from_dict", "truth_cardinality", "truth_positions",
+    "dglmb_prune", "dglmb_to_lmb", "dglmb_update", "extract_tracks",
+    "generate_measurements", "generate_truth", "gm_predict", "gm_reduce",
+    "kl_criterion", "kl_divergence", "lmb_cardinality", "lmb_predict",
+    "lmb_to_dglmb", "lmb_update", "load_scenario", "ospa", "ospat",
+    "pipeline_step", "scenario_from_dict", "truth_cardinality",
+    "truth_positions",
 ]

@@ -61,9 +61,6 @@ class LmbDensity:
     def labels(self):
         return sorted(self.tracks)
 
-    def __len__(self):
-        return len(self.tracks)
-
 
 @dataclass(eq=False)
 class Hypothesis:
@@ -184,7 +181,7 @@ def lmb_to_dglmb(lmb, max_hypotheses=None):
     return DglmbDensity(tuple(labels), hyps)
 
 
-def dglmb_to_lmb(d, normalize=True):
+def dglmb_to_lmb(d):
     """Collapse a delta-GLMB density to its best-fitting LMB density.
 
     Per label the existence is the summed weight of hypotheses containing
@@ -196,7 +193,7 @@ def dglmb_to_lmb(d, normalize=True):
     existence = {label: 0.0 for label in d.label_space}
     parts = {label: [] for label in d.label_space}
     for hyp in d.hypotheses:
-        w = hyp.weight / tot if (normalize and tot > 0.0) else hyp.weight
+        w = hyp.weight / tot if tot > 0.0 else hyp.weight
         for label in hyp.labels:
             existence[label] += w
             parts[label].append((w, hyp.spatial[label]))
@@ -228,13 +225,3 @@ def dglmb_cardinality(d):
         rho[len(hyp.labels)] += hyp.weight
     return rho
 
-
-def existence_from_dglmb(d, label):
-    """Marginal existence probability of one label; zero if absent."""
-    return float(sum(h.weight for h in d.hypotheses if label in h.labels))
-
-
-def mean_cardinality(rho):
-    """Mean of a cardinality pmf."""
-    rho = np.asarray(rho, dtype=float)
-    return float(np.arange(rho.size) @ rho)

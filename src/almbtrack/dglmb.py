@@ -1,7 +1,7 @@
 """delta-GLMB filter recursion.
 
-Prediction expands each hypothesis over survival subsets and birth label
-subsets; the update expands each hypothesis over ranked association maps.
+Prediction expands each hypothesis over survival subsets; the update
+expands each hypothesis over ranked association maps.
 All weight arithmetic runs in the log domain.  Hypotheses that end up
 with the same label set and the same per-label spatial densities (same
 mixture provenance, or numerically indistinguishable after their Kalman
@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import ranked_assignments
-from .densities import (DglmbDensity, Hypothesis, lmb_to_dglmb,
-                        top_weighted_subsets)
-from .errors import NumericalError, UsageError
+from .assignment import enumerate_assignments, ranked_assignments
+from .densities import DglmbDensity, Hypothesis, top_weighted_subsets
+from .errors import NumericalError
 from .gaussian import gm_kalman_update_log, gm_predict, mahalanobis_sq
 
 
@@ -153,18 +152,14 @@ def _per_hypothesis_quota(weights, cap):
     return [int(math.ceil(cap * w)) + 1 for w in weights]
 
 
-def dglmb_predict(d, motion, birth, cap=None):
+def dglmb_predict(d, motion, cap=None):
     """Predict a delta-GLMB density one scan ahead.
 
     Each hypothesis spawns children over subsets of surviving labels
-    (weight factor ``p_S**|L| (1-p_S)**(|I|-|L|)``) crossed with subsets
-    of the birth LMB's labels.  Spatial densities of survivors are
-    Kalman-predicted; birth labels carry their birth mixtures verbatim.
-    ``cap`` bounds the number of retained children.
+    (weight factor ``p_S**|L| (1-p_S)**(|I|-|L|)``) whose spatial
+    densities are Kalman-predicted.  ``cap`` bounds the number of
+    retained children.  Births join the pipeline as groups of their own.
     """
-    birth_labels = set(birth.labels()) if birth is not None else set()
-    if birth_labels & set(d.label_space):
-        raise UsageError("birth labels collide with existing label space")
     p_s = motion.survival_prob
     d = d.normalized()
 
@@ -174,13 +169,6 @@ def dglmb_predict(d, motion, birth, cap=None):
         if gm.uid not in predicted:
             predicted[gm.uid] = gm_predict(gm, motion)
         return predicted[gm.uid]
-
-    if birth is not None and len(birth):
-        birth_d = lmb_to_dglmb(birth, cap)
-        birth_parts = [(h.labels, math.log(h.weight) if h.weight > 0 else -np.inf,
-                        h.spatial) for h in birth_d.hypotheses]
-    else:
-        birth_parts = [((), 0.0, {})]
 
     quotas = _per_hypothesis_quota([h.weight for h in d.hypotheses], cap)
     entries = []
@@ -199,20 +187,15 @@ def dglmb_predict(d, motion, birth, cap=None):
             subsets = [(s, lw + offset) for s, lw in
                        top_weighted_subsets([lo] * len(labels), quota)]
         for subset, log_surv in subsets:
+            # Labels and subsets are sorted, so the survivors are too.
             kept = tuple(labels[i] for i in subset)
-            spatial_s = {lab: predict_gm(hyp.spatial[lab]) for lab in kept}
-            for b_labels, log_b, b_spatial in birth_parts:
-                spatial = dict(spatial_s)
-                spatial.update(b_spatial)
-                entries.append((tuple(sorted(kept + b_labels)),
-                                log_w + log_surv + log_b, spatial, None))
-    label_space = tuple(sorted(set(d.label_space) | birth_labels))
-    posterior, _, _ = _finalize(entries, label_space, cap)
+            spatial = {lab: predict_gm(hyp.spatial[lab]) for lab in kept}
+            entries.append((kept, log_w + log_surv, spatial, None))
+    posterior, _, _ = _finalize(entries, d.label_space, cap)
     return posterior
 
 
-def dglmb_update(d, measurements, sensor, cap=None, gate_sq=None,
-                 method="auto"):
+def dglmb_update(d, measurements, sensor, cap=None, gate_sq=None):
     """Measurement-update a delta-GLMB density.
 
     Per hypothesis an association cost matrix is built from the log
@@ -260,13 +243,11 @@ def dglmb_update(d, measurements, sensor, cap=None, gate_sq=None,
                 _, log_eta = measurement_factor(gm, j)
                 cost[i, j] = -log_eta
             cost[i, m + i] = -log_qd
-        k_best = quota if quota is not None else None
-        if k_best is None:
+        if quota is None:
             # Uncapped: enumerate every association map.
-            maps = ranked_assignments(cost, _assignment_count(n, m),
-                                      method="enumerate")
+            maps = enumerate_assignments(cost)
         else:
-            maps = ranked_assignments(cost, k_best, method=method)
+            maps = ranked_assignments(cost, quota)
         for theta, score in maps:
             spatial = {}
             for i, lab in enumerate(labels):
@@ -285,13 +266,6 @@ def dglmb_update(d, measurements, sensor, cap=None, gate_sq=None,
             if j > 0:
                 marginals[row[lab], j - 1] += wi
     return UpdateOutput(posterior, marginals, d.label_space)
-
-
-def _assignment_count(n, m):
-    total = 0
-    for k in range(min(n, m) + 1):
-        total += (math.comb(n, k) * math.perm(m, k))
-    return total
 
 
 def dglmb_prune(d, weight_threshold, cap):

@@ -95,9 +95,6 @@ class GaussianMixture:
     def weights(self):
         return np.array([c.weight for c in self.components])
 
-    def means(self):
-        return np.array([c.mean for c in self.components])
-
     def total_weight(self):
         return float(sum(c.weight for c in self.components))
 
@@ -191,6 +188,13 @@ def gm_predict(gm, model):
     return GaussianMixture(out)
 
 
+def _innovation(c, sensor):
+    # Predicted measurement and innovation covariance of one component.
+    z_pred = sensor.H @ c.mean
+    S = _symmetrize(sensor.H @ c.covariance @ sensor.H.T + sensor.R)
+    return z_pred, S
+
+
 def gm_kalman_update_log(gm, z, sensor):
     """Kalman-update a normalized mixture against one measurement.
 
@@ -206,8 +210,7 @@ def gm_kalman_update_log(gm, z, sensor):
     log_w = np.empty(len(gm.components))
     updated = []
     for i, c in enumerate(gm.components):
-        z_pred = sensor.H @ c.mean
-        S = _symmetrize(sensor.H @ c.covariance @ sensor.H.T + sensor.R)
+        z_pred, S = _innovation(c, sensor)
         L = _chol(S, "innovation covariance")
         K = np.linalg.solve(S, sensor.H @ c.covariance).T
         mean = c.mean + K @ (z - z_pred)
@@ -220,39 +223,6 @@ def gm_kalman_update_log(gm, z, sensor):
     post = GaussianMixture(
         [GaussianComponent(w[i], m, P) for i, (m, P) in enumerate(updated)])
     return post, log_lik
-
-
-def gm_kalman_update(gm, z, sensor):
-    """Like :func:`gm_kalman_update_log` but returns the plain likelihood."""
-    post, log_lik = gm_kalman_update_log(gm, z, sensor)
-    return post, float(np.exp(log_lik))
-
-
-def gm_log_likelihood(gm, z, sensor):
-    """Log of ``sum_i w_i N(z; H m_i, H P_i H' + R)`` without the update."""
-    _, log_lik = gm_kalman_update_log(gm, z, sensor)
-    return log_lik
-
-
-def gm_mean(gm):
-    """Weight-averaged mean of a mixture (weights need not be normalized)."""
-    w = gm.weights()
-    tot = w.sum()
-    if tot <= 0.0:
-        raise NumericalError("mixture weight sum is not positive", {"total": tot})
-    return (w[:, None] * gm.means()).sum(axis=0) / tot
-
-
-def gm_covariance(gm):
-    """Moment-matched covariance of a mixture seen as one Gaussian."""
-    w = gm.weights()
-    tot = w.sum()
-    mu = gm_mean(gm)
-    P = np.zeros((gm.dim, gm.dim))
-    for c in gm.components:
-        d = c.mean - mu
-        P += (c.weight / tot) * (c.covariance + np.outer(d, d))
-    return _symmetrize(P)
 
 
 def _merge_components(parts):
@@ -311,8 +281,7 @@ def mahalanobis_sq(z, gm, sensor):
     z = np.asarray(z, dtype=float).reshape(-1)
     best = np.inf
     for c in gm.components:
-        z_pred = sensor.H @ c.mean
-        S = _symmetrize(sensor.H @ c.covariance @ sensor.H.T + sensor.R)
+        z_pred, S = _innovation(c, sensor)
         L = _chol(S, "innovation covariance")
         y = np.linalg.solve(L, z - z_pred)
         best = min(best, float(y @ y))
@@ -330,8 +299,7 @@ def gate_mask(measurements, gm, sensor, gate_sq):
         rest = ~mask
         if not rest.any():
             break
-        z_pred = sensor.H @ c.mean
-        S = _symmetrize(sensor.H @ c.covariance @ sensor.H.T + sensor.R)
+        z_pred, S = _innovation(c, sensor)
         L = _chol(S, "innovation covariance")
         y = np.linalg.solve(L, (Z[rest] - z_pred).T)
         mask[rest] = np.einsum("ij,ij->j", y, y) < gate_sq
@@ -342,10 +310,7 @@ def predicted_measurement(gm, sensor):
     """Predicted measurement and innovation covariance of the
     highest-weight component (lowest index on ties)."""
     idx = int(np.argmax(gm.weights()))
-    c = gm.components[idx]
-    z_pred = sensor.H @ c.mean
-    S = _symmetrize(sensor.H @ c.covariance @ sensor.H.T + sensor.R)
-    return z_pred, S
+    return _innovation(gm.components[idx], sensor)
 
 
 def map_point(gm):

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from .densities import LmbDensity, Track, dglmb_to_lmb, lmb_to_dglmb
 from .dglmb import UpdateOutput, dglmb_update
-from .errors import UsageError
 from .gaussian import gm_predict
 
 
@@ -22,26 +21,18 @@ class LmbUpdateResult:
     full: UpdateOutput
 
 
-def lmb_predict(lmb, motion, birth=None):
+def lmb_predict(lmb, motion):
     """Predict an LMB density: survival discounts every existence by
-    ``p_S``, spatial mixtures are Kalman-predicted, and the birth LMB
-    joins unchanged.  Birth labels must not collide with existing ones."""
+    ``p_S`` and spatial mixtures are Kalman-predicted."""
     tracks = {}
     for label in lmb.labels():
         track = lmb.tracks[label]
         tracks[label] = Track(label, motion.survival_prob * track.existence,
                               gm_predict(track.spatial, motion))
-    if birth is not None:
-        for label in birth.labels():
-            if label in tracks:
-                raise UsageError("birth label %r already present" % (label,))
-            b = birth.tracks[label]
-            tracks[label] = Track(label, b.existence, b.spatial)
     return LmbDensity(tracks)
 
 
-def lmb_update(lmb, measurements, sensor, cap=None, gate_sq=None,
-               method="auto"):
+def lmb_update(lmb, measurements, sensor, cap=None, gate_sq=None):
     """Measurement-update an LMB density.
 
     The prior is expanded to delta-GLMB form (``cap`` bounds the
@@ -50,6 +41,6 @@ def lmb_update(lmb, measurements, sensor, cap=None, gate_sq=None,
     """
     expanded = lmb_to_dglmb(lmb, cap)
     full = dglmb_update(expanded, measurements, sensor, cap=cap,
-                        gate_sq=gate_sq, method=method)
+                        gate_sq=gate_sq)
     approx = dglmb_to_lmb(full.posterior)
     return LmbUpdateResult(approx, full)

@@ -12,7 +12,7 @@ every group in delta-GLMB form (never approximating), and ``"almb"``
 switches each group's representation per the criteria automaton.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class PipelineConfig:
     gm_prune: float = 1e-5
     gm_merge: float = 4.0
     gm_cap: int = 20
-    assignment_method: str = "auto"
 
 
 @dataclass(eq=False)
@@ -85,15 +84,39 @@ class DensityGroup:
     criterion_value: float = 0.0
     gated: tuple = ()
 
-    def labels(self):
-        if isinstance(self.density, LmbDensity):
-            return self.density.labels()
-        return list(self.density.label_space)
-
     def lmb_view(self):
         if isinstance(self.density, LmbDensity):
             return self.density
         return dglmb_to_lmb(self.density)
+
+
+def _close(a, b, limit):
+    # Squared Mahalanobis distance of two (z_pred, S) pairs under the mean
+    # of their innovation covariances, tested against ``limit``.
+    d = a[0] - b[0]
+    return float(d @ np.linalg.solve(0.5 * (a[1] + b[1]), d)) < limit
+
+
+def _components(n, pairs):
+    """Connected components of ``range(n)`` under the edges ``pairs``, as
+    ascending index lists in the order of their smallest members."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            # The smaller root wins, so every root is its smallest member.
+            parent[max(ra, rb)] = min(ra, rb)
+    components = {}
+    for i in range(n):
+        components.setdefault(find(i), []).append(i)
+    return [components[root] for root in sorted(components)]
 
 
 def inject_birth(groups, birth_model, step_index, policy, sensor, config):
@@ -117,14 +140,8 @@ def inject_birth(groups, birth_model, step_index, policy, sensor, config):
                                                   sensor))
     out = list(groups)
     for i, entry in enumerate(birth_model.entries):
-        z_b, S_b = predicted_measurement(entry.spatial, sensor)
-        covered = False
-        for z_t, S_t in covering:
-            d = z_t - z_b
-            if float(d @ np.linalg.solve(0.5 * (S_t + S_b), d)) < config.gate_sq:
-                covered = True
-                break
-        if covered:
+        site = predicted_measurement(entry.spatial, sensor)
+        if any(_close(track, site, config.gate_sq) for track in covering):
             continue
         label = Label(step_index, i)
         lmb = LmbDensity({label: Track(label, entry.existence, entry.spatial)})
@@ -139,18 +156,8 @@ def predict_group(group, motion, config):
     if isinstance(group.density, LmbDensity):
         density = lmb_predict(group.density, motion)
     else:
-        density = dglmb_predict(group.density, motion, None, cap=config.cap)
-    return replace_density(group, density)
-
-
-def replace_density(group, density, state=None, criterion_value=None,
-                    gated=None):
-    return DensityGroup(
-        density,
-        group.state if state is None else state,
-        group.criterion_value if criterion_value is None else criterion_value,
-        group.gated if gated is None else gated,
-    )
+        density = dglmb_predict(group.density, motion, cap=config.cap)
+    return replace(group, density=density)
 
 
 def gate_measurements(groups, measurements, sensor, gate_sq):
@@ -166,9 +173,8 @@ def gate_measurements(groups, measurements, sensor, gate_sq):
         for label in view.labels():
             gm = view.tracks[label].spatial
             hits |= gate_mask(measurements, gm, sensor, gate_sq)
-        out.append(replace_density(group, group.density,
-                                   gated=tuple(int(j) for j in
-                                               np.flatnonzero(hits))))
+        out.append(replace(group, gated=tuple(int(j) for j in
+                                              np.flatnonzero(hits))))
     return out
 
 
@@ -204,29 +210,16 @@ def merge_groups(groups, config):
     most ``merge_cap`` hypotheses and forming the hypothesis
     cross-product (pruned and capped per config).
     """
-    parent = list(range(len(groups)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    owner = {}
+    owner, shared = {}, []
     for i, group in enumerate(groups):
         for j in group.gated:
             if j in owner:
-                a, b = find(owner[j]), find(i)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
+                shared.append((owner[j], i))
             else:
                 owner[j] = i
-    clusters = {}
-    for i in range(len(groups)):
-        clusters.setdefault(find(i), []).append(groups[i])
     out = []
-    for root in sorted(clusters):
-        members = clusters[root]
+    for cluster in _components(len(groups), shared):
+        members = [groups[i] for i in cluster]
         if len(members) == 1:
             out.append(members[0])
             continue
@@ -269,14 +262,12 @@ def update_group(group, measurements, sensor, config, policy="almb"):
     """
     if isinstance(group.density, LmbDensity):
         result = lmb_update(group.density, measurements, sensor,
-                            cap=config.cap, gate_sq=config.gate_sq,
-                            method=config.assignment_method)
+                            cap=config.cap, gate_sq=config.gate_sq)
         full = result.full
         approx = result.approx
     else:
         full = dglmb_update(group.density, measurements, sensor,
-                            cap=config.cap, gate_sq=config.gate_sq,
-                            method=config.assignment_method)
+                            cap=config.cap, gate_sq=config.gate_sq)
         approx = None
     kl = kl_criterion(full.posterior)
     entropy = association_entropy(full.assoc_marginals)
@@ -284,22 +275,22 @@ def update_group(group, measurements, sensor, config, policy="almb"):
     if policy == "lmb":
         if approx is None:
             approx = dglmb_to_lmb(full.posterior)
-        new = replace_density(group, _reduce_lmb(approx, config))
+        new = replace(group, density=_reduce_lmb(approx, config))
         return new, kl, entropy
     if policy == "dglmb":
-        return replace_density(group, full.posterior), kl, entropy
+        return replace(group, density=full.posterior), kl, entropy
     if policy != "almb":
         raise UsageError("unknown policy %r" % (policy,))
 
     state = decide_switch(group.state, kl, entropy, config.thresholds)
     if state.mode is Mode.DGLMB:
         value = kl if state.trigger is Trigger.KL else entropy
-        return replace_density(group, full.posterior, state=state,
-                               criterion_value=float(value)), kl, entropy
+        return replace(group, density=full.posterior, state=state,
+                       criterion_value=float(value)), kl, entropy
     if approx is None:
         approx = dglmb_to_lmb(full.posterior)
-    return replace_density(group, _reduce_lmb(approx, config), state=state,
-                           criterion_value=0.0), kl, entropy
+    return replace(group, density=_reduce_lmb(approx, config), state=state,
+                   criterion_value=0.0), kl, entropy
 
 
 def _drop_labels(density, doomed):
@@ -328,7 +319,7 @@ def prune_group(group, config):
                   if t.existence > config.lmb_prune}
         if not tracks:
             return None
-        return replace_density(group, LmbDensity(tracks))
+        return replace(group, density=LmbDensity(tracks))
     density = dglmb_prune(group.density, config.dglmb_prune, config.cap)
     view = dglmb_to_lmb(density)
     doomed = {label for label in density.label_space
@@ -338,7 +329,7 @@ def prune_group(group, config):
         density = _drop_labels(density, doomed)
     if not density.label_space:
         return None
-    return replace_density(group, density)
+    return replace(group, density=density)
 
 
 def split_group(group, sensor, config):
@@ -355,42 +346,24 @@ def split_group(group, sensor, config):
     labels = view.labels()
     if len(labels) <= 1:
         return [group]
-    zs, Ss = {}, {}
-    for label in labels:
-        zs[label], Ss[label] = predicted_measurement(view.tracks[label].spatial,
-                                                     sensor)
-    parent = {label: label for label in labels}
-
-    def find(lab):
-        while parent[lab] != lab:
-            parent[lab] = parent[parent[lab]]
-            lab = parent[lab]
-        return lab
-
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            d = zs[a] - zs[b]
-            pooled = 0.5 * (Ss[a] + Ss[b])
-            if float(d @ np.linalg.solve(pooled, d)) < 4.0 * config.gate_sq:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    components = {}
-    for label in labels:
-        components.setdefault(find(label), []).append(label)
+    sites = [predicted_measurement(view.tracks[label].spatial, sensor)
+             for label in labels]
+    limit = 4.0 * config.gate_sq
+    components = _components(len(labels), (
+        (i, k) for i in range(len(labels)) for k in range(i + 1, len(labels))
+        if _close(sites[i], sites[k], limit)))
     if len(components) == 1:
         return [group]
     out = []
-    for root in sorted(components):
-        member_labels = set(components[root])
+    for component in components:
+        member_labels = [labels[i] for i in component]
         if isinstance(group.density, LmbDensity):
-            tracks = {lab: group.density.tracks[lab] for lab in
-                      sorted(member_labels)}
+            tracks = {lab: group.density.tracks[lab] for lab in member_labels}
             out.append(DensityGroup(LmbDensity(tracks), group.state,
                                     group.criterion_value))
         else:
             out.append(DensityGroup(
-                _marginalize(group.density, member_labels, config),
+                _marginalize(group.density, set(member_labels), config),
                 group.state, group.criterion_value))
     return out
 

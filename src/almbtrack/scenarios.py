@@ -151,6 +151,29 @@ def _validate(config):
             raise ConfigurationError("birth mean/std must have four entries")
         if not 0.0 < site.existence < 1.0:
             raise ConfigurationError("birth existence must be in (0, 1)")
+    _validate_tracker(config.tracker)
+
+
+def _validate_tracker(tracker):
+    # Each knob must be a number in the range the filters are defined on.
+    # Every comparison is false for NaN, so NaN fails each range check.
+    values = asdict(tracker)
+    rules = [
+        (("cap", "merge_cap", "gm_cap"), "a whole number >= 1",
+         lambda v: v >= 1 and v % 1 == 0),
+        (("gate_sq",), "> 0", lambda v: v > 0.0),
+        (("gm_merge", "kl_threshold", "entropy_threshold"), ">= 0",
+         lambda v: v >= 0.0),
+        (("lmb_prune", "dglmb_prune", "gm_prune", "extraction"), "in [0, 1)",
+         lambda v: 0.0 <= v < 1.0),
+    ]
+    for names, rule, ok in rules:
+        for name in names:
+            value = values[name]
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not ok(value):
+                raise ConfigurationError("tracker %s must be %s, got %r"
+                                         % (name, rule, value))
 
 
 def load_scenario(path):

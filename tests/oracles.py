@@ -9,10 +9,43 @@ import itertools
 
 import numpy as np
 
-from almbtrack import (Label, LmbDensity, Track, gm_kalman_update,
-                       gm_log_likelihood)
+from almbtrack import Label, LmbDensity, NumericalError, Track
+from almbtrack.gaussian import gm_kalman_update_log
 
 from conftest import single
+
+
+def gm_mean(gm):
+    """Weight-averaged mean of a mixture (weights need not be normalized)."""
+    w = gm.weights()
+    tot = w.sum()
+    if tot <= 0.0:
+        raise NumericalError("mixture weight sum is not positive", {"total": tot})
+    means = np.array([c.mean for c in gm.components])
+    return (w[:, None] * means).sum(axis=0) / tot
+
+
+def gm_covariance(gm):
+    """Moment-matched covariance of a mixture seen as one Gaussian."""
+    w = gm.weights()
+    tot = w.sum()
+    mu = gm_mean(gm)
+    P = np.zeros((gm.dim, gm.dim))
+    for c in gm.components:
+        d = c.mean - mu
+        P += (c.weight / tot) * (c.covariance + np.outer(d, d))
+    return 0.5 * (P + P.T)
+
+
+def existence_from_dglmb(d, label):
+    """Marginal existence probability of one label; zero if absent."""
+    return float(sum(h.weight for h in d.hypotheses if label in h.labels))
+
+
+def mean_cardinality(rho):
+    """Mean of a cardinality pmf."""
+    rho = np.asarray(rho, dtype=float)
+    return float(np.arange(rho.size) @ rho)
 
 
 def association_maps(n, m):
@@ -55,9 +88,8 @@ def brute_dglmb_update(d, measurements, sensor):
                     log_w += np.log1p(-p_d)
                     spatial[lab] = gm
                 else:
-                    post, _ = gm_kalman_update(gm, measurements[j - 1], sensor)
-                    log_lik = gm_log_likelihood(gm, measurements[j - 1],
-                                                sensor)
+                    post, log_lik = gm_kalman_update_log(
+                        gm, measurements[j - 1], sensor)
                     log_w += np.log(p_d) + log_lik - log_kappa
                     spatial[lab] = post
             if ok and np.isfinite(log_w):

@@ -18,13 +18,14 @@ from almbtrack import (CriteriaThresholds, DglmbDensity, Hypothesis, Label,
                        kl_criterion, lmb_cardinality, lmb_to_dglmb,
                        scenario_from_dict)
 from almbtrack.cli import main
-from almbtrack.densities import LmbDensity, Track, existence_from_dglmb
+from almbtrack.densities import LmbDensity, Track
 from almbtrack.harness import FILTER_NAMES, monte_carlo
 from almbtrack.scenarios import (make_birth_model, make_motion,
                                  make_pipeline_config, make_sensor)
 
 from conftest import single
-from oracles import brute_dglmb_update, random_lmb_instance, switch_cases
+from oracles import (brute_dglmb_update, existence_from_dglmb,
+                     random_lmb_instance, switch_cases)
 
 WINDOW = (65, 90)          # post-crossing scoring window (criterion 1)
 CRITICAL = (50, 65)        # crossing-time runtime window (criterion 2)

@@ -7,11 +7,11 @@ import pytest
 
 from almbtrack import (DglmbDensity, Hypothesis, Label, LmbDensity, Track,
                        UsageError, dglmb_cardinality, dglmb_to_lmb,
-                       existence_from_dglmb, lmb_cardinality, lmb_to_dglmb,
-                       mean_cardinality)
+                       lmb_cardinality, lmb_to_dglmb)
 from almbtrack.densities import top_weighted_subsets
 
 from conftest import single
+from oracles import existence_from_dglmb, mean_cardinality
 
 
 def make_lmb(existences):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from almbtrack import (DglmbDensity, Hypothesis, Label, LmbDensity,
-                       SensorModel, Track, UsageError, dglmb_predict,
-                       dglmb_prune, dglmb_update, existence_from_dglmb,
-                       gm_kalman_update, lmb_to_dglmb)
-from almbtrack.gaussian import MotionModel
+                       SensorModel, Track, dglmb_predict, dglmb_prune,
+                       dglmb_update, lmb_to_dglmb)
+from almbtrack.gaussian import MotionModel, gm_kalman_update_log
 
 from conftest import cv_motion, scalar_sensor, single
-from oracles import brute_dglmb_update, random_lmb_instance
+from oracles import (brute_dglmb_update, existence_from_dglmb,
+                     random_lmb_instance)
 
 L0 = Label(0, 0)
 LB = Label(1, 0)
@@ -32,7 +32,7 @@ def hyp_map(d):
 
 def test_predict_survival_split():
     motion = MotionModel(np.eye(1), np.zeros((1, 1)), 0.99)
-    out = dglmb_predict(one_track_density(), motion, None)
+    out = dglmb_predict(one_track_density(), motion)
     w = hyp_map(out)
     assert w[()] == pytest.approx(0.01, abs=1e-12)
     assert w[(L0,)] == pytest.approx(0.99, abs=1e-12)
@@ -41,48 +41,17 @@ def test_predict_survival_split():
 def test_predict_unit_survival_identity_weights():
     motion = MotionModel(np.eye(1), np.zeros((1, 1)), 1.0)
     prior = one_track_density(existence=0.5)
-    out = dglmb_predict(prior, motion, None)
+    out = dglmb_predict(prior, motion)
     assert hyp_map(out) == pytest.approx(hyp_map(prior))
-
-
-def test_predict_birth_from_empty():
-    motion = MotionModel(np.eye(1), np.zeros((1, 1)), 0.99)
-    empty = DglmbDensity((), [Hypothesis((), 1.0, {})])
-    birth = LmbDensity({LB: Track(LB, 0.05, single([2.0], [[9.0]]))})
-    out = dglmb_predict(empty, motion, birth)
-    w = hyp_map(out)
-    assert w[()] == pytest.approx(0.95, abs=1e-12)
-    assert w[(LB,)] == pytest.approx(0.05, abs=1e-12)
-    born = [h for h in out.hypotheses if h.labels == (LB,)][0]
-    np.testing.assert_allclose(born.spatial[LB].components[0].mean, [2.0])
-
-
-def test_predict_survival_crossed_with_birth():
-    motion = MotionModel(np.eye(1), np.zeros((1, 1)), 0.99)
-    prior = one_track_density(existence=0.5)
-    birth = LmbDensity({LB: Track(LB, 0.1, single([0.0], [[1.0]]))})
-    out = dglmb_predict(prior, motion, birth)
-    w = hyp_map(out)
-    assert w[()] == pytest.approx(0.5 * 0.9 + 0.5 * 0.01 * 0.9, abs=1e-12)
-    assert w[(LB,)] == pytest.approx(0.5 * 0.1 + 0.5 * 0.01 * 0.1, abs=1e-12)
-    assert w[(L0,)] == pytest.approx(0.5 * 0.99 * 0.9, abs=1e-12)
-    assert w[(L0, LB)] == pytest.approx(0.5 * 0.99 * 0.1, abs=1e-12)
 
 
 def test_predict_applies_kalman_prediction():
     motion = cv_motion(dt=1.0, accel_var=0.0, survival=1.0)
     gm = single([0.0, 0.0, 3.0, -1.0], np.eye(4))
     d = DglmbDensity((L0,), [Hypothesis((L0,), 1.0, {L0: gm})])
-    out = dglmb_predict(d, motion, None)
+    out = dglmb_predict(d, motion)
     np.testing.assert_allclose(out.hypotheses[0].spatial[L0].components[0].mean,
                                [3.0, -1.0, 3.0, -1.0])
-
-
-def test_predict_label_collision_raises():
-    motion = MotionModel(np.eye(1), np.zeros((1, 1)), 0.99)
-    birth = LmbDensity({L0: Track(L0, 0.05, single([0.0], [[1.0]]))})
-    with pytest.raises(UsageError):
-        dglmb_predict(one_track_density(), motion, birth)
 
 
 def test_update_empty_measurement_set():
@@ -125,8 +94,8 @@ def test_update_certain_detection_no_clutter():
     assert len(out.posterior.hypotheses) == 1
     hyp = out.posterior.hypotheses[0]
     assert hyp.weight == pytest.approx(1.0)
-    expected, _ = gm_kalman_update(single([0.0], [[1.0]]), [2.0],
-                                   scalar_sensor(1.0))
+    expected, _ = gm_kalman_update_log(single([0.0], [[1.0]]), [2.0],
+                                       scalar_sensor(1.0))
     np.testing.assert_allclose(hyp.spatial[L0].components[0].mean,
                                expected.components[0].mean, atol=1e-12)
 

@@ -180,6 +180,9 @@ def test_cli_error_exit_codes(tmp_path):
                  "--runs", "1", "--out", str(tmp_path / "y")]) == 2
     assert main(["plotdata", "--in", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "z")]) == 2
+    zero_cap = write_scenario(tmp_path, tracker={"cap": 0})
+    assert main(["run", "--scenario", zero_cap, "--filter", "lmb",
+                 "--runs", "1", "--out", str(tmp_path / "w")]) == 2
 
 
 def test_cli_plotdata_from_run(tmp_path):

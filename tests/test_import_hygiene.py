@@ -1,0 +1,55 @@
+"""Import hygiene of the package: every module uses what it imports, and
+every public name resolves."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import almbtrack
+
+SOURCES = sorted(Path(almbtrack.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source):
+    """``(line, name)`` of every imported name the module never reads.
+
+    Names listed in the module's ``__all__`` count as read, so package
+    re-exports are not reported.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_reported():
+    source = ("import os\nimport numpy as np\nfrom math import pi, tau\n"
+              "__all__ = ['tau']\nprint(np.pi)\n")
+    assert unused_imports(source) == [(1, "os"), (3, "pi")]
+
+
+def test_public_names_resolve():
+    assert len(set(almbtrack.__all__)) == len(almbtrack.__all__)
+    missing = [name for name in almbtrack.__all__
+               if not hasattr(almbtrack, name)]
+    assert missing == []

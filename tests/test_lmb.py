@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from almbtrack import (Label, LmbDensity, SensorModel, Track, UsageError,
-                       dglmb_cardinality, dglmb_to_lmb, gm_kalman_update,
-                       lmb_cardinality, lmb_predict, lmb_update,
-                       mean_cardinality)
-from almbtrack.gaussian import MotionModel
+from almbtrack import (Label, LmbDensity, SensorModel, Track,
+                       dglmb_cardinality, dglmb_to_lmb, lmb_cardinality,
+                       lmb_predict, lmb_update)
+from almbtrack.gaussian import MotionModel, gm_kalman_update_log
 
 from conftest import scalar_sensor, single
-from oracles import random_lmb_instance
+from oracles import mean_cardinality, random_lmb_instance
 
 L0 = Label(0, 0)
-LB = Label(2, 0)
 
 
 def one_track(existence, mean=(0.0,), cov=((1.0,),)):
@@ -30,23 +28,6 @@ def test_predict_unit_survival_keeps_existence():
     motion = MotionModel(np.eye(1), np.zeros((1, 1)), 1.0)
     out = lmb_predict(one_track(0.37), motion)
     assert out.tracks[L0].existence == pytest.approx(0.37, abs=1e-15)
-
-
-def test_predict_appends_birth():
-    motion = MotionModel(np.eye(1), np.zeros((1, 1)), 0.9)
-    birth = LmbDensity({LB: Track(LB, 0.05, single([7.0], [[4.0]]))})
-    out = lmb_predict(one_track(0.5), motion, birth)
-    assert sorted(out.labels()) == [L0, LB]
-    assert out.tracks[LB].existence == pytest.approx(0.05)
-    np.testing.assert_allclose(out.tracks[LB].spatial.components[0].mean,
-                               [7.0])
-
-
-def test_predict_birth_collision_raises():
-    motion = MotionModel(np.eye(1), np.zeros((1, 1)), 0.9)
-    birth = LmbDensity({L0: Track(L0, 0.05, single([0.0], [[1.0]]))})
-    with pytest.raises(UsageError):
-        lmb_predict(one_track(0.5), motion, birth)
 
 
 def test_update_no_measurements_shrinks_existence():
@@ -85,7 +66,7 @@ def test_update_single_target_reduces_to_kalman():
     sensor = scalar_sensor(1.0, detection_prob=1.0, clutter_density=0.0)
     out = lmb_update(one_track(1.0), [[2.0]], sensor)
     assert out.approx.tracks[L0].existence == pytest.approx(1.0)
-    expected, _ = gm_kalman_update(single([0.0], [[1.0]]), [2.0], sensor)
+    expected, _ = gm_kalman_update_log(single([0.0], [[1.0]]), [2.0], sensor)
     got = out.approx.tracks[L0].spatial
     np.testing.assert_allclose(got.components[0].mean,
                                expected.components[0].mean, atol=1e-12)

@@ -37,12 +37,12 @@ def test_birth_injects_one_group_per_entry():
     model = BirthModel([birth_entry(-1000.0, 0.0), birth_entry(1000.0, 0.0)])
     groups = inject_birth([], model, 3, "almb", SENSOR, CFG)
     assert len(groups) == 2
-    labels = sorted(lab for g in groups for lab in g.labels())
+    labels = sorted(lab for g in groups for lab in g.density.labels())
     assert labels == [Label(3, 0), Label(3, 1)]
     for g in groups:
         assert isinstance(g.density, LmbDensity)
         assert g.state.mode is Mode.LMB
-        lab = g.labels()[0]
+        lab = g.density.labels()[0]
         assert g.density.tracks[lab].existence == pytest.approx(0.05)
 
 
@@ -60,7 +60,7 @@ def test_birth_masked_by_covering_track():
     model = BirthModel([birth_entry(-1000.0, 0.0), birth_entry(1000.0, 0.0)])
     existing = track_group(Label(1, 0), -1001.0, 2.0)
     groups = inject_birth([existing], model, 5, "almb", SENSOR, CFG)
-    labels = sorted(lab for g in groups for lab in g.labels())
+    labels = sorted(lab for g in groups for lab in g.density.labels())
     assert labels == [Label(1, 0), Label(5, 1)]
 
 
@@ -127,8 +127,22 @@ def test_merge_unions_lmb_groups_sharing_a_measurement():
     merged = merge_groups(gated, CFG)
     assert len(merged) == 1
     assert isinstance(merged[0].density, LmbDensity)
-    assert sorted(merged[0].labels()) == [Label(1, 0), Label(1, 1)]
+    assert sorted(merged[0].density.labels()) == [Label(1, 0), Label(1, 1)]
     assert merged[0].gated == (0,)
+
+
+def test_merge_closes_chains_of_shared_measurements():
+    # a and b share measurement 0, b and c share measurement 1: a, b and c
+    # form one group although a and c share nothing.  d gates alone.
+    labels = [Label(1, i) for i in range(4)]
+    a, d, b, c = [DensityGroup(track_group(lab, 0.0, 0.0).density,
+                               gated=gated)
+                  for lab, gated in zip(labels, [(0,), (2,), (0, 1), (1,)])]
+    merged = merge_groups([a, d, b, c], CFG)
+    assert len(merged) == 2
+    assert merged[0].density.labels() == [labels[0], labels[2], labels[3]]
+    assert merged[0].gated == (0, 1)
+    assert merged[1] is d
 
 
 def test_merge_cross_product_weights():
@@ -229,7 +243,7 @@ def test_prune_drops_weak_lmb_tracks():
         l2: Track(l2, 0.005, single([9, 0, 0, 0], np.eye(4))),
     })
     out = prune_group(DensityGroup(lmb), CFG)
-    assert out.labels() == [l1]
+    assert out.density.labels() == [l1]
 
 
 def test_prune_dead_group_returns_none():
@@ -261,7 +275,7 @@ def test_split_separates_distant_tracks():
     })
     out = split_group(DensityGroup(lmb), SENSOR, CFG)
     assert len(out) == 2
-    assert sorted(g.labels()[0] for g in out) == [l1, l2]
+    assert sorted(g.density.labels()[0] for g in out) == [l1, l2]
 
 
 def test_split_keeps_interacting_tracks_together():
@@ -272,6 +286,18 @@ def test_split_keeps_interacting_tracks_together():
     })
     out = split_group(DensityGroup(lmb), SENSOR, CFG)
     assert len(out) == 1
+
+
+def test_split_keeps_chains_together_in_label_order():
+    # Split distance is sqrt(4 gate_sq / 200) ~ 85.8 m here: l1-l3 and
+    # l3-l2 are 60 m apart, l1-l2 are 120 m apart, l0 is far away.
+    l0, l1, l2, l3 = (Label(1, i) for i in range(4))
+    xs = {l0: 1000.0, l1: 0.0, l2: 120.0, l3: 60.0}
+    lmb = LmbDensity({lab: Track(lab, 0.9, single([x, 0, 0, 0],
+                                                  100.0 * np.eye(4)))
+                      for lab, x in xs.items()})
+    out = split_group(DensityGroup(lmb), SENSOR, CFG)
+    assert [g.density.labels() for g in out] == [[l0], [l1, l2, l3]]
 
 
 def test_split_marginalizes_independent_delta_pair():
@@ -290,7 +316,7 @@ def test_split_marginalizes_independent_delta_pair():
     for child in out:
         assert isinstance(child.density, DglmbDensity)
         weights = {h.labels: h.weight for h in child.density.hypotheses}
-        lab = child.labels()[0]
+        lab = child.density.label_space[0]
         assert weights[()] == pytest.approx(0.5, abs=1e-12)
         assert weights[(lab,)] == pytest.approx(0.5, abs=1e-12)
         # Children inherit the parent's representation state.

@@ -184,6 +184,31 @@ def test_validation_catches_bad_lifetimes():
         scenario_from_dict(cfg)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("cap", 0), ("cap", -5), ("cap", 2.5), ("cap", float("inf")),
+    ("cap", "50"), ("cap", True), ("merge_cap", 0), ("gm_cap", 0),
+    ("gate_sq", 0.0), ("gate_sq", -9.0), ("gate_sq", float("nan")),
+    ("gm_merge", -0.5), ("lmb_prune", 1.0), ("lmb_prune", -0.01),
+    ("dglmb_prune", 1.0), ("gm_prune", 2.0), ("extraction", 1.0),
+    ("extraction", float("nan")), ("kl_threshold", -1e-4),
+    ("entropy_threshold", -0.5), ("entropy_threshold", float("nan")),
+])
+def test_validation_catches_bad_tracker_values(key, value):
+    cfg = builtin_scenario("two-target").to_dict()
+    cfg["tracker"][key] = value
+    with pytest.raises(ConfigurationError, match=key):
+        scenario_from_dict(cfg)
+
+
+def test_validation_accepts_tracker_range_edges():
+    cfg = builtin_scenario("two-target").to_dict()
+    cfg["tracker"].update(cap=1, merge_cap=1.0, gm_cap=1, gate_sq=1e-9,
+                          gm_merge=0.0, lmb_prune=0.0, extraction=0.0,
+                          kl_threshold=float("inf"),
+                          entropy_threshold=float("inf"))
+    assert scenario_from_dict(cfg).tracker.cap == 1
+
+
 def test_load_scenario_from_file(tmp_path):
     cfg = builtin_scenario("two-target")
     path = tmp_path / "scenario.json"
