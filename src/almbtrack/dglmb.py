@@ -41,10 +41,6 @@ def _logsumexp(values):
     return float(top + np.log(np.sum(np.exp(values - top))))
 
 
-def _spatial_key(labels, spatial):
-    return (labels, tuple(spatial[lab].uid for lab in labels))
-
-
 def _dedup(entries):
     """Merge entries with identical label sets and spatial provenance.
 
@@ -54,7 +50,7 @@ def _dedup(entries):
     merged = {}
     order = []
     for labels, log_w, spatial, extra in entries:
-        key = _spatial_key(labels, spatial)
+        key = (labels, tuple(spatial[lab].uid for lab in labels))
         if key in merged:
             prev = merged[key]
             merged[key] = (labels, np.logaddexp(prev[1], log_w), spatial, prev[3])

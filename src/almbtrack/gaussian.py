@@ -24,23 +24,6 @@ def _symmetrize(P):
     return 0.5 * (P + P.T)
 
 
-def _chol(S, what):
-    try:
-        return np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            "singular or indefinite %s" % what,
-            {"matrix": np.asarray(S), "what": what},
-        ) from None
-
-
-def _log_gauss(resid, chol_S):
-    # log N(resid; 0, S) via the Cholesky factor of S.
-    y = np.linalg.solve(chol_S, resid)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol_S)))
-    return -0.5 * (resid.size * _LOG_2PI + logdet + float(y @ y))
-
-
 @dataclass(eq=False)
 class GaussianComponent:
     """One weighted Gaussian: nonnegative weight, mean vector, covariance.
@@ -52,6 +35,7 @@ class GaussianComponent:
     weight: float
     mean: np.ndarray
     covariance: np.ndarray
+    _innovation_terms: list = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.weight = float(self.weight)
@@ -65,6 +49,14 @@ class GaussianComponent:
                 "covariance shape %s does not match mean dimension %d"
                 % (self.covariance.shape, n)
             )
+
+    def reweighted(self, weight):
+        """The same Gaussian under a new weight, sharing its arrays."""
+        if weight < 0.0:
+            raise ConfigurationError("component weight must be nonnegative")
+        out = object.__new__(GaussianComponent)
+        out.__dict__.update(self.__dict__, weight=float(weight))
+        return out
 
 
 @dataclass(eq=False)
@@ -104,13 +96,11 @@ class GaussianMixture:
             raise NumericalError("mixture weight sum is not positive",
                                  {"total": tot})
         return GaussianMixture(
-            [GaussianComponent(c.weight / tot, c.mean, c.covariance)
-             for c in self.components])
+            [c.reweighted(c.weight / tot) for c in self.components])
 
     def scaled(self, factor):
         return GaussianMixture(
-            [GaussianComponent(c.weight * factor, c.mean, c.covariance)
-             for c in self.components])
+            [c.reweighted(c.weight * factor) for c in self.components])
 
 
 @dataclass(eq=False)
@@ -183,16 +173,27 @@ def gm_predict(gm, model):
     out = []
     for c in gm.components:
         mean = model.F @ c.mean
-        cov = _symmetrize(model.F @ c.covariance @ model.F.T + model.Q)
+        cov = model.F @ c.covariance @ model.F.T + model.Q
         out.append(GaussianComponent(c.weight, mean, cov))
     return GaussianMixture(out)
 
 
-def _innovation(c, sensor):
-    # Predicted measurement and innovation covariance of one component.
-    z_pred = sensor.H @ c.mean
-    S = _symmetrize(sensor.H @ c.covariance @ sensor.H.T + sensor.R)
-    return z_pred, S
+def _innovation(c, sensor, factor=False):
+    # [sensor, z_pred, S, chol(S) if factor] of one component, kept with
+    # it (its arrays are never modified in place) for the next caller.
+    terms = c._innovation_terms
+    if terms is None or terms[0] is not sensor:
+        S = _symmetrize(sensor.H @ c.covariance @ sensor.H.T + sensor.R)
+        terms = c._innovation_terms = [sensor, sensor.H @ c.mean, S, None]
+    if factor and terms[3] is None:
+        try:
+            terms[3] = np.linalg.cholesky(terms[2])
+        except np.linalg.LinAlgError:
+            raise NumericalError(
+                "singular or indefinite innovation covariance",
+                {"matrix": terms[2], "what": "innovation covariance"},
+            ) from None
+    return terms
 
 
 def gm_kalman_update_log(gm, z, sensor):
@@ -210,12 +211,15 @@ def gm_kalman_update_log(gm, z, sensor):
     log_w = np.empty(len(gm.components))
     updated = []
     for i, c in enumerate(gm.components):
-        z_pred, S = _innovation(c, sensor)
-        L = _chol(S, "innovation covariance")
+        _, z_pred, S, L = _innovation(c, sensor, factor=True)
         K = np.linalg.solve(S, sensor.H @ c.covariance).T
         mean = c.mean + K @ (z - z_pred)
-        cov = _symmetrize((np.eye(gm.dim) - K @ sensor.H) @ c.covariance)
-        log_w[i] = np.log(max(c.weight, 1e-300)) + _log_gauss(z - z_pred, L)
+        cov = (np.eye(gm.dim) - K @ sensor.H) @ c.covariance
+        # log N(z; z_pred, S) via the Cholesky factor L of S.
+        y = np.linalg.solve(L, z - z_pred)
+        logdet = 2.0 * np.sum(np.log(np.diag(L)))
+        log_w[i] = np.log(max(c.weight, 1e-300)) + -0.5 * (
+            z.size * _LOG_2PI + logdet + float(y @ y))
         updated.append((mean, cov))
     top = float(np.max(log_w))
     log_lik = top + float(np.log(np.sum(np.exp(log_w - top))))
@@ -232,7 +236,7 @@ def _merge_components(parts):
     for c in parts:
         d = c.mean - mean
         P += c.weight * (c.covariance + np.outer(d, d))
-    return GaussianComponent(w, mean, _symmetrize(P / w))
+    return GaussianComponent(w, mean, P / w)
 
 
 def gm_reduce(gm, prune_threshold=1e-5, merge_threshold=4.0, max_components=20):
@@ -249,7 +253,7 @@ def gm_reduce(gm, prune_threshold=1e-5, merge_threshold=4.0, max_components=20):
     keep = [c for c in norm.components if c.weight >= prune_threshold]
     if not keep:
         best = max(norm.components, key=lambda c: c.weight)
-        return GaussianMixture([GaussianComponent(1.0, best.mean, best.covariance)])
+        return GaussianMixture([best.reweighted(1.0)])
     merged = []
     pool = list(keep)
     while pool:
@@ -281,8 +285,7 @@ def mahalanobis_sq(z, gm, sensor):
     z = np.asarray(z, dtype=float).reshape(-1)
     best = np.inf
     for c in gm.components:
-        z_pred, S = _innovation(c, sensor)
-        L = _chol(S, "innovation covariance")
+        _, z_pred, _, L = _innovation(c, sensor, factor=True)
         y = np.linalg.solve(L, z - z_pred)
         best = min(best, float(y @ y))
     return best
@@ -299,8 +302,7 @@ def gate_mask(measurements, gm, sensor, gate_sq):
         rest = ~mask
         if not rest.any():
             break
-        z_pred, S = _innovation(c, sensor)
-        L = _chol(S, "innovation covariance")
+        _, z_pred, _, L = _innovation(c, sensor, factor=True)
         y = np.linalg.solve(L, (Z[rest] - z_pred).T)
         mask[rest] = np.einsum("ij,ij->j", y, y) < gate_sq
     return mask
@@ -310,7 +312,7 @@ def predicted_measurement(gm, sensor):
     """Predicted measurement and innovation covariance of the
     highest-weight component (lowest index on ties)."""
     idx = int(np.argmax(gm.weights()))
-    return _innovation(gm.components[idx], sensor)
+    return tuple(_innovation(gm.components[idx], sensor)[1:3])
 
 
 def map_point(gm):

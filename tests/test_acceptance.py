@@ -2,11 +2,15 @@
 
 Each test prints its measured values on one line before asserting, so a
 failing criterion still reports what was observed.  The three scenario
-fixtures run full Monte-Carlo experiments and take a few minutes
-together; everything else is analytic.
+fixtures run full Monte-Carlo experiments on up to two worker processes
+(one run per task, rows identical to a serial ``monte_carlo``) and take a
+few minutes together; everything else is analytic.
 """
 
 import itertools
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -33,13 +37,39 @@ STEADY = (20, 90)          # steady-state runtime window (criterion 2)
 SLOW_RUNS = 21             # smallest run count for MARGIN_SE (criterion 1)
 MARGIN_SE = 2.0            # paired-difference margin in standard errors
 LOST_M = 50.0              # alpha / 2: above it, a run lost or swapped a label
+WORKERS = min(2, len(os.sched_getaffinity(0))
+              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+
+
+def monte_carlo_runs(config, n_runs, filters=FILTER_NAMES):
+    """``monte_carlo(config, n_runs, filters, base_seed=config.seed)``
+    with its runs spread over WORKERS processes.
+
+    Run ``r`` is ``monte_carlo(config, 1, filters, config.seed + r)`` with
+    its rows renumbered to ``r``: the same seed, measurements and filter
+    order as the serial call, so every row but ``step_time_s`` is equal.
+    Each scan is still timed inside one process, one filter at a time.
+    """
+    if WORKERS < 2:
+        return monte_carlo(config, n_runs, filters, base_seed=config.seed)
+    seeds = [config.seed + run for run in range(n_runs)]
+    with ProcessPoolExecutor(
+            WORKERS, mp_context=multiprocessing.get_context("spawn")) as pool:
+        chunks = pool.map(monte_carlo, itertools.repeat(config),
+                          itertools.repeat(1), itertools.repeat(filters),
+                          seeds)
+        rows = []
+        for run, chunk in enumerate(chunks):
+            for row in chunk:
+                row["run"] = run
+            rows.extend(chunk)
+    return rows
 
 
 @pytest.fixture(scope="session")
 def two_target_rows():
     """100 Monte-Carlo runs of every filter on the crossing scenario."""
-    config = builtin_scenario("two-target")
-    return monte_carlo(config, 100, base_seed=config.seed)
+    return monte_carlo_runs(builtin_scenario("two-target"), 100)
 
 
 @pytest.fixture(scope="session")
@@ -56,16 +86,30 @@ def slow_crossing_rows():
     for script, site, side in zip(data["truth"], data["birth"], (-1.0, 1.0)):
         script["state"][:2] = [98.0 * side, -2.0 * side]
         site["mean"][0] = 98.0 * side
-    config = scenario_from_dict(data)
-    return monte_carlo(config, SLOW_RUNS, base_seed=config.seed)
+    return monte_carlo_runs(scenario_from_dict(data), SLOW_RUNS)
 
 
 @pytest.fixture(scope="session")
 def sixteen_rows():
     """50 Monte-Carlo runs of LMB and ALMB on the dense scenario."""
-    config = builtin_scenario("sixteen-target")
-    return monte_carlo(config, 50, filters=("lmb", "almb"),
-                       base_seed=config.seed)
+    return monte_carlo_runs(builtin_scenario("sixteen-target"), 50,
+                            filters=("lmb", "almb"))
+
+
+def test_monte_carlo_runs_match_serial():
+    # The fixtures' parallel runs must hold the serial experiment's data.
+    data = builtin_scenario("two-target").to_dict()
+    data["steps"] = 15
+    for script in data["truth"]:
+        script["death_step"] = 15
+    config = scenario_from_dict(data)
+    serial = monte_carlo(config, 3, base_seed=config.seed)
+    spread = monte_carlo_runs(config, 3)
+    assert len(spread) == len(serial)
+    for a, b in zip(serial, spread):
+        a.pop("step_time_s")
+        b.pop("step_time_s")
+        assert a == b
 
 
 def mean_over(rows, filter_name, field, k_range=None, invert=False):

@@ -179,6 +179,21 @@ def test_mahalanobis_takes_min_over_components():
     assert mahalanobis_sq([0.0], gm, sensor) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_innovation_terms_follow_the_sensor():
+    # A component keeps the innovation terms of the last sensor it met;
+    # another sensor, or a reweighted copy of the mixture, must not see
+    # stale ones.  By hand: S = P + R, d^2 = 4 / S.
+    gm = single([0.0], [[1.0]])
+    d = [mahalanobis_sq([2.0], gm, scalar_sensor(3.0)),
+         mahalanobis_sq([2.0], gm, scalar_sensor(1.0)),
+         mahalanobis_sq([2.0], gm.scaled(0.5), scalar_sensor(7.0))]
+    np.testing.assert_allclose(d, [1.0, 2.0, 0.5], rtol=1e-12)
+    _, S = predicted_measurement(gm, scalar_sensor(3.0))
+    np.testing.assert_allclose(S, [[4.0]], rtol=1e-12)
+    with pytest.raises(ConfigurationError):
+        gm.scaled(-1.0)
+
+
 def test_gate_mask_matches_distance(rng):
     sensor = SensorModel(np.eye(2), np.eye(2), 1.0, 0.0)
     gm = random_mixture(rng, dim=2, n_comp=3)
