@@ -11,8 +11,8 @@ Run:  python3 demos/demo_switching_criteria.py
 
 import numpy as np
 
-from almbtrack import (CriteriaThresholds, DglmbDensity, GaussianComponent,
-                       GaussianMixture, Hypothesis, Label, LmbDensity, Mode,
+from almbtrack import (DglmbDensity, GaussianComponent, GaussianMixture,
+                       Hypothesis, Label, LmbDensity, Mode, PipelineConfig,
                        RepresentationState, SensorModel, Track, Trigger,
                        association_entropy, decide_switch, kl_criterion,
                        lmb_to_dglmb, lmb_update)
@@ -67,9 +67,9 @@ def main():
 
     print()
     print("3. the automaton")
-    thresholds = CriteriaThresholds()
+    config = PipelineConfig()
     print("   thresholds: kl %.0e, entropy %.2f"
-          % (thresholds.kl, thresholds.entropy))
+          % (config.kl_threshold, config.entropy_threshold))
     state = RepresentationState(Mode.LMB, Trigger.NONE)
     script = [
         ("clean scan", 0.0, 0.1),
@@ -79,7 +79,7 @@ def main():
         ("quiet again", 0.0, 0.1),
     ]
     for label, kl, entropy in script:
-        state = decide_switch(state, kl, entropy, thresholds)
+        state = decide_switch(state, kl, entropy, config)
         print("   %-28s -> %-5s (trigger %s)"
               % (label, state.mode.name, state.trigger.name))
     print("   note the third scan: entropy 0.6 is above threshold but the")

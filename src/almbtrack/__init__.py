@@ -16,15 +16,15 @@ from .scenarios import (BUILTIN_SCENARIOS, ScenarioConfig, builtin_scenario,
                         generate_measurements, generate_truth, load_scenario,
                         scenario_from_dict, truth_cardinality,
                         truth_positions)
-from .switching import (CriteriaThresholds, Mode, RepresentationState,
-                        Trigger, association_entropy, decide_switch,
-                        kl_criterion, kl_divergence)
+from .switching import (Mode, RepresentationState, Trigger,
+                        association_entropy, decide_switch, kl_criterion,
+                        kl_divergence)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_SCENARIOS", "BirthEntry", "BirthModel", "ConfigurationError",
-    "CriteriaThresholds", "DensityGroup", "DglmbDensity", "GaussianComponent",
+    "DensityGroup", "DglmbDensity", "GaussianComponent",
     "GaussianMixture", "Hypothesis", "Label", "LmbDensity", "Mode",
     "MotionModel", "MultiObjectTracker", "NumericalError", "OspaParams",
     "PipelineConfig", "RepresentationState", "ScenarioConfig", "SensorModel",

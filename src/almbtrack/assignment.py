@@ -103,12 +103,11 @@ def murty_assignments(cost, k):
     return out
 
 
-def ranked_assignments(cost, k, method="auto"):
+def ranked_assignments(cost, k):
     """Up to ``k`` best assignments of a padded cost matrix.
 
-    ``method`` selects the search: ``"enumerate"`` lists every valid
-    assignment, ``"murty"`` runs Murty's algorithm, ``"auto"`` enumerates
-    when ``rows * measurements <= 16`` and uses Murty otherwise.
+    Enumerates every valid assignment when ``rows * measurements <= 16``
+    and runs Murty's algorithm otherwise.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
@@ -120,10 +119,6 @@ def ranked_assignments(cost, k, method="auto"):
     k = int(k)
     if k <= 0:
         return []
-    if method == "auto":
-        method = "enumerate" if n * m <= _ENUMERATE_LIMIT else "murty"
-    if method == "enumerate":
+    if n * m <= _ENUMERATE_LIMIT:
         return enumerate_assignments(cost, k)
-    if method == "murty":
-        return murty_assignments(cost, k)
-    raise UsageError("unknown assignment method %r" % (method,))
+    return murty_assignments(cost, k)

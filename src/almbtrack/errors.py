@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the number-and-range
+check that settings from outside the program go through."""
+
+import numbers
 
 
 class ConfigurationError(ValueError):
@@ -20,3 +23,19 @@ class NumericalError(ArithmeticError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = dict(diagnostics or {})
+
+
+def check_numbers(where, values, rules):
+    """Raise ``ConfigurationError`` unless every named value is a real
+    number (not a bool) that passes its rule.
+
+    ``rules`` holds ``(names, text, ok)`` triples.  Each ``ok`` must be a
+    positive comparison: those are all false for NaN, so NaN fails them.
+    """
+    for names, text, ok in rules:
+        for name in names:
+            value = values[name]
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not ok(value):
+                raise ConfigurationError("%s %s must be %s, got %r"
+                                         % (where, name, text, value))

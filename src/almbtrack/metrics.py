@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_numbers
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,10 @@ class OspaParams:
     alpha: float = 100.0
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ConfigurationError("OSPA order must be >= 1")
-        if self.c <= 0.0:
-            raise ConfigurationError("OSPA cutoff must be positive")
-        if not 0.0 <= self.alpha <= self.c:
-            raise ConfigurationError("label penalty must lie in [0, cutoff]")
+        check_numbers("ospa", vars(self), [
+            (("p",), ">= 1", lambda v: v >= 1.0),
+            (("c",), "> 0", lambda v: v > 0.0),
+            (("alpha",), "in [0, c]", lambda v: 0.0 <= v <= self.c)])
 
 
 def _positions(points):

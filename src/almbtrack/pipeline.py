@@ -6,10 +6,12 @@ groups that compete for measurements, measurement update with optional
 representation switching, pruning, splitting of groups whose tracks no
 longer interact, and track extraction.
 
-Three policies share this pipeline: ``"lmb"`` keeps every group in LMB
-form (always approximating after the exact update), ``"dglmb"`` keeps
-every group in delta-GLMB form (never approximating), and ``"almb"``
-switches each group's representation per the criteria automaton.
+Every group runs the same update: the exact delta-GLMB update, then the
+switching automaton, which keeps the posterior or approximates it in LMB
+form.  The three filters are settings of this one path (see
+``MultiObjectTracker``): ``"almb"`` switches per the criteria, ``"lmb"``
+sets both thresholds to infinity so no group ever switches, and
+``"dglmb"`` starts every birth pinned in delta-GLMB form.
 """
 
 from dataclasses import dataclass, field, replace
@@ -19,13 +21,15 @@ import numpy as np
 from .densities import (DglmbDensity, Hypothesis, Label, LmbDensity, Track,
                         dglmb_to_lmb, lmb_to_dglmb)
 from .dglmb import _dedup, dglmb_predict, dglmb_prune, dglmb_update
-from .errors import UsageError
+from .errors import UsageError, check_numbers
 from .gaussian import (GaussianMixture, gate_mask, gm_reduce, map_point,
                        predicted_measurement)
 from .lmb import lmb_predict, lmb_update
-from .switching import (CriteriaThresholds, Mode, RepresentationState,
-                        Trigger, association_entropy, decide_switch,
-                        kl_criterion)
+from .switching import (Mode, RepresentationState, Trigger,
+                        association_entropy, decide_switch, kl_criterion)
+
+# The policies of ``MultiObjectTracker``; CSV rows follow this order.
+FILTER_NAMES = ("lmb", "dglmb", "almb")
 
 _LMB_STATE = RepresentationState(Mode.LMB, Trigger.NONE)
 _PINNED_STATE = RepresentationState(Mode.DGLMB, Trigger.PINNED)
@@ -44,16 +48,18 @@ class BirthModel:
     entries: list = field(default_factory=list)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs of the shared pipeline.
+    """Tracker settings, the ``tracker`` block of a scenario file.
 
     ``gate_sq`` is the squared-Mahalanobis gate, ``cap`` the hypothesis
     cap of delta-GLMB densities, ``merge_cap`` the hypothesis budget when
     an LMB group is expanded during merging, ``lmb_prune`` the existence
     threshold, ``dglmb_prune`` the hypothesis weight threshold,
-    ``extraction`` the existence threshold for reporting tracks, and the
-    ``gm_*`` values the per-track mixture reduction parameters.
+    ``extraction`` the existence threshold for reporting tracks,
+    ``kl_threshold`` and ``entropy_threshold`` the switching thresholds,
+    and the ``gm_*`` values the per-track mixture reduction parameters.
+    A value outside its range is a ``ConfigurationError``.
     """
 
     gate_sq: float = 9.2103
@@ -62,10 +68,21 @@ class PipelineConfig:
     lmb_prune: float = 0.01
     dglmb_prune: float = 1e-5
     extraction: float = 0.5
-    thresholds: CriteriaThresholds = field(default_factory=CriteriaThresholds)
+    kl_threshold: float = 1e-4
+    entropy_threshold: float = 0.5
     gm_prune: float = 1e-5
     gm_merge: float = 4.0
     gm_cap: int = 20
+
+    def __post_init__(self):
+        check_numbers("tracker", vars(self), [
+            (("cap", "merge_cap", "gm_cap"), "a whole number >= 1",
+             lambda v: v >= 1 and v % 1 == 0),
+            (("gate_sq",), "> 0", lambda v: v > 0.0),
+            (("gm_merge", "kl_threshold", "entropy_threshold"), ">= 0",
+             lambda v: v >= 0.0),
+            (("lmb_prune", "dglmb_prune", "gm_prune", "extraction"),
+             "in [0, 1)", lambda v: 0.0 <= v < 1.0)])
 
 
 @dataclass(eq=False)
@@ -119,8 +136,12 @@ def _components(n, pairs):
     return [components[root] for root in sorted(components)]
 
 
-def inject_birth(groups, birth_model, step_index, policy, sensor, config):
+def inject_birth(groups, birth_model, step_index, birth_state, sensor,
+                 config):
     """Append one single-track group per birth entry, labeled by scan.
+
+    Each new group starts in ``birth_state``, in delta-GLMB form unless
+    that state is LMB.
 
     An entry is skipped while any surviving track covers its site: the
     live track already carries the appearance hypothesis there (one
@@ -145,10 +166,9 @@ def inject_birth(groups, birth_model, step_index, policy, sensor, config):
             continue
         label = Label(step_index, i)
         lmb = LmbDensity({label: Track(label, entry.existence, entry.spatial)})
-        if policy == "dglmb":
-            out.append(DensityGroup(lmb_to_dglmb(lmb), _PINNED_STATE))
-        else:
-            out.append(DensityGroup(lmb, _LMB_STATE))
+        out.append(DensityGroup(
+            lmb if birth_state.mode is Mode.LMB else lmb_to_dglmb(lmb),
+            birth_state))
     return out
 
 
@@ -253,12 +273,14 @@ def _reduce_lmb(lmb, config):
     return LmbDensity(tracks)
 
 
-def update_group(group, measurements, sensor, config, policy="almb"):
+def update_group(group, measurements, sensor, config):
     """Measurement-update one group and run the switching automaton.
 
     Returns ``(group, kl, entropy)``.  The criteria are evaluated on the
-    exact (un-pruned) update output in every policy; only the ``almb``
-    policy acts on them.
+    exact (un-pruned) update output.  A group the automaton leaves in
+    delta-GLMB form keeps that output, with the value of the criterion
+    that holds it there (0.0 when pinned); any other group takes the
+    mixture-reduced LMB approximation.
     """
     if isinstance(group.density, LmbDensity):
         result = lmb_update(group.density, measurements, sensor,
@@ -271,20 +293,10 @@ def update_group(group, measurements, sensor, config, policy="almb"):
         approx = None
     kl = kl_criterion(full.posterior)
     entropy = association_entropy(full.assoc_marginals)
-
-    if policy == "lmb":
-        if approx is None:
-            approx = dglmb_to_lmb(full.posterior)
-        new = replace(group, density=_reduce_lmb(approx, config))
-        return new, kl, entropy
-    if policy == "dglmb":
-        return replace(group, density=full.posterior), kl, entropy
-    if policy != "almb":
-        raise UsageError("unknown policy %r" % (policy,))
-
-    state = decide_switch(group.state, kl, entropy, config.thresholds)
+    state = decide_switch(group.state, kl, entropy, config)
     if state.mode is Mode.DGLMB:
-        value = kl if state.trigger is Trigger.KL else entropy
+        value = {Trigger.KL: kl, Trigger.ENTROPY: entropy}.get(
+            state.trigger, 0.0)
         return replace(group, density=full.posterior, state=state,
                        criterion_value=float(value)), kl, entropy
     if approx is None:
@@ -422,10 +434,12 @@ def extract_tracks(groups, threshold):
 
 
 def pipeline_step(groups, measurements, step_index, motion, sensor,
-                  birth_model, config, policy="almb"):
-    """Run one full scan; returns ``(groups, extracted, diagnostics)``."""
-    groups = inject_birth(groups, birth_model, step_index, policy, sensor,
-                          config)
+                  birth_model, config, birth_state=_LMB_STATE):
+    """Run one full scan; returns ``(groups, extracted, diagnostics)``.
+
+    New births start in ``birth_state``."""
+    groups = inject_birth(groups, birth_model, step_index, birth_state,
+                          sensor, config)
     groups = [predict_group(g, motion, config) for g in groups]
     groups = gate_measurements(groups, measurements, sensor, config.gate_sq)
     groups = merge_groups(groups, config)
@@ -433,7 +447,7 @@ def pipeline_step(groups, measurements, step_index, motion, sensor,
     kls, entropies = [], []
     for group in groups:
         Z_g = [measurements[j] for j in group.gated]
-        new, kl, entropy = update_group(group, Z_g, sensor, config, policy)
+        new, kl, entropy = update_group(group, Z_g, sensor, config)
         updated.append(new)
         kls.append(kl)
         entropies.append(entropy)
@@ -458,17 +472,29 @@ def pipeline_step(groups, measurements, step_index, motion, sensor,
 
 
 class MultiObjectTracker:
-    """Stateful wrapper running the pipeline scan by scan."""
+    """Stateful wrapper running the pipeline scan by scan.
+
+    ``policy`` picks the filter.  ``"almb"`` runs ``config`` as given;
+    ``"lmb"`` is ALMB whose switching criteria never fire (both
+    thresholds infinite); ``"dglmb"`` is ALMB whose births start pinned
+    in delta-GLMB form.
+    """
 
     def __init__(self, motion, sensor, birth_model, config=None,
                  policy="almb"):
-        if policy not in ("almb", "lmb", "dglmb"):
-            raise UsageError("unknown policy %r" % (policy,))
+        if policy not in FILTER_NAMES:
+            raise UsageError("unknown policy %r (known: %s)"
+                             % (policy, ", ".join(FILTER_NAMES)))
+        config = config or PipelineConfig()
+        if policy == "lmb":
+            config = replace(config, kl_threshold=np.inf,
+                             entropy_threshold=np.inf)
         self.motion = motion
         self.sensor = sensor
         self.birth_model = birth_model
-        self.config = config or PipelineConfig()
+        self.config = config
         self.policy = policy
+        self.birth_state = _PINNED_STATE if policy == "dglmb" else _LMB_STATE
         self.groups = []
         self.step_index = 0
 
@@ -476,5 +502,5 @@ class MultiObjectTracker:
         self.step_index += 1
         self.groups, extracted, diagnostics = pipeline_step(
             self.groups, measurements, self.step_index, self.motion,
-            self.sensor, self.birth_model, self.config, self.policy)
+            self.sensor, self.birth_model, self.config, self.birth_state)
         return extracted, diagnostics

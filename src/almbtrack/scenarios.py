@@ -14,12 +14,11 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, check_numbers
 from .gaussian import (GaussianComponent, GaussianMixture, MotionModel,
                        SensorModel)
 from .metrics import OspaParams
 from .pipeline import BirthEntry, BirthModel, PipelineConfig
-from .switching import CriteriaThresholds
 
 BUILTIN_SCENARIOS = ("two-target", "sixteen-target")
 
@@ -52,28 +51,6 @@ class TruthScript:
 
 
 @dataclass
-class TrackerConfig:
-    gate_sq: float = 9.2103
-    cap: int = 50
-    merge_cap: int = 50
-    lmb_prune: float = 0.01
-    dglmb_prune: float = 1e-5
-    extraction: float = 0.5
-    kl_threshold: float = 1e-4
-    entropy_threshold: float = 0.5
-    gm_prune: float = 1e-5
-    gm_merge: float = 4.0
-    gm_cap: int = 20
-
-
-@dataclass
-class OspaConfig:
-    p: float = 1.0
-    c: float = 300.0
-    alpha: float = 100.0
-
-
-@dataclass
 class ScenarioConfig:
     name: str = "scenario"
     seed: int = 0
@@ -85,8 +62,8 @@ class ScenarioConfig:
     sensor: SensorConfig = field(default_factory=SensorConfig)
     birth: list = field(default_factory=list)
     truth: list = field(default_factory=list)
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    ospa: OspaConfig = field(default_factory=OspaConfig)
+    tracker: PipelineConfig = field(default_factory=PipelineConfig)
+    ospa: OspaParams = field(default_factory=OspaParams)
 
     def to_dict(self):
         return asdict(self)
@@ -119,9 +96,9 @@ def scenario_from_dict(data):
         elif key == "sensor":
             out[key] = _build(SensorConfig, value, "sensor")
         elif key == "tracker":
-            out[key] = _build(TrackerConfig, value, "tracker")
+            out[key] = _build(PipelineConfig, value, "tracker")
         elif key == "ospa":
-            out[key] = _build(OspaConfig, value, "ospa")
+            out[key] = _build(OspaParams, value, "ospa")
         elif key == "birth":
             out[key] = [_build(BirthSite, b, "birth[%d]" % i)
                         for i, b in enumerate(value)]
@@ -151,29 +128,16 @@ def _validate(config):
             raise ConfigurationError("birth mean/std must have four entries")
         if not 0.0 < site.existence < 1.0:
             raise ConfigurationError("birth existence must be in (0, 1)")
-    _validate_tracker(config.tracker)
-
-
-def _validate_tracker(tracker):
-    # Each knob must be a number in the range the filters are defined on.
-    # Every comparison is false for NaN, so NaN fails each range check.
-    values = asdict(tracker)
-    rules = [
-        (("cap", "merge_cap", "gm_cap"), "a whole number >= 1",
-         lambda v: v >= 1 and v % 1 == 0),
-        (("gate_sq",), "> 0", lambda v: v > 0.0),
-        (("gm_merge", "kl_threshold", "entropy_threshold"), ">= 0",
-         lambda v: v >= 0.0),
-        (("lmb_prune", "dglmb_prune", "gm_prune", "extraction"), "in [0, 1)",
-         lambda v: 0.0 <= v < 1.0),
-    ]
-    for names, rule, ok in rules:
-        for name in names:
-            value = values[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not ok(value):
-                raise ConfigurationError("tracker %s must be %s, got %r"
-                                         % (name, rule, value))
+    # The tracker and ospa blocks check themselves on construction.
+    check_numbers("scenario", vars(config), [
+        (("cycle_time",), "> 0", lambda v: v > 0.0)])
+    check_numbers("motion", vars(config.motion), [
+        (("velocity_noise_std",), ">= 0", lambda v: v >= 0.0),
+        (("survival_prob",), "in [0, 1]", lambda v: 0.0 <= v <= 1.0)])
+    check_numbers("sensor", vars(config.sensor), [
+        (("position_noise_std",), "> 0", lambda v: v > 0.0),
+        (("detection_prob",), "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+        (("clutter_rate",), ">= 0", lambda v: v >= 0.0)])
 
 
 def load_scenario(path):
@@ -232,17 +196,11 @@ def make_birth_model(config):
 
 
 def make_pipeline_config(config):
-    t = config.tracker
-    return PipelineConfig(
-        gate_sq=t.gate_sq, cap=t.cap, merge_cap=t.merge_cap,
-        lmb_prune=t.lmb_prune, dglmb_prune=t.dglmb_prune,
-        extraction=t.extraction,
-        thresholds=CriteriaThresholds(t.kl_threshold, t.entropy_threshold),
-        gm_prune=t.gm_prune, gm_merge=t.gm_merge, gm_cap=t.gm_cap)
+    return config.tracker
 
 
 def make_ospa_params(config):
-    return OspaParams(config.ospa.p, config.ospa.c, config.ospa.alpha)
+    return config.ospa
 
 
 @dataclass(eq=False)

@@ -27,8 +27,8 @@ class Trigger(enum.Enum):
     NONE = "none"
     KL = "kl"
     ENTROPY = "entropy"
-    # Pinned groups never consult the automaton; the tag records why a
-    # group is held in delta-GLMB form.
+    # Pinned groups (the delta-GLMB filter's) never leave delta-GLMB
+    # form; the tag records why a group is held there.
     PINNED = "pinned"
 
 
@@ -42,12 +42,6 @@ class RepresentationState:
     def __post_init__(self):
         if (self.mode is Mode.LMB) != (self.trigger is Trigger.NONE):
             raise UsageError("LMB mode pairs with trigger NONE only")
-
-
-@dataclass(frozen=True)
-class CriteriaThresholds:
-    kl: float = 1e-4
-    entropy: float = 0.5
 
 
 def kl_divergence(p, q):
@@ -96,27 +90,28 @@ def association_entropy(marginals):
     return float(-np.sum(r[mask] * np.log(r[mask])) + 0.0)
 
 
-def decide_switch(state, kl, entropy, thresholds):
+def decide_switch(state, kl, entropy, config):
     """Advance the switching automaton by one update.
 
     In LMB mode the KL criterion is consulted first, then entropy; the
-    first one above its threshold triggers the switch to delta-GLMB.  In
+    first one above its threshold (``config.kl_threshold``,
+    ``config.entropy_threshold``) triggers the switch to delta-GLMB.  In
     delta-GLMB mode only the criterion that caused the switch is
     consulted, and the group returns to LMB once it is at or below its
-    threshold.
+    threshold.  Pinned groups stay as they are.
     """
     if state.mode is Mode.LMB:
-        if kl > thresholds.kl:
+        if kl > config.kl_threshold:
             return RepresentationState(Mode.DGLMB, Trigger.KL)
-        if entropy > thresholds.entropy:
+        if entropy > config.entropy_threshold:
             return RepresentationState(Mode.DGLMB, Trigger.ENTROPY)
         return state
     if state.trigger is Trigger.KL:
-        if kl <= thresholds.kl:
+        if kl <= config.kl_threshold:
             return RepresentationState(Mode.LMB, Trigger.NONE)
         return state
     if state.trigger is Trigger.ENTROPY:
-        if entropy <= thresholds.entropy:
+        if entropy <= config.entropy_threshold:
             return RepresentationState(Mode.LMB, Trigger.NONE)
         return state
     return state

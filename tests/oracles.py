@@ -133,7 +133,7 @@ def brute_dglmb_update(d, measurements, sensor):
     return weights, existence, marginals, mean_by_label
 
 
-def switch_cases(thresholds):
+def switch_cases(config):
     """Every (state, kl, entropy) cell of the switching automaton with
     its expected successor state.
 
@@ -147,14 +147,14 @@ def switch_cases(thresholds):
     d_kl = RepresentationState(Mode.DGLMB, Trigger.KL)
     d_en = RepresentationState(Mode.DGLMB, Trigger.ENTROPY)
     pinned = RepresentationState(Mode.DGLMB, Trigger.PINNED)
-    kl_vals = (0.5 * thresholds.kl, thresholds.kl, 2.0 * thresholds.kl)
-    en_vals = (0.5 * thresholds.entropy, thresholds.entropy,
-               2.0 * thresholds.entropy)
+    kl_t, en_t = config.kl_threshold, config.entropy_threshold
+    kl_vals = (0.5 * kl_t, kl_t, 2.0 * kl_t)
+    en_vals = (0.5 * en_t, en_t, 2.0 * en_t)
     cases = []
     for kl in kl_vals:
         for en in en_vals:
-            kl_above = kl > thresholds.kl
-            en_above = en > thresholds.entropy
+            kl_above = kl > kl_t
+            en_above = en > en_t
             if kl_above:
                 cases.append((lmb, kl, en, d_kl))
             elif en_above:

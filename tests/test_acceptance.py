@@ -15,8 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from almbtrack import (CriteriaThresholds, DglmbDensity, Hypothesis, Label,
-                       MultiObjectTracker, SensorModel, association_entropy,
+from almbtrack import (DglmbDensity, Hypothesis, Label, MultiObjectTracker,
+                       PipelineConfig, SensorModel, association_entropy,
                        builtin_scenario, decide_switch, dglmb_to_lmb,
                        dglmb_update, generate_measurements, generate_truth,
                        kl_criterion, lmb_cardinality, lmb_to_dglmb,
@@ -347,11 +347,11 @@ def test_08_cardinality_oracle(rng):
 
 
 def test_09_switch_automaton_table():
-    thresholds = CriteriaThresholds(kl=1e-4, entropy=0.5)
-    cases = switch_cases(thresholds)
+    config = PipelineConfig(kl_threshold=1e-4, entropy_threshold=0.5)
+    cases = switch_cases(config)
     wrong = []
     for state, kl, entropy, expected in cases:
-        got = decide_switch(state, kl, entropy, thresholds)
+        got = decide_switch(state, kl, entropy, config)
         if got.mode is not expected.mode or got.trigger is not expected.trigger:
             wrong.append((state, kl, entropy, got, expected))
     print("criterion 9: %d/%d automaton cells correct (states x below/at/"

@@ -52,8 +52,8 @@ def test_forbidden_pairings_excluded():
 
 def test_k_larger_than_count_returns_all():
     cost = pad([[1.0]], [2.0])
-    assert len(ranked_assignments(cost, 99, method="enumerate")) == 2
-    assert len(ranked_assignments(cost, 99, method="murty")) == 2
+    assert len(enumerate_assignments(cost, 99)) == 2
+    assert len(murty_assignments(cost, 99)) == 2
 
 
 def test_k_zero_and_empty_problem():
@@ -94,8 +94,8 @@ def test_murty_prefix_of_full_ordering(rng):
 
 def test_maps_are_distinct(rng):
     cost = pad(rng.normal(0.0, 1.0, (3, 3)), rng.normal(0.0, 1.0, 3))
-    for method in ("enumerate", "murty"):
-        out = ranked_assignments(cost, 100, method=method)
+    for out in (enumerate_assignments(cost, 100),
+                murty_assignments(cost, 100)):
         maps = [a for a, _ in out]
         assert len(maps) == len(set(maps))
 
@@ -110,7 +110,5 @@ def test_measurement_used_at_most_once():
 def test_bad_inputs_raise():
     with pytest.raises(UsageError):
         ranked_assignments(np.zeros((2, 1)), 3)
-    with pytest.raises(UsageError):
-        ranked_assignments(np.zeros((1, 2)), 3, method="bogus")
     with pytest.raises(UsageError):
         ranked_assignments(np.zeros(4), 3)

@@ -183,6 +183,10 @@ def test_cli_error_exit_codes(tmp_path):
     zero_cap = write_scenario(tmp_path, tracker={"cap": 0})
     assert main(["run", "--scenario", zero_cap, "--filter", "lmb",
                  "--runs", "1", "--out", str(tmp_path / "w")]) == 2
+    nan_noise = write_scenario(tmp_path,
+                               motion={"velocity_noise_std": float("nan")})
+    assert main(["run", "--scenario", nan_noise, "--filter", "lmb",
+                 "--runs", "1", "--out", str(tmp_path / "v")]) == 2
 
 
 def test_cli_plotdata_from_run(tmp_path):

@@ -68,6 +68,8 @@ def test_params_validation():
         OspaParams(c=-1.0)
     with pytest.raises(ConfigurationError):
         OspaParams(alpha=400.0)
+    with pytest.raises(ConfigurationError):
+        OspaParams(p=float("nan"))
 
 
 def steps_from(paths):

@@ -1,13 +1,15 @@
-"""Group pipeline: birth, gating, merging, update policies, prune, split,
-extraction, and the stateful tracker wrapper."""
+"""Group pipeline: birth, gating, merging, the update and its switching,
+prune, split, extraction, and the stateful tracker wrapper with its
+three filter settings."""
 
 import numpy as np
 import pytest
 
-from almbtrack import (BirthEntry, BirthModel, DensityGroup, DglmbDensity,
-                       Hypothesis, Label, LmbDensity, Mode,
-                       MultiObjectTracker, PipelineConfig, Track, Trigger,
-                       UsageError, dglmb_to_lmb, lmb_to_dglmb)
+from almbtrack import (BirthEntry, BirthModel, ConfigurationError,
+                       DensityGroup, DglmbDensity, Hypothesis, Label,
+                       LmbDensity, Mode, MultiObjectTracker, PipelineConfig,
+                       RepresentationState, Track, Trigger, UsageError,
+                       dglmb_to_lmb, lmb_to_dglmb)
 from almbtrack.pipeline import (extract_tracks, gate_measurements,
                                 inject_birth, merge_groups, pipeline_step,
                                 prune_group, split_group, update_group)
@@ -15,6 +17,8 @@ from almbtrack.pipeline import (extract_tracks, gate_measurements,
 from conftest import cv_motion, position_sensor, single
 
 CFG = PipelineConfig()
+LMB_STATE = RepresentationState(Mode.LMB, Trigger.NONE)
+PINNED = RepresentationState(Mode.DGLMB, Trigger.PINNED)
 SENSOR = position_sensor(10.0, 0.98, 1.25e-5)
 MOTION = cv_motion()
 
@@ -35,7 +39,7 @@ def track_group(label, x, y, existence=0.9, std=10.0, state=None):
 
 def test_birth_injects_one_group_per_entry():
     model = BirthModel([birth_entry(-1000.0, 0.0), birth_entry(1000.0, 0.0)])
-    groups = inject_birth([], model, 3, "almb", SENSOR, CFG)
+    groups = inject_birth([], model, 3, LMB_STATE, SENSOR, CFG)
     assert len(groups) == 2
     labels = sorted(lab for g in groups for lab in g.density.labels())
     assert labels == [Label(3, 0), Label(3, 1)]
@@ -48,7 +52,7 @@ def test_birth_injects_one_group_per_entry():
 
 def test_birth_pinned_delta_for_dglmb_policy():
     model = BirthModel([birth_entry(0.0, 0.0)])
-    groups = inject_birth([], model, 1, "dglmb", SENSOR, CFG)
+    groups = inject_birth([], model, 1, PINNED, SENSOR, CFG)
     assert isinstance(groups[0].density, DglmbDensity)
     assert groups[0].state.mode is Mode.DGLMB
     assert groups[0].state.trigger is Trigger.PINNED
@@ -59,7 +63,7 @@ def test_birth_masked_by_covering_track():
     # site still fires.
     model = BirthModel([birth_entry(-1000.0, 0.0), birth_entry(1000.0, 0.0)])
     existing = track_group(Label(1, 0), -1001.0, 2.0)
-    groups = inject_birth([existing], model, 5, "almb", SENSOR, CFG)
+    groups = inject_birth([existing], model, 5, LMB_STATE, SENSOR, CFG)
     labels = sorted(lab for g in groups for lab in g.density.labels())
     assert labels == [Label(1, 0), Label(5, 1)]
 
@@ -70,14 +74,14 @@ def test_birth_mask_counts_weak_tracks_too():
     # separated from it afterwards.
     model = BirthModel([birth_entry(0.0, 0.0)])
     weak = track_group(Label(1, 0), 0.5, -0.5, existence=0.02)
-    groups = inject_birth([weak], model, 2, "almb", SENSOR, CFG)
+    groups = inject_birth([weak], model, 2, LMB_STATE, SENSOR, CFG)
     assert len(groups) == 1
 
 
 def test_birth_mask_ignores_distant_track():
     model = BirthModel([birth_entry(0.0, 0.0)])
     far = track_group(Label(1, 0), 400.0, 0.0)
-    groups = inject_birth([far], model, 2, "almb", SENSOR, CFG)
+    groups = inject_birth([far], model, 2, LMB_STATE, SENSOR, CFG)
     assert len(groups) == 2
 
 
@@ -184,31 +188,42 @@ def test_merge_expands_lmb_member_into_delta():
     assert len(merged[0].density.hypotheses) == 4
 
 
-def test_update_policy_lmb_always_collapses():
-    group = track_group(Label(1, 0), 0.0, 0.0)
-    new, kl, entropy = update_group(group, [[1.0, 0.0]], SENSOR, CFG, "lmb")
-    assert isinstance(new.density, LmbDensity)
-    assert kl >= 0.0 and entropy >= 0.0
-
-
-def test_update_policy_dglmb_keeps_full_posterior():
-    group = DensityGroup(lmb_to_dglmb(track_group(Label(1, 0), 0.0, 0.0,
-                                                  existence=0.5).density))
-    new, _, _ = update_group(group, [[1.0, 0.0]], SENSOR, CFG, "dglmb")
-    assert isinstance(new.density, DglmbDensity)
-    # Miss and hit branches both survive in the exact posterior.
-    assert len(new.density.hypotheses) >= 2
-
-
-def test_update_policy_almb_switches_on_contested_measurement():
+def contested_group():
+    # Two tracks competing for one measurement between them.
     l1, l2 = Label(1, 0), Label(1, 1)
     lmb = LmbDensity({
         l1: Track(l1, 0.5, single([0, 0, 0, 0], 25.0 * np.eye(4))),
         l2: Track(l2, 0.5, single([5, 0, 0, 0], 25.0 * np.eye(4))),
     })
-    group = DensityGroup(lmb, gated=(0,))
-    new, kl, entropy = update_group(group, [[2.0, 0.0]], SENSOR, CFG, "almb")
-    assert kl > CFG.thresholds.kl
+    return DensityGroup(lmb, gated=(0,))
+
+
+def test_update_policy_lmb_always_collapses():
+    # The LMB filter's setting: with infinite thresholds even a contested
+    # update stays in LMB form.
+    never = PipelineConfig(kl_threshold=np.inf, entropy_threshold=np.inf)
+    new, kl, entropy = update_group(contested_group(), [[2.0, 0.0]],
+                                    SENSOR, never)
+    assert kl > CFG.kl_threshold
+    assert isinstance(new.density, LmbDensity)
+    assert new.state == LMB_STATE and new.criterion_value == 0.0
+
+
+def test_update_policy_dglmb_keeps_full_posterior():
+    group = DensityGroup(lmb_to_dglmb(track_group(Label(1, 0), 0.0, 0.0,
+                                                  existence=0.5).density),
+                         PINNED)
+    new, _, _ = update_group(group, [[1.0, 0.0]], SENSOR, CFG)
+    assert isinstance(new.density, DglmbDensity)
+    # Miss and hit branches both survive in the exact posterior.
+    assert len(new.density.hypotheses) >= 2
+    assert new.state == PINNED and new.criterion_value == 0.0
+
+
+def test_update_policy_almb_switches_on_contested_measurement():
+    new, kl, entropy = update_group(contested_group(), [[2.0, 0.0]],
+                                    SENSOR, CFG)
+    assert kl > CFG.kl_threshold
     assert new.state.mode is Mode.DGLMB
     assert isinstance(new.density, DglmbDensity)
     assert new.criterion_value == pytest.approx(kl)
@@ -216,7 +231,7 @@ def test_update_policy_almb_switches_on_contested_measurement():
 
 def test_update_policy_almb_stays_lmb_when_clean():
     group = track_group(Label(1, 0), 0.0, 0.0)
-    new, kl, entropy = update_group(group, [[1.0, 0.0]], SENSOR, CFG, "almb")
+    new, kl, entropy = update_group(group, [[1.0, 0.0]], SENSOR, CFG)
     assert new.state.mode is Mode.LMB
     assert isinstance(new.density, LmbDensity)
     assert new.criterion_value == 0.0
@@ -231,7 +246,7 @@ def test_update_empty_scan_cannot_trigger_entropy():
         l2: Track(l2, 0.9, single([1, 0, 0, 0], np.eye(4))),
     })
     group = DensityGroup(lmb)
-    new, kl, entropy = update_group(group, [], SENSOR, CFG, "almb")
+    new, kl, entropy = update_group(group, [], SENSOR, CFG)
     assert entropy == 0.0
     assert new.state.mode is Mode.LMB
 
@@ -371,7 +386,7 @@ def test_pipeline_step_is_deterministic():
         log = []
         for k, scan in enumerate(Z, start=1):
             groups, extracted, _ = pipeline_step(
-                groups, scan, k, MOTION, SENSOR, model, CFG, "almb")
+                groups, scan, k, MOTION, SENSOR, model, CFG)
             log.append(tuple((lab, tuple(np.round(x, 12)))
                              for lab, x in extracted))
         return log
@@ -382,6 +397,28 @@ def test_pipeline_step_is_deterministic():
 def test_tracker_rejects_unknown_policy():
     with pytest.raises(UsageError):
         MultiObjectTracker(MOTION, SENSOR, BirthModel([]), policy="foo")
+
+
+def test_tracker_policies_are_settings():
+    model = BirthModel([birth_entry(0.0, 0.0)])
+    lmb = MultiObjectTracker(MOTION, SENSOR, model, CFG, "lmb")
+    assert lmb.config == PipelineConfig(kl_threshold=np.inf,
+                                        entropy_threshold=np.inf)
+    assert MultiObjectTracker(MOTION, SENSOR, model, CFG, "almb").config \
+        is CFG
+    dglmb = MultiObjectTracker(MOTION, SENSOR, model, CFG, "dglmb")
+    dglmb.step([[0.0, 0.0]])
+    assert [g.state for g in dglmb.groups] == [PINNED]
+    assert isinstance(dglmb.groups[0].density, DglmbDensity)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("cap", 0), ("gate_sq", float("nan")), ("kl_threshold", -1.0),
+    ("extraction", "0.5")])
+def test_config_validated_at_construction(name, value):
+    # Settings built in code are checked like a scenario's tracker block.
+    with pytest.raises(ConfigurationError, match=name):
+        PipelineConfig(**{name: value})
 
 
 def test_tracker_locks_onto_clean_target():

@@ -184,18 +184,44 @@ def test_validation_catches_bad_lifetimes():
         scenario_from_dict(cfg)
 
 
-@pytest.mark.parametrize("key, value", [
-    ("cap", 0), ("cap", -5), ("cap", 2.5), ("cap", float("inf")),
-    ("cap", "50"), ("cap", True), ("merge_cap", 0), ("gm_cap", 0),
-    ("gate_sq", 0.0), ("gate_sq", -9.0), ("gate_sq", float("nan")),
-    ("gm_merge", -0.5), ("lmb_prune", 1.0), ("lmb_prune", -0.01),
-    ("dglmb_prune", 1.0), ("gm_prune", 2.0), ("extraction", 1.0),
-    ("extraction", float("nan")), ("kl_threshold", -1e-4),
-    ("entropy_threshold", -0.5), ("entropy_threshold", float("nan")),
+def bad(block, key, value):
+    # A block of None means a top-level key.  Tracker and top-level cases
+    # get plain "key-value" ids, the others "block.key-value".
+    name = key if block in ("tracker", None) else "%s.%s" % (block, key)
+    return pytest.param(block, key, value, id="%s-%s" % (name, value))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("block, key, value", [
+    bad("tracker", "cap", 0), bad("tracker", "cap", -5),
+    bad("tracker", "cap", 2.5), bad("tracker", "cap", float("inf")),
+    bad("tracker", "cap", "50"), bad("tracker", "cap", True),
+    bad("tracker", "merge_cap", 0), bad("tracker", "gm_cap", 0),
+    bad("tracker", "gate_sq", 0.0), bad("tracker", "gate_sq", -9.0),
+    bad("tracker", "gate_sq", NAN), bad("tracker", "gm_merge", -0.5),
+    bad("tracker", "lmb_prune", 1.0), bad("tracker", "lmb_prune", -0.01),
+    bad("tracker", "dglmb_prune", 1.0), bad("tracker", "gm_prune", 2.0),
+    bad("tracker", "extraction", 1.0), bad("tracker", "extraction", NAN),
+    bad("tracker", "kl_threshold", -1e-4),
+    bad("tracker", "entropy_threshold", -0.5),
+    bad("tracker", "entropy_threshold", NAN),
+    bad("ospa", "p", "x"), bad("ospa", "p", NAN), bad("ospa", "p", 0.5),
+    bad("ospa", "c", 0.0), bad("ospa", "alpha", -1.0),
+    bad("ospa", "alpha", 400.0),
+    bad("sensor", "clutter_rate", "x"), bad("sensor", "clutter_rate", -1.0),
+    bad("sensor", "position_noise_std", NAN),
+    bad("sensor", "position_noise_std", 0.0),
+    bad("sensor", "detection_prob", 1.5),
+    bad("motion", "velocity_noise_std", NAN),
+    bad("motion", "velocity_noise_std", -1.0),
+    bad("motion", "survival_prob", "x"),
+    bad(None, "cycle_time", "x"), bad(None, "cycle_time", 0.0),
 ])
-def test_validation_catches_bad_tracker_values(key, value):
+def test_validation_catches_bad_tracker_values(block, key, value):
     cfg = builtin_scenario("two-target").to_dict()
-    cfg["tracker"][key] = value
+    (cfg if block is None else cfg[block])[key] = value
     with pytest.raises(ConfigurationError, match=key):
         scenario_from_dict(cfg)
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from almbtrack import (CriteriaThresholds, DglmbDensity, Hypothesis, Label,
-                       Mode, RepresentationState, Trigger,
+from almbtrack import (DglmbDensity, Hypothesis, Label, Mode,
+                       PipelineConfig, RepresentationState, Trigger,
                        association_entropy, decide_switch, kl_criterion,
                        kl_divergence, lmb_to_dglmb)
 from almbtrack.lmb import lmb_update
@@ -113,34 +113,33 @@ def test_entropy_empty_matrix_is_zero():
 
 
 def test_switch_automaton_exhaustive():
-    thresholds = CriteriaThresholds(kl=1e-4, entropy=0.5)
-    for state, kl, entropy, expected in switch_cases(thresholds):
-        got = decide_switch(state, kl, entropy, thresholds)
+    config = PipelineConfig(kl_threshold=1e-4, entropy_threshold=0.5)
+    for state, kl, entropy, expected in switch_cases(config):
+        got = decide_switch(state, kl, entropy, config)
         assert got.mode is expected.mode and got.trigger is expected.trigger, \
             (state, kl, entropy, got, expected)
 
 
 def test_switch_kl_checked_before_entropy():
-    thresholds = CriteriaThresholds(kl=1e-4, entropy=0.5)
+    config = PipelineConfig(kl_threshold=1e-4, entropy_threshold=0.5)
     state = RepresentationState(Mode.LMB, Trigger.NONE)
-    out = decide_switch(state, 1.0, 1.0, thresholds)
+    out = decide_switch(state, 1.0, 1.0, config)
     assert out.trigger is Trigger.KL
 
 
 def test_switch_back_only_on_own_criterion():
-    thresholds = CriteriaThresholds(kl=1e-4, entropy=0.5)
+    config = PipelineConfig(kl_threshold=1e-4, entropy_threshold=0.5)
     # KL-triggered group ignores entropy staying high.
     state = RepresentationState(Mode.DGLMB, Trigger.KL)
-    out = decide_switch(state, 0.0, 10.0, thresholds)
+    out = decide_switch(state, 0.0, 10.0, config)
     assert out.mode is Mode.LMB
     # Entropy-triggered group ignores KL staying high.
     state = RepresentationState(Mode.DGLMB, Trigger.ENTROPY)
-    out = decide_switch(state, 10.0, 0.0, thresholds)
+    out = decide_switch(state, 10.0, 0.0, config)
     assert out.mode is Mode.LMB
 
 
 def test_lmb_state_never_carries_a_trigger():
-    thresholds = CriteriaThresholds()
     state = RepresentationState(Mode.DGLMB, Trigger.KL)
-    back = decide_switch(state, 0.0, 0.0, thresholds)
+    back = decide_switch(state, 0.0, 0.0, PipelineConfig())
     assert back.mode is Mode.LMB and back.trigger is Trigger.NONE
