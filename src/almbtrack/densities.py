@@ -79,10 +79,13 @@ class Hypothesis:
 
 @dataclass(eq=False)
 class DglmbDensity:
-    """delta-GLMB density: label space plus weighted hypotheses."""
+    """delta-GLMB density: label space plus weighted hypotheses.  It is
+    never modified, except that ``dglmb_to_lmb`` keeps its result in
+    ``_lmb``."""
 
     label_space: tuple
     hypotheses: list
+    _lmb: LmbDensity = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.label_space = tuple(sorted(self.label_space))
@@ -151,8 +154,8 @@ def top_weighted_subsets(log_odds, limit=None):
 def _bernoulli_log_odds(existence):
     r = min(float(existence), _R_CLAMP)
     if r <= 0.0:
-        return -np.inf, 0.0
-    return math.log(r) - math.log1p(-r), math.log1p(-r)
+        return -np.inf
+    return math.log(r) - math.log1p(-r)
 
 
 def lmb_to_dglmb(lmb, max_hypotheses=None):
@@ -164,12 +167,9 @@ def lmb_to_dglmb(lmb, max_hypotheses=None):
     and their weights renormalized.
     """
     labels = lmb.labels()
-    log_odds, base = [], 0.0
-    for label in labels:
-        lo, lbase = _bernoulli_log_odds(lmb.tracks[label].existence)
-        log_odds.append(lo)
-        base += lbase
-    subsets = top_weighted_subsets(log_odds, max_hypotheses)
+    subsets = top_weighted_subsets(
+        [_bernoulli_log_odds(lmb.tracks[lab].existence) for lab in labels],
+        max_hypotheses)
     log_w = np.array([lw for _, lw in subsets])
     w = np.exp(log_w - log_w.max())
     w /= w.sum()
@@ -187,7 +187,10 @@ def dglmb_to_lmb(d):
     Per label the existence is the summed weight of hypotheses containing
     it and the spatial density is the weight-averaged mixture of the
     per-hypothesis spatials.  Labels with zero existence are dropped.
+    Later calls return the result kept on ``d``.
     """
+    if d._lmb is not None:
+        return d._lmb
     weights = d.weights()
     tot = float(weights.sum())
     existence = {label: 0.0 for label in d.label_space}
@@ -206,7 +209,8 @@ def dglmb_to_lmb(d):
         for w, gm in parts[label]:
             comps.extend(gm.scaled(w / (r * gm.total_weight())).components)
         tracks[label] = Track(label, min(r, 1.0), GaussianMixture(comps))
-    return LmbDensity(tracks)
+    d._lmb = LmbDensity(tracks)
+    return d._lmb
 
 
 def lmb_cardinality(lmb):

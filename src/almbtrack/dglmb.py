@@ -16,7 +16,8 @@ import numpy as np
 from .assignment import enumerate_assignments, ranked_assignments
 from .densities import DglmbDensity, Hypothesis, top_weighted_subsets
 from .errors import NumericalError
-from .gaussian import gm_kalman_update_log, gm_predict, mahalanobis_sq
+from .gaussian import (gm_kalman_update_log, gm_predict, innovation_terms,
+                       mahalanobis_sq)
 
 
 @dataclass(eq=False)
@@ -77,17 +78,15 @@ def _signature(labels, spatial):
     return np.concatenate(parts)
 
 
-def _consolidate(entries, atol=None):
+def _consolidate(entries):
     """Merge entries whose label sets match and whose spatial densities
-    coincide within ``atol`` elementwise.
+    coincide within ``_CONSOLIDATE_ATOL`` elementwise.
 
     Association histories whose Kalman chains have converged are one
     hypothesis for every future purpose; keeping them apart only burns
     cap slots that should hold genuinely distinct alternatives.  The
     heaviest entry of a cluster is the representative.
     """
-    if atol is None:
-        atol = _CONSOLIDATE_ATOL
     entries = sorted(entries, key=lambda e: (-(e[1]), e[0]))
     kept = []
     buckets = {}
@@ -100,7 +99,7 @@ def _consolidate(entries, atol=None):
         buf, count, indices = bucket
         hit = -1
         if count:
-            close = np.abs(buf[:count] - sig).max(axis=1) <= atol \
+            close = np.abs(buf[:count] - sig).max(axis=1) <= _CONSOLIDATE_ATOL \
                 if sig.size else np.ones(count, dtype=bool)
             where = np.flatnonzero(close)
             if where.size:
@@ -212,6 +211,11 @@ def dglmb_update(d, measurements, sensor, cap=None, gate_sq=None):
     log_qd = math.log1p(-sensor.detection_prob) \
         if sensor.detection_prob < 1.0 else -np.inf
     log_kappa = sensor.log_clutter()
+    if m:
+        mixtures = {gm.uid: gm for hyp in d.hypotheses
+                    for gm in hyp.spatial.values()}
+        innovation_terms([c for gm in mixtures.values()
+                          for c in gm.components], sensor, Z)
 
     cache = {}
 

@@ -35,7 +35,7 @@ class GaussianComponent:
     weight: float
     mean: np.ndarray
     covariance: np.ndarray
-    _innovation_terms: list = field(default=None, init=False, repr=False)
+    _innovation_terms: dict = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.weight = float(self.weight)
@@ -49,14 +49,22 @@ class GaussianComponent:
                 "covariance shape %s does not match mean dimension %d"
                 % (self.covariance.shape, n)
             )
+        self._innovation_terms = {}
 
     def reweighted(self, weight):
         """The same Gaussian under a new weight, sharing its arrays."""
         if weight < 0.0:
             raise ConfigurationError("component weight must be nonnegative")
-        out = object.__new__(GaussianComponent)
-        out.__dict__.update(self.__dict__, weight=float(weight))
-        return out
+        return _component(float(weight), self.mean, self.covariance,
+                          self._innovation_terms)
+
+
+def _component(weight, mean, covariance, terms=None):
+    # A component from a float weight and valid arrays, unchecked.
+    out = object.__new__(GaussianComponent)
+    out.__dict__.update(weight=weight, mean=mean, covariance=covariance,
+                        _innovation_terms={} if terms is None else terms)
+    return out
 
 
 @dataclass(eq=False)
@@ -74,9 +82,8 @@ class GaussianMixture:
         if not self.components:
             raise UsageError("mixture must contain at least one component")
         dim = self.components[0].mean.size
-        for c in self.components:
-            if c.mean.size != dim:
-                raise ConfigurationError("mixed state dimensions in one mixture")
+        if any(c.mean.size != dim for c in self.components):
+            raise ConfigurationError("mixed state dimensions in one mixture")
         if self.uid is None:
             self.uid = next(_UID)
 
@@ -178,22 +185,98 @@ def gm_predict(gm, model):
     return GaussianMixture(out)
 
 
-def _innovation(c, sensor, factor=False):
-    # [sensor, z_pred, S, chol(S) if factor] of one component, kept with
-    # it (its arrays are never modified in place) for the next caller.
-    terms = c._innovation_terms
-    if terms is None or terms[0] is not sensor:
-        S = _symmetrize(sensor.H @ c.covariance @ sensor.H.T + sensor.R)
-        terms = c._innovation_terms = [sensor, sensor.H @ c.mean, S, None]
-    if factor and terms[3] is None:
-        try:
-            terms[3] = np.linalg.cholesky(terms[2])
-        except np.linalg.LinAlgError:
-            raise NumericalError(
-                "singular or indefinite innovation covariance",
-                {"matrix": terms[2], "what": "innovation covariance"},
-            ) from None
-    return terms
+def _lacks(t, sensor, table=None, factor=True):
+    return (t.get("sensor") is not sensor or "S" not in t
+            or (factor and "L" not in t)
+            or (table is not None and t.get("table") != table))
+
+
+def innovation_terms(components, sensor, Z=None, factor=True):
+    """Fill the innovation terms each component lacks for ``sensor``.
+
+    The terms live in the dict ``_innovation_terms``, which reweighted
+    copies share: ``z_pred = H m`` and ``S = H P H' + R``; with
+    ``factor`` the Cholesky factor ``L`` (None if ``S`` has none, and
+    readers raise), the gain ``K``, ``cov = (I - K H) P`` (symmetrized)
+    and ``logdet`` of ``S``; given ``Z``, ``d2[j] = |L^-1 (Z[j] -
+    z_pred)|^2``, keyed by the bytes of ``Z`` (``table``) and of its rows
+    (``rows``).  Each term comes from one stacked call whose slices run
+    the routine of a single component: the same bits in any company.
+    """
+    table = None
+    if Z is not None and len(Z):
+        Z = np.asarray(Z, dtype=float).reshape(len(Z), -1)
+        table = Z.tobytes()
+    todo = {}
+    for c in components:
+        t = c._innovation_terms
+        if t.get("sensor") is not sensor:
+            t.clear()
+            t["sensor"] = sensor
+        todo[id(t)] = (t, c)
+    H = sensor.H
+    new = [(t, c) for t, c in todo.values() if _lacks(t, sensor, factor=factor)]
+    if new:
+        P = np.array([c.covariance for _, c in new])
+        z_pred = np.matmul(H, np.array([c.mean for _, c in new])[..., None])
+        S = np.matmul(np.matmul(H, P), H.T) + sensor.R
+        S = 0.5 * (S + S.swapaxes(-1, -2))
+        _store(new, z_pred=z_pred[..., 0], S=S)
+        if factor:
+            _store(new, L=_cholesky(S))
+            ok = [i for i, (t, _) in enumerate(new) if t["L"] is not None]
+            new, P, S = [new[i] for i in ok], P[ok], S[ok]
+    if new and factor:
+        K = np.linalg.solve(S, np.matmul(H, P)).swapaxes(-1, -2)
+        cov = np.matmul(np.eye(P.shape[-1]) - np.matmul(K, H), P)
+        L = np.array([t["L"] for t, _ in new])
+        _store(new, K=K, cov=0.5 * (cov + cov.swapaxes(-1, -2)),
+               logdet=2.0 * np.sum(np.log(np.diagonal(L, 0, -2, -1)), -1))
+    new = [(t, c) for t, c in todo.values() if table is not None
+           and t.get("L") is not None and t.get("table") != table]
+    if new:
+        # One right-hand side per slice: that is the bits of a solve per
+        # measurement, which a solve with many columns need not be.
+        L = np.array([t["L"] for t, _ in new])[:, None]
+        r = Z - np.array([t["z_pred"] for t, _ in new])[:, None]
+        y = np.linalg.solve(L, r[..., None])
+        rows = {z.tobytes(): j for j, z in enumerate(Z)}
+        _store(new, d2=np.matmul(y.swapaxes(-1, -2), y)[..., 0, 0],
+               table=[table] * len(new), rows=[rows] * len(new))
+
+
+def _store(pairs, **terms):
+    for i, (t, _) in enumerate(pairs):
+        t.update((name, values[i]) for name, values in terms.items())
+
+
+def _cholesky(S):
+    # Cholesky factors of a stack of matrices, None for those without.
+    try:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return [_cholesky(Si) for Si in S] if S.ndim > 2 else None
+
+
+def _read(c, sensor, Z=None, table=None):
+    # One component's terms, filled on demand, with S factored.
+    t = c._innovation_terms
+    if _lacks(t, sensor, table):
+        innovation_terms([c], sensor, Z)
+    if t["L"] is None:
+        raise NumericalError(
+            "singular or indefinite innovation covariance",
+            {"matrix": t["S"], "what": "innovation covariance"})
+    return t
+
+
+def _row(c, sensor, z, key):
+    # (terms, j) with d2[j] the squared whitened residual of the
+    # measurement z, whose bytes are ``key``.
+    t = c._innovation_terms
+    if t.get("sensor") is not sensor or key not in t.get("rows", ()):
+        return _read(c, sensor, [z], key), 0
+    return _read(c, sensor), t["rows"][key]
 
 
 def gm_kalman_update_log(gm, z, sensor):
@@ -204,6 +287,7 @@ def gm_kalman_update_log(gm, z, sensor):
     ``log sum_i w_i N(z; H m_i, H P_i H' + R)``.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
+    key = z.tobytes()
     if sensor.H.shape[1] != gm.dim:
         raise ConfigurationError("sensor model dimension does not match mixture")
     if z.size != sensor.meas_dim:
@@ -211,21 +295,17 @@ def gm_kalman_update_log(gm, z, sensor):
     log_w = np.empty(len(gm.components))
     updated = []
     for i, c in enumerate(gm.components):
-        _, z_pred, S, L = _innovation(c, sensor, factor=True)
-        K = np.linalg.solve(S, sensor.H @ c.covariance).T
-        mean = c.mean + K @ (z - z_pred)
-        cov = (np.eye(gm.dim) - K @ sensor.H) @ c.covariance
+        t, j = _row(c, sensor, z, key)
+        mean = c.mean + t["K"] @ (z - t["z_pred"])
         # log N(z; z_pred, S) via the Cholesky factor L of S.
-        y = np.linalg.solve(L, z - z_pred)
-        logdet = 2.0 * np.sum(np.log(np.diag(L)))
         log_w[i] = np.log(max(c.weight, 1e-300)) + -0.5 * (
-            z.size * _LOG_2PI + logdet + float(y @ y))
-        updated.append((mean, cov))
+            z.size * _LOG_2PI + t["logdet"] + float(t["d2"][j]))
+        updated.append((mean, t["cov"]))
     top = float(np.max(log_w))
     log_lik = top + float(np.log(np.sum(np.exp(log_w - top))))
     w = np.exp(log_w - log_lik)
-    post = GaussianMixture(
-        [GaussianComponent(w[i], m, P) for i, (m, P) in enumerate(updated)])
+    post = GaussianMixture([_component(float(w[i]), m, P)
+                            for i, (m, P) in enumerate(updated)])
     return post, log_lik
 
 
@@ -283,11 +363,11 @@ def mahalanobis_sq(z, gm, sensor):
     component starves the low-weight alternatives that exist precisely
     to recover from association mistakes."""
     z = np.asarray(z, dtype=float).reshape(-1)
+    key = z.tobytes()
     best = np.inf
     for c in gm.components:
-        _, z_pred, _, L = _innovation(c, sensor, factor=True)
-        y = np.linalg.solve(L, z - z_pred)
-        best = min(best, float(y @ y))
+        t, j = _row(c, sensor, z, key)
+        best = min(best, float(t["d2"][j]))
     return best
 
 
@@ -296,23 +376,22 @@ def gate_mask(measurements, gm, sensor, gate_sq):
     (within ``gate_sq`` of any component)."""
     if not len(measurements):
         return np.zeros(0, dtype=bool)
-    Z = np.asarray(measurements, dtype=float)
+    Z = np.asarray(measurements, dtype=float).reshape(len(measurements), -1)
+    table = Z.tobytes()
     mask = np.zeros(len(Z), dtype=bool)
     for c in gm.components:
-        rest = ~mask
-        if not rest.any():
+        if mask.all():
             break
-        _, z_pred, _, L = _innovation(c, sensor, factor=True)
-        y = np.linalg.solve(L, (Z[rest] - z_pred).T)
-        mask[rest] = np.einsum("ij,ij->j", y, y) < gate_sq
+        mask |= _read(c, sensor, Z, table)["d2"] < gate_sq
     return mask
 
 
 def predicted_measurement(gm, sensor):
     """Predicted measurement and innovation covariance of the
     highest-weight component (lowest index on ties)."""
-    idx = int(np.argmax(gm.weights()))
-    return tuple(_innovation(gm.components[idx], sensor)[1:3])
+    c = gm.components[int(np.argmax(gm.weights()))]
+    innovation_terms([c], sensor, factor=False)
+    return c._innovation_terms["z_pred"], c._innovation_terms["S"]
 
 
 def map_point(gm):

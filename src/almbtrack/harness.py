@@ -98,19 +98,14 @@ def monte_carlo(config, n_runs, filters=FILTER_NAMES, base_seed=None,
     return rows
 
 
-def _format(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_rows(rows, path):
     """Write result rows with a fixed header and full-precision floats."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for row in rows:
-            writer.writerow([_format(row[name]) for name in CSV_HEADER])
+            writer.writerow([repr(v) if isinstance(v, float) else str(v)
+                             for v in map(row.__getitem__, CSV_HEADER)])
 
 
 def read_rows(path):

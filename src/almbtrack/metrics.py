@@ -73,18 +73,10 @@ def _stage1_correspondence(truth_steps, estimate_steps, params):
     cutoff, so short-lived spurious tracks cannot beat a track that
     covers the truth for most of its life.
     """
-    truth_ids, est_labels = [], []
-    seen_t, seen_e = set(), set()
-    for step in truth_steps:
-        for tid, _ in step:
-            if tid not in seen_t:
-                seen_t.add(tid)
-                truth_ids.append(tid)
-    for step in estimate_steps:
-        for lab, _ in step:
-            if lab not in seen_e:
-                seen_e.add(lab)
-                est_labels.append(lab)
+    # Identities and labels in order of first appearance.
+    truth_ids = list(dict.fromkeys(t for step in truth_steps for t, _ in step))
+    est_labels = list(dict.fromkeys(e for step in estimate_steps
+                                    for e, _ in step))
     if not truth_ids or not est_labels:
         return {}
     t_index = {tid: i for i, tid in enumerate(truth_ids)}

@@ -22,8 +22,8 @@ from .densities import (DglmbDensity, Hypothesis, Label, LmbDensity, Track,
                         dglmb_to_lmb, lmb_to_dglmb)
 from .dglmb import _dedup, dglmb_predict, dglmb_prune, dglmb_update
 from .errors import UsageError, check_numbers
-from .gaussian import (GaussianMixture, gate_mask, gm_reduce, map_point,
-                       predicted_measurement)
+from .gaussian import (GaussianMixture, gate_mask, gm_reduce,
+                       innovation_terms, map_point, predicted_measurement)
 from .lmb import lmb_predict, lmb_update
 from .switching import (Mode, RepresentationState, Trigger,
                         association_entropy, decide_switch, kl_criterion)
@@ -153,12 +153,9 @@ def inject_birth(groups, birth_model, step_index, birth_state, sensor,
     predicted measurements under the mean of the innovation covariances,
     tested against ``gate_sq``.
     """
-    covering = []
-    for group in groups:
-        view = group.lmb_view()
-        for label in view.labels():
-            covering.append(predicted_measurement(view.tracks[label].spatial,
-                                                  sensor))
+    covering = [predicted_measurement(track.spatial, sensor)
+                for group in groups
+                for track in group.lmb_view().tracks.values()]
     out = list(groups)
     for i, entry in enumerate(birth_model.entries):
         site = predicted_measurement(entry.spatial, sensor)
@@ -186,9 +183,13 @@ def gate_measurements(groups, measurements, sensor, gate_sq):
     Returns the groups with ``gated`` filled.  Measurements gated by no
     group are ignored downstream (treated as clutter).
     """
+    views = [group.lmb_view() for group in groups]
+    if len(measurements):
+        innovation_terms([c for view in views for track in view.tracks.values()
+                          for c in track.spatial.components],
+                         sensor, measurements)
     out = []
-    for group in groups:
-        view = group.lmb_view()
+    for group, view in zip(groups, views):
         hits = np.zeros(len(measurements), dtype=bool)
         for label in view.labels():
             gm = view.tracks[label].spatial
@@ -422,15 +423,9 @@ def _marginalize(density, member_labels, config):
 def extract_tracks(groups, threshold):
     """Report (label, MAP state) for tracks with existence above the
     threshold (strict), sorted by label."""
-    out = []
-    for group in groups:
-        view = group.lmb_view()
-        for label in view.labels():
-            track = view.tracks[label]
-            if track.existence > threshold:
-                out.append((label, map_point(track.spatial)))
-    out.sort(key=lambda t: t[0])
-    return out
+    return sorted(((label, map_point(track.spatial)) for group in groups
+                   for label, track in group.lmb_view().tracks.items()
+                   if track.existence > threshold), key=lambda t: t[0])
 
 
 def pipeline_step(groups, measurements, step_index, motion, sensor,
@@ -443,19 +438,13 @@ def pipeline_step(groups, measurements, step_index, motion, sensor,
     groups = [predict_group(g, motion, config) for g in groups]
     groups = gate_measurements(groups, measurements, sensor, config.gate_sq)
     groups = merge_groups(groups, config)
-    updated = []
-    kls, entropies = [], []
-    for group in groups:
-        Z_g = [measurements[j] for j in group.gated]
-        new, kl, entropy = update_group(group, Z_g, sensor, config)
-        updated.append(new)
-        kls.append(kl)
-        entropies.append(entropy)
+    results = [update_group(g, [measurements[j] for j in g.gated], sensor,
+                            config) for g in groups]
+    updated, kls, entropies = ([r[i] for r in results] for i in range(3))
     groups = [g for g in (prune_group(g, config) for g in updated)
               if g is not None]
-    split = []
-    for group in groups:
-        split.extend(split_group(group, sensor, config))
+    split = [part for group in groups
+             for part in split_group(group, sensor, config)]
     extracted = extract_tracks(split, config.extraction)
     n_dglmb = sum(1 for g in split if isinstance(g.density, DglmbDensity))
     diagnostics = {

@@ -9,6 +9,7 @@ deviation.
 """
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -112,25 +113,40 @@ def scenario_from_dict(data):
     return config
 
 
+def _finite(where, value, shape):
+    # ``value`` as a float array of ``shape`` with finite real entries.
+    arr = np.asarray(value, dtype=object)
+    if arr.shape != shape:
+        raise ConfigurationError("%s must have shape %s, got %r"
+                                 % (where, shape, value))
+    entries = {"[%d]" % i: v for i, v in enumerate(arr.flat)}
+    check_numbers(where, entries, [(entries, "finite", np.isfinite)])
+    return arr.astype(float)
+
+
 def _validate(config):
-    if config.steps < 1:
-        raise ConfigurationError("steps must be positive")
-    region = np.asarray(config.region, dtype=float)
-    if region.shape != (2, 2) or np.any(region[:, 0] >= region[:, 1]):
+    check_numbers("scenario", vars(config), [
+        (("steps",), "an integer >= 1",
+         lambda v: isinstance(v, numbers.Integral) and v >= 1),
+        (("seed",), "an integer >= 0",
+         lambda v: isinstance(v, numbers.Integral) and v >= 0),
+        (("cycle_time",), "> 0", lambda v: v > 0.0)])
+    region = _finite("region", config.region, (2, 2))
+    if np.any(region[:, 0] >= region[:, 1]):
         raise ConfigurationError("region must be two nonempty intervals")
-    for script in config.truth:
-        if len(script.state) != 4:
-            raise ConfigurationError("truth state must have four entries")
+    for i, script in enumerate(config.truth):
+        check_numbers("truth[%d]" % i, vars(script), [
+            (("birth_step", "death_step"), "an integer",
+             lambda v: isinstance(v, numbers.Integral))])
+        _finite("truth[%d] state" % i, script.state, (4,))
         if not 1 <= script.birth_step <= script.death_step <= config.steps:
             raise ConfigurationError("truth lifetime outside scenario")
-    for site in config.birth:
-        if len(site.mean) != 4 or len(site.std) != 4:
-            raise ConfigurationError("birth mean/std must have four entries")
-        if not 0.0 < site.existence < 1.0:
-            raise ConfigurationError("birth existence must be in (0, 1)")
+    for i, site in enumerate(config.birth):
+        check_numbers("birth[%d]" % i, vars(site), [
+            (("existence",), "in (0, 1)", lambda v: 0.0 < v < 1.0)])
+        _finite("birth[%d] mean" % i, site.mean, (4,))
+        _finite("birth[%d] std" % i, site.std, (4,))
     # The tracker and ospa blocks check themselves on construction.
-    check_numbers("scenario", vars(config), [
-        (("cycle_time",), "> 0", lambda v: v > 0.0)])
     check_numbers("motion", vars(config.motion), [
         (("velocity_noise_std",), ">= 0", lambda v: v >= 0.0),
         (("survival_prob",), "in [0, 1]", lambda v: 0.0 <= v <= 1.0)])

@@ -106,12 +106,8 @@ def decide_switch(state, kl, entropy, config):
         if entropy > config.entropy_threshold:
             return RepresentationState(Mode.DGLMB, Trigger.ENTROPY)
         return state
-    if state.trigger is Trigger.KL:
-        if kl <= config.kl_threshold:
-            return RepresentationState(Mode.LMB, Trigger.NONE)
-        return state
-    if state.trigger is Trigger.ENTROPY:
-        if entropy <= config.entropy_threshold:
-            return RepresentationState(Mode.LMB, Trigger.NONE)
-        return state
+    settled = {Trigger.KL: kl <= config.kl_threshold,
+               Trigger.ENTROPY: entropy <= config.entropy_threshold}
+    if settled.get(state.trigger, False):
+        return RepresentationState(Mode.LMB, Trigger.NONE)
     return state

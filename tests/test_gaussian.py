@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from almbtrack import (ConfigurationError, GaussianComponent, GaussianMixture,
-                       MotionModel, SensorModel, gm_predict, gm_reduce)
+                       MotionModel, NumericalError, SensorModel, gm_predict,
+                       gm_reduce)
 from almbtrack.gaussian import (gate_mask, gm_kalman_update_log,
-                                mahalanobis_sq, map_point,
+                                innovation_terms, mahalanobis_sq, map_point,
                                 predicted_measurement)
 
 from conftest import cv_motion, random_mixture, scalar_sensor, single
@@ -192,6 +193,80 @@ def test_innovation_terms_follow_the_sensor():
     np.testing.assert_allclose(S, [[4.0]], rtol=1e-12)
     with pytest.raises(ConfigurationError):
         gm.scaled(-1.0)
+
+
+TERMS = ("z_pred", "S", "L", "K", "cov", "logdet", "d2")
+
+
+def test_stacked_terms_equal_one_component_at_a_time(rng):
+    # Random mixtures of 1-3 components, 4-D state, 2-D measurements and
+    # a dense H: the terms of one stacked call over every component must
+    # be the bits of a call per component, and those the bits of the
+    # plain per-component algebra.
+    H = rng.normal(0.0, 1.0, (2, 4))
+    A = rng.normal(0.0, 1.0, (2, 2))
+    sensor = SensorModel(H, A @ A.T + np.eye(2), 0.9, 1e-4)
+    Z = list(rng.normal(0.0, 5.0, (7, 2)))
+    arrays = []
+    for _ in range(12):
+        for _ in range(rng.integers(1, 4)):
+            B = rng.normal(0.0, 1.0, (4, 4))
+            arrays.append((rng.normal(0.0, 3.0, 4), B @ B.T + 0.1 * np.eye(4)))
+    stacked = [GaussianComponent(1.0, m, P) for m, P in arrays]
+    apart = [GaussianComponent(1.0, m, P) for m, P in arrays]
+    innovation_terms(stacked, sensor, Z)
+    for c in apart:
+        innovation_terms([c], sensor, Z)
+    for a, b in zip(stacked, apart):
+        for name in TERMS:
+            assert np.array_equal(a._innovation_terms[name],
+                                  b._innovation_terms[name]), name
+        t, P = b._innovation_terms, b.covariance
+        S = H @ P @ H.T + sensor.R
+        S = 0.5 * (S + S.T)
+        L = np.linalg.cholesky(S)
+        K = np.linalg.solve(S, H @ P).T
+        cov = (np.eye(4) - K @ H) @ P
+        d2 = [float(y @ y) for y in (np.linalg.solve(L, z - H @ b.mean)
+                                     for z in Z)]
+        for name, want in (("z_pred", H @ b.mean), ("S", S), ("L", L),
+                           ("K", K), ("cov", 0.5 * (cov + cov.T)),
+                           ("logdet", 2.0 * np.sum(np.log(np.diag(L)))),
+                           ("d2", d2)):
+            assert np.array_equal(t[name], want), name
+
+
+def test_indefinite_innovation_raises_from_the_public_call():
+    # R = -I makes S = P + R = 0 for a unit covariance: no factor.
+    gm = single([0.0, 0.0], np.eye(2))
+    sensor = SensorModel(np.eye(2), -np.eye(2), 0.9, 1e-4)
+    z = np.array([0.5, 0.5])
+    innovation_terms(gm.components, sensor, [z])  # no raise
+    for call in (lambda: mahalanobis_sq(z, gm, sensor),
+                 lambda: gate_mask([z], gm, sensor, 9.0),
+                 lambda: gm_kalman_update_log(gm, z, sensor)):
+        with pytest.raises(NumericalError) as err:
+            call()
+        assert err.value.diagnostics["what"] == "innovation covariance"
+        assert err.value.diagnostics["matrix"].shape == (2, 2)
+    # Predicting the measurement takes no factor, so it does not raise.
+    z_pred, S = predicted_measurement(gm, sensor)
+    np.testing.assert_array_equal(S, np.zeros((2, 2)))
+
+
+def test_gate_never_factors_a_component_it_does_not_need():
+    # The first component gates every measurement, so the gate never
+    # reaches the second, whose S = P + R is indefinite: a stacked call
+    # over both leaves the second unfactored instead of raising.
+    sensor = SensorModel(np.eye(2), np.eye(2), 0.9, 1e-4)
+    gm = GaussianMixture([GaussianComponent(0.5, [0.0, 0.0], np.eye(2)),
+                          GaussianComponent(0.5, [1.0, 0.0], -3.0 * np.eye(2))])
+    Z = [np.array([0.1, 0.2]), np.array([-0.3, 0.0])]
+    innovation_terms(gm.components, sensor, Z)
+    assert gm.components[1]._innovation_terms["L"] is None
+    assert gate_mask(Z, gm, sensor, 9.0).all()
+    with pytest.raises(NumericalError):
+        gate_mask(Z, GaussianMixture(gm.components[::-1]), sensor, 9.0)
 
 
 def test_gate_mask_matches_distance(rng):

@@ -187,6 +187,9 @@ def test_cli_error_exit_codes(tmp_path):
                                motion={"velocity_noise_std": float("nan")})
     assert main(["run", "--scenario", nan_noise, "--filter", "lmb",
                  "--runs", "1", "--out", str(tmp_path / "v")]) == 2
+    text_steps = write_scenario(tmp_path, steps="x")
+    assert main(["run", "--scenario", text_steps, "--filter", "lmb",
+                 "--runs", "1", "--out", str(tmp_path / "u")]) == 2
 
 
 def test_cli_plotdata_from_run(tmp_path):

@@ -218,10 +218,21 @@ NAN = float("nan")
     bad("motion", "velocity_noise_std", -1.0),
     bad("motion", "survival_prob", "x"),
     bad(None, "cycle_time", "x"), bad(None, "cycle_time", 0.0),
+    bad(None, "steps", "x"), bad(None, "steps", 2.5), bad(None, "steps", 100.0),
+    bad(None, "seed", "x"), bad(None, "seed", -1), bad(None, "seed", 1.5),
+    bad(None, "region", "x"), bad(None, "region", [[-1.0, NAN], [0.0, 1.0]]),
+    bad(None, "region", [["-1", "1"], ["-1", "1"]]),
+    bad(None, "region", [[-1.0, 1.0], [-1.0]]),
+    bad("birth", "existence", "x"), bad("birth", "mean", [0.0, "x", 0.0, 0.0]),
+    bad("birth", "std", [1.0, 1.0, 1.0, NAN]),
+    bad("truth", "birth_step", "x"), bad("truth", "death_step", 2.5),
+    bad("truth", "state", [0.0, 1.0, None, 0.0]),
 ])
 def test_validation_catches_bad_tracker_values(block, key, value):
     cfg = builtin_scenario("two-target").to_dict()
-    (cfg if block is None else cfg[block])[key] = value
+    target = cfg if block is None else cfg[block]
+    # birth and truth are lists: the first entry gets the bad value.
+    (target[0] if isinstance(target, list) else target)[key] = value
     with pytest.raises(ConfigurationError, match=key):
         scenario_from_dict(cfg)
 
