@@ -26,6 +26,7 @@ def gm(mean, var=1.0):
 
 def main():
     l1, l2 = Label(0, 0), Label(0, 1)
+    config = PipelineConfig()
 
     print("1. cardinality KL")
     print("   independent tracks first: expanding an LMB and collapsing it")
@@ -33,7 +34,7 @@ def main():
     lmb = LmbDensity({l1: Track(l1, 0.7, gm([0.0])),
                       l2: Track(l2, 0.4, gm([50.0]))})
     print("   kl_criterion(expanded independent pair) = %.2e"
-          % kl_criterion(lmb_to_dglmb(lmb)))
+          % kl_criterion(lmb_to_dglmb(lmb, config.cap)))
 
     print()
     print("   now a perfectly correlated pair: half the weight on 'both")
@@ -58,7 +59,8 @@ def main():
     lmb = LmbDensity({l1: Track(l1, 0.6, gm([0.0, 0.0], 25.0)),
                       l2: Track(l2, 0.6, gm([6.0, 0.0], 25.0))})
     sensor = SensorModel(np.eye(2), np.eye(2), 0.9, 1e-4)
-    out = lmb_update(lmb, [np.array([3.0, 0.0])], sensor)
+    out = lmb_update(lmb, [np.array([3.0, 0.0])], sensor, config.cap,
+                     config.gate_sq)
     print("   posterior association marginals (rows = tracks):")
     print("   %s" % np.round(out.full.assoc_marginals, 3).tolist())
     print("   entropy = %.4f, kl = %.6f"
@@ -67,7 +69,6 @@ def main():
 
     print()
     print("3. the automaton")
-    config = PipelineConfig()
     print("   thresholds: kl %.0e, entropy %.2f"
           % (config.kl_threshold, config.entropy_threshold))
     state = RepresentationState(Mode.LMB, Trigger.NONE)

@@ -42,8 +42,9 @@ def _solve(cost):
     return tuple(int(c) for c in cols[order]), value
 
 
-def enumerate_assignments(cost, k=None):
-    """All finite assignments by recursive enumeration, sorted by cost."""
+def enumerate_assignments(cost, k):
+    """The ``k`` cheapest finite assignments by recursive enumeration,
+    sorted by cost."""
     cost = np.asarray(cost, dtype=float)
     n = cost.shape[0]
     m = cost.shape[1] - n
@@ -65,9 +66,7 @@ def enumerate_assignments(cost, k=None):
 
     recurse(0, frozenset(), (), 0.0)
     results.sort(key=lambda t: (t[1], t[0]))
-    if k is not None:
-        results = results[: int(k)]
-    return results
+    return results[: int(k)]
 
 
 def murty_assignments(cost, k):

@@ -108,13 +108,13 @@ class DglmbDensity:
         )
 
 
-def top_weighted_subsets(log_odds, limit=None):
-    """Enumerate subsets of ``range(len(log_odds))`` by descending
-    ``sum(log_odds[i] for i in subset)``.
+def top_weighted_subsets(log_odds, limit):
+    """The ``limit`` subsets of ``range(len(log_odds))`` with the largest
+    ``sum(log_odds[i] for i in subset)``, best first (all ``2**n`` when
+    ``limit`` is larger).
 
-    Yields ``(subset_tuple, relative_log_weight)`` with the relative log
-    weight of the best subset equal to zero.  ``limit`` bounds the number
-    of subsets produced; ``None`` enumerates all ``2**n``.  Items with
+    Returns ``(subset_tuple, relative_log_weight)`` pairs with the
+    relative log weight of the best subset equal to zero.  Items with
     ``log_odds = -inf`` are never included.
     """
     finite = [(i, lo) for i, lo in enumerate(log_odds) if np.isfinite(lo)]
@@ -122,12 +122,6 @@ def top_weighted_subsets(log_odds, limit=None):
     # Toggling item i off the best subset (or on, if it is out) costs |lo|.
     costs = sorted(((abs(lo), i) for i, lo in finite), key=lambda t: (t[0], t[1]))
     n = len(costs)
-    if limit is None:
-        if n >= 60:
-            raise UsageError("subset enumeration without a limit needs < 60 items")
-        limit = 2 ** n
-    else:
-        limit = min(int(limit), 2 ** n if n < 60 else int(limit))
     out = []
     seq = itertools.count()
     # Heap over toggle sets of the sorted cost list; each subset of
@@ -158,13 +152,13 @@ def _bernoulli_log_odds(existence):
     return math.log(r) - math.log1p(-r)
 
 
-def lmb_to_dglmb(lmb, max_hypotheses=None):
+def lmb_to_dglmb(lmb, max_hypotheses):
     """Expand an LMB density into the equivalent delta-GLMB density.
 
     Hypothesis weights follow the independent-Bernoulli product; each
-    hypothesis reuses the tracks' spatial mixtures unchanged.  When
-    ``max_hypotheses`` is given only the heaviest label subsets are kept
-    and their weights renormalized.
+    hypothesis reuses the tracks' spatial mixtures unchanged.  Only the
+    ``max_hypotheses`` heaviest label subsets are kept and their weights
+    renormalized.
     """
     labels = lmb.labels()
     subsets = top_weighted_subsets(

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import enumerate_assignments, ranked_assignments
+from .assignment import ranked_assignments
 from .densities import DglmbDensity, Hypothesis, top_weighted_subsets
 from .errors import NumericalError
-from .gaussian import (gm_kalman_update_log, gm_predict, innovation_terms,
-                       mahalanobis_sq)
+from .gaussian import gm_kalman_update_log, gm_predict, mahalanobis_sq
 
 
 @dataclass(eq=False)
@@ -32,14 +31,6 @@ class UpdateOutput:
     posterior: DglmbDensity
     assoc_marginals: np.ndarray
     labels: tuple
-
-
-def _logsumexp(values):
-    values = np.asarray(values, dtype=float)
-    top = np.max(values)
-    if not np.isfinite(top):
-        return float(top)
-    return float(top + np.log(np.sum(np.exp(values - top))))
 
 
 def _dedup(entries):
@@ -120,34 +111,27 @@ def _consolidate(entries):
 
 
 def _finalize(entries, label_space, cap):
-    """Normalize, cap and renormalize log-weighted hypothesis entries."""
+    """Consolidate, cap and normalize log-weighted hypothesis entries."""
     entries = [e for e in _dedup(entries) if np.isfinite(e[1])]
     if not entries:
         raise NumericalError("all hypothesis weights vanished",
                              {"hypotheses": 0})
-    total = _logsumexp([e[1] for e in entries])
-    if not np.isfinite(total):
-        raise NumericalError("all hypothesis weights vanished",
-                             {"hypotheses": len(entries)})
-    if cap is not None:
-        entries = _consolidate(entries)
+    entries = _consolidate(entries)
     # Sort by weight, breaking ties by label set for reproducibility.
     entries.sort(key=lambda e: (-(e[1]), e[0]))
-    if cap is not None:
-        entries = entries[: int(cap)]
+    entries = entries[: int(cap)]
     log_ws = np.array([e[1] for e in entries])
-    w = np.exp(log_ws - _logsumexp(log_ws))
+    top = log_ws.max()
+    w = np.exp(log_ws - (top + np.log(np.sum(np.exp(log_ws - top)))))
     hyps = [Hypothesis(e[0], float(wi), e[2]) for e, wi in zip(entries, w)]
     return DglmbDensity(label_space, hyps), [e[3] for e in entries], w
 
 
 def _per_hypothesis_quota(weights, cap):
-    if cap is None:
-        return [None] * len(weights)
     return [int(math.ceil(cap * w)) + 1 for w in weights]
 
 
-def dglmb_predict(d, motion, cap=None):
+def dglmb_predict(d, motion, cap):
     """Predict a delta-GLMB density one scan ahead.
 
     Each hypothesis spawns children over subsets of surviving labels
@@ -190,14 +174,16 @@ def dglmb_predict(d, motion, cap=None):
     return posterior
 
 
-def dglmb_update(d, measurements, sensor, cap=None, gate_sq=None):
+def dglmb_update(d, measurements, sensor, cap, gate_sq):
     """Measurement-update a delta-GLMB density.
 
     Per hypothesis an association cost matrix is built from the log
     factors: miss ``1 - p_D``, assignment ``p_D g(z|track) / kappa(z)``;
     pairs outside the ``gate_sq`` Mahalanobis gate are forbidden.  Ranked
     assignments expand each hypothesis into children whose weights are
-    globally renormalized; ``cap`` keeps the heaviest children.
+    globally renormalized; ``cap`` keeps the heaviest children.  The
+    innovation terms are those the gate pass cached on each component,
+    filled on first use where it did not run.
 
     Returns an :class:`UpdateOutput` carrying the posterior, the
     track-to-measurement association marginals of the retained children
@@ -211,11 +197,6 @@ def dglmb_update(d, measurements, sensor, cap=None, gate_sq=None):
     log_qd = math.log1p(-sensor.detection_prob) \
         if sensor.detection_prob < 1.0 else -np.inf
     log_kappa = sensor.log_clutter()
-    if m:
-        mixtures = {gm.uid: gm for hyp in d.hypotheses
-                    for gm in hyp.spatial.values()}
-        innovation_terms([c for gm in mixtures.values()
-                          for c in gm.components], sensor, Z)
 
     cache = {}
 
@@ -223,7 +204,7 @@ def dglmb_update(d, measurements, sensor, cap=None, gate_sq=None):
         # (posterior mixture, log eta) for assigning measurement j.
         key = (gm.uid, j)
         if key not in cache:
-            if gate_sq is not None and mahalanobis_sq(Z[j], gm, sensor) >= gate_sq:
+            if mahalanobis_sq(Z[j], gm, sensor) >= gate_sq:
                 cache[key] = (None, -np.inf)
             else:
                 post, log_lik = gm_kalman_update_log(gm, Z[j], sensor)
@@ -243,12 +224,7 @@ def dglmb_update(d, measurements, sensor, cap=None, gate_sq=None):
                 _, log_eta = measurement_factor(gm, j)
                 cost[i, j] = -log_eta
             cost[i, m + i] = -log_qd
-        if quota is None:
-            # Uncapped: enumerate every association map.
-            maps = enumerate_assignments(cost)
-        else:
-            maps = ranked_assignments(cost, quota)
-        for theta, score in maps:
+        for theta, score in ranked_assignments(cost, quota):
             spatial = {}
             for i, lab in enumerate(labels):
                 if theta[i] == 0:
@@ -275,8 +251,7 @@ def dglmb_prune(d, weight_threshold, cap):
     kept = [h for h in hyps if h.weight > weight_threshold]
     if not kept:
         kept = hyps[:1]
-    if cap is not None:
-        kept = kept[: int(cap)]
+    kept = kept[: int(cap)]
     tot = sum(h.weight for h in kept)
     return DglmbDensity(
         d.label_space,

@@ -319,7 +319,7 @@ def _merge_components(parts):
     return GaussianComponent(w, mean, P / w)
 
 
-def gm_reduce(gm, prune_threshold=1e-5, merge_threshold=4.0, max_components=20):
+def gm_reduce(gm, prune_threshold, merge_threshold, max_components):
     """Prune, merge and cap a mixture, then renormalize.
 
     Components below ``prune_threshold`` (on the normalized weights) are
@@ -350,8 +350,7 @@ def gm_reduce(gm, prune_threshold=1e-5, merge_threshold=4.0, max_components=20):
         merged.append(_merge_components(group))
         pool = rest
     merged.sort(key=lambda c: -c.weight)
-    if max_components is not None and np.isfinite(max_components):
-        merged = merged[: int(max_components)]
+    merged = merged[: int(max_components)]
     return GaussianMixture(merged).normalized()
 
 

@@ -32,11 +32,11 @@ def lmb_predict(lmb, motion):
     return LmbDensity(tracks)
 
 
-def lmb_update(lmb, measurements, sensor, cap=None, gate_sq=None):
+def lmb_update(lmb, measurements, sensor, cap, gate_sq):
     """Measurement-update an LMB density.
 
-    The prior is expanded to delta-GLMB form (``cap`` bounds the
-    expansion), updated exactly, and collapsed back.  Returns the
+    The prior is expanded to delta-GLMB form, updated, and collapsed
+    back; ``cap`` bounds the expansion and the update.  Returns the
     approximation together with the full update output.
     """
     expanded = lmb_to_dglmb(lmb, cap)

@@ -164,7 +164,8 @@ def inject_birth(groups, birth_model, step_index, birth_state, sensor,
         label = Label(step_index, i)
         lmb = LmbDensity({label: Track(label, entry.existence, entry.spatial)})
         out.append(DensityGroup(
-            lmb if birth_state.mode is Mode.LMB else lmb_to_dglmb(lmb),
+            lmb if birth_state.mode is Mode.LMB
+            else lmb_to_dglmb(lmb, config.cap),
             birth_state))
     return out
 

@@ -53,9 +53,9 @@ def kl_divergence(p, q):
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    size = max(p.size, q.size)
-    p = np.pad(p, (0, size - p.size))
-    q = np.pad(q, (0, size - q.size))
+    padded = np.zeros((2, max(p.size, q.size)))
+    padded[0, :p.size], padded[1, :q.size] = p, q
+    p, q = padded
     mask = p > 0.0
     if np.any(q[mask] <= 0.0):
         return float(np.inf)

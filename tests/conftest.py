@@ -7,6 +7,11 @@ from almbtrack import (GaussianComponent, GaussianMixture, MotionModel,
                        SensorModel)
 
 
+# A hypothesis cap no test instance reaches: the truncated recursion then
+# keeps every subset and association map, so enumeration can check it.
+CAP = 10 ** 6
+
+
 def single(mean, cov, weight=1.0):
     """One-component mixture from plain lists."""
     return GaussianMixture([GaussianComponent(weight, np.asarray(mean, float),

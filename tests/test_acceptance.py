@@ -27,7 +27,7 @@ from almbtrack.harness import FILTER_NAMES, monte_carlo
 from almbtrack.scenarios import (make_birth_model, make_motion,
                                  make_pipeline_config, make_sensor)
 
-from conftest import single
+from conftest import CAP, single
 from oracles import (brute_dglmb_update, existence_from_dglmb,
                      random_lmb_instance, switch_cases)
 
@@ -233,8 +233,8 @@ def test_05_update_matches_enumeration(rng):
     worst_w, worst_m = 0.0, 0.0
     for _ in range(200):
         lmb, Z = random_lmb_instance(rng, max_tracks=3, max_measurements=4)
-        prior = lmb_to_dglmb(lmb)
-        out = dglmb_update(prior, Z, sensor)
+        prior = lmb_to_dglmb(lmb, CAP)
+        out = dglmb_update(prior, Z, sensor, cap=CAP, gate_sq=np.inf)
         weights, existence, marginals, _ = brute_dglmb_update(prior, Z,
                                                               sensor)
         worst_w = max(worst_w, float(np.max(np.abs(
@@ -315,7 +315,7 @@ def test_07_criteria_analytics(rng):
         for i in range(n):
             lab = Label(0, i)
             tracks[lab] = Track(lab, float(rng.uniform(0.01, 0.99)), g)
-        worst = max(worst, kl_criterion(lmb_to_dglmb(LmbDensity(tracks))))
+        worst = max(worst, kl_criterion(lmb_to_dglmb(LmbDensity(tracks), CAP)))
     print("criterion 7: kl(correlated pair)=%.12f (ln 2 = %.12f), "
           "entropy([.5,.5])=%.12f, worst kl of independent density %.2e "
           "(need < 1e-10)" % (kl_pair, np.log(2.0), entropy_pair, worst))

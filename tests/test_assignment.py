@@ -7,6 +7,8 @@ from almbtrack import UsageError
 from almbtrack.assignment import (enumerate_assignments, murty_assignments,
                                   ranked_assignments)
 
+from conftest import CAP
+
 INF = np.inf
 
 
@@ -24,16 +26,16 @@ def pad(cost_z, miss):
 def test_single_row_orderings():
     # One track, one measurement: hit cost 1, miss cost 2.
     cost = pad([[1.0]], [2.0])
-    out = enumerate_assignments(cost)
+    out = enumerate_assignments(cost, CAP)
     assert out == [((1,), 1.0), ((0,), 2.0)]
     # Cheaper miss flips the order.
-    out = enumerate_assignments(pad([[3.0]], [2.0]))
+    out = enumerate_assignments(pad([[3.0]], [2.0]), CAP)
     assert out == [((0,), 2.0), ((1,), 3.0)]
 
 
 def test_two_by_two_complete_list():
     cost = pad([[1.0, 4.0], [3.0, 2.0]], [10.0, 10.0])
-    out = enumerate_assignments(cost)
+    out = enumerate_assignments(cost, CAP)
     maps = [a for a, _ in out]
     # 7 valid maps: 2 full matchings, 4 single-hit, 1 double miss.
     assert len(maps) == 7
@@ -45,7 +47,7 @@ def test_two_by_two_complete_list():
 
 def test_forbidden_pairings_excluded():
     cost = pad([[INF, 5.0]], [1.0])
-    maps = [a for a, _ in enumerate_assignments(cost)]
+    maps = [a for a, _ in enumerate_assignments(cost, CAP)]
     assert (1,) not in maps
     assert maps == [(0,), (2,)]
 
@@ -71,7 +73,7 @@ def test_murty_matches_enumeration(rng):
         block[rng.random((n, m)) < 0.2] = INF
         miss = rng.normal(0.0, 3.0, n)
         cost = pad(block, miss)
-        full = enumerate_assignments(cost)
+        full = enumerate_assignments(cost, CAP)
         murty = murty_assignments(cost, len(full) + 5)
         assert len(murty) == len(full)
         np.testing.assert_allclose([c for _, c in murty],
@@ -85,7 +87,7 @@ def test_murty_prefix_of_full_ordering(rng):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 5))
         cost = pad(rng.normal(0.0, 2.0, (n, m)), rng.normal(0.0, 2.0, n))
-        full = enumerate_assignments(cost)
+        full = enumerate_assignments(cost, CAP)
         k = max(1, len(full) // 2)
         murty = murty_assignments(cost, k)
         np.testing.assert_allclose([c for _, c in murty],
@@ -102,7 +104,7 @@ def test_maps_are_distinct(rng):
 
 def test_measurement_used_at_most_once():
     cost = pad([[0.0], [0.0]], [5.0, 5.0])
-    for a, _ in enumerate_assignments(cost):
+    for a, _ in enumerate_assignments(cost, CAP):
         hits = [j for j in a if j > 0]
         assert len(hits) == len(set(hits))
 

@@ -10,7 +10,7 @@ from almbtrack import (DglmbDensity, Hypothesis, Label, LmbDensity, Track,
                        lmb_cardinality, lmb_to_dglmb)
 from almbtrack.densities import top_weighted_subsets
 
-from conftest import single
+from conftest import CAP, single
 from oracles import existence_from_dglmb, mean_cardinality
 
 
@@ -43,14 +43,14 @@ def test_lmb_keying_enforced():
 
 
 def test_expand_single_half():
-    d = lmb_to_dglmb(make_lmb([0.5]))
+    d = lmb_to_dglmb(make_lmb([0.5]), CAP)
     w = hyp_map(d)
     assert w[()] == pytest.approx(0.5, abs=1e-12)
     assert w[(Label(0, 0),)] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_expand_two_tracks_uniform():
-    d = lmb_to_dglmb(make_lmb([0.5, 0.5]))
+    d = lmb_to_dglmb(make_lmb([0.5, 0.5]), CAP)
     w = hyp_map(d)
     assert len(w) == 4
     for weight in w.values():
@@ -58,13 +58,13 @@ def test_expand_two_tracks_uniform():
 
 
 def test_expand_empty():
-    d = lmb_to_dglmb(LmbDensity({}))
+    d = lmb_to_dglmb(LmbDensity({}), CAP)
     assert hyp_map(d) == {(): pytest.approx(1.0)}
 
 
 def test_expand_general_products():
     rs = [0.2, 0.7, 0.9]
-    d = lmb_to_dglmb(make_lmb(rs))
+    d = lmb_to_dglmb(make_lmb(rs), CAP)
     w = hyp_map(d)
     labels = [Label(0, i) for i in range(3)]
     for bits in itertools.product([0, 1], repeat=3):
@@ -87,7 +87,7 @@ def test_expand_cap_keeps_heaviest_and_renormalizes():
 
 
 def test_expand_certain_track_clamped():
-    d = lmb_to_dglmb(make_lmb([1.0]))
+    d = lmb_to_dglmb(make_lmb([1.0]), CAP)
     w = hyp_map(d)
     assert w[(Label(0, 0),)] == pytest.approx(1.0, abs=1e-8)
     assert d.weights().sum() == pytest.approx(1.0, abs=1e-12)
@@ -131,7 +131,7 @@ def test_round_trip_existences(rng):
     for _ in range(20):
         rs = rng.uniform(0.05, 0.95, rng.integers(1, 6))
         lmb = make_lmb(rs)
-        back = dglmb_to_lmb(lmb_to_dglmb(lmb))
+        back = dglmb_to_lmb(lmb_to_dglmb(lmb, CAP))
         for i, r in enumerate(rs):
             assert back.tracks[Label(0, i)].existence == pytest.approx(
                 r, abs=1e-9)
@@ -186,14 +186,14 @@ def test_mean_cardinality_identity_across_conversion(rng):
     # Expected |X| of an LMB is sum of existences; expansion keeps it.
     rs = rng.uniform(0.0, 1.0, 5)
     lmb = make_lmb(rs)
-    d = lmb_to_dglmb(lmb)
+    d = lmb_to_dglmb(lmb, CAP)
     assert mean_cardinality(dglmb_cardinality(d)) == pytest.approx(
         float(np.sum(rs)), abs=1e-10)
 
 
 def test_top_weighted_subsets_order():
     odds = np.log([0.9 / 0.1, 0.2 / 0.8])
-    out = list(top_weighted_subsets(odds))
+    out = list(top_weighted_subsets(odds, CAP))
     assert [s for s, _ in out] == [(0,), (0, 1), (), (1,)]
     rel = np.array([w for _, w in out])
     assert np.all(np.diff(rel) <= 1e-12)

@@ -7,8 +7,9 @@ from almbtrack import (DglmbDensity, Hypothesis, Label, LmbDensity,
                        SensorModel, Track, dglmb_predict, dglmb_prune,
                        dglmb_update, lmb_to_dglmb)
 from almbtrack.gaussian import MotionModel, gm_kalman_update_log
+from almbtrack.pipeline import DensityGroup, gate_measurements
 
-from conftest import cv_motion, scalar_sensor, single
+from conftest import CAP, cv_motion, random_mixture, scalar_sensor, single
 from oracles import (brute_dglmb_update, existence_from_dglmb,
                      random_lmb_instance)
 
@@ -20,7 +21,7 @@ def one_track_density(existence=1.0, mean=(0.0,), cov=((1.0,),)):
     gm = single(mean, cov)
     if existence >= 1.0:
         return DglmbDensity((L0,), [Hypothesis((L0,), 1.0, {L0: gm})])
-    return lmb_to_dglmb(LmbDensity({L0: Track(L0, existence, gm)}))
+    return lmb_to_dglmb(LmbDensity({L0: Track(L0, existence, gm)}), CAP)
 
 
 def hyp_map(d):
@@ -32,7 +33,7 @@ def hyp_map(d):
 
 def test_predict_survival_split():
     motion = MotionModel(np.eye(1), np.zeros((1, 1)), 0.99)
-    out = dglmb_predict(one_track_density(), motion)
+    out = dglmb_predict(one_track_density(), motion, CAP)
     w = hyp_map(out)
     assert w[()] == pytest.approx(0.01, abs=1e-12)
     assert w[(L0,)] == pytest.approx(0.99, abs=1e-12)
@@ -41,7 +42,7 @@ def test_predict_survival_split():
 def test_predict_unit_survival_identity_weights():
     motion = MotionModel(np.eye(1), np.zeros((1, 1)), 1.0)
     prior = one_track_density(existence=0.5)
-    out = dglmb_predict(prior, motion)
+    out = dglmb_predict(prior, motion, CAP)
     assert hyp_map(out) == pytest.approx(hyp_map(prior))
 
 
@@ -49,7 +50,7 @@ def test_predict_applies_kalman_prediction():
     motion = cv_motion(dt=1.0, accel_var=0.0, survival=1.0)
     gm = single([0.0, 0.0, 3.0, -1.0], np.eye(4))
     d = DglmbDensity((L0,), [Hypothesis((L0,), 1.0, {L0: gm})])
-    out = dglmb_predict(d, motion)
+    out = dglmb_predict(d, motion, CAP)
     np.testing.assert_allclose(out.hypotheses[0].spatial[L0].components[0].mean,
                                [3.0, -1.0, 3.0, -1.0])
 
@@ -60,8 +61,8 @@ def test_update_empty_measurement_set():
     prior = lmb_to_dglmb(LmbDensity({
         L0: Track(L0, 0.3, single([0.0], [[1.0]])),
         LB: Track(LB, 0.8, single([5.0], [[1.0]])),
-    }))
-    out = dglmb_update(prior, [], sensor)
+    }), CAP)
+    out = dglmb_update(prior, [], sensor, cap=CAP, gate_sq=np.inf)
     raw = {h.labels: h.weight * 0.5 ** len(h.labels)
            for h in prior.hypotheses}
     tot = sum(raw.values())
@@ -77,7 +78,8 @@ def test_update_miss_and_hit_thirds():
     # miss, 2/3 hit.
     g = 1.0 / np.sqrt(4.0 * np.pi)
     sensor = scalar_sensor(1.0, detection_prob=0.5, clutter_density=0.5 * g)
-    out = dglmb_update(one_track_density(), [[0.0]], sensor)
+    out = dglmb_update(one_track_density(), [[0.0]], sensor, cap=CAP,
+                       gate_sq=np.inf)
     weights = sorted(h.weight for h in out.posterior.hypotheses)
     np.testing.assert_allclose(weights, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
     np.testing.assert_allclose(out.assoc_marginals, [[2.0 / 3.0]], atol=1e-12)
@@ -90,7 +92,8 @@ def test_update_miss_and_hit_thirds():
 
 def test_update_certain_detection_no_clutter():
     sensor = scalar_sensor(1.0, detection_prob=1.0, clutter_density=0.0)
-    out = dglmb_update(one_track_density(), [[2.0]], sensor)
+    out = dglmb_update(one_track_density(), [[2.0]], sensor, cap=CAP,
+                       gate_sq=np.inf)
     assert len(out.posterior.hypotheses) == 1
     hyp = out.posterior.hypotheses[0]
     assert hyp.weight == pytest.approx(1.0)
@@ -103,19 +106,54 @@ def test_update_certain_detection_no_clutter():
 def test_update_gated_out_measurement_is_pure_clutter():
     sensor = scalar_sensor(1.0, detection_prob=0.5, clutter_density=1e-2)
     prior = one_track_density(existence=0.5)
-    far = dglmb_update(prior, [[1000.0]], sensor, gate_sq=9.0)
-    none = dglmb_update(prior, [], sensor)
+    far = dglmb_update(prior, [[1000.0]], sensor, cap=CAP, gate_sq=9.0)
+    none = dglmb_update(prior, [], sensor, cap=CAP, gate_sq=np.inf)
     assert hyp_map(far.posterior) == pytest.approx(hyp_map(none.posterior),
                                                    abs=1e-12)
     assert float(far.assoc_marginals.sum()) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_update_after_gate_pass_matches_direct_call_bit_for_bit():
+    # The gate pass caches innovation terms for the scan's whole
+    # measurement list and the update of the gated subset reads them; a
+    # direct call on fresh components fills them on first use instead.
+    sensor = SensorModel(np.eye(2), 4.0 * np.eye(2), 0.9, 1e-3)
+    Z = [np.array(z) for z in ([0.5, 0.3], [300.0, 0.0], [4.2, -1.0],
+                               [2.0, 2.0], [-3.0, 6.5])]
+
+    def prior():
+        return lmb_to_dglmb(LmbDensity({
+            L0: Track(L0, 0.6, random_mixture(np.random.default_rng(7))),
+            LB: Track(LB, 0.8, random_mixture(np.random.default_rng(8))),
+        }), CAP)
+
+    gated_prior = prior()
+    group, = gate_measurements([DensityGroup(gated_prior)], Z, sensor, 9.2)
+    assert 0 < len(group.gated) < len(Z)
+    subset = [Z[j] for j in group.gated]
+    via_gate = dglmb_update(gated_prior, subset, sensor, cap=50, gate_sq=9.2)
+    direct = dglmb_update(prior(), subset, sensor, cap=50, gate_sq=9.2)
+    assert np.array_equal(via_gate.assoc_marginals, direct.assoc_marginals)
+    assert len(via_gate.posterior.hypotheses) == len(
+        direct.posterior.hypotheses)
+    for a, b in zip(via_gate.posterior.hypotheses,
+                    direct.posterior.hypotheses):
+        assert a.labels == b.labels and a.weight == b.weight
+        for lab in a.labels:
+            ga, gb = a.spatial[lab], b.spatial[lab]
+            assert len(ga.components) == len(gb.components)
+            for ca, cb in zip(ga.components, gb.components):
+                assert ca.weight == cb.weight
+                assert np.array_equal(ca.mean, cb.mean)
+                assert np.array_equal(ca.covariance, cb.covariance)
 
 
 def test_update_matches_brute_force(rng):
     sensor = SensorModel(np.eye(2), 4.0 * np.eye(2), 0.9, 1e-3)
     for trial in range(25):
         lmb, Z = random_lmb_instance(rng, max_tracks=3, max_measurements=3)
-        prior = lmb_to_dglmb(lmb)
-        out = dglmb_update(prior, Z, sensor)
+        prior = lmb_to_dglmb(lmb, CAP)
+        out = dglmb_update(prior, Z, sensor, cap=CAP, gate_sq=np.inf)
         weights, existence, marginals, means = brute_dglmb_update(
             prior, Z, sensor)
         got = np.sort(out.posterior.weights())
@@ -134,8 +172,8 @@ def test_update_marginals_bounded_by_existence(rng):
     sensor = SensorModel(np.eye(2), 4.0 * np.eye(2), 0.85, 1e-3)
     for _ in range(10):
         lmb, Z = random_lmb_instance(rng)
-        prior = lmb_to_dglmb(lmb)
-        out = dglmb_update(prior, Z, sensor)
+        prior = lmb_to_dglmb(lmb, CAP)
+        out = dglmb_update(prior, Z, sensor, cap=CAP, gate_sq=np.inf)
         for i, lab in enumerate(out.labels):
             r = existence_from_dglmb(out.posterior, lab)
             assert float(out.assoc_marginals[i].sum()) <= r + 1e-10
@@ -170,9 +208,9 @@ def test_capped_update_keeps_best_assignments(rng):
     # renormalized.
     sensor = SensorModel(np.eye(2), 4.0 * np.eye(2), 0.9, 1e-3)
     lmb, Z = random_lmb_instance(rng, max_tracks=2, max_measurements=3)
-    prior = lmb_to_dglmb(lmb)
-    full = dglmb_update(prior, Z, sensor)
-    capped = dglmb_update(prior, Z, sensor, cap=4)
+    prior = lmb_to_dglmb(lmb, CAP)
+    full = dglmb_update(prior, Z, sensor, cap=CAP, gate_sq=np.inf)
+    capped = dglmb_update(prior, Z, sensor, cap=4, gate_sq=np.inf)
     w_full = np.sort(full.posterior.weights())[::-1]
     w_capped = np.sort(capped.posterior.weights())[::-1]
     k = len(w_capped)

@@ -190,6 +190,9 @@ def test_cli_error_exit_codes(tmp_path):
     text_steps = write_scenario(tmp_path, steps="x")
     assert main(["run", "--scenario", text_steps, "--filter", "lmb",
                  "--runs", "1", "--out", str(tmp_path / "u")]) == 2
+    assert main(["run", "--scenario", write_scenario(tmp_path), "--filter",
+                 "lmb", "--runs", "1", "--seed", "-1",
+                 "--out", str(tmp_path / "t")]) == 2
 
 
 def test_cli_plotdata_from_run(tmp_path):

@@ -8,7 +8,7 @@ from almbtrack import (Label, LmbDensity, SensorModel, Track,
                        lmb_predict, lmb_update)
 from almbtrack.gaussian import MotionModel, gm_kalman_update_log
 
-from conftest import scalar_sensor, single
+from conftest import CAP, scalar_sensor, single
 from oracles import mean_cardinality, random_lmb_instance
 
 L0 = Label(0, 0)
@@ -33,7 +33,7 @@ def test_predict_unit_survival_keeps_existence():
 def test_update_no_measurements_shrinks_existence():
     # Missed detection: r' = r q_D / (r q_D + 1 - r) with q_D = 0.02.
     sensor = scalar_sensor(1.0, detection_prob=0.98, clutter_density=1e-3)
-    out = lmb_update(one_track(0.5), [], sensor)
+    out = lmb_update(one_track(0.5), [], sensor, CAP, np.inf)
     expected = 0.5 * 0.02 / (0.5 * 0.02 + 0.5)
     assert out.approx.tracks[L0].existence == pytest.approx(expected,
                                                             abs=1e-12)
@@ -43,7 +43,7 @@ def test_update_approx_is_collapse_of_full(rng):
     sensor = SensorModel(np.eye(2), 4.0 * np.eye(2), 0.9, 1e-3)
     for _ in range(10):
         lmb, Z = random_lmb_instance(rng)
-        out = lmb_update(lmb, Z, sensor)
+        out = lmb_update(lmb, Z, sensor, CAP, np.inf)
         collapsed = dglmb_to_lmb(out.full.posterior)
         assert sorted(out.approx.labels()) == sorted(collapsed.labels())
         for lab in out.approx.labels():
@@ -56,7 +56,7 @@ def test_update_preserves_mean_cardinality(rng):
     sensor = SensorModel(np.eye(2), 4.0 * np.eye(2), 0.9, 1e-3)
     for _ in range(10):
         lmb, Z = random_lmb_instance(rng)
-        out = lmb_update(lmb, Z, sensor)
+        out = lmb_update(lmb, Z, sensor, CAP, np.inf)
         full_mean = mean_cardinality(dglmb_cardinality(out.full.posterior))
         approx_mean = mean_cardinality(lmb_cardinality(out.approx))
         assert approx_mean == pytest.approx(full_mean, abs=1e-10)
@@ -64,7 +64,7 @@ def test_update_preserves_mean_cardinality(rng):
 
 def test_update_single_target_reduces_to_kalman():
     sensor = scalar_sensor(1.0, detection_prob=1.0, clutter_density=0.0)
-    out = lmb_update(one_track(1.0), [[2.0]], sensor)
+    out = lmb_update(one_track(1.0), [[2.0]], sensor, CAP, np.inf)
     assert out.approx.tracks[L0].existence == pytest.approx(1.0)
     expected, _ = gm_kalman_update_log(single([0.0], [[1.0]]), [2.0], sensor)
     got = out.approx.tracks[L0].spatial
@@ -77,5 +77,5 @@ def test_update_single_target_reduces_to_kalman():
 def test_update_detection_raises_existence():
     # A nearby measurement should confirm a tentative track.
     sensor = scalar_sensor(1.0, detection_prob=0.9, clutter_density=1e-4)
-    out = lmb_update(one_track(0.05), [[0.1]], sensor)
+    out = lmb_update(one_track(0.05), [[0.1]], sensor, CAP, np.inf)
     assert out.approx.tracks[L0].existence > 0.5

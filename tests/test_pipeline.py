@@ -153,9 +153,11 @@ def test_merge_cross_product_weights():
     from almbtrack import RepresentationState
     la, lb = Label(1, 0), Label(1, 1)
     da = lmb_to_dglmb(LmbDensity({la: Track(la, 0.5,
-                                            single([0, 0, 0, 0], np.eye(4)))}))
+                                            single([0, 0, 0, 0], np.eye(4)))}),
+                      CFG.cap)
     db = lmb_to_dglmb(LmbDensity({lb: Track(lb, 0.3,
-                                            single([9, 0, 0, 0], np.eye(4)))}))
+                                            single([9, 0, 0, 0], np.eye(4)))}),
+                      CFG.cap)
     ga = DensityGroup(da, RepresentationState(Mode.DGLMB, Trigger.KL), 0.2,
                       (0,))
     gb = DensityGroup(db, RepresentationState(Mode.DGLMB, Trigger.ENTROPY),
@@ -179,7 +181,8 @@ def test_merge_expands_lmb_member_into_delta():
     a = track_group(la, 0.0, 0.0, existence=0.5)
     a = DensityGroup(a.density, a.state, 0.0, (0,))
     db = lmb_to_dglmb(LmbDensity({lb: Track(lb, 0.3,
-                                            single([9, 0, 0, 0], np.eye(4)))}))
+                                            single([9, 0, 0, 0], np.eye(4)))}),
+                      CFG.cap)
     gb = DensityGroup(db, RepresentationState(Mode.DGLMB, Trigger.KL), 0.4,
                       (0,))
     merged = merge_groups([a, gb], CFG)
@@ -211,7 +214,8 @@ def test_update_policy_lmb_always_collapses():
 
 def test_update_policy_dglmb_keeps_full_posterior():
     group = DensityGroup(lmb_to_dglmb(track_group(Label(1, 0), 0.0, 0.0,
-                                                  existence=0.5).density),
+                                                  existence=0.5).density,
+                                      CFG.cap),
                          PINNED)
     new, _, _ = update_group(group, [[1.0, 0.0]], SENSOR, CFG)
     assert isinstance(new.density, DglmbDensity)
@@ -324,7 +328,7 @@ def test_split_marginalizes_independent_delta_pair():
         l2: Track(l2, 0.5, single([500, 0, 0, 0], np.eye(4))),
     })
     from almbtrack import RepresentationState
-    parent = DensityGroup(lmb_to_dglmb(lmb),
+    parent = DensityGroup(lmb_to_dglmb(lmb, CFG.cap),
                           RepresentationState(Mode.DGLMB, Trigger.KL), 0.3)
     out = split_group(parent, SENSOR, CFG)
     assert len(out) == 2
@@ -345,7 +349,7 @@ def test_split_preserves_existence(rng):
     rs = [0.7, 0.6, 0.9]
     lmb = LmbDensity({lab: Track(lab, r, single([x, 0, 0, 0], np.eye(4)))
                       for lab, x, r in zip(labels, xs, rs)})
-    out = split_group(DensityGroup(lmb_to_dglmb(lmb)), SENSOR, CFG)
+    out = split_group(DensityGroup(lmb_to_dglmb(lmb, CFG.cap)), SENSOR, CFG)
     got = {}
     for child in out:
         view = dglmb_to_lmb(child.density)

@@ -10,7 +10,7 @@ from almbtrack import (DglmbDensity, Hypothesis, Label, Mode,
 from almbtrack.lmb import lmb_update
 from almbtrack import SensorModel
 
-from conftest import single
+from conftest import CAP, single
 from oracles import random_lmb_instance, switch_cases
 
 L1, L2 = Label(0, 0), Label(0, 1)
@@ -61,7 +61,7 @@ def test_criterion_zero_for_independent_density(rng):
     # information, so the criterion must vanish.
     for _ in range(50):
         lmb, _ = random_lmb_instance(rng, max_tracks=4, max_measurements=0)
-        assert kl_criterion(lmb_to_dglmb(lmb)) < 1e-10
+        assert kl_criterion(lmb_to_dglmb(lmb, CAP)) < 1e-10
 
 
 def test_criterion_positive_after_contested_update(rng):
@@ -73,7 +73,7 @@ def test_criterion_positive_after_contested_update(rng):
         L2: Track(L2, 0.5, single([0.5, 0.0], np.eye(2))),
     })
     sensor = SensorModel(np.eye(2), np.eye(2), 0.9, 1e-4)
-    out = lmb_update(lmb, [[0.2, 0.0]], sensor)
+    out = lmb_update(lmb, [[0.2, 0.0]], sensor, CAP, np.inf)
     assert kl_criterion(out.full.posterior) > 1e-4
 
 
