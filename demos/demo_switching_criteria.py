@@ -16,6 +16,7 @@ from almbtrack import (DglmbDensity, GaussianComponent, GaussianMixture,
                        RepresentationState, SensorModel, Track, Trigger,
                        association_entropy, decide_switch, kl_criterion,
                        lmb_to_dglmb, lmb_update)
+from almbtrack.pipeline import CAP, GATE_SQ
 
 
 def gm(mean, var=1.0):
@@ -34,7 +35,7 @@ def main():
     lmb = LmbDensity({l1: Track(l1, 0.7, gm([0.0])),
                       l2: Track(l2, 0.4, gm([50.0]))})
     print("   kl_criterion(expanded independent pair) = %.2e"
-          % kl_criterion(lmb_to_dglmb(lmb, config.cap)))
+          % kl_criterion(lmb_to_dglmb(lmb, CAP)))
 
     print()
     print("   now a perfectly correlated pair: half the weight on 'both")
@@ -59,8 +60,7 @@ def main():
     lmb = LmbDensity({l1: Track(l1, 0.6, gm([0.0, 0.0], 25.0)),
                       l2: Track(l2, 0.6, gm([6.0, 0.0], 25.0))})
     sensor = SensorModel(np.eye(2), np.eye(2), 0.9, 1e-4)
-    out = lmb_update(lmb, [np.array([3.0, 0.0])], sensor, config.cap,
-                     config.gate_sq)
+    out = lmb_update(lmb, [np.array([3.0, 0.0])], sensor, CAP, GATE_SQ)
     print("   posterior association marginals (rows = tracks):")
     print("   %s" % np.round(out.full.assoc_marginals, 3).tolist())
     print("   entropy = %.4f, kl = %.6f"

@@ -9,9 +9,8 @@ from .gaussian import (GaussianComponent, GaussianMixture, MotionModel,
                        SensorModel, gm_predict, gm_reduce)
 from .lmb import lmb_predict, lmb_update
 from .metrics import OspaParams, ospa, ospat
-from .pipeline import (BirthEntry, BirthModel, DensityGroup,
-                       MultiObjectTracker, PipelineConfig, extract_tracks,
-                       pipeline_step)
+from .pipeline import (BirthEntry, DensityGroup, MultiObjectTracker,
+                       PipelineConfig, extract_tracks, pipeline_step)
 from .scenarios import (BUILTIN_SCENARIOS, ScenarioConfig, builtin_scenario,
                         generate_measurements, generate_truth, load_scenario,
                         scenario_from_dict, truth_cardinality,
@@ -23,7 +22,7 @@ from .switching import (Mode, RepresentationState, Trigger,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTIN_SCENARIOS", "BirthEntry", "BirthModel", "ConfigurationError",
+    "BUILTIN_SCENARIOS", "BirthEntry", "ConfigurationError",
     "DensityGroup", "DglmbDensity", "GaussianComponent",
     "GaussianMixture", "Hypothesis", "Label", "LmbDensity", "Mode",
     "MotionModel", "MultiObjectTracker", "NumericalError", "OspaParams",

@@ -30,7 +30,8 @@ def _cmd_run(args):
     config = _resolve_scenario(args.scenario)
     filters = FILTER_NAMES if args.filter == "all" else (args.filter,)
     seed = config.seed if args.seed is None else args.seed
-    check_numbers("track run", {"--seed": seed}, [
+    check_numbers("track run", {"--runs": args.runs, "--seed": seed}, [
+        (("--runs",), "an integer >= 1", lambda v: v >= 1),
         (("--seed",), "an integer >= 0", lambda v: v >= 0)])
     rows = monte_carlo(config, args.runs, filters=filters, base_seed=seed,
                        timing_mode=args.timing_mode)

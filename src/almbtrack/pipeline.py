@@ -14,7 +14,7 @@ sets both thresholds to infinity so no group ever switches, and
 ``"dglmb"`` starts every birth pinned in delta-GLMB form.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,46 +43,34 @@ class BirthEntry:
     spatial: GaussianMixture
 
 
-@dataclass(eq=False)
-class BirthModel:
-    entries: list = field(default_factory=list)
+# Truncation settings of the group recursion, the standard machinery of
+# Reuter, Vo, Vo & Dietmayer, "The labeled multi-Bernoulli filter" (IEEE
+# TSP 2014).  Only the switching thresholds are ``PipelineConfig`` settings.
+GATE_SQ = 9.2103     # squared-Mahalanobis measurement gate
+CAP = 50             # hypothesis cap of delta-GLMB densities and expansions
+LMB_PRUNE = 0.01     # a label at or below this existence is dropped
+DGLMB_PRUNE = 1e-5   # a hypothesis at or below this weight is dropped
+EXTRACTION = 0.5     # a track above this existence is reported
+GM_PRUNE = 1e-5      # mixture reduction drops components below this weight,
+GM_MERGE = 4.0       # merges those within this squared-Mahalanobis distance
+GM_CAP = 20          # and keeps at most this many per track
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Tracker settings, the ``tracker`` block of a scenario file.
-
-    ``gate_sq`` is the squared-Mahalanobis gate, ``cap`` the hypothesis
-    cap of delta-GLMB densities, ``merge_cap`` the hypothesis budget when
-    an LMB group is expanded during merging, ``lmb_prune`` the existence
-    threshold, ``dglmb_prune`` the hypothesis weight threshold,
-    ``extraction`` the existence threshold for reporting tracks,
-    ``kl_threshold`` and ``entropy_threshold`` the switching thresholds,
-    and the ``gm_*`` values the per-track mixture reduction parameters.
-    A value outside its range is a ``ConfigurationError``.
+    """Tracker settings, the ``tracker`` block of a scenario file: the
+    switching thresholds on the KL criterion and on the association
+    entropy.  Each must be a number >= 0 (``inf`` turns its criterion
+    off); anything else is a ``ConfigurationError``.
     """
 
-    gate_sq: float = 9.2103
-    cap: int = 50
-    merge_cap: int = 50
-    lmb_prune: float = 0.01
-    dglmb_prune: float = 1e-5
-    extraction: float = 0.5
     kl_threshold: float = 1e-4
     entropy_threshold: float = 0.5
-    gm_prune: float = 1e-5
-    gm_merge: float = 4.0
-    gm_cap: int = 20
 
     def __post_init__(self):
         check_numbers("tracker", vars(self), [
-            (("cap", "merge_cap", "gm_cap"), "a whole number >= 1",
-             lambda v: v >= 1 and v % 1 == 0),
-            (("gate_sq",), "> 0", lambda v: v > 0.0),
-            (("gm_merge", "kl_threshold", "entropy_threshold"), ">= 0",
-             lambda v: v >= 0.0),
-            (("lmb_prune", "dglmb_prune", "gm_prune", "extraction"),
-             "in [0, 1)", lambda v: 0.0 <= v < 1.0)])
+            (("kl_threshold", "entropy_threshold"), ">= 0",
+             lambda v: v >= 0.0)])
 
 
 @dataclass(eq=False)
@@ -136,9 +124,8 @@ def _components(n, pairs):
     return [components[root] for root in sorted(components)]
 
 
-def inject_birth(groups, birth_model, step_index, birth_state, sensor,
-                 config):
-    """Append one single-track group per birth entry, labeled by scan.
+def inject_birth(groups, births, step_index, birth_state, sensor):
+    """Append one single-track group per ``BirthEntry``, labeled by scan.
 
     Each new group starts in ``birth_state``, in delta-GLMB form unless
     that state is LMB.
@@ -151,30 +138,30 @@ def inject_birth(groups, birth_model, step_index, birth_state, sensor,
     separate the two and the group carries the frozen label ambiguity
     forever.  Coverage is the squared Mahalanobis distance between the
     predicted measurements under the mean of the innovation covariances,
-    tested against ``gate_sq``.
+    tested against ``GATE_SQ``.
     """
     covering = [predicted_measurement(track.spatial, sensor)
                 for group in groups
                 for track in group.lmb_view().tracks.values()]
     out = list(groups)
-    for i, entry in enumerate(birth_model.entries):
+    for i, entry in enumerate(births):
         site = predicted_measurement(entry.spatial, sensor)
-        if any(_close(track, site, config.gate_sq) for track in covering):
+        if any(_close(track, site, GATE_SQ) for track in covering):
             continue
         label = Label(step_index, i)
         lmb = LmbDensity({label: Track(label, entry.existence, entry.spatial)})
         out.append(DensityGroup(
             lmb if birth_state.mode is Mode.LMB
-            else lmb_to_dglmb(lmb, config.cap),
+            else lmb_to_dglmb(lmb, CAP),
             birth_state))
     return out
 
 
-def predict_group(group, motion, config):
+def predict_group(group, motion):
     if isinstance(group.density, LmbDensity):
         density = lmb_predict(group.density, motion)
     else:
-        density = dglmb_predict(group.density, motion, cap=config.cap)
+        density = dglmb_predict(group.density, motion, cap=CAP)
     return replace(group, density=density)
 
 
@@ -210,7 +197,7 @@ def _union_lmb(members):
     return LmbDensity(tracks)
 
 
-def _cross_product(a, b, config):
+def _cross_product(a, b):
     if set(a.label_space) & set(b.label_space):
         raise UsageError("label spaces of merged groups overlap")
     hyps = []
@@ -221,16 +208,16 @@ def _cross_product(a, b, config):
             hyps.append(Hypothesis(ha.labels + hb.labels,
                                    ha.weight * hb.weight, spatial))
     merged = DglmbDensity(tuple(sorted(a.label_space + b.label_space)), hyps)
-    return dglmb_prune(merged, config.dglmb_prune, config.cap)
+    return dglmb_prune(merged, DGLMB_PRUNE, CAP)
 
 
-def merge_groups(groups, config):
+def merge_groups(groups):
     """Merge groups that gate a common measurement (transitive closure).
 
     LMB groups union their track sets; if any member is in delta-GLMB
     form the merged group is delta-GLMB, expanding LMB members with at
-    most ``merge_cap`` hypotheses and forming the hypothesis
-    cross-product (pruned and capped per config).
+    most ``CAP`` hypotheses and forming the hypothesis cross-product
+    (pruned at ``DGLMB_PRUNE`` and capped at ``CAP``).
     """
     owner, shared = {}, []
     for i, group in enumerate(groups):
@@ -257,21 +244,21 @@ def merge_groups(groups, config):
         for m in members:
             density = m.density
             if isinstance(density, LmbDensity):
-                density = lmb_to_dglmb(density, config.merge_cap)
+                density = lmb_to_dglmb(density, CAP)
             merged = density if merged is None else \
-                _cross_product(merged, density, config)
+                _cross_product(merged, density)
         out.append(DensityGroup(merged, lead.state, lead.criterion_value,
                                 gated))
     return out
 
 
-def _reduce_lmb(lmb, config):
+def _reduce_lmb(lmb):
     tracks = {}
     for label in lmb.labels():
         track = lmb.tracks[label]
         tracks[label] = Track(label, track.existence,
-                              gm_reduce(track.spatial, config.gm_prune,
-                                        config.gm_merge, config.gm_cap))
+                              gm_reduce(track.spatial, GM_PRUNE, GM_MERGE,
+                                        GM_CAP))
     return LmbDensity(tracks)
 
 
@@ -286,12 +273,12 @@ def update_group(group, measurements, sensor, config):
     """
     if isinstance(group.density, LmbDensity):
         result = lmb_update(group.density, measurements, sensor,
-                            cap=config.cap, gate_sq=config.gate_sq)
+                            cap=CAP, gate_sq=GATE_SQ)
         full = result.full
         approx = result.approx
     else:
         full = dglmb_update(group.density, measurements, sensor,
-                            cap=config.cap, gate_sq=config.gate_sq)
+                            cap=CAP, gate_sq=GATE_SQ)
         approx = None
     kl = kl_criterion(full.posterior)
     entropy = association_entropy(full.assoc_marginals)
@@ -303,7 +290,7 @@ def update_group(group, measurements, sensor, config):
                        criterion_value=float(value)), kl, entropy
     if approx is None:
         approx = dglmb_to_lmb(full.posterior)
-    return replace(group, density=_reduce_lmb(approx, config), state=state,
+    return replace(group, density=_reduce_lmb(approx), state=state,
                    criterion_value=0.0), kl, entropy
 
 
@@ -321,24 +308,24 @@ def _drop_labels(density, doomed):
         for labels, lw, spatial, _ in merged])
 
 
-def prune_group(group, config):
+def prune_group(group):
     """Prune one group; returns None when nothing survives.
 
-    LMB groups drop tracks with existence at or below ``lmb_prune``.
+    LMB groups drop tracks with existence at or below ``LMB_PRUNE``.
     delta-GLMB groups drop light hypotheses, cap, and additionally drop
-    labels whose marginal existence falls to ``lmb_prune`` or below.
+    labels whose marginal existence falls to ``LMB_PRUNE`` or below.
     """
     if isinstance(group.density, LmbDensity):
         tracks = {label: t for label, t in group.density.tracks.items()
-                  if t.existence > config.lmb_prune}
+                  if t.existence > LMB_PRUNE}
         if not tracks:
             return None
         return replace(group, density=LmbDensity(tracks))
-    density = dglmb_prune(group.density, config.dglmb_prune, config.cap)
+    density = dglmb_prune(group.density, DGLMB_PRUNE, CAP)
     view = dglmb_to_lmb(density)
     doomed = {label for label in density.label_space
               if label not in view.tracks
-              or view.tracks[label].existence <= config.lmb_prune}
+              or view.tracks[label].existence <= LMB_PRUNE}
     if doomed:
         density = _drop_labels(density, doomed)
     if not density.label_space:
@@ -346,11 +333,11 @@ def prune_group(group, config):
     return replace(group, density=density)
 
 
-def split_group(group, sensor, config):
+def split_group(group, sensor):
     """Split a group into independent groups of interacting tracks.
 
     Tracks interact when their predicted measurements are within
-    ``2 sqrt(gate_sq)`` of each other under the mean of their innovation
+    ``2 sqrt(GATE_SQ)`` of each other under the mean of their innovation
     covariances; connected components of that relation become the new
     groups.  delta-GLMB groups are marginalized per component: the child
     hypothesis weights sum the parent weights over hypotheses whose
@@ -362,7 +349,7 @@ def split_group(group, sensor, config):
         return [group]
     sites = [predicted_measurement(view.tracks[label].spatial, sensor)
              for label in labels]
-    limit = 4.0 * config.gate_sq
+    limit = 4.0 * GATE_SQ
     components = _components(len(labels), (
         (i, k) for i in range(len(labels)) for k in range(i + 1, len(labels))
         if _close(sites[i], sites[k], limit)))
@@ -377,12 +364,12 @@ def split_group(group, sensor, config):
                                     group.criterion_value))
         else:
             out.append(DensityGroup(
-                _marginalize(group.density, set(member_labels), config),
+                _marginalize(group.density, set(member_labels)),
                 group.state, group.criterion_value))
     return out
 
 
-def _marginalize(density, member_labels, config):
+def _marginalize(density, member_labels):
     """Restrict a delta-GLMB density to a label subset.
 
     Child hypothesis weights sum parent weights by restricted label set;
@@ -412,9 +399,8 @@ def _marginalize(density, member_labels, config):
                 for w, gm in parts[lab]:
                     comps.extend(
                         gm.scaled(w / (weight * gm.total_weight())).components)
-                spatial[lab] = gm_reduce(GaussianMixture(comps),
-                                         config.gm_prune, config.gm_merge,
-                                         config.gm_cap)
+                spatial[lab] = gm_reduce(GaussianMixture(comps), GM_PRUNE,
+                                         GM_MERGE, GM_CAP)
         hyps.append(Hypothesis(key, weight, spatial))
     total = sum(h.weight for h in hyps)
     return DglmbDensity(tuple(sorted(member_labels)), [
@@ -430,23 +416,21 @@ def extract_tracks(groups, threshold):
 
 
 def pipeline_step(groups, measurements, step_index, motion, sensor,
-                  birth_model, config, birth_state=_LMB_STATE):
+                  births, config, birth_state=_LMB_STATE):
     """Run one full scan; returns ``(groups, extracted, diagnostics)``.
 
-    New births start in ``birth_state``."""
-    groups = inject_birth(groups, birth_model, step_index, birth_state,
-                          sensor, config)
-    groups = [predict_group(g, motion, config) for g in groups]
-    groups = gate_measurements(groups, measurements, sensor, config.gate_sq)
-    groups = merge_groups(groups, config)
+    ``births`` is a list of ``BirthEntry``; new births start in
+    ``birth_state``."""
+    groups = inject_birth(groups, births, step_index, birth_state, sensor)
+    groups = [predict_group(g, motion) for g in groups]
+    groups = gate_measurements(groups, measurements, sensor, GATE_SQ)
+    groups = merge_groups(groups)
     results = [update_group(g, [measurements[j] for j in g.gated], sensor,
                             config) for g in groups]
     updated, kls, entropies = ([r[i] for r in results] for i in range(3))
-    groups = [g for g in (prune_group(g, config) for g in updated)
-              if g is not None]
-    split = [part for group in groups
-             for part in split_group(group, sensor, config)]
-    extracted = extract_tracks(split, config.extraction)
+    groups = [g for g in (prune_group(g) for g in updated) if g is not None]
+    split = [part for group in groups for part in split_group(group, sensor)]
+    extracted = extract_tracks(split, EXTRACTION)
     n_dglmb = sum(1 for g in split if isinstance(g.density, DglmbDensity))
     diagnostics = {
         "kl": kls,
@@ -470,7 +454,7 @@ class MultiObjectTracker:
     in delta-GLMB form.
     """
 
-    def __init__(self, motion, sensor, birth_model, config=None,
+    def __init__(self, motion, sensor, births, config=None,
                  policy="almb"):
         if policy not in FILTER_NAMES:
             raise UsageError("unknown policy %r (known: %s)"
@@ -481,7 +465,7 @@ class MultiObjectTracker:
                              entropy_threshold=np.inf)
         self.motion = motion
         self.sensor = sensor
-        self.birth_model = birth_model
+        self.births = births
         self.config = config
         self.policy = policy
         self.birth_state = _PINNED_STATE if policy == "dglmb" else _LMB_STATE
@@ -492,5 +476,5 @@ class MultiObjectTracker:
         self.step_index += 1
         self.groups, extracted, diagnostics = pipeline_step(
             self.groups, measurements, self.step_index, self.motion,
-            self.sensor, self.birth_model, self.config, self.birth_state)
+            self.sensor, self.births, self.config, self.birth_state)
         return extracted, diagnostics

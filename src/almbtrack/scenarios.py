@@ -19,7 +19,7 @@ from .errors import ConfigurationError, UsageError, check_numbers
 from .gaussian import (GaussianComponent, GaussianMixture, MotionModel,
                        SensorModel)
 from .metrics import OspaParams
-from .pipeline import BirthEntry, BirthModel, PipelineConfig
+from .pipeline import BirthEntry, PipelineConfig
 
 BUILTIN_SCENARIOS = ("two-target", "sixteen-target")
 
@@ -203,12 +203,13 @@ def make_sensor(config):
 
 
 def make_birth_model(config):
-    entries = []
+    """One ``BirthEntry`` per birth site, in scenario order."""
+    births = []
     for site in config.birth:
         cov = np.diag(np.asarray(site.std, dtype=float) ** 2)
         gm = GaussianMixture([GaussianComponent(1.0, site.mean, cov)])
-        entries.append(BirthEntry(site.existence, gm))
-    return BirthModel(entries)
+        births.append(BirthEntry(site.existence, gm))
+    return births
 
 
 def make_pipeline_config(config):

@@ -47,13 +47,13 @@ def compute(scenario):
     for name in FILTER_NAMES:
         count = events[name] = {"merged_away": 0, "split_off": 0}
 
-        def counted_merge(groups, config):
-            result = merge(groups, config)
+        def counted_merge(groups):
+            result = merge(groups)
             count["merged_away"] += len(groups) - len(result)
             return result
 
-        def counted_split(group, sensor, config):
-            result = split(group, sensor, config)
+        def counted_split(group, sensor):
+            result = split(group, sensor)
             count["split_off"] += len(result) - 1
             return result
 

@@ -193,6 +193,22 @@ def test_cli_error_exit_codes(tmp_path):
     assert main(["run", "--scenario", write_scenario(tmp_path), "--filter",
                  "lmb", "--runs", "1", "--seed", "-1",
                  "--out", str(tmp_path / "t")]) == 2
+    for runs in ("0", "-1"):
+        out = tmp_path / ("runs" + runs)
+        assert main(["run", "--scenario", write_scenario(tmp_path),
+                     "--filter", "lmb", "--runs", runs,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def test_cli_rejects_removed_tracker_key(tmp_path, capsys):
+    # Setting a truncation constant is a usage error naming the key.
+    scenario = write_scenario(tmp_path, tracker={
+        "kl_threshold": 1e-4, "entropy_threshold": 0.5, "gate_sq": 9.2103})
+    assert main(["run", "--scenario", scenario, "--filter", "lmb",
+                 "--runs", "1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        "error: unknown key(s) ['gate_sq'] in tracker\n"
 
 
 def test_cli_plotdata_from_run(tmp_path):

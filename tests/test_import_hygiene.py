@@ -1,5 +1,6 @@
-"""Import hygiene of the package: every module uses what it imports, and
-every public name resolves."""
+"""Import hygiene of the package: every module uses what it imports,
+every function reads every parameter it takes, and every public name
+resolves."""
 
 import ast
 from pathlib import Path
@@ -46,6 +47,46 @@ def test_unused_import_is_reported():
     source = ("import os\nimport numpy as np\nfrom math import pi, tau\n"
               "__all__ = ['tau']\nprint(np.pi)\n")
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
+
+
+def unread_parameters(source):
+    """``(line, function, parameter)`` of every parameter of a function or
+    lambda that its body never reads.
+
+    ``self``, ``cls`` and ``_``-prefixed names are not reported.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        out.extend((a.lineno, name, a.arg) for a in params
+                   if a.arg not in read and a.arg not in ("self", "cls")
+                   and not a.arg.startswith("_"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_is_reported():
+    source = ("def f(a, b, *args, c=1, _d=2, **kw):\n"
+              "    def g(self, e):\n"
+              "        return a + e\n"
+              "    b = 3\n"
+              "    return g, kw, lambda x, y: x\n")
+    assert unread_parameters(source) == [
+        (1, "f", "args"), (1, "f", "b"), (1, "f", "c"),
+        (5, "<lambda>", "y")]
 
 
 def test_public_names_resolve():

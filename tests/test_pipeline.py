@@ -2,17 +2,20 @@
 prune, split, extraction, and the stateful tracker wrapper with its
 three filter settings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from almbtrack import (BirthEntry, BirthModel, ConfigurationError,
+from almbtrack import (BirthEntry, ConfigurationError,
                        DensityGroup, DglmbDensity, Hypothesis, Label,
                        LmbDensity, Mode, MultiObjectTracker, PipelineConfig,
                        RepresentationState, Track, Trigger, UsageError,
                        dglmb_to_lmb, lmb_to_dglmb)
-from almbtrack.pipeline import (extract_tracks, gate_measurements,
-                                inject_birth, merge_groups, pipeline_step,
-                                prune_group, split_group, update_group)
+from almbtrack.pipeline import (CAP, GATE_SQ, extract_tracks,
+                                gate_measurements, inject_birth, merge_groups,
+                                pipeline_step, prune_group, split_group,
+                                update_group)
 
 from conftest import cv_motion, position_sensor, single
 
@@ -38,8 +41,8 @@ def track_group(label, x, y, existence=0.9, std=10.0, state=None):
 
 
 def test_birth_injects_one_group_per_entry():
-    model = BirthModel([birth_entry(-1000.0, 0.0), birth_entry(1000.0, 0.0)])
-    groups = inject_birth([], model, 3, LMB_STATE, SENSOR, CFG)
+    births = [birth_entry(-1000.0, 0.0), birth_entry(1000.0, 0.0)]
+    groups = inject_birth([], births, 3, LMB_STATE, SENSOR)
     assert len(groups) == 2
     labels = sorted(lab for g in groups for lab in g.density.labels())
     assert labels == [Label(3, 0), Label(3, 1)]
@@ -51,8 +54,8 @@ def test_birth_injects_one_group_per_entry():
 
 
 def test_birth_pinned_delta_for_dglmb_policy():
-    model = BirthModel([birth_entry(0.0, 0.0)])
-    groups = inject_birth([], model, 1, PINNED, SENSOR, CFG)
+    births = [birth_entry(0.0, 0.0)]
+    groups = inject_birth([], births, 1, PINNED, SENSOR)
     assert isinstance(groups[0].density, DglmbDensity)
     assert groups[0].state.mode is Mode.DGLMB
     assert groups[0].state.trigger is Trigger.PINNED
@@ -61,9 +64,9 @@ def test_birth_pinned_delta_for_dglmb_policy():
 def test_birth_masked_by_covering_track():
     # A live track sitting on the site suppresses the entry; the other
     # site still fires.
-    model = BirthModel([birth_entry(-1000.0, 0.0), birth_entry(1000.0, 0.0)])
+    births = [birth_entry(-1000.0, 0.0), birth_entry(1000.0, 0.0)]
     existing = track_group(Label(1, 0), -1001.0, 2.0)
-    groups = inject_birth([existing], model, 5, LMB_STATE, SENSOR, CFG)
+    groups = inject_birth([existing], births, 5, LMB_STATE, SENSOR)
     labels = sorted(lab for g in groups for lab in g.density.labels())
     assert labels == [Label(1, 0), Label(5, 1)]
 
@@ -72,16 +75,16 @@ def test_birth_mask_counts_weak_tracks_too():
     # Even a nearly-dead track at the site blocks re-seeding: one more
     # detection would revive it, and a duplicate label could never be
     # separated from it afterwards.
-    model = BirthModel([birth_entry(0.0, 0.0)])
+    births = [birth_entry(0.0, 0.0)]
     weak = track_group(Label(1, 0), 0.5, -0.5, existence=0.02)
-    groups = inject_birth([weak], model, 2, LMB_STATE, SENSOR, CFG)
+    groups = inject_birth([weak], births, 2, LMB_STATE, SENSOR)
     assert len(groups) == 1
 
 
 def test_birth_mask_ignores_distant_track():
-    model = BirthModel([birth_entry(0.0, 0.0)])
+    births = [birth_entry(0.0, 0.0)]
     far = track_group(Label(1, 0), 400.0, 0.0)
-    groups = inject_birth([far], model, 2, LMB_STATE, SENSOR, CFG)
+    groups = inject_birth([far], births, 2, LMB_STATE, SENSOR)
     assert len(groups) == 2
 
 
@@ -92,7 +95,7 @@ def test_gate_keeps_near_drops_far():
     inside = [np.sqrt(9.2103) * 10.0 - 0.5, 0.0]
     outside = [np.sqrt(9.2103) * 10.0 + 0.5, 0.0]
     out = gate_measurements([group], [inside, outside, [500.0, 500.0]],
-                            SENSOR, CFG.gate_sq)
+                            SENSOR, GATE_SQ)
     assert out[0].gated == (0,)
 
 
@@ -104,13 +107,13 @@ def test_gate_unions_over_tracks():
     })
     group = DensityGroup(lmb)
     out = gate_measurements([group], [[0.0, 0.0], [200.0, 0.0],
-                                      [100.0, 0.0]], SENSOR, CFG.gate_sq)
+                                      [100.0, 0.0]], SENSOR, GATE_SQ)
     assert out[0].gated == (0, 1)
 
 
 def test_gate_empty_scan():
     group = track_group(Label(1, 0), 0.0, 0.0)
-    out = gate_measurements([group], [], SENSOR, CFG.gate_sq)
+    out = gate_measurements([group], [], SENSOR, GATE_SQ)
     assert out[0].gated == ()
 
 
@@ -118,8 +121,8 @@ def test_merge_leaves_disjoint_groups_alone():
     a = track_group(Label(1, 0), 0.0, 0.0)
     b = track_group(Label(1, 1), 500.0, 0.0)
     Z = [[0.0, 0.0], [500.0, 0.0]]
-    gated = gate_measurements([a, b], Z, SENSOR, CFG.gate_sq)
-    merged = merge_groups(gated, CFG)
+    gated = gate_measurements([a, b], Z, SENSOR, GATE_SQ)
+    merged = merge_groups(gated)
     assert len(merged) == 2
 
 
@@ -127,8 +130,8 @@ def test_merge_unions_lmb_groups_sharing_a_measurement():
     a = track_group(Label(1, 0), 0.0, 0.0)
     b = track_group(Label(1, 1), 20.0, 0.0)
     Z = [[10.0, 0.0]]
-    gated = gate_measurements([a, b], Z, SENSOR, CFG.gate_sq)
-    merged = merge_groups(gated, CFG)
+    gated = gate_measurements([a, b], Z, SENSOR, GATE_SQ)
+    merged = merge_groups(gated)
     assert len(merged) == 1
     assert isinstance(merged[0].density, LmbDensity)
     assert sorted(merged[0].density.labels()) == [Label(1, 0), Label(1, 1)]
@@ -142,7 +145,7 @@ def test_merge_closes_chains_of_shared_measurements():
     a, d, b, c = [DensityGroup(track_group(lab, 0.0, 0.0).density,
                                gated=gated)
                   for lab, gated in zip(labels, [(0,), (2,), (0, 1), (1,)])]
-    merged = merge_groups([a, d, b, c], CFG)
+    merged = merge_groups([a, d, b, c])
     assert len(merged) == 2
     assert merged[0].density.labels() == [labels[0], labels[2], labels[3]]
     assert merged[0].gated == (0, 1)
@@ -154,15 +157,15 @@ def test_merge_cross_product_weights():
     la, lb = Label(1, 0), Label(1, 1)
     da = lmb_to_dglmb(LmbDensity({la: Track(la, 0.5,
                                             single([0, 0, 0, 0], np.eye(4)))}),
-                      CFG.cap)
+                      CAP)
     db = lmb_to_dglmb(LmbDensity({lb: Track(lb, 0.3,
                                             single([9, 0, 0, 0], np.eye(4)))}),
-                      CFG.cap)
+                      CAP)
     ga = DensityGroup(da, RepresentationState(Mode.DGLMB, Trigger.KL), 0.2,
                       (0,))
     gb = DensityGroup(db, RepresentationState(Mode.DGLMB, Trigger.ENTROPY),
                       0.1, (0,))
-    merged = merge_groups([ga, gb], CFG)
+    merged = merge_groups([ga, gb])
     assert len(merged) == 1
     d = merged[0].density
     assert isinstance(d, DglmbDensity)
@@ -182,10 +185,10 @@ def test_merge_expands_lmb_member_into_delta():
     a = DensityGroup(a.density, a.state, 0.0, (0,))
     db = lmb_to_dglmb(LmbDensity({lb: Track(lb, 0.3,
                                             single([9, 0, 0, 0], np.eye(4)))}),
-                      CFG.cap)
+                      CAP)
     gb = DensityGroup(db, RepresentationState(Mode.DGLMB, Trigger.KL), 0.4,
                       (0,))
-    merged = merge_groups([a, gb], CFG)
+    merged = merge_groups([a, gb])
     assert len(merged) == 1
     assert isinstance(merged[0].density, DglmbDensity)
     assert len(merged[0].density.hypotheses) == 4
@@ -215,7 +218,7 @@ def test_update_policy_lmb_always_collapses():
 def test_update_policy_dglmb_keeps_full_posterior():
     group = DensityGroup(lmb_to_dglmb(track_group(Label(1, 0), 0.0, 0.0,
                                                   existence=0.5).density,
-                                      CFG.cap),
+                                      CAP),
                          PINNED)
     new, _, _ = update_group(group, [[1.0, 0.0]], SENSOR, CFG)
     assert isinstance(new.density, DglmbDensity)
@@ -261,14 +264,14 @@ def test_prune_drops_weak_lmb_tracks():
         l1: Track(l1, 0.9, single([0, 0, 0, 0], np.eye(4))),
         l2: Track(l2, 0.005, single([9, 0, 0, 0], np.eye(4))),
     })
-    out = prune_group(DensityGroup(lmb), CFG)
+    out = prune_group(DensityGroup(lmb))
     assert out.density.labels() == [l1]
 
 
 def test_prune_dead_group_returns_none():
     lmb = LmbDensity({Label(1, 0): Track(Label(1, 0), 0.004,
                                          single([0, 0, 0, 0], np.eye(4)))})
-    assert prune_group(DensityGroup(lmb), CFG) is None
+    assert prune_group(DensityGroup(lmb)) is None
 
 
 def test_prune_delta_drops_light_hypotheses_and_dead_labels():
@@ -279,7 +282,7 @@ def test_prune_delta_drops_light_hypotheses_and_dead_labels():
         Hypothesis((la, lb), 0.009, {la: g, lb: g}),
         Hypothesis((lb,), 1e-7, {lb: g}),
     ])
-    out = prune_group(DensityGroup(d), CFG)
+    out = prune_group(DensityGroup(d))
     # The 1e-7 hypothesis dies on weight; lb's remaining marginal 0.009
     # is at or below lmb_prune and the label leaves the space.
     assert list(out.density.label_space) == [la]
@@ -292,7 +295,7 @@ def test_split_separates_distant_tracks():
         l1: Track(l1, 0.9, single([0, 0, 0, 0], np.eye(4))),
         l2: Track(l2, 0.9, single([500, 0, 0, 0], np.eye(4))),
     })
-    out = split_group(DensityGroup(lmb), SENSOR, CFG)
+    out = split_group(DensityGroup(lmb), SENSOR)
     assert len(out) == 2
     assert sorted(g.density.labels()[0] for g in out) == [l1, l2]
 
@@ -303,7 +306,7 @@ def test_split_keeps_interacting_tracks_together():
         l1: Track(l1, 0.9, single([0, 0, 0, 0], np.eye(4))),
         l2: Track(l2, 0.9, single([30, 0, 0, 0], np.eye(4))),
     })
-    out = split_group(DensityGroup(lmb), SENSOR, CFG)
+    out = split_group(DensityGroup(lmb), SENSOR)
     assert len(out) == 1
 
 
@@ -315,7 +318,7 @@ def test_split_keeps_chains_together_in_label_order():
     lmb = LmbDensity({lab: Track(lab, 0.9, single([x, 0, 0, 0],
                                                   100.0 * np.eye(4)))
                       for lab, x in xs.items()})
-    out = split_group(DensityGroup(lmb), SENSOR, CFG)
+    out = split_group(DensityGroup(lmb), SENSOR)
     assert [g.density.labels() for g in out] == [[l0], [l1, l2, l3]]
 
 
@@ -328,9 +331,9 @@ def test_split_marginalizes_independent_delta_pair():
         l2: Track(l2, 0.5, single([500, 0, 0, 0], np.eye(4))),
     })
     from almbtrack import RepresentationState
-    parent = DensityGroup(lmb_to_dglmb(lmb, CFG.cap),
+    parent = DensityGroup(lmb_to_dglmb(lmb, CAP),
                           RepresentationState(Mode.DGLMB, Trigger.KL), 0.3)
-    out = split_group(parent, SENSOR, CFG)
+    out = split_group(parent, SENSOR)
     assert len(out) == 2
     for child in out:
         assert isinstance(child.density, DglmbDensity)
@@ -349,7 +352,7 @@ def test_split_preserves_existence(rng):
     rs = [0.7, 0.6, 0.9]
     lmb = LmbDensity({lab: Track(lab, r, single([x, 0, 0, 0], np.eye(4)))
                       for lab, x, r in zip(labels, xs, rs)})
-    out = split_group(DensityGroup(lmb_to_dglmb(lmb, CFG.cap)), SENSOR, CFG)
+    out = split_group(DensityGroup(lmb_to_dglmb(lmb, CAP)), SENSOR)
     got = {}
     for child in out:
         view = dglmb_to_lmb(child.density)
@@ -382,7 +385,7 @@ def test_extract_collapses_delta_groups():
 
 
 def test_pipeline_step_is_deterministic():
-    model = BirthModel([birth_entry(0.0, 0.0)])
+    births = [birth_entry(0.0, 0.0)]
     Z = [[[1.0, 0.5]], [[2.1, 0.9]], [[3.0, 1.6]]]
 
     def run():
@@ -390,7 +393,7 @@ def test_pipeline_step_is_deterministic():
         log = []
         for k, scan in enumerate(Z, start=1):
             groups, extracted, _ = pipeline_step(
-                groups, scan, k, MOTION, SENSOR, model, CFG)
+                groups, scan, k, MOTION, SENSOR, births, CFG)
             log.append(tuple((lab, tuple(np.round(x, 12)))
                              for lab, x in extracted))
         return log
@@ -400,17 +403,17 @@ def test_pipeline_step_is_deterministic():
 
 def test_tracker_rejects_unknown_policy():
     with pytest.raises(UsageError):
-        MultiObjectTracker(MOTION, SENSOR, BirthModel([]), policy="foo")
+        MultiObjectTracker(MOTION, SENSOR, [], policy="foo")
 
 
 def test_tracker_policies_are_settings():
-    model = BirthModel([birth_entry(0.0, 0.0)])
-    lmb = MultiObjectTracker(MOTION, SENSOR, model, CFG, "lmb")
+    births = [birth_entry(0.0, 0.0)]
+    lmb = MultiObjectTracker(MOTION, SENSOR, births, CFG, "lmb")
     assert lmb.config == PipelineConfig(kl_threshold=np.inf,
                                         entropy_threshold=np.inf)
-    assert MultiObjectTracker(MOTION, SENSOR, model, CFG, "almb").config \
+    assert MultiObjectTracker(MOTION, SENSOR, births, CFG, "almb").config \
         is CFG
-    dglmb = MultiObjectTracker(MOTION, SENSOR, model, CFG, "dglmb")
+    dglmb = MultiObjectTracker(MOTION, SENSOR, births, CFG, "dglmb")
     dglmb.step([[0.0, 0.0]])
     assert [g.state for g in dglmb.groups] == [PINNED]
     assert isinstance(dglmb.groups[0].density, DglmbDensity)
@@ -418,10 +421,14 @@ def test_tracker_policies_are_settings():
 
 @pytest.mark.parametrize("name, value", [
     ("cap", 0), ("gate_sq", float("nan")), ("kl_threshold", -1.0),
-    ("extraction", "0.5")])
+    ("extraction", "0.5"), ("entropy_threshold", float("nan"))])
 def test_config_validated_at_construction(name, value):
-    # Settings built in code are checked like a scenario's tracker block.
-    with pytest.raises(ConfigurationError, match=name):
+    # Thresholds built in code are checked like a scenario's tracker
+    # block; the truncation constants are not settings at all.
+    fields = [f.name for f in dataclasses.fields(PipelineConfig)]
+    assert fields == ["kl_threshold", "entropy_threshold"]
+    error = ConfigurationError if name in fields else TypeError
+    with pytest.raises(error, match=name):
         PipelineConfig(**{name: value})
 
 
@@ -429,8 +436,8 @@ def test_tracker_locks_onto_clean_target():
     # p_D = 1, no clutter: the track confirms quickly and the estimate
     # follows the constant-velocity truth.
     sensor = position_sensor(1.0, 1.0, 0.0)
-    model = BirthModel([birth_entry(0.0, 0.0, existence=0.05, std=10.0)])
-    tracker = MultiObjectTracker(MOTION, sensor, model, policy="almb")
+    births = [birth_entry(0.0, 0.0, existence=0.05, std=10.0)]
+    tracker = MultiObjectTracker(MOTION, sensor, births, policy="almb")
     errs = []
     for k in range(1, 21):
         true_pos = np.array([2.0 * k, 1.0 * k])

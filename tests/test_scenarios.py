@@ -1,14 +1,15 @@
 """Scenario configs, builtin scenarios, truth and measurement generation."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from almbtrack import (BUILTIN_SCENARIOS, ConfigurationError, UsageError,
-                       builtin_scenario, generate_measurements,
-                       generate_truth, load_scenario, scenario_from_dict,
-                       truth_cardinality, truth_positions)
+from almbtrack import (BUILTIN_SCENARIOS, ConfigurationError,
+                       PipelineConfig, UsageError, builtin_scenario,
+                       generate_measurements, generate_truth, load_scenario,
+                       scenario_from_dict, truth_cardinality, truth_positions)
 from almbtrack.scenarios import (make_birth_model, make_motion,
                                  make_ospa_params, make_pipeline_config,
                                  make_sensor, region_area, transition_matrix)
@@ -142,11 +143,11 @@ def test_model_builders_match_config():
     # Clutter density: rate divided by region area.
     assert region_area(cfg) == pytest.approx(4e6)
     assert sensor.clutter_density == pytest.approx(50.0 / 4e6)
-    birth = make_birth_model(cfg)
-    assert len(birth.entries) == 2
-    assert birth.entries[0].existence == pytest.approx(0.05)
-    pipe = make_pipeline_config(cfg)
-    assert pipe.gate_sq == pytest.approx(9.2103)
+    births = make_birth_model(cfg)
+    assert len(births) == 2
+    assert births[0].existence == pytest.approx(0.05)
+    assert make_pipeline_config(cfg) == PipelineConfig(
+        kl_threshold=1e-4, entropy_threshold=0.5)
     params = make_ospa_params(cfg)
     assert (params.p, params.c, params.alpha) == (1.0, 300.0, 100.0)
 
@@ -186,7 +187,8 @@ def test_validation_catches_bad_lifetimes():
 
 def bad(block, key, value):
     # A block of None means a top-level key.  Tracker and top-level cases
-    # get plain "key-value" ids, the others "block.key-value".
+    # get plain "key-value" ids, the others "block.key-value".  Tracker
+    # keys other than the two thresholds are rejected as unknown.
     name = key if block in ("tracker", None) else "%s.%s" % (block, key)
     return pytest.param(block, key, value, id="%s-%s" % (name, value))
 
@@ -239,11 +241,28 @@ def test_validation_catches_bad_tracker_values(block, key, value):
 
 def test_validation_accepts_tracker_range_edges():
     cfg = builtin_scenario("two-target").to_dict()
-    cfg["tracker"].update(cap=1, merge_cap=1.0, gm_cap=1, gate_sq=1e-9,
-                          gm_merge=0.0, lmb_prune=0.0, extraction=0.0,
-                          kl_threshold=float("inf"),
-                          entropy_threshold=float("inf"))
-    assert scenario_from_dict(cfg).tracker.cap == 1
+    for edge in (0.0, float("inf")):
+        cfg["tracker"].update(kl_threshold=edge, entropy_threshold=edge)
+        assert scenario_from_dict(cfg).tracker == PipelineConfig(edge, edge)
+
+
+def test_builtin_tracker_blocks_hold_only_the_thresholds():
+    for name in BUILTIN_SCENARIOS:
+        path = resources.files("almbtrack.data") / (
+            name.replace("-", "_") + ".json")
+        tracker = json.loads(path.read_text())["tracker"]
+        assert sorted(tracker) == ["entropy_threshold", "kl_threshold"]
+
+
+@pytest.mark.parametrize("key, value", [("cap", 50), ("gate_sq", 9.2103)])
+def test_removed_tracker_key_rejected_at_its_old_default(key, value):
+    # The truncation limits are constants, not settings: a scenario that
+    # sets one, even to the constant's value, is told which key is wrong.
+    cfg = builtin_scenario("two-target").to_dict()
+    cfg["tracker"][key] = value
+    with pytest.raises(ConfigurationError,
+                       match=r"unknown key\(s\) \['%s'\] in tracker" % key):
+        scenario_from_dict(cfg)
 
 
 def test_load_scenario_from_file(tmp_path):
