@@ -13,8 +13,7 @@ import json
 import os
 import sys
 
-from .errors import (ConfigurationError, NumericalError, UsageError,
-                     check_numbers)
+from .errors import ConfigurationError, NumericalError, UsageError
 from .harness import (FILTER_NAMES, monte_carlo, read_rows, write_plotdata,
                       write_rows)
 from .scenarios import BUILTIN_SCENARIOS, builtin_scenario, load_scenario
@@ -30,9 +29,6 @@ def _cmd_run(args):
     config = _resolve_scenario(args.scenario)
     filters = FILTER_NAMES if args.filter == "all" else (args.filter,)
     seed = config.seed if args.seed is None else args.seed
-    check_numbers("track run", {"--runs": args.runs, "--seed": seed}, [
-        (("--runs",), "an integer >= 1", lambda v: v >= 1),
-        (("--seed",), "an integer >= 0", lambda v: v >= 0)])
     rows = monte_carlo(config, args.runs, filters=filters, base_seed=seed,
                        timing_mode=args.timing_mode)
     os.makedirs(args.out, exist_ok=True)

@@ -152,6 +152,16 @@ def _bernoulli_log_odds(existence):
     return math.log(r) - math.log1p(-r)
 
 
+def expansion(existences, max_hypotheses):
+    """The ``max_hypotheses`` heaviest index subsets of independent
+    Bernoulli existences, best first, and their normalized weights."""
+    subsets = top_weighted_subsets(
+        [_bernoulli_log_odds(r) for r in existences], max_hypotheses)
+    log_w = np.array([lw for _, lw in subsets])
+    w = np.exp(log_w - log_w.max())
+    return [subset for subset, _ in subsets], w / w.sum()
+
+
 def lmb_to_dglmb(lmb, max_hypotheses):
     """Expand an LMB density into the equivalent delta-GLMB density.
 
@@ -161,14 +171,10 @@ def lmb_to_dglmb(lmb, max_hypotheses):
     renormalized.
     """
     labels = lmb.labels()
-    subsets = top_weighted_subsets(
-        [_bernoulli_log_odds(lmb.tracks[lab].existence) for lab in labels],
-        max_hypotheses)
-    log_w = np.array([lw for _, lw in subsets])
-    w = np.exp(log_w - log_w.max())
-    w /= w.sum()
+    subsets, w = expansion([lmb.tracks[lab].existence for lab in labels],
+                           max_hypotheses)
     hyps = []
-    for (subset, _), weight in zip(subsets, w):
+    for subset, weight in zip(subsets, w):
         chosen = tuple(labels[i] for i in subset)
         spatial = {lab: lmb.tracks[lab].spatial for lab in chosen}
         hyps.append(Hypothesis(chosen, float(weight), spatial))
@@ -194,17 +200,16 @@ def dglmb_to_lmb(d):
         for label in hyp.labels:
             existence[label] += w
             parts[label].append((w, hyp.spatial[label]))
-    tracks = {}
-    for label in d.label_space:
-        r = existence[label]
-        if r <= 0.0:
-            continue
-        comps = []
-        for w, gm in parts[label]:
-            comps.extend(gm.scaled(w / (r * gm.total_weight())).components)
-        tracks[label] = Track(label, min(r, 1.0), GaussianMixture(comps))
-    d._lmb = LmbDensity(tracks)
+    d._lmb = LmbDensity({
+        label: Track(label, min(r, 1.0), mixture_average(parts[label], r))
+        for label, r in existence.items() if r > 0.0})
     return d._lmb
+
+
+def mixture_average(parts, total):
+    """The sum of ``w / total`` times each normalized mixture ``gm``."""
+    return GaussianMixture([c for w, gm in parts for c in gm.scaled(
+        w / (total * gm.total_weight())).components])
 
 
 def lmb_cardinality(lmb):

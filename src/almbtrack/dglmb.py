@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import ranked_assignments
-from .densities import DglmbDensity, Hypothesis, top_weighted_subsets
+from .densities import (DglmbDensity, Hypothesis, expansion,
+                        top_weighted_subsets)
 from .errors import NumericalError
 from .gaussian import gm_kalman_update_log, gm_predict, mahalanobis_sq
 
@@ -110,8 +111,9 @@ def _consolidate(entries):
     return kept
 
 
-def _finalize(entries, label_space, cap):
-    """Consolidate, cap and normalize log-weighted hypothesis entries."""
+def _finalize(entries, cap):
+    """Consolidate, cap and normalize log-weighted hypothesis entries;
+    returns the kept entries and their weights."""
     entries = [e for e in _dedup(entries) if np.isfinite(e[1])]
     if not entries:
         raise NumericalError("all hypothesis weights vanished",
@@ -122,9 +124,14 @@ def _finalize(entries, label_space, cap):
     entries = entries[: int(cap)]
     log_ws = np.array([e[1] for e in entries])
     top = log_ws.max()
-    w = np.exp(log_ws - (top + np.log(np.sum(np.exp(log_ws - top)))))
-    hyps = [Hypothesis(e[0], float(wi), e[2]) for e, wi in zip(entries, w)]
-    return DglmbDensity(label_space, hyps), [e[3] for e in entries], w
+    log_total = top + np.log(np.sum(np.exp(log_ws - top)))
+    return entries, np.exp(log_ws - log_total)
+
+
+def entry_density(label_space, entries, w):
+    """The delta-GLMB density of finalized entries and their weights."""
+    return DglmbDensity(label_space, [Hypothesis(e[0], float(wi), e[2])
+                                      for e, wi in zip(entries, w)])
 
 
 def _per_hypothesis_quota(weights, cap):
@@ -170,8 +177,7 @@ def dglmb_predict(d, motion, cap):
             kept = tuple(labels[i] for i in subset)
             spatial = {lab: predict_gm(hyp.spatial[lab]) for lab in kept}
             entries.append((kept, log_w + log_surv, spatial, None))
-    posterior, _, _ = _finalize(entries, d.label_space, cap)
-    return posterior
+    return entry_density(d.label_space, *_finalize(entries, cap))
 
 
 def dglmb_update(d, measurements, sensor, cap, gate_sq):
@@ -192,23 +198,15 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
     d = d.normalized()
     Z = [np.asarray(z, dtype=float).reshape(-1) for z in measurements]
     m = len(Z)
-    log_pd = math.log(sensor.detection_prob) if sensor.detection_prob > 0 \
-        else -np.inf
-    log_qd = math.log1p(-sensor.detection_prob) \
-        if sensor.detection_prob < 1.0 else -np.inf
-    log_kappa = sensor.log_clutter()
+    log_pd, log_qd, log_kappa = _log_factors(sensor)
 
     cache = {}
 
     def measurement_factor(gm, j):
-        # (posterior mixture, log eta) for assigning measurement j.
         key = (gm.uid, j)
         if key not in cache:
-            if mahalanobis_sq(Z[j], gm, sensor) >= gate_sq:
-                cache[key] = (None, -np.inf)
-            else:
-                post, log_lik = gm_kalman_update_log(gm, Z[j], sensor)
-                cache[key] = (post, log_pd + log_lik - log_kappa)
+            cache[key] = _association(gm, Z[j], sensor, gate_sq, log_pd,
+                                      log_kappa)
         return cache[key]
 
     quotas = _per_hypothesis_quota([h.weight for h in d.hypotheses], cap)
@@ -233,15 +231,60 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
                     spatial[lab] = cache[(hyp.spatial[lab].uid, theta[i] - 1)][0]
             entries.append((labels, log_w - score, spatial,
                             dict(zip(labels, theta))))
-    posterior, thetas, w = _finalize(entries, d.label_space, cap)
+    entries, w = _finalize(entries, cap)
     marginals = np.zeros((len(d.label_space), m))
     row = {lab: i for i, lab in enumerate(d.label_space)}
-    for hyp, theta, wi in zip(posterior.hypotheses, thetas, w):
-        for lab in hyp.labels:
+    for (labels, _, _, theta), wi in zip(entries, w):
+        for lab in labels:
             j = theta[lab]
             if j > 0:
                 marginals[row[lab], j - 1] += wi
-    return UpdateOutput(posterior, marginals, d.label_space)
+    return UpdateOutput(entry_density(d.label_space, entries, w), marginals,
+                        d.label_space)
+
+
+def _log_factors(sensor):
+    # log p_D, log (1 - p_D) and log clutter density.
+    p_d = sensor.detection_prob
+    return (math.log(p_d) if p_d > 0 else -np.inf,
+            math.log1p(-p_d) if p_d < 1.0 else -np.inf, sensor.log_clutter())
+
+
+def _association(gm, z, sensor, gate_sq, log_pd, log_kappa):
+    # (posterior mixture, log eta) of assigning measurement z to gm;
+    # (None, -inf) outside the gate.
+    if mahalanobis_sq(z, gm, sensor) >= gate_sq:
+        return None, -np.inf
+    post, log_lik = gm_kalman_update_log(gm, z, sensor)
+    return post, log_pd + log_lik - log_kappa
+
+
+def one_track_update(track, measurements, sensor, cap, gate_sq):
+    """The finalized entries and weights of ``dglmb_update`` on the
+    expansion of a one-track LMB density, in closed form.
+
+    The absent hypothesis has one child.  The present one has its miss
+    and its gated measurements, ranked by (cost, theta) and cut at its
+    quota as ``ranked_assignments`` ranks a one-row cost matrix; above 16
+    measurements that is Murty's algorithm, which alone would put a miss
+    after a measurement of bit-equal cost.  Each entry's extra is theta.
+    """
+    subsets, w = expansion([track.existence], cap)
+    w = w / w.sum()  # DglmbDensity.normalized
+    log_pd, log_qd, log_kappa = _log_factors(sensor)
+    options = [(-log_qd, 0, track.spatial)]
+    for j, z in enumerate(measurements):
+        post, log_eta = _association(track.spatial, z, sensor, gate_sq,
+                                     log_pd, log_kappa)
+        options.append((-log_eta, j + 1, post))
+    options.sort(key=lambda o: o[:2])  # forbidden (infinite) costs last
+    label, entries = track.label, []
+    for subset, wi, quota in zip(subsets, w, _per_hypothesis_quota(w, cap)):
+        log_w = math.log(wi) if wi > 0 else -np.inf
+        entries += [((label,), log_w - score, {label: gm}, theta)
+                    for score, theta, gm in options[:quota]
+                    if np.isfinite(score)] if subset else [((), log_w, {}, 0)]
+    return _finalize(entries, cap)
 
 
 def dglmb_prune(d, weight_threshold, cap):

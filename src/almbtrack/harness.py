@@ -12,13 +12,14 @@ invocations unless ``timing_mode="zero"`` stubs it out.
 """
 
 import csv
+import numbers
 import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, check_numbers
 from .metrics import ospat
 from .pipeline import FILTER_NAMES, MultiObjectTracker
 from .scenarios import (generate_measurements, generate_truth, make_birth_model,
@@ -61,19 +62,29 @@ def monte_carlo(config, n_runs, filters=FILTER_NAMES, base_seed=None,
     Run ``r`` uses seed ``base_seed + r`` (``base_seed`` defaults to the
     scenario seed); all filters of a run share the same measurement
     sequence.  Returns a list of row dicts matching ``CSV_HEADER``.
+    Bad arguments raise before any run.
     """
     if timing_mode not in ("wall", "zero"):
         raise UsageError("timing_mode must be 'wall' or 'zero'")
+    filters = tuple(filters)
+    if not filters or not set(filters) <= set(FILTER_NAMES):
+        raise UsageError("filters must name one or more of %s, got %r"
+                         % (", ".join(FILTER_NAMES), filters))
     if base_seed is None:
         base_seed = config.seed
+    check_numbers("monte_carlo", {"n_runs": n_runs, "base_seed": base_seed}, [
+        (("n_runs",), "an integer >= 1",
+         lambda v: isinstance(v, numbers.Integral) and v >= 1),
+        (("base_seed",), "an integer >= 0",
+         lambda v: isinstance(v, numbers.Integral) and v >= 0)])
     truth = generate_truth(config)
     truth_steps = [truth_positions(truth, k)
                    for k in range(1, config.steps + 1)]
     n_true = [len(step) for step in truth_steps]
     params = make_ospa_params(config)
     rows = []
-    for run in range(int(n_runs)):
-        rng = np.random.default_rng(int(base_seed) + run)
+    for run in range(n_runs):
+        rng = np.random.default_rng(base_seed + run)
         measurements = generate_measurements(truth, config, rng)
         for name in filters:
             result = run_filter(name, measurements, config)

@@ -8,10 +8,11 @@ longer interact, and track extraction.
 
 Every group runs the same update: the exact delta-GLMB update, then the
 switching automaton, which keeps the posterior or approximates it in LMB
-form.  The three filters are settings of this one path (see
-``MultiObjectTracker``): ``"almb"`` switches per the criteria, ``"lmb"``
-sets both thresholds to infinity so no group ever switches, and
-``"dglmb"`` starts every birth pinned in delta-GLMB form.
+form; an LMB group of one track takes it in closed form, to the bit.  The
+three filters are settings of this one path (``MultiObjectTracker``):
+``"almb"`` switches per the criteria, ``"lmb"`` sets both thresholds to
+infinity so no group ever switches, and ``"dglmb"`` starts every birth
+pinned in delta-GLMB form.
 """
 
 from dataclasses import dataclass, replace
@@ -19,14 +20,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .densities import (DglmbDensity, Hypothesis, Label, LmbDensity, Track,
-                        dglmb_to_lmb, lmb_to_dglmb)
-from .dglmb import _dedup, dglmb_predict, dglmb_prune, dglmb_update
+                        dglmb_to_lmb, lmb_to_dglmb, mixture_average)
+from .dglmb import (_dedup, dglmb_predict, dglmb_prune, dglmb_update,
+                    entry_density, one_track_update)
 from .errors import UsageError, check_numbers
 from .gaussian import (GaussianMixture, gate_mask, gm_reduce,
                        innovation_terms, map_point, predicted_measurement)
 from .lmb import lmb_predict, lmb_update
 from .switching import (Mode, RepresentationState, Trigger,
-                        association_entropy, decide_switch, kl_criterion)
+                        association_entropy, cardinality_kl, decide_switch,
+                        kl_criterion)
 
 # The policies of ``MultiObjectTracker``; CSV rows follow this order.
 FILTER_NAMES = ("lmb", "dglmb", "almb")
@@ -95,11 +98,13 @@ class DensityGroup:
         return dglmb_to_lmb(self.density)
 
 
-def _close(a, b, limit):
-    # Squared Mahalanobis distance of two (z_pred, S) pairs under the mean
-    # of their innovation covariances, tested against ``limit``.
-    d = a[0] - b[0]
-    return float(d @ np.linalg.solve(0.5 * (a[1] + b[1]), d)) < limit
+def _within(za, Sa, zb, Sb, limit):
+    # Whether stacked (z_pred, S) pairs lie within squared Mahalanobis
+    # distance ``limit`` under their mean innovation covariance.  One
+    # right-hand side per slice gives each pair the bits of its own solve.
+    d = (za - zb)[..., None]
+    x = np.linalg.solve(0.5 * (Sa + Sb), d)
+    return np.matmul(d.swapaxes(-1, -2), x)[..., 0, 0] < limit
 
 
 def _components(n, pairs):
@@ -143,10 +148,12 @@ def inject_birth(groups, births, step_index, birth_state, sensor):
     covering = [predicted_measurement(track.spatial, sensor)
                 for group in groups
                 for track in group.lmb_view().tracks.values()]
+    if covering:
+        z, S = map(np.array, zip(*covering))
     out = list(groups)
     for i, entry in enumerate(births):
         site = predicted_measurement(entry.spatial, sensor)
-        if any(_close(track, site, GATE_SQ) for track in covering):
+        if covering and _within(z, S, *site, GATE_SQ).any():
             continue
         label = Label(step_index, i)
         lmb = LmbDensity({label: Track(label, entry.existence, entry.spatial)})
@@ -269,29 +276,57 @@ def update_group(group, measurements, sensor, config):
     exact (un-pruned) update output.  A group the automaton leaves in
     delta-GLMB form keeps that output, with the value of the criterion
     that holds it there (0.0 when pinned); any other group takes the
-    mixture-reduced LMB approximation.
+    mixture-reduced LMB approximation.  An LMB group of one track takes
+    the same update in closed form.
     """
-    if isinstance(group.density, LmbDensity):
-        result = lmb_update(group.density, measurements, sensor,
-                            cap=CAP, gate_sq=GATE_SQ)
-        full = result.full
-        approx = result.approx
-    else:
+    if isinstance(group.density, DglmbDensity):
         full = dglmb_update(group.density, measurements, sensor,
                             cap=CAP, gate_sq=GATE_SQ)
-        approx = None
+    elif len(group.density.tracks) != 1:
+        full = lmb_update(group.density, measurements, sensor,
+                          cap=CAP, gate_sq=GATE_SQ).full
+    else:
+        return _update_one_track(group, measurements, sensor, config)
     kl = kl_criterion(full.posterior)
     entropy = association_entropy(full.assoc_marginals)
     state = decide_switch(group.state, kl, entropy, config)
+    return _settle(group, state, kl, entropy, full.posterior
+                   if state.mode is Mode.DGLMB
+                   else _reduce_lmb(dglmb_to_lmb(full.posterior)))
+
+
+def _settle(group, state, kl, entropy, density):
+    value = {Trigger.KL: kl, Trigger.ENTROPY: entropy}.get(state.trigger, 0.0)
+    return replace(group, density=density, state=state,
+                   criterion_value=float(value)), kl, entropy
+
+
+def _update_one_track(group, measurements, sensor, config):
+    """``update_group`` of a one-track LMB group.  The cardinality pmfs,
+    association marginals and LMB collapse are read off the finalized
+    entries with the arithmetic of ``dglmb_update``, ``dglmb_cardinality``
+    and ``dglmb_to_lmb``; only a group that switches gets a density."""
+    (label, track), = group.density.tracks.items()
+    entries, w = one_track_update(track, measurements, sensor, CAP, GATE_SQ)
+    rho, marginals = np.zeros(2), np.zeros((1, len(measurements)))
+    tot, r, parts = float(w.sum()), 0.0, []
+    for (labels, _, spatial, theta), wi in zip(entries, w):
+        rho[len(labels)] += wi
+        if labels:
+            r += wi / tot
+            parts.append((wi / tot, spatial[label]))
+        if theta:
+            marginals[0, theta - 1] += wi
+    existence = min(r, 1.0)
+    kl = cardinality_kl(rho, np.array([1.0 - existence, existence]))
+    entropy = association_entropy(marginals)
+    state = decide_switch(group.state, kl, entropy, config)
     if state.mode is Mode.DGLMB:
-        value = {Trigger.KL: kl, Trigger.ENTROPY: entropy}.get(
-            state.trigger, 0.0)
-        return replace(group, density=full.posterior, state=state,
-                       criterion_value=float(value)), kl, entropy
-    if approx is None:
-        approx = dglmb_to_lmb(full.posterior)
-    return replace(group, density=_reduce_lmb(approx), state=state,
-                   criterion_value=0.0), kl, entropy
+        density = entry_density((label,), entries, w)
+    else:
+        density = _reduce_lmb(LmbDensity({label: Track(
+            label, existence, mixture_average(parts, r))} if r > 0.0 else {}))
+    return _settle(group, state, kl, entropy, density)
 
 
 def _drop_labels(density, doomed):
@@ -347,12 +382,11 @@ def split_group(group, sensor):
     labels = view.labels()
     if len(labels) <= 1:
         return [group]
-    sites = [predicted_measurement(view.tracks[label].spatial, sensor)
-             for label in labels]
-    limit = 4.0 * GATE_SQ
-    components = _components(len(labels), (
-        (i, k) for i in range(len(labels)) for k in range(i + 1, len(labels))
-        if _close(sites[i], sites[k], limit)))
+    z, S = map(np.array, zip(*(predicted_measurement(
+        view.tracks[label].spatial, sensor) for label in labels)))
+    i, k = np.triu_indices(len(labels), 1)
+    near = _within(z[i], S[i], z[k], S[k], 4.0 * GATE_SQ)
+    components = _components(len(labels), zip(i[near], k[near]))
     if len(components) == 1:
         return [group]
     out = []
@@ -395,12 +429,8 @@ def _marginalize(density, member_labels):
             if len(uids) == 1:
                 spatial[lab] = parts[lab][0][1]
             else:
-                comps = []
-                for w, gm in parts[lab]:
-                    comps.extend(
-                        gm.scaled(w / (weight * gm.total_weight())).components)
-                spatial[lab] = gm_reduce(GaussianMixture(comps), GM_PRUNE,
-                                         GM_MERGE, GM_CAP)
+                spatial[lab] = gm_reduce(mixture_average(parts[lab], weight),
+                                         GM_PRUNE, GM_MERGE, GM_CAP)
         hyps.append(Hypothesis(key, weight, spatial))
     total = sum(h.weight for h in hyps)
     return DglmbDensity(tuple(sorted(member_labels)), [

@@ -83,32 +83,17 @@ def _build(cls, data, where):
 
 def scenario_from_dict(data):
     """Validate a scenario dict; unknown keys anywhere are an error."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("scenario must be an object")
-    known = set(ScenarioConfig.__dataclass_fields__)
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigurationError("unknown key(s) %s in scenario"
-                                 % sorted(unknown))
-    out = {}
+    blocks = {"motion": MotionConfig, "sensor": SensorConfig,
+              "tracker": PipelineConfig, "ospa": OspaParams,
+              "birth": BirthSite, "truth": TruthScript}
+    config = _build(ScenarioConfig, data, "scenario")
     for key, value in data.items():
-        if key == "motion":
-            out[key] = _build(MotionConfig, value, "motion")
-        elif key == "sensor":
-            out[key] = _build(SensorConfig, value, "sensor")
-        elif key == "tracker":
-            out[key] = _build(PipelineConfig, value, "tracker")
-        elif key == "ospa":
-            out[key] = _build(OspaParams, value, "ospa")
-        elif key == "birth":
-            out[key] = [_build(BirthSite, b, "birth[%d]" % i)
-                        for i, b in enumerate(value)]
-        elif key == "truth":
-            out[key] = [_build(TruthScript, t, "truth[%d]" % i)
-                        for i, t in enumerate(value)]
-        else:
-            out[key] = value
-    config = ScenarioConfig(**out)
+        if key in ("birth", "truth"):
+            value = [_build(blocks[key], item, "%s[%d]" % (key, i))
+                     for i, item in enumerate(value)]
+        elif key in blocks:
+            value = _build(blocks[key], value, key)
+        setattr(config, key, value)
     _validate(config)
     return config
 

@@ -66,8 +66,12 @@ def kl_divergence(p, q):
 def kl_criterion(full):
     """KL divergence from a delta-GLMB posterior's cardinality pmf to the
     cardinality pmf of its LMB approximation."""
-    rho_exact = dglmb_cardinality(full)
-    rho_approx = lmb_cardinality(dglmb_to_lmb(full))
+    return cardinality_kl(dglmb_cardinality(full),
+                          lmb_cardinality(dglmb_to_lmb(full)))
+
+
+def cardinality_kl(rho_exact, rho_approx):
+    """``kl_criterion`` from the two cardinality pmfs."""
     # An existence within one ulp of 1 zeroes cells of the product
     # cardinality outright while the exact side keeps matching
     # sub-precision mass, which would read as a support mismatch and pin

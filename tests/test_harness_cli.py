@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from almbtrack import UsageError, builtin_scenario, scenario_from_dict
+from almbtrack import (ConfigurationError, UsageError, builtin_scenario,
+                       scenario_from_dict)
+from almbtrack import harness
 from almbtrack.cli import main
 from almbtrack.harness import (CSV_HEADER, monte_carlo, read_rows, run_filter,
                                write_plotdata, write_rows)
@@ -90,6 +92,35 @@ def test_monte_carlo_validates_arguments():
         monte_carlo(config, 1, filters=("nope",))
     with pytest.raises(UsageError):
         monte_carlo(config, 1, timing_mode="fast")
+
+
+@pytest.mark.parametrize("n_runs", [0, -3, 2.5, "2", True])
+def test_monte_carlo_rejects_run_count(n_runs):
+    with pytest.raises(ConfigurationError, match="n_runs"):
+        monte_carlo(tiny_config(steps=4), n_runs, timing_mode="zero")
+
+
+@pytest.mark.parametrize("base_seed", [-1, 1.5])
+def test_monte_carlo_rejects_base_seed(base_seed):
+    with pytest.raises(ConfigurationError, match="base_seed"):
+        monte_carlo(tiny_config(steps=4), 1, base_seed=base_seed,
+                    timing_mode="zero")
+
+
+@pytest.mark.parametrize("filters", [(), ("lmb", "nope"), iter(()), "lmb"],
+                         ids=["empty", "unknown", "empty-iterator", "string"])
+def test_monte_carlo_rejects_filters(filters, monkeypatch):
+    # Checked before any run, though the first filter is valid.
+    monkeypatch.setattr(harness, "run_filter", None)
+    with pytest.raises(UsageError, match="filters"):
+        monte_carlo(tiny_config(steps=4), 1, filters=filters,
+                    timing_mode="zero")
+
+
+def test_monte_carlo_takes_filters_from_an_iterator():
+    rows = monte_carlo(tiny_config(steps=4), 1, filters=iter(["lmb"]),
+                       timing_mode="zero")
+    assert [row["filter"] for row in rows] == ["lmb"] * 4
 
 
 def test_rows_round_trip(tiny_rows, tmp_path):

@@ -1,6 +1,6 @@
 """Import hygiene of the package: every module uses what it imports,
-every function reads every parameter it takes, and every public name
-resolves."""
+every function reads every parameter it takes, every top-level function
+and class is used, and every public name resolves."""
 
 import ast
 from pathlib import Path
@@ -87,6 +87,62 @@ def test_unread_parameter_is_reported():
     assert unread_parameters(source) == [
         (1, "f", "args"), (1, "f", "b"), (1, "f", "c"),
         (5, "<lambda>", "y")]
+
+
+def unreferenced_definitions(sources):
+    """``(module, name)`` of every top-level function or class that no
+    module reads outside its own definition.
+
+    ``sources`` maps module file names to their text.  A read is a name,
+    an attribute, an entry of ``__all__`` or an import in
+    ``__init__.py``.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)):
+                own = top.name
+                defined.append((module, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom) \
+                        and module == "__init__.py":
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets):
+                    names = ast.literal_eval(node.value)
+                else:
+                    continue
+                read.update(name for name in names if name != own)
+    return sorted((module, name) for module, name in defined
+                  if name not in read)
+
+
+def test_every_definition_is_used():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unreferenced_definitions(sources) == []
+
+
+def test_unused_definition_is_reported():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("def exported():\n    return helper()\n"
+                 "def helper():\n    return 1\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 "class Unused:\n    def make(self):\n"
+                 "        return Unused()\n"),
+        "b.py": ("from .a import helper\n__all__ = ['listed']\n"
+                 "def listed():\n    pass\n"
+                 "def dead():\n    pass\n"),
+    }
+    assert unreferenced_definitions(sources) == [
+        ("a.py", "Unused"), ("a.py", "recursive"), ("b.py", "dead")]
 
 
 def test_public_names_resolve():

@@ -8,14 +8,19 @@ import numpy as np
 import pytest
 
 from almbtrack import (BirthEntry, ConfigurationError,
-                       DensityGroup, DglmbDensity, Hypothesis, Label,
+                       DensityGroup, DglmbDensity, GaussianComponent,
+                       GaussianMixture, Hypothesis, Label,
                        LmbDensity, Mode, MultiObjectTracker, PipelineConfig,
                        RepresentationState, Track, Trigger, UsageError,
-                       dglmb_to_lmb, lmb_to_dglmb)
-from almbtrack.pipeline import (CAP, GATE_SQ, extract_tracks,
-                                gate_measurements, inject_birth, merge_groups,
-                                pipeline_step, prune_group, split_group,
-                                update_group)
+                       association_entropy, builtin_scenario, decide_switch,
+                       dglmb_to_lmb, generate_measurements, generate_truth,
+                       kl_criterion, lmb_to_dglmb, lmb_update)
+from almbtrack import pipeline
+from almbtrack.harness import run_filter
+from almbtrack.pipeline import (CAP, GATE_SQ, _reduce_lmb, _within,
+                                extract_tracks, gate_measurements,
+                                inject_birth, merge_groups, pipeline_step,
+                                prune_group, split_group, update_group)
 
 from conftest import cv_motion, position_sensor, single
 
@@ -447,3 +452,197 @@ def test_tracker_locks_onto_clean_target():
             assert len(extracted) == 1
             errs.append(np.linalg.norm(extracted[0][1][:2] - true_pos))
     assert np.mean(errs) < 2.0
+
+
+# The closed-form update of one-track LMB groups against the generic
+# path it replaces, bit for bit.
+
+def generic_update(group, measurements, sensor, config):
+    """``update_group`` of an LMB group through the delta-GLMB update:
+    expansion, update, both criteria, the automaton and the reduction."""
+    result = lmb_update(group.density, measurements, sensor, cap=CAP,
+                        gate_sq=GATE_SQ)
+    kl = kl_criterion(result.full.posterior)
+    entropy = association_entropy(result.full.assoc_marginals)
+    state = decide_switch(group.state, kl, entropy, config)
+    if state.mode is Mode.DGLMB:
+        value = {Trigger.KL: kl, Trigger.ENTROPY: entropy}.get(
+            state.trigger, 0.0)
+        return (dataclasses.replace(group, density=result.full.posterior,
+                                    state=state, criterion_value=value),
+                kl, entropy)
+    return (dataclasses.replace(group, density=_reduce_lmb(result.approx),
+                                state=state, criterion_value=0.0),
+            kl, entropy)
+
+
+def assert_same_mixture(a, b):
+    assert len(a.components) == len(b.components)
+    for ca, cb in zip(a.components, b.components):
+        assert ca.weight == cb.weight
+        assert np.array_equal(ca.mean, cb.mean)
+        assert np.array_equal(ca.covariance, cb.covariance)
+
+
+def assert_same_update(fast, slow):
+    (g, kl, entropy), (h, kl_ref, entropy_ref) = fast, slow
+    assert kl == kl_ref and entropy == entropy_ref
+    assert g.state == h.state and g.criterion_value == h.criterion_value
+    assert type(g.density) is type(h.density)
+    if isinstance(h.density, LmbDensity):
+        assert g.density.labels() == h.density.labels()
+        for label, track in h.density.tracks.items():
+            assert g.density.tracks[label].existence == track.existence
+            assert_same_mixture(g.density.tracks[label].spatial,
+                                track.spatial)
+        return
+    assert g.density.label_space == h.density.label_space
+    assert len(g.density.hypotheses) == len(h.density.hypotheses)
+    for a, b in zip(g.density.hypotheses, h.density.hypotheses):
+        assert a.labels == b.labels and a.weight == b.weight
+        for label in b.labels:
+            assert_same_mixture(a.spatial[label], b.spatial[label])
+
+
+def one_track(existence, components):
+    label = Label(1, 0)
+    weights = [0.6, 0.3, 0.1][:components]
+    gm = GaussianMixture([
+        GaussianComponent(w / sum(weights), [3.0 * i, -2.0 * i, 1.0, 0.5],
+                          (80.0 + 20.0 * i) * np.eye(4))
+        for i, w in enumerate(weights)])
+    return DensityGroup(LmbDensity({label: Track(label, existence, gm)}))
+
+
+# Three measurements inside the gate, two of them identical (their Kalman
+# posteriors consolidate), and one far outside it.
+SCANS = [[], [[5.0, 3.0]],
+         [[5.0, 3.0], [-8.0, 12.0], [-8.0, 12.0], [400.0, 0.0]]]
+NEVER = PipelineConfig(kl_threshold=np.inf, entropy_threshold=np.inf)
+
+
+@pytest.mark.parametrize("config", [CFG, NEVER], ids=["almb", "lmb"])
+@pytest.mark.parametrize("components", [1, 3])
+@pytest.mark.parametrize("scan", SCANS, ids=["gated0", "gated1", "gated3"])
+@pytest.mark.parametrize("p_d", [0.0, 0.9, 1.0])
+@pytest.mark.parametrize("existence", [0.02, 0.5, 0.9, 1.0 - 1e-12, 1.0])
+def test_one_track_update_matches_generic_path(existence, p_d, scan,
+                                               components, config):
+    sensor = position_sensor(10.0, p_d, 1.25e-5)
+    fast = update_group(one_track(existence, components), scan, sensor,
+                        config)
+    slow = generic_update(one_track(existence, components), scan, sensor,
+                          config)
+    assert_same_update(fast, slow)
+
+
+def test_one_track_update_keeps_the_quota_truncation():
+    # At existence 0.02 the present hypothesis may keep only
+    # ceil(50 * 0.02) + 1 = 2 of its five options (miss and four hits).
+    scan = [[5.0, 3.0], [-8.0, 12.0], [2.0, -6.0], [11.0, 9.0]]
+    sensor = position_sensor(10.0, 0.9, 1.25e-5)
+    fast = update_group(one_track(0.02, 1), scan, sensor, CFG)
+    slow = generic_update(one_track(0.02, 1), scan, sensor, CFG)
+    assert_same_update(fast, slow)
+    full = lmb_update(one_track(0.02, 1).density, scan, sensor, cap=CAP,
+                      gate_sq=GATE_SQ).full.posterior
+    assert sum(1 for h in full.hypotheses if h.labels) == 2
+
+
+def test_one_track_update_ranks_many_measurements_like_murty():
+    # Above 16 gated measurements the ranked assignments run Murty's
+    # algorithm; identical measurements tie and keep index order.
+    rng = np.random.default_rng(7)
+    scan = [list(z) for z in rng.normal(0.0, 8.0, (16, 2))]
+    scan += [scan[3], scan[3], scan[10]]
+    sensor = position_sensor(10.0, 0.9, 1.25e-5)
+    for existence in (0.05, 0.9):
+        fast = update_group(one_track(existence, 3), scan, sensor, CFG)
+        slow = generic_update(one_track(existence, 3), scan, sensor, CFG)
+        assert_same_update(fast, slow)
+
+
+def test_one_track_update_switches_on_entropy():
+    # Two equally likely sources split the association marginals; a
+    # single track's KL criterion stays at zero.
+    scan = [[10.0, 0.0], [-10.0, 0.0]]
+    fast = update_group(one_track(0.9, 1), scan, SENSOR, CFG)
+    slow = generic_update(one_track(0.9, 1), scan, SENSOR, CFG)
+    assert_same_update(fast, slow)
+    group, kl, entropy = fast
+    assert kl <= CFG.kl_threshold < entropy
+    assert group.state == RepresentationState(Mode.DGLMB, Trigger.ENTROPY)
+    assert group.criterion_value == entropy
+
+
+def test_lmb_filter_sends_only_multi_track_groups_to_lmb_update(monkeypatch):
+    config = builtin_scenario("two-target")
+    scans = generate_measurements(generate_truth(config), config,
+                                  np.random.default_rng(2025))[:30]
+    seen, one_track_updates = [], []
+    real_lmb_update, real_update_group = pipeline.lmb_update, \
+        pipeline.update_group
+
+    def spy_lmb_update(lmb, *args, **kwargs):
+        seen.append(len(lmb.tracks))
+        return real_lmb_update(lmb, *args, **kwargs)
+
+    def spy_update_group(group, *args):
+        if isinstance(group.density, LmbDensity) \
+                and len(group.density.tracks) == 1:
+            one_track_updates.append(group)
+        return real_update_group(group, *args)
+
+    monkeypatch.setattr(pipeline, "lmb_update", spy_lmb_update)
+    monkeypatch.setattr(pipeline, "update_group", spy_update_group)
+    run_filter("lmb", scans, config)
+    assert one_track_updates
+    assert all(n >= 2 for n in seen)
+
+
+def close_pair(a, b, limit):
+    # The per-pair cover and split test the stacked one replaced.
+    d = a[0] - b[0]
+    return float(d @ np.linalg.solve(0.5 * (a[1] + b[1]), d)) < limit
+
+
+def random_sites(rng, n):
+    sites = []
+    for _ in range(n):
+        A = rng.normal(0.0, 6.0, (2, 2))
+        sites.append((rng.normal(0.0, 40.0, 2), A @ A.T + 50.0 * np.eye(2)))
+    return sites
+
+
+def test_stacked_cover_test_is_exact(rng):
+    for _ in range(200):
+        tracks = random_sites(rng, int(rng.integers(1, 12)))
+        z, S = map(np.array, zip(*tracks))
+        site = random_sites(rng, 1)[0]
+        for limit in (GATE_SQ, 4.0 * GATE_SQ):
+            expected = [close_pair(t, site, limit) for t in tracks]
+            assert list(_within(z, S, *site, limit)) == expected
+        # A limit at one pair's exact distance, and one ulp above it,
+        # separates a quadratic form that is off by a single bit.
+        d = tracks[0][0] - site[0]
+        exact = float(d @ np.linalg.solve(0.5 * (tracks[0][1] + site[1]), d))
+        for limit in (exact, np.nextafter(exact, np.inf)):
+            assert _within(z, S, *site, limit)[0] == \
+                close_pair(tracks[0], site, limit)
+
+
+def test_stacked_split_test_is_exact(rng):
+    for _ in range(100):
+        sites = random_sites(rng, int(rng.integers(2, 10)))
+        z, S = map(np.array, zip(*sites))
+        i, k = np.triu_indices(len(sites), 1)
+        for limit in (GATE_SQ, 4.0 * GATE_SQ):
+            expected = [close_pair(sites[a], sites[b], limit)
+                        for a, b in zip(i, k)]
+            assert list(_within(z[i], S[i], z[k], S[k], limit)) == expected
+
+
+def test_update_of_an_empty_lmb_group_takes_the_generic_path():
+    new, kl, entropy = update_group(DensityGroup(LmbDensity()), [[1.0, 0.0]],
+                                    SENSOR, CFG)
+    assert new.density.tracks == {} and kl == 0.0 and entropy == 0.0
