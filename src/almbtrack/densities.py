@@ -10,27 +10,34 @@ distributions they induce live here.
 import heapq
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import UsageError
-from .gaussian import GaussianMixture
+from .gaussian import GaussianMixture, _component
 
 # Existence probabilities of exactly one are clamped so hypothesis
 # weights (products of r and 1 - r) stay finite.
 _R_CLAMP = 1.0 - 1e-9
 
 
-@dataclass(frozen=True, order=True)
-class Label:
-    """Track label: birth scan index plus a per-scan counter."""
+class Label(tuple):
+    """Track label: birth scan index plus a per-scan counter, a pair tuple
+    that hashes, compares and sorts as ``(birth_step, birth_index)``."""
 
-    birth_step: int
-    birth_index: int
+    birth_step, birth_index = property(itemgetter(0)), property(itemgetter(1))
+
+    def __new__(cls, birth_step, birth_index):
+        return tuple.__new__(cls, (birth_step, birth_index))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self):
-        return "L(%d,%d)" % (self.birth_step, self.birth_index)
+        return "L(%d,%d)" % self
 
 
 @dataclass(eq=False)
@@ -77,35 +84,68 @@ class Hypothesis:
             raise UsageError("hypothesis spatial map does not cover its labels")
 
 
-@dataclass(eq=False)
 class DglmbDensity:
-    """delta-GLMB density: label space plus weighted hypotheses.  It is
-    never modified, except that ``dglmb_to_lmb`` keeps its result in
-    ``_lmb``."""
+    """delta-GLMB density over a sorted label space, held in arrays:
+    ``index[h, k]`` is the position in the table ``mixtures`` of
+    hypothesis ``h``'s mixture for ``label_space[k]`` (-1 if absent;
+    within a column one mixture has one position) and ``w[h]`` is its
+    weight.  ``hypotheses`` views the rows as ``Hypothesis`` objects.  A
+    density is never modified, except that ``dglmb_to_lmb`` keeps its
+    result in ``_lmb``."""
 
-    label_space: tuple
-    hypotheses: list
-    _lmb: LmbDensity = field(default=None, init=False, repr=False)
+    def __init__(self, label_space, hypotheses):
+        label_space = tuple(sorted(label_space))
+        if any(not set(h.labels) <= set(label_space) for h in hypotheses):
+            raise UsageError("hypothesis uses labels outside the label space")
+        table = {}  # uid -> (position, mixture)
+        index = [[-1 if gm is None
+                  else table.setdefault(gm.uid, (len(table), gm))[0]
+                  for gm in map(h.spatial.get, label_space)]
+                 for h in hypotheses]
+        vars(self).update(vars(DglmbDensity.from_table(
+            label_space, [gm for _, gm in table.values()],
+            np.array(index, dtype=int).reshape(len(index), len(label_space)),
+            np.array([h.weight for h in hypotheses], dtype=float))))
 
-    def __post_init__(self):
-        self.label_space = tuple(sorted(self.label_space))
-        space = set(self.label_space)
-        for hyp in self.hypotheses:
-            if not set(hyp.labels) <= space:
-                raise UsageError("hypothesis uses labels outside the label space")
+    @classmethod
+    def from_table(cls, label_space, mixtures, index, w):
+        """The density of index rows into ``mixtures`` and their weights,
+        unchecked; its table keeps only the mixtures the rows use."""
+        used = np.zeros(len(mixtures) + 1, dtype=bool)
+        used[index] = True  # -1 marks the spare last slot
+        if not used[:-1].all():
+            index = np.where(index >= 0, np.cumsum(used)[index] - 1, -1)
+            mixtures = [gm for gm, u in zip(mixtures, used) if u]
+        out = object.__new__(cls)
+        vars(out).update(label_space=label_space, mixtures=mixtures,
+                         index=index, w=w, _lmb=None)
+        return out
 
-    def weights(self):
-        return np.array([h.weight for h in self.hypotheses])
+    @property
+    def hypotheses(self):
+        return _Hypotheses(self)
 
     def normalized(self):
-        tot = float(self.weights().sum())
+        tot = float(self.w.sum())
         if tot <= 0.0:
             raise UsageError("hypothesis weights sum to zero")
-        return DglmbDensity(
-            self.label_space,
-            [Hypothesis(h.labels, h.weight / tot, h.spatial)
-             for h in self.hypotheses],
-        )
+        out = object.__new__(DglmbDensity)
+        vars(out).update(vars(self), w=self.w / tot, _lmb=None)
+        return out
+
+
+@dataclass
+class _Hypotheses(Sequence):
+    # The rows of a DglmbDensity as Hypothesis objects, built on access.
+    d: DglmbDensity
+
+    def __len__(self):
+        return len(self.d.w)
+
+    def __getitem__(self, h):
+        spatial = {label: self.d.mixtures[i] for label, i
+                   in zip(self.d.label_space, self.d.index[h]) if i >= 0}
+        return Hypothesis(tuple(spatial), self.d.w[h], spatial)
 
 
 def top_weighted_subsets(log_odds, limit):
@@ -173,12 +213,11 @@ def lmb_to_dglmb(lmb, max_hypotheses):
     labels = lmb.labels()
     subsets, w = expansion([lmb.tracks[lab].existence for lab in labels],
                            max_hypotheses)
-    hyps = []
-    for subset, weight in zip(subsets, w):
-        chosen = tuple(labels[i] for i in subset)
-        spatial = {lab: lmb.tracks[lab].spatial for lab in chosen}
-        hyps.append(Hypothesis(chosen, float(weight), spatial))
-    return DglmbDensity(tuple(labels), hyps)
+    index = np.array([[k if k in s else -1 for k in range(len(labels))]
+                      for s in subsets], dtype=int).reshape(len(subsets),
+                                                            len(labels))
+    return DglmbDensity.from_table(
+        tuple(labels), [lmb.tracks[lab].spatial for lab in labels], index, w)
 
 
 def dglmb_to_lmb(d):
@@ -191,25 +230,30 @@ def dglmb_to_lmb(d):
     """
     if d._lmb is not None:
         return d._lmb
-    weights = d.weights()
-    tot = float(weights.sum())
-    existence = {label: 0.0 for label in d.label_space}
-    parts = {label: [] for label in d.label_space}
-    for hyp in d.hypotheses:
-        w = hyp.weight / tot if tot > 0.0 else hyp.weight
-        for label in hyp.labels:
-            existence[label] += w
-            parts[label].append((w, hyp.spatial[label]))
-    d._lmb = LmbDensity({
-        label: Track(label, min(r, 1.0), mixture_average(parts[label], r))
-        for label, r in existence.items() if r > 0.0})
+    tot = float(d.w.sum())
+    w = (d.w / tot if tot > 0.0 else d.w).tolist()
+    tracks = {}
+    for label, column in zip(d.label_space, d.index.T.tolist()):
+        parts = [(wi, d.mixtures[i]) for wi, i in zip(w, column) if i >= 0]
+        r = 0.0
+        for wi, _ in parts:
+            r += wi
+        if r > 0.0:
+            tracks[label] = Track(label, min(r, 1.0),
+                                  mixture_average(parts, r))
+    d._lmb = LmbDensity(tracks)
     return d._lmb
 
 
 def mixture_average(parts, total):
     """The sum of ``w / total`` times each normalized mixture ``gm``."""
-    return GaussianMixture([c for w, gm in parts for c in gm.scaled(
-        w / (total * gm.total_weight())).components])
+    components = []
+    for w, gm in parts:
+        factor = w / (total * gm.total_weight())
+        components += [_component(float(c.weight * factor), c.mean,
+                                  c.covariance, c._innovation_terms)
+                       for c in gm.components]
+    return GaussianMixture(components)
 
 
 def lmb_cardinality(lmb):
@@ -223,8 +267,6 @@ def lmb_cardinality(lmb):
 
 def dglmb_cardinality(d):
     """Cardinality pmf of a delta-GLMB density (weight sums by |I|)."""
-    rho = np.zeros(len(d.label_space) + 1)
-    for hyp in d.hypotheses:
-        rho[len(hyp.labels)] += hyp.weight
-    return rho
-
+    # bincount adds in hypothesis order.
+    return np.bincount((d.index >= 0).sum(axis=1), d.w,
+                       len(d.label_space) + 1).astype(float, copy=False)

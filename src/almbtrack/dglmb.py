@@ -5,7 +5,8 @@ expands each hypothesis over ranked association maps.
 All weight arithmetic runs in the log domain.  Hypotheses that end up
 with the same label set and the same per-label spatial densities (same
 mixture provenance, or numerically indistinguishable after their Kalman
-chains converged) are merged by summing weights.
+chains converged) are merged by summing weights.  Children are rows of
+mixture-table positions, as in ``DglmbDensity``, with log weights.
 """
 
 import math
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import ranked_assignments
-from .densities import (DglmbDensity, Hypothesis, expansion,
-                        top_weighted_subsets)
+from .densities import DglmbDensity, expansion, top_weighted_subsets
 from .errors import NumericalError
 from .gaussian import gm_kalman_update_log, gm_predict, mahalanobis_sq
 
@@ -34,108 +34,143 @@ class UpdateOutput:
     labels: tuple
 
 
-def _dedup(entries):
-    """Merge entries with identical label sets and spatial provenance.
+def _ranking(rows, values):
+    """Stable order of ``rows`` by descending ``values``, ties broken by
+    label set as tuples of sorted labels compare."""
+    keys = [-v for v in values]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if any(keys[a] == keys[b] for a, b in zip(order, order[1:])):
+        keys = [(key, [k for k, i in enumerate(row) if i >= 0])
+                for key, row in zip(keys, rows)]
+        order.sort(key=keys.__getitem__)
+    return order
 
-    ``entries`` are tuples ``(labels, log_w, spatial, extra)``; weights of
-    merged entries add up, the first occurrence keeps its ``extra``.
-    """
-    merged = {}
-    order = []
-    for labels, log_w, spatial, extra in entries:
-        key = (labels, tuple(spatial[lab].uid for lab in labels))
-        if key in merged:
-            prev = merged[key]
-            merged[key] = (labels, np.logaddexp(prev[1], log_w), spatial, prev[3])
-        else:
-            merged[key] = (labels, log_w, spatial, extra)
-            order.append(key)
-    return [merged[key] for key in order]
+
+def _dedup(rows, log_w):
+    """The positions of the first of each distinct row, in order, and
+    their log weights merged by ``logaddexp`` in row order."""
+    first, merged = {}, {}
+    for e, (key, lw) in enumerate(zip(map(tuple, rows), log_w)):
+        e = first.setdefault(key, e)
+        merged[e] = np.logaddexp(merged[e], lw) if e in merged else lw
+    return list(merged), list(merged.values())
 
 
 _CONSOLIDATE_ATOL = 1e-2
 
 
-def _signature(labels, spatial):
-    """Flat vector of all component weights, means and covariances, in
-    label then component order."""
-    parts = []
-    for lab in labels:
-        for c in spatial[lab].components:
-            parts.append((c.weight,))
-            parts.append(c.mean)
-            parts.append(c.covariance.ravel())
-    if not parts:
-        return np.zeros(0)
-    return np.concatenate(parts)
+def _signatures(mixtures):
+    """One row per mixture, all of one shape: the component weights,
+    means and covariances, in component order."""
+    comps = [c for gm in mixtures for c in gm.components]
+    return np.hstack([np.array([[c.weight] for c in comps]),
+                      np.array([c.mean for c in comps]),
+                      np.array([c.covariance.ravel() for c in comps])
+                      ]).reshape(len(mixtures), -1)
 
 
-def _consolidate(entries):
-    """Merge entries whose label sets match and whose spatial densities
-    coincide within ``_CONSOLIDATE_ATOL`` elementwise.
-
-    Association histories whose Kalman chains have converged are one
-    hypothesis for every future purpose; keeping them apart only burns
-    cap slots that should hold genuinely distinct alternatives.  The
-    heaviest entry of a cluster is the representative.
-    """
-    entries = sorted(entries, key=lambda e: (-(e[1]), e[0]))
-    kept = []
-    buckets = {}
-    for labels, log_w, spatial, extra in entries:
-        sig = _signature(labels, spatial)
-        key = (labels, sig.size)
-        bucket = buckets.get(key)
-        if bucket is None:
-            bucket = buckets[key] = [np.empty((8, sig.size)), 0, []]
-        buf, count, indices = bucket
-        hit = -1
-        if count:
-            close = np.abs(buf[:count] - sig).max(axis=1) <= _CONSOLIDATE_ATOL \
-                if sig.size else np.ones(count, dtype=bool)
-            where = np.flatnonzero(close)
-            if where.size:
-                hit = int(where[0])
-        if hit >= 0:
-            idx = indices[hit]
-            prev = kept[idx]
-            kept[idx] = (labels, np.logaddexp(prev[1], log_w), prev[2],
-                         prev[3])
-            continue
-        if count == buf.shape[0]:
-            bucket[0] = buf = np.vstack([buf, np.empty_like(buf)])
-        buf[count] = sig
-        bucket[1] = count + 1
-        indices.append(len(kept))
-        kept.append((labels, log_w, spatial, extra))
-    return kept
+def _close(mixtures, shared):
+    """``(k, k)`` mask of the pairs of ``mixtures``, all of one shape,
+    whose signatures are within ``_CONSOLIDATE_ATOL`` elementwise (on the
+    diagonal only where ``shared``); the first mean entry screens."""
+    x = np.array([gm.components[0].mean[0] for gm in mixtures])
+    near = np.abs(x[:, None] - x) <= _CONSOLIDATE_ATOL
+    near.flat[::len(x) + 1] = shared  # unless nan or inf, close to itself
+    a, b = np.nonzero(near)
+    if a.size:
+        S = _signatures(mixtures)
+        near[a, b] = np.abs(S[a] - S[b]).max(axis=1) <= _CONSOLIDATE_ATOL
+    return near
 
 
-def _finalize(entries, cap):
-    """Consolidate, cap and normalize log-weighted hypothesis entries;
-    returns the kept entries and their weights."""
-    entries = [e for e in _dedup(entries) if np.isfinite(e[1])]
-    if not entries:
+def _consolidate(rows, log_w, mixtures):
+    """Merge rows whose label sets match and whose spatial densities
+    coincide within ``_CONSOLIDATE_ATOL`` elementwise: association
+    histories whose Kalman chains converged are one hypothesis for every
+    future purpose.  Rows are visited heaviest first; each joins the first
+    representative of its bucket (label set and signature size) that it
+    is close to, label by label (by whole signatures where a label's
+    mixtures differ in shape), or becomes one.  Returns the
+    representatives, in visiting order, and their merged log weights."""
+    order = _ranking(rows, log_w)
+    log_w = list(log_w)
+    shapes = [(len(gm.components), gm.dim) for gm in mixtures]
+    # The signature sizes, which one label set fixes where all shapes
+    # agree; position -1 reads the trailing 0.
+    sizes = [c * (1 + d + d * d) for c, d in shapes] + [0]
+    buckets, rep, agree = {}, {}, len(set(shapes)) < 2
+    for e in order:
+        buckets.setdefault((tuple(i >= 0 for i in rows[e]), agree or sum(
+            sizes[i] for i in rows[e])), []).append(e)
+    for members in (m for m in buckets.values() if len(m) > 1):
+        close = np.ones((len(members), len(members)), dtype=bool)
+        for k in (k for k, i in enumerate(rows[members[0]]) if i >= 0):
+            slot = {}
+            inverse = [slot.setdefault(rows[e][k], len(slot))
+                       for e in members]
+            if len({shapes[i] for i in slot}) > 1:
+                S = np.array([np.concatenate([_signatures([mixtures[i]])[0]
+                                              for i in rows[e] if i >= 0])
+                              for e in members])
+                close = np.abs(S[:, None] - S).max(-1) <= _CONSOLIDATE_ATOL
+                break
+            mixture_close = _close([mixtures[i] for i in slot], [
+                inverse.count(g) > 1 for g in range(len(slot))])
+            close &= mixture_close if len(slot) == len(members) else \
+                mixture_close[np.ix_(inverse, inverse)]
+        # Row-major pairs: a row's earlier members are settled before it.
+        for a, b in zip(*np.nonzero(close)):
+            i, j = members[a], members[b]
+            if b < a and i not in rep and j not in rep:
+                rep[i] = j
+                log_w[j] = np.logaddexp(log_w[j], log_w[i])
+    kept = [e for e in order if e not in rep]
+    return kept, [log_w[e] for e in kept]
+
+
+def _finalize(rows, log_w, mixtures, cap):
+    """Consolidate, cap and normalize log-weighted rows (lists of table
+    positions); returns the kept rows' positions and their weights."""
+    keep, log_w = _dedup(rows, log_w)
+    finite = [(e, lw) for e, lw in zip(keep, log_w) if math.isfinite(lw)]
+    if not finite:
         raise NumericalError("all hypothesis weights vanished",
                              {"hypotheses": 0})
-    entries = _consolidate(entries)
-    # Sort by weight, breaking ties by label set for reproducibility.
-    entries.sort(key=lambda e: (-(e[1]), e[0]))
-    entries = entries[: int(cap)]
-    log_ws = np.array([e[1] for e in entries])
+    keep, log_w = zip(*finite)
+    kept, log_w = _consolidate([rows[e] for e in keep], log_w, mixtures)
+    keep = [keep[e] for e in kept]
+    # Sort by weight, breaking ties by label set for reproducibility; the
+    # rows are in that order already unless some merged.
+    if len(keep) < len(finite):
+        order = _ranking([rows[e] for e in keep], log_w)
+        keep, log_w = [keep[e] for e in order], [log_w[e] for e in order]
+    keep, log_ws = keep[: int(cap)], np.array(log_w[: int(cap)])
     top = log_ws.max()
     log_total = top + np.log(np.sum(np.exp(log_ws - top)))
-    return entries, np.exp(log_ws - log_total)
-
-
-def entry_density(label_space, entries, w):
-    """The delta-GLMB density of finalized entries and their weights."""
-    return DglmbDensity(label_space, [Hypothesis(e[0], float(wi), e[2])
-                                      for e, wi in zip(entries, w)])
+    return keep, np.exp(log_ws - log_total)
 
 
 def _per_hypothesis_quota(weights, cap):
     return [int(math.ceil(cap * w)) + 1 for w in weights]
+
+
+def _log_weights(w):
+    return [math.log(x) if x > 0 else -math.inf for x in w]
+
+
+def _survival_subsets(size, quota, p_s):
+    # The quota's best survivor subsets L of |I| = size labels and their
+    # log p_S**|L| (1-p_S)**(|I|-|L|).
+    if p_s >= 1.0:
+        return [(tuple(range(size)), 0.0)]
+    if p_s <= 0.0:
+        return [((), 0.0)]
+    lo = math.log(p_s) - math.log1p(-p_s)
+    # top_weighted_subsets reports weights relative to the best subset;
+    # shift back to absolute log p_S**|L| (1-p_S)**(|I|-|L|).
+    offset = size * (math.log1p(-p_s) + max(lo, 0.0))
+    return [(s, lw + offset) for s, lw in
+            top_weighted_subsets([lo] * size, quota)]
 
 
 def dglmb_predict(d, motion, cap):
@@ -146,38 +181,27 @@ def dglmb_predict(d, motion, cap):
     densities are Kalman-predicted.  ``cap`` bounds the number of
     retained children.  Births join the pipeline as groups of their own.
     """
-    p_s = motion.survival_prob
     d = d.normalized()
-
-    predicted = {}
-
-    def predict_gm(gm):
-        if gm.uid not in predicted:
-            predicted[gm.uid] = gm_predict(gm, motion)
-        return predicted[gm.uid]
-
-    quotas = _per_hypothesis_quota([h.weight for h in d.hypotheses], cap)
-    entries = []
-    for hyp, quota in zip(d.hypotheses, quotas):
-        labels = hyp.labels
-        log_w = math.log(hyp.weight) if hyp.weight > 0 else -np.inf
-        if p_s >= 1.0:
-            subsets = [(tuple(range(len(labels))), 0.0)]
-        elif p_s <= 0.0:
-            subsets = [((), 0.0)]
-        else:
-            lo = math.log(p_s) - math.log1p(-p_s)
-            # top_weighted_subsets reports weights relative to the best
-            # subset; shift back to absolute log p_S**|L| (1-p_S)**(|I|-|L|).
-            offset = len(labels) * (math.log1p(-p_s) + max(lo, 0.0))
-            subsets = [(s, lw + offset) for s, lw in
-                       top_weighted_subsets([lo] * len(labels), quota)]
-        for subset, log_surv in subsets:
-            # Labels and subsets are sorted, so the survivors are too.
-            kept = tuple(labels[i] for i in subset)
-            spatial = {lab: predict_gm(hyp.spatial[lab]) for lab in kept}
-            entries.append((kept, log_w + log_surv, spatial, None))
-    return entry_density(d.label_space, *_finalize(entries, cap))
+    subsets, rows, log_w = {}, [], []
+    for row, lw, quota in zip(d.index.tolist(), _log_weights(d.w.tolist()),
+                              _per_hypothesis_quota(d.w.tolist(), cap)):
+        labels = [k for k, i in enumerate(row) if i >= 0]
+        key = (len(labels), quota)
+        if key not in subsets:
+            subsets[key] = _survival_subsets(*key, motion.survival_prob)
+        for subset, log_surv in subsets[key]:
+            rows.append([-1] * len(row))
+            for r in subset:
+                rows[-1][labels[r]] = row[labels[r]]
+            log_w.append(lw + log_surv)
+    # Predict the mixtures the children use, in a table of their own.
+    used = list(dict.fromkeys(i for row in rows for i in row if i >= 0))
+    mixtures = [gm_predict(d.mixtures[i], motion) for i in used]
+    slot = {i: p for p, i in enumerate(used)}
+    rows = [[slot.get(i, -1) for i in row] for row in rows]
+    keep, w = _finalize(rows, log_w, mixtures, cap)
+    return DglmbDensity.from_table(d.label_space, mixtures, np.array(
+        [rows[e] for e in keep], dtype=int), w)
 
 
 def dglmb_update(d, measurements, sensor, cap, gate_sq):
@@ -199,48 +223,41 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
     Z = [np.asarray(z, dtype=float).reshape(-1) for z in measurements]
     m = len(Z)
     log_pd, log_qd, log_kappa = _log_factors(sensor)
-
-    cache = {}
-
-    def measurement_factor(gm, j):
-        key = (gm.uid, j)
-        if key not in cache:
-            cache[key] = _association(gm, Z[j], sensor, gate_sq, log_pd,
-                                      log_kappa)
-        return cache[key]
-
-    quotas = _per_hypothesis_quota([h.weight for h in d.hypotheses], cap)
-    entries = []
-    for hyp, quota in zip(d.hypotheses, quotas):
-        labels = hyp.labels
-        n = len(labels)
-        log_w = math.log(hyp.weight) if hyp.weight > 0 else -np.inf
-        cost = np.full((n, m + n), np.inf)
-        for i, lab in enumerate(labels):
-            gm = hyp.spatial[lab]
-            for j in range(m):
-                _, log_eta = measurement_factor(gm, j)
-                cost[i, j] = -log_eta
-            cost[i, m + i] = -log_qd
-        for theta, score in ranked_assignments(cost, quota):
-            spatial = {}
-            for i, lab in enumerate(labels):
-                if theta[i] == 0:
-                    spatial[lab] = hyp.spatial[lab]
-                else:
-                    spatial[lab] = cache[(hyp.spatial[lab].uid, theta[i] - 1)][0]
-            entries.append((labels, log_w - score, spatial,
-                            dict(zip(labels, theta))))
-    entries, w = _finalize(entries, cap)
+    # Each mixture's cost and posterior table position per measurement;
+    # a last position, its own, for a miss.
+    mixtures, cost, child = list(d.mixtures), [], []
+    for i, gm in enumerate(d.mixtures):
+        cost.append([])
+        child.append([])
+        for z in Z:
+            post, log_eta = _association(gm, z, sensor, gate_sq, log_pd,
+                                         log_kappa)
+            cost[i].append(-log_eta)
+            child[i].append(i if post is None else len(mixtures))
+            mixtures += [] if post is None else [post]
+        child[i].append(i)
+    rows, thetas, log_w = [], [], []
+    for row, lw, quota in zip(d.index.tolist(), _log_weights(d.w.tolist()),
+                              _per_hypothesis_quota(d.w.tolist(), cap)):
+        cols = [k for k, i in enumerate(row) if i >= 0]
+        matrix = np.array([cost[row[k]] + [np.inf] * r + [-log_qd] + [
+            np.inf] * (len(cols) - r - 1) for r, k in enumerate(cols)],
+            dtype=float).reshape(len(cols), m + len(cols))
+        for theta, score in ranked_assignments(matrix, quota):
+            rows.append(list(row))
+            for k, j in zip(cols, theta):
+                rows[-1][k] = child[row[k]][j - 1]
+            thetas.append(list(zip(cols, theta)))
+            log_w.append(lw - score)
+    keep, w = _finalize(rows, log_w, mixtures, cap)
     marginals = np.zeros((len(d.label_space), m))
-    row = {lab: i for i, lab in enumerate(d.label_space)}
-    for (labels, _, _, theta), wi in zip(entries, w):
-        for lab in labels:
-            j = theta[lab]
-            if j > 0:
-                marginals[row[lab], j - 1] += wi
-    return UpdateOutput(entry_density(d.label_space, entries, w), marginals,
-                        d.label_space)
+    for e, wi in zip(keep, w.tolist()):
+        for k, j in thetas[e]:
+            if j:
+                marginals[k, j - 1] += wi
+    return UpdateOutput(DglmbDensity.from_table(
+        d.label_space, mixtures, np.array([rows[e] for e in keep], dtype=int),
+        w), marginals, d.label_space)
 
 
 def _log_factors(sensor):
@@ -260,14 +277,15 @@ def _association(gm, z, sensor, gate_sq, log_pd, log_kappa):
 
 
 def one_track_update(track, measurements, sensor, cap, gate_sq):
-    """The finalized entries and weights of ``dglmb_update`` on the
-    expansion of a one-track LMB density, in closed form.
+    """``dglmb_update`` on the expansion of a one-track LMB density, in
+    closed form: ``(mixtures, index, theta, w)`` of the kept children,
+    with ``index`` of one label column and ``theta`` a list.
 
     The absent hypothesis has one child.  The present one has its miss
     and its gated measurements, ranked by (cost, theta) and cut at its
     quota as ``ranked_assignments`` ranks a one-row cost matrix; above 16
     measurements that is Murty's algorithm, which alone would put a miss
-    after a measurement of bit-equal cost.  Each entry's extra is theta.
+    after a measurement of bit-equal cost.
     """
     subsets, w = expansion([track.existence], cap)
     w = w / w.sum()  # DglmbDensity.normalized
@@ -277,25 +295,28 @@ def one_track_update(track, measurements, sensor, cap, gate_sq):
         post, log_eta = _association(track.spatial, z, sensor, gate_sq,
                                      log_pd, log_kappa)
         options.append((-log_eta, j + 1, post))
-    options.sort(key=lambda o: o[:2])  # forbidden (infinite) costs last
-    label, entries = track.label, []
-    for subset, wi, quota in zip(subsets, w, _per_hypothesis_quota(w, cap)):
-        log_w = math.log(wi) if wi > 0 else -np.inf
-        entries += [((label,), log_w - score, {label: gm}, theta)
-                    for score, theta, gm in options[:quota]
-                    if np.isfinite(score)] if subset else [((), log_w, {}, 0)]
-    return _finalize(entries, cap)
+    # Forbidden (infinite) costs would rank last; none is kept.
+    options = sorted((o for o in options if math.isfinite(o[0])),
+                     key=lambda o: o[:2])
+    mixtures, rows = [gm for _, _, gm in options], []
+    for subset, log_w, quota in zip(subsets, _log_weights(w),
+                                    _per_hypothesis_quota(w, cap)):
+        # (table position, theta, log weight) of each child.
+        rows += [(p, theta, log_w - score) for p, (score, theta, _)
+                 in enumerate(options[:quota])] if subset else [(-1, 0, log_w)]
+    keep, w = _finalize([row[:1] for row in rows], [row[2] for row in rows],
+                        mixtures, cap)
+    return (mixtures, np.array([rows[e][:1] for e in keep], dtype=int),
+            [rows[e][1] for e in keep], w)
 
 
 def dglmb_prune(d, weight_threshold, cap):
     """Drop hypotheses at or below ``weight_threshold``, keep the ``cap``
     heaviest, renormalize.  The heaviest hypothesis always survives."""
-    hyps = sorted(d.hypotheses, key=lambda h: (-h.weight, h.labels))
-    kept = [h for h in hyps if h.weight > weight_threshold]
-    if not kept:
-        kept = hyps[:1]
-    kept = kept[: int(cap)]
-    tot = sum(h.weight for h in kept)
-    return DglmbDensity(
-        d.label_space,
-        [Hypothesis(h.labels, h.weight / tot, h.spatial) for h in kept])
+    w = d.w.tolist()
+    order = _ranking(d.index.tolist(), w)
+    kept = ([h for h in order if w[h] > weight_threshold] or order[:1])[
+        : int(cap)]
+    tot = sum(w[h] for h in kept)
+    return DglmbDensity.from_table(d.label_space, d.mixtures, d.index[kept],
+                                   np.array([w[h] / tot for h in kept]))

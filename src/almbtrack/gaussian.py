@@ -328,7 +328,10 @@ def gm_reduce(gm, prune_threshold, merge_threshold, max_components):
     into one; at most ``max_components`` heaviest results are kept.  If
     pruning removes everything the single heaviest original component is
     returned with weight one.  Merging preserves the mixture mean exactly.
+    A one-component mixture merges with itself: it is only normalized.
     """
+    if len(gm.components) == 1:
+        return gm.normalized()
     norm = gm.normalized()
     keep = [c for c in norm.components if c.weight >= prune_threshold]
     if not keep:

@@ -127,11 +127,17 @@ def read_rows(path):
         rows = []
         for raw in reader:
             row = dict(raw)
-            for name in ("run", "k", "n_est", "n_true", "n_lmb_groups",
-                         "n_dglmb_groups"):
-                row[name] = int(row[name])
-            for name in ("ospat_m", "step_time_s", "max_kl", "max_entropy"):
-                row[name] = float(row[name])
+            try:
+                for name in ("run", "k", "n_est", "n_true", "n_lmb_groups",
+                             "n_dglmb_groups"):
+                    row[name] = int(row[name])
+                for name in ("ospat_m", "step_time_s", "max_kl",
+                             "max_entropy"):
+                    row[name] = float(row[name])
+            except (TypeError, ValueError):
+                raise UsageError("%s line %d, column %s: %r is not a valid "
+                                 "value" % (path, reader.line_num, name,
+                                            row[name])) from None
             rows.append(row)
         return rows
 
@@ -150,6 +156,11 @@ def write_plotdata(rows, out_dir):
     filters = [name for name in FILTER_NAMES
                if any(row["filter"] == name for row in rows)]
     steps = sorted({row["k"] for row in rows})
+    missing = {(k, name) for k in steps for name in filters} - {
+        (row["k"], row["filter"]) for row in rows}
+    if missing:
+        raise UsageError("results have no row for scan %d of filter %s"
+                         % min(missing))
     written = []
     for field_name, filename in (("ospat_m", "ospat_mean.csv"),
                                  ("step_time_s", "step_time_mean.csv")):

@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .densities import (DglmbDensity, Hypothesis, Label, LmbDensity, Track,
-                        dglmb_to_lmb, lmb_to_dglmb, mixture_average)
+from .densities import (DglmbDensity, Label, LmbDensity, Track, dglmb_to_lmb,
+                        lmb_to_dglmb, mixture_average)
 from .dglmb import (_dedup, dglmb_predict, dglmb_prune, dglmb_update,
-                    entry_density, one_track_update)
+                    one_track_update)
 from .errors import UsageError, check_numbers
 from .gaussian import (GaussianMixture, gate_mask, gm_reduce,
                        innovation_terms, map_point, predicted_measurement)
@@ -207,14 +207,15 @@ def _union_lmb(members):
 def _cross_product(a, b):
     if set(a.label_space) & set(b.label_space):
         raise UsageError("label spaces of merged groups overlap")
-    hyps = []
-    for ha in a.hypotheses:
-        for hb in b.hypotheses:
-            spatial = dict(ha.spatial)
-            spatial.update(hb.spatial)
-            hyps.append(Hypothesis(ha.labels + hb.labels,
-                                   ha.weight * hb.weight, spatial))
-    merged = DglmbDensity(tuple(sorted(a.label_space + b.label_space)), hyps)
+    space = tuple(sorted(a.label_space + b.label_space))
+    # Row (i, j) joins a's row i and b's row j; b's table follows a's.
+    index = np.full((len(a.w), len(b.w), len(space)), -1)
+    index[:, :, [space.index(lab) for lab in a.label_space]] = a.index[:, None]
+    index[:, :, [space.index(lab) for lab in b.label_space]] = np.where(
+        b.index >= 0, b.index + len(a.mixtures), -1)
+    merged = DglmbDensity.from_table(
+        space, a.mixtures + b.mixtures, index.reshape(-1, len(space)),
+        (a.w[:, None] * b.w).ravel())
     return dglmb_prune(merged, DGLMB_PRUNE, CAP)
 
 
@@ -307,22 +308,23 @@ def _update_one_track(group, measurements, sensor, config):
     entries with the arithmetic of ``dglmb_update``, ``dglmb_cardinality``
     and ``dglmb_to_lmb``; only a group that switches gets a density."""
     (label, track), = group.density.tracks.items()
-    entries, w = one_track_update(track, measurements, sensor, CAP, GATE_SQ)
+    mixtures, index, theta, w = one_track_update(track, measurements, sensor,
+                                                 CAP, GATE_SQ)
     rho, marginals = np.zeros(2), np.zeros((1, len(measurements)))
     tot, r, parts = float(w.sum()), 0.0, []
-    for (labels, _, spatial, theta), wi in zip(entries, w):
-        rho[len(labels)] += wi
-        if labels:
+    for i, j, wi in zip(index[:, 0].tolist(), theta, w.tolist()):
+        rho[int(i >= 0)] += wi
+        if i >= 0:
             r += wi / tot
-            parts.append((wi / tot, spatial[label]))
-        if theta:
-            marginals[0, theta - 1] += wi
+            parts.append((wi / tot, mixtures[i]))
+        if j:
+            marginals[0, j - 1] += wi
     existence = min(r, 1.0)
     kl = cardinality_kl(rho, np.array([1.0 - existence, existence]))
     entropy = association_entropy(marginals)
     state = decide_switch(group.state, kl, entropy, config)
     if state.mode is Mode.DGLMB:
-        density = entry_density((label,), entries, w)
+        density = DglmbDensity.from_table((label,), mixtures, index, w)
     else:
         density = _reduce_lmb(LmbDensity({label: Track(
             label, existence, mixture_average(parts, r))} if r > 0.0 else {}))
@@ -330,17 +332,15 @@ def _update_one_track(group, measurements, sensor, config):
 
 
 def _drop_labels(density, doomed):
-    hyps = []
-    for h in density.hypotheses:
-        labels = tuple(lab for lab in h.labels if lab not in doomed)
-        spatial = {lab: h.spatial[lab] for lab in labels}
-        hyps.append((labels, np.log(max(h.weight, 1e-300)), spatial, None))
-    space = tuple(lab for lab in density.label_space if lab not in doomed)
-    merged = _dedup(hyps)
-    total = sum(np.exp(lw) for _, lw, _, _ in merged)
-    return DglmbDensity(space, [
-        Hypothesis(labels, float(np.exp(lw) / total), spatial)
-        for labels, lw, spatial, _ in merged])
+    columns = [k for k, lab in enumerate(density.label_space)
+               if lab not in doomed]
+    index = density.index[:, columns]
+    first, log_w = _dedup(index.tolist(),
+                          np.log(np.maximum(density.w, 1e-300)).tolist())
+    weights = np.exp(np.array(log_w))
+    return DglmbDensity.from_table(
+        tuple(density.label_space[k] for k in columns), density.mixtures,
+        index[first], weights / np.cumsum(weights)[-1])
 
 
 def prune_group(group):
@@ -410,31 +410,31 @@ def _marginalize(density, member_labels):
     a label's spatial density becomes the weight-average of its parent
     spatials when contributors disagree.
     """
-    buckets = {}
-    order = []
-    for h in density.hypotheses:
-        key = tuple(lab for lab in h.labels if lab in member_labels)
-        if key not in buckets:
-            buckets[key] = [0.0, {lab: [] for lab in key}]
-            order.append(key)
-        buckets[key][0] += h.weight
-        for lab in key:
-            buckets[key][1][lab].append((h.weight, h.spatial[lab]))
-    hyps = []
-    for key in order:
-        weight, parts = buckets[key]
-        spatial = {}
-        for lab in key:
-            uids = {gm.uid for _, gm in parts[lab]}
-            if len(uids) == 1:
-                spatial[lab] = parts[lab][0][1]
-            else:
-                spatial[lab] = gm_reduce(mixture_average(parts[lab], weight),
-                                         GM_PRUNE, GM_MERGE, GM_CAP)
-        hyps.append(Hypothesis(key, weight, spatial))
-    total = sum(h.weight for h in hyps)
-    return DglmbDensity(tuple(sorted(member_labels)), [
-        Hypothesis(h.labels, h.weight / total, h.spatial) for h in hyps])
+    columns = [k for k, lab in enumerate(density.label_space)
+               if lab in member_labels]
+    sub = density.index[:, columns]
+    # Child c collects the rows whose restriction has its label set.
+    child = {}
+    rows = np.array([child.setdefault(key.tobytes(), len(child))
+                     for key in sub >= 0])
+    weight = np.zeros(len(child))
+    np.add.at(weight, rows, density.w)
+    mixtures = list(density.mixtures)
+    index = np.full((len(child), len(columns)), -1)
+    first = np.unique(rows, return_index=True)[1]
+    for c, k in zip(*np.nonzero(sub[first] >= 0)):
+        used = sub[rows == c, k]
+        if (used == used[0]).all():
+            index[c, k] = used[0]
+        else:
+            index[c, k] = len(mixtures)
+            mixtures.append(gm_reduce(mixture_average(
+                zip(density.w[rows == c].tolist(),
+                    [density.mixtures[i] for i in used]), weight[c]),
+                GM_PRUNE, GM_MERGE, GM_CAP))
+    return DglmbDensity.from_table(
+        tuple(sorted(member_labels)), mixtures, index,
+        weight / sum(weight.tolist()))
 
 
 def extract_tracks(groups, threshold):

@@ -185,3 +185,138 @@ def random_lmb_instance(rng, max_tracks=3, max_measurements=4, dim=2):
         base = centers[int(rng.integers(0, n))]
         measurements.append(base + rng.normal(0.0, 3.0, dim))
     return LmbDensity(tracks), measurements
+
+
+# Object-loop references of the array-backed delta-GLMB operations.  Each
+# walks ``density.hypotheses`` one Hypothesis at a time and adds in
+# hypothesis order, as the operations did before their densities became
+# index arrays; the array versions must match them bit for bit.
+
+def ref_mixture_average(parts, total):
+    """(weight, mean, covariance) of every component of
+    ``sum(w / total * gm / gm.total_weight())``."""
+    return [(c.weight * (w / (total * gm.total_weight())), c.mean,
+             c.covariance) for w, gm in parts for c in gm.components]
+
+
+def ref_dglmb_to_lmb(d):
+    """label -> (existence, components) of the LMB collapse."""
+    hyps = list(d.hypotheses)
+    tot = float(np.array([h.weight for h in hyps]).sum())
+    existence = {lab: 0.0 for lab in d.label_space}
+    parts = {lab: [] for lab in d.label_space}
+    for h in hyps:
+        w = h.weight / tot if tot > 0.0 else h.weight
+        for lab in h.labels:
+            existence[lab] += w
+            parts[lab].append((w, h.spatial[lab]))
+    return {lab: (min(r, 1.0), ref_mixture_average(parts[lab], r))
+            for lab, r in existence.items() if r > 0.0}
+
+
+def ref_dglmb_cardinality(d):
+    rho = np.zeros(len(d.label_space) + 1)
+    for h in d.hypotheses:
+        rho[len(h.labels)] += h.weight
+    return rho
+
+
+def ref_dglmb_prune(hyps, weight_threshold, cap):
+    """``dglmb_prune`` of a list of (labels, weight, spatial)."""
+    hyps = sorted(hyps, key=lambda h: (-h[1], h[0]))
+    kept = [h for h in hyps if h[1] > weight_threshold] or hyps[:1]
+    kept = kept[: int(cap)]
+    tot = sum(h[1] for h in kept)
+    return [(labels, w / tot, spatial) for labels, w, spatial in kept]
+
+
+def ref_cross_product(a, b, weight_threshold, cap):
+    hyps = []
+    for ha in a.hypotheses:
+        for hb in b.hypotheses:
+            spatial = dict(ha.spatial)
+            spatial.update(hb.spatial)
+            hyps.append((tuple(sorted(ha.labels + hb.labels)),
+                         ha.weight * hb.weight, spatial))
+    return ref_dglmb_prune(hyps, weight_threshold, cap)
+
+
+def ref_dedup(entries):
+    """First occurrences of (labels, mixture uids), log weights merged."""
+    merged, order = {}, []
+    for labels, log_w, spatial in entries:
+        key = (labels, tuple(spatial[lab].uid for lab in labels))
+        if key in merged:
+            prev = merged[key]
+            merged[key] = (labels, np.logaddexp(prev[1], log_w), spatial)
+        else:
+            merged[key] = (labels, log_w, spatial)
+            order.append(key)
+    return [merged[key] for key in order]
+
+
+def ref_drop_labels(d, doomed):
+    hyps = []
+    for h in d.hypotheses:
+        labels = tuple(lab for lab in h.labels if lab not in doomed)
+        hyps.append((labels, np.log(max(h.weight, 1e-300)),
+                     {lab: h.spatial[lab] for lab in labels}))
+    merged = ref_dedup(hyps)
+    total = sum(np.exp(lw) for _, lw, _ in merged)
+    return [(labels, float(np.exp(lw) / total), spatial)
+            for labels, lw, spatial in merged]
+
+
+def ref_marginalize(d, member_labels, reduce):
+    """Restriction to ``member_labels``; a label whose contributors
+    disagree gets ``reduce`` of their (weight, mixture) parts and summed
+    weight."""
+    buckets, order = {}, []
+    for h in d.hypotheses:
+        key = tuple(lab for lab in h.labels if lab in member_labels)
+        if key not in buckets:
+            buckets[key] = [0.0, {lab: [] for lab in key}]
+            order.append(key)
+        buckets[key][0] += h.weight
+        for lab in key:
+            buckets[key][1][lab].append((h.weight, h.spatial[lab]))
+    hyps = []
+    for key in order:
+        weight, parts = buckets[key]
+        spatial = {}
+        for lab in key:
+            if len({gm.uid for _, gm in parts[lab]}) == 1:
+                spatial[lab] = parts[lab][0][1]
+            else:
+                spatial[lab] = reduce(parts[lab], weight)
+        hyps.append((key, weight, spatial))
+    total = sum(h[1] for h in hyps)
+    return [(labels, w / total, spatial) for labels, w, spatial in hyps]
+
+
+def signature(labels, spatial):
+    """Component weights, means and covariances of every label's mixture,
+    concatenated in label then component order."""
+    parts = [np.concatenate(([c.weight], c.mean, c.covariance.ravel()))
+             for lab in labels for c in spatial[lab].components]
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def ref_consolidate(entries, atol):
+    """Greedy merge of (labels, log_w, spatial, key) entries, heaviest
+    first, into the first earlier representative with the same label set
+    and signature size whose signature is within ``atol`` elementwise."""
+    kept = []
+    for labels, log_w, spatial, key in sorted(
+            entries, key=lambda e: (-e[1], e[0])):
+        sig = signature(labels, spatial)
+        for i, (k_labels, k_log_w, k_sig, k_key) in enumerate(kept):
+            if k_labels == labels and k_sig.size == sig.size and (
+                    sig.size == 0
+                    or np.abs(k_sig - sig).max() <= atol):
+                kept[i] = (k_labels, np.logaddexp(k_log_w, log_w), k_sig,
+                           k_key)
+                break
+        else:
+            kept.append((labels, log_w, sig, key))
+    return [(key, log_w) for _, log_w, _, key in kept]

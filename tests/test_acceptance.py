@@ -238,7 +238,7 @@ def test_05_update_matches_enumeration(rng):
         weights, existence, marginals, _ = brute_dglmb_update(prior, Z,
                                                               sensor)
         worst_w = max(worst_w, float(np.max(np.abs(
-            np.sort(out.posterior.weights()) - weights))))
+            np.sort(out.posterior.w) - weights))))
         row = {lab: i for i, lab in enumerate(out.labels)}
         for i, lab in enumerate(sorted(prior.label_space)):
             if len(Z):

@@ -78,10 +78,10 @@ def test_expand_general_products():
 def test_expand_cap_keeps_heaviest_and_renormalizes():
     d = lmb_to_dglmb(make_lmb([0.9, 0.8, 0.7]), max_hypotheses=3)
     assert len(d.hypotheses) == 3
-    assert d.weights().sum() == pytest.approx(1.0, abs=1e-12)
+    assert d.w.sum() == pytest.approx(1.0, abs=1e-12)
     # Heaviest subsets of {0.9, 0.8, 0.7}: all three (0.504), drop the
     # 0.7 one (0.216), drop the 0.8 one (0.126).
-    ordered = sorted(d.weights())[::-1]
+    ordered = sorted(d.w)[::-1]
     raw = np.array([0.504, 0.216, 0.126])
     np.testing.assert_allclose(ordered, raw / raw.sum(), atol=1e-12)
 
@@ -90,7 +90,7 @@ def test_expand_certain_track_clamped():
     d = lmb_to_dglmb(make_lmb([1.0]), CAP)
     w = hyp_map(d)
     assert w[(Label(0, 0),)] == pytest.approx(1.0, abs=1e-8)
-    assert d.weights().sum() == pytest.approx(1.0, abs=1e-12)
+    assert d.w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_collapse_single_certain_hypothesis():

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from almbtrack import (DglmbDensity, Hypothesis, Label, LmbDensity,
-                       SensorModel, Track, dglmb_predict, dglmb_prune,
-                       dglmb_update, lmb_to_dglmb)
+from almbtrack import (DglmbDensity, GaussianComponent, GaussianMixture,
+                       Hypothesis, Label, LmbDensity, SensorModel, Track,
+                       dglmb_predict, dglmb_prune, dglmb_update, lmb_to_dglmb)
+from almbtrack.dglmb import _CONSOLIDATE_ATOL, _consolidate
 from almbtrack.gaussian import MotionModel, gm_kalman_update_log
 from almbtrack.pipeline import DensityGroup, gate_measurements
 
 from conftest import CAP, cv_motion, random_mixture, scalar_sensor, single
 from oracles import (brute_dglmb_update, existence_from_dglmb,
-                     random_lmb_instance)
+                     random_lmb_instance, ref_consolidate)
 
 L0 = Label(0, 0)
 LB = Label(1, 0)
@@ -156,7 +157,7 @@ def test_update_matches_brute_force(rng):
         out = dglmb_update(prior, Z, sensor, cap=CAP, gate_sq=np.inf)
         weights, existence, marginals, means = brute_dglmb_update(
             prior, Z, sensor)
-        got = np.sort(out.posterior.weights())
+        got = np.sort(out.posterior.w)
         np.testing.assert_allclose(got, weights, atol=1e-9)
         labels = sorted(prior.label_space)
         for i, lab in enumerate(labels):
@@ -211,8 +212,59 @@ def test_capped_update_keeps_best_assignments(rng):
     prior = lmb_to_dglmb(lmb, CAP)
     full = dglmb_update(prior, Z, sensor, cap=CAP, gate_sq=np.inf)
     capped = dglmb_update(prior, Z, sensor, cap=4, gate_sq=np.inf)
-    w_full = np.sort(full.posterior.weights())[::-1]
-    w_capped = np.sort(capped.posterior.weights())[::-1]
+    w_full = np.sort(full.posterior.w)[::-1]
+    w_capped = np.sort(capped.posterior.w)[::-1]
     k = len(w_capped)
     np.testing.assert_allclose(w_capped, w_full[:k] / w_full[:k].sum(),
                                atol=1e-9)
+
+
+def both_consolidations(rows, log_w, mixtures):
+    """(kept row, merged log weight) pairs of ``_consolidate`` and of the
+    concatenated-signature reference."""
+    labels = [Label(0, k) for k in range(len(rows[0]))]
+    kept, merged = _consolidate(np.array(rows), log_w, mixtures)
+    entries = [(tuple(lab for lab, i in zip(labels, row) if i >= 0), lw,
+                {lab: mixtures[i] for lab, i in zip(labels, row) if i >= 0},
+                e) for e, (row, lw) in enumerate(zip(rows, log_w))]
+    return list(zip(kept, merged)), ref_consolidate(entries,
+                                                    _CONSOLIDATE_ATOL)
+
+
+def mixture(*components):
+    return GaussianMixture([GaussianComponent(w, np.array(mean, float),
+                                              np.array(cov, float))
+                            for w, mean, cov in components])
+
+
+EYE = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("moved, merges", [
+    # Exactly the tolerance apart: on the screened mean entry, and on a
+    # covariance entry.
+    (mixture((1.0, [_CONSOLIDATE_ATOL, 0.0], EYE)), True),
+    (mixture((1.0, [0.0, 0.0], [[1.0, _CONSOLIDATE_ATOL],
+                                [_CONSOLIDATE_ATOL, 1.0]])), True),
+    # One ulp beyond it.
+    (mixture((1.0, [np.nextafter(_CONSOLIDATE_ATOL, 1.0), 0.0], EYE)),
+     False),
+])
+def test_consolidate_at_the_tolerance(moved, merges):
+    mixtures = [mixture((1.0, [0.0, 0.0], EYE)), moved]
+    got, expected = both_consolidations([[0], [1]], [-1.0, -2.0], mixtures)
+    assert got == expected
+    assert len(got) == (1 if merges else 2)
+
+
+def test_consolidate_compares_concatenations_of_unequal_shapes():
+    # Per label the two rows' mixtures differ in component count, yet
+    # their signatures concatenated in label order are equal, so the
+    # rows merge.
+    a = (0.5, [0.0, 0.0], EYE)
+    b = (0.5, [1.0, 2.0], EYE)
+    c = (1.0, [3.0, 4.0], [[2.0, 0.0], [0.0, 2.0]])
+    mixtures = [mixture(a, b), mixture(c), mixture(a), mixture(b, c)]
+    got, expected = both_consolidations([[0, 1], [2, 3]], [-1.0, -2.0],
+                                        mixtures)
+    assert got == expected == [(0, np.logaddexp(-1.0, -2.0))]

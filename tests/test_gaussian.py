@@ -6,8 +6,9 @@ import pytest
 from almbtrack import (ConfigurationError, GaussianComponent, GaussianMixture,
                        MotionModel, NumericalError, SensorModel, gm_predict,
                        gm_reduce)
-from almbtrack.gaussian import (gate_mask, gm_kalman_update_log,
-                                innovation_terms, mahalanobis_sq, map_point,
+from almbtrack.gaussian import (_merge_components, gate_mask,
+                                gm_kalman_update_log, innovation_terms,
+                                mahalanobis_sq, map_point,
                                 predicted_measurement)
 
 from conftest import cv_motion, random_mixture, scalar_sensor, single
@@ -129,6 +130,24 @@ def test_reduce_identity_settings(rng):
     assert len(out.components) == 5
     np.testing.assert_allclose(sorted(out.weights()), sorted(gm.weights()),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("weight", [1e-9, 1.0, 7.3])
+def test_reduce_one_component_matches_merge_path(rng, weight):
+    # A lone component only normalizes; the prune, merge and renormalize
+    # steps it skips would give the same bits.
+    for _ in range(20):
+        c = random_mixture(rng, dim=4, n_comp=1).components[0]
+        gm = GaussianMixture([GaussianComponent(weight, c.mean, c.covariance)])
+        merged = GaussianMixture([_merge_components(
+            gm.normalized().components)]).normalized()
+        (got,), (want,) = gm_reduce(gm, 1e-5, 4.0, 20).components, \
+            merged.components
+        assert got.weight == want.weight == 1.0
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.covariance, want.covariance)
+    with pytest.raises(NumericalError):
+        gm_reduce(single([0.0], [[1.0]], weight=0.0), 1e-5, 4.0, 20)
 
 
 def test_reduce_caps_component_count(rng):

@@ -230,6 +230,18 @@ def test_cli_error_exit_codes(tmp_path):
                      "--filter", "lmb", "--runs", runs,
                      "--out", str(out)]) == 2
         assert not out.exists()
+    # A results file with a non-numeric cell, and one where a filter has
+    # no row for a scan.
+    row = "0,1,lmb,1.5,0.0,1,1,1,0,0.0,0.0"
+    for name, rows in (("cell", [row, row.replace("1.5", "n/a")]),
+                       ("scan", [row, row.replace("lmb", "dglmb")
+                                 .replace("0,1,", "0,2,", 1)])):
+        results = tmp_path / name
+        results.mkdir()
+        (results / "results.csv").write_text(
+            "\n".join([",".join(CSV_HEADER)] + rows) + "\n")
+        assert main(["plotdata", "--in", str(results),
+                     "--out", str(tmp_path / (name + "_plots"))]) == 2
 
 
 def test_cli_rejects_removed_tracker_key(tmp_path, capsys):

@@ -177,7 +177,7 @@ def test_merge_cross_product_weights():
     weights = sorted(h.weight for h in d.hypotheses)
     np.testing.assert_allclose(weights, sorted([0.35, 0.35, 0.15, 0.15]),
                                atol=1e-12)
-    assert float(d.weights().sum()) == pytest.approx(1.0, abs=1e-12)
+    assert float(d.w.sum()) == pytest.approx(1.0, abs=1e-12)
     # State follows the member with the larger outstanding criterion.
     assert merged[0].state.trigger is Trigger.KL
     assert merged[0].criterion_value == pytest.approx(0.2)
