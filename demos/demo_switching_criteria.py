@@ -62,10 +62,10 @@ def main():
     sensor = SensorModel(np.eye(2), np.eye(2), 0.9, 1e-4)
     out = lmb_update(lmb, [np.array([3.0, 0.0])], sensor, CAP, GATE_SQ)
     print("   posterior association marginals (rows = tracks):")
-    print("   %s" % np.round(out.full.assoc_marginals, 3).tolist())
+    print("   %s" % np.round(out.assoc_marginals, 3).tolist())
     print("   entropy = %.4f, kl = %.6f"
-          % (association_entropy(out.full.assoc_marginals),
-             kl_criterion(out.full.posterior)))
+          % (association_entropy(out.assoc_marginals),
+             kl_criterion(out.posterior)))
 
     print()
     print("3. the automaton")

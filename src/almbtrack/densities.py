@@ -97,9 +97,9 @@ class DglmbDensity:
         label_space = tuple(sorted(label_space))
         if any(not set(h.labels) <= set(label_space) for h in hypotheses):
             raise UsageError("hypothesis uses labels outside the label space")
-        table = {}  # uid -> (position, mixture)
+        table = {}  # id(gm) -> (position, gm); the hypotheses keep gm alive
         index = [[-1 if gm is None
-                  else table.setdefault(gm.uid, (len(table), gm))[0]
+                  else table.setdefault(id(gm), (len(table), gm))[0]
                   for gm in map(h.spatial.get, label_space)]
                  for h in hypotheses]
         vars(self).update(vars(DglmbDensity.from_table(

@@ -24,14 +24,13 @@ from .gaussian import gm_kalman_update_log, gm_predict, mahalanobis_sq
 class UpdateOutput:
     """Posterior density plus association bookkeeping.
 
-    ``labels`` fixes the row order of ``assoc_marginals``; entry (i, j)
-    is the posterior probability that label i exists and generated
-    measurement j.
+    Row i of ``assoc_marginals`` is ``posterior.label_space[i]``; entry
+    (i, j) is the posterior probability that label i exists and
+    generated measurement j.
     """
 
     posterior: DglmbDensity
     assoc_marginals: np.ndarray
-    labels: tuple
 
 
 def _ranking(rows, values):
@@ -215,9 +214,8 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
     innovation terms are those the gate pass cached on each component,
     filled on first use where it did not run.
 
-    Returns an :class:`UpdateOutput` carrying the posterior, the
-    track-to-measurement association marginals of the retained children
-    and the label row order.
+    Returns an :class:`UpdateOutput` carrying the posterior and the
+    track-to-measurement association marginals of the retained children.
     """
     d = d.normalized()
     Z = [np.asarray(z, dtype=float).reshape(-1) for z in measurements]
@@ -257,7 +255,7 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
                 marginals[k, j - 1] += wi
     return UpdateOutput(DglmbDensity.from_table(
         d.label_space, mixtures, np.array([rows[e] for e in keep], dtype=int),
-        w), marginals, d.label_space)
+        w), marginals)
 
 
 def _log_factors(sensor):

@@ -6,7 +6,6 @@ Kalman update, likelihood evaluation and mixture-reduction routines
 defined here.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,10 +13,6 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, UsageError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-
-# Serial numbers let callers group mixtures that share provenance without
-# relying on object ids, which the allocator may reuse.
-_UID = itertools.count()
 
 
 def _symmetrize(P):
@@ -76,7 +71,6 @@ class GaussianMixture:
     """
 
     components: list
-    uid: int = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.components:
@@ -84,8 +78,6 @@ class GaussianMixture:
         dim = self.components[0].mean.size
         if any(c.mean.size != dim for c in self.components):
             raise ConfigurationError("mixed state dimensions in one mixture")
-        if self.uid is None:
-            self.uid = next(_UID)
 
     @property
     def dim(self):
@@ -104,10 +96,6 @@ class GaussianMixture:
                                  {"total": tot})
         return GaussianMixture(
             [c.reweighted(c.weight / tot) for c in self.components])
-
-    def scaled(self, factor):
-        return GaussianMixture(
-            [c.reweighted(c.weight * factor) for c in self.components])
 
 
 @dataclass(eq=False)

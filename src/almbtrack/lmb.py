@@ -1,24 +1,13 @@
 """LMB filter recursion.
 
 Prediction acts track-wise.  The update routes through the exact
-delta-GLMB update of the expanded prior and keeps both the LMB
-approximation of the posterior and the full posterior, so callers can
-compare the two representations.
+delta-GLMB update of the expanded prior; ``dglmb_to_lmb`` of its
+posterior is the LMB approximation.
 """
 
-from dataclasses import dataclass
-
-from .densities import LmbDensity, Track, dglmb_to_lmb, lmb_to_dglmb
-from .dglmb import UpdateOutput, dglmb_update
+from .densities import LmbDensity, Track, lmb_to_dglmb
+from .dglmb import dglmb_update
 from .gaussian import gm_predict
-
-
-@dataclass(eq=False)
-class LmbUpdateResult:
-    """LMB approximation of the posterior plus the exact update output."""
-
-    approx: LmbDensity
-    full: UpdateOutput
 
 
 def lmb_predict(lmb, motion):
@@ -35,12 +24,9 @@ def lmb_predict(lmb, motion):
 def lmb_update(lmb, measurements, sensor, cap, gate_sq):
     """Measurement-update an LMB density.
 
-    The prior is expanded to delta-GLMB form, updated, and collapsed
-    back; ``cap`` bounds the expansion and the update.  Returns the
-    approximation together with the full update output.
+    The prior is expanded to delta-GLMB form and updated; ``cap`` bounds
+    the expansion and the update.  Returns the ``UpdateOutput`` of the
+    expanded update: ``dglmb_to_lmb(out.posterior)`` collapses it back.
     """
-    expanded = lmb_to_dglmb(lmb, cap)
-    full = dglmb_update(expanded, measurements, sensor, cap=cap,
-                        gate_sq=gate_sq)
-    approx = dglmb_to_lmb(full.posterior)
-    return LmbUpdateResult(approx, full)
+    return dglmb_update(lmb_to_dglmb(lmb, cap), measurements, sensor,
+                        cap=cap, gate_sq=gate_sq)

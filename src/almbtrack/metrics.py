@@ -37,6 +37,17 @@ def _positions(points):
     return np.asarray([np.asarray(p, dtype=float).reshape(-1) for p in points])
 
 
+def _distances(x, y):
+    """Euclidean distance matrix of the points ``x`` against ``y``.  Each
+    entry is one dot product, so it has the bits of ``np.linalg.norm``
+    of that pair's difference."""
+    X, Y = _positions(x), _positions(y)
+    if len(X) == 0 or len(Y) == 0:
+        return np.zeros((len(X), len(Y)))
+    d = X[:, None, :] - Y[None, :, :]
+    return np.sqrt(np.matmul(d[..., None, :], d[..., None])[..., 0, 0])
+
+
 def _ospa_from_matrix(dist, n, m, params):
     """OSPA value given the cutoff base-distance matrix of the smaller
     set against the larger."""
@@ -54,59 +65,43 @@ def _ospa_from_matrix(dist, n, m, params):
 def ospa(x, y, params=None):
     """OSPA distance between two sets of position vectors."""
     params = params or OspaParams()
-    X = _positions(x)
-    Y = _positions(y)
-    n, m = X.shape[0], Y.shape[0]
-    if n == 0 or m == 0:
-        return _ospa_from_matrix(None, n, m, params)
-    dist = np.minimum(np.linalg.norm(X[:, None, :] - Y[None, :, :], axis=2),
-                      params.c)
-    return _ospa_from_matrix(dist, n, m, params)
+    dist = _distances(x, y)
+    return _ospa_from_matrix(np.minimum(dist, params.c), *dist.shape, params)
 
 
-def _stage1_correspondence(truth_steps, estimate_steps, params):
-    """Truth-id to estimate-label correspondence minimizing accumulated
-    distance over the whole scenario.
+def _stage1_correspondence(scans, n_truth, n_est, params):
+    """The estimate column matched to each truth row (-1 for none), the
+    correspondence minimizing accumulated distance over the whole
+    scenario; ``scans`` holds each scan's truth rows, estimate columns
+    and distance matrix.
 
     Scans where both members of a candidate pair exist contribute the
     cutoff distance; scans where exactly one exists contribute the full
     cutoff, so short-lived spurious tracks cannot beat a track that
     covers the truth for most of its life.
     """
-    # Identities and labels in order of first appearance.
-    truth_ids = list(dict.fromkeys(t for step in truth_steps for t, _ in step))
-    est_labels = list(dict.fromkeys(e for step in estimate_steps
-                                    for e, _ in step))
-    if not truth_ids or not est_labels:
-        return {}
-    t_index = {tid: i for i, tid in enumerate(truth_ids)}
-    e_index = {lab: j for j, lab in enumerate(est_labels)}
+    partner = np.full(n_truth, -1)
+    if not n_truth or not n_est:
+        return partner
     cut = params.c ** params.p
-    acc = np.zeros((len(truth_ids), len(est_labels)))
+    acc = np.zeros((n_truth, n_est))
     co = np.zeros_like(acc, dtype=bool)
-    for t_step, e_step in zip(truth_steps, estimate_steps):
-        t_here = np.zeros(len(truth_ids), dtype=bool)
-        e_here = np.zeros(len(est_labels), dtype=bool)
-        for tid, _ in t_step:
-            t_here[t_index[tid]] = True
-        for lab, _ in e_step:
-            e_here[e_index[lab]] = True
+    for rows, cols, dist in scans:
+        t_here = np.zeros(n_truth, dtype=bool)
+        e_here = np.zeros(n_est, dtype=bool)
+        t_here[rows] = True
+        e_here[cols] = True
         # Scans covered by exactly one side cost the full cutoff.
         acc += cut * (t_here[:, None] ^ e_here[None, :])
-        for tid, tpos in t_step:
-            tpos = np.asarray(tpos, dtype=float)
-            for lab, epos in e_step:
-                d = min(float(np.linalg.norm(tpos - np.asarray(epos,
-                                                               dtype=float))),
-                        params.c)
-                acc[t_index[tid], e_index[lab]] += d ** params.p
-                co[t_index[tid], e_index[lab]] = True
+        pairs = np.ix_(rows, cols)
+        acc[pairs] += np.minimum(dist, params.c) ** params.p
+        co[pairs] = True
     # Pairs that never coexist carry no identity information.
-    big = cut * 2.0 * (len(truth_steps) + 1)
-    cost = np.where(co, acc, big)
-    rows, cols = linear_sum_assignment(cost)
-    return {truth_ids[i]: est_labels[j]
-            for i, j in zip(rows, cols) if co[i, j]}
+    big = cut * 2.0 * (len(scans) + 1)
+    rows, cols = linear_sum_assignment(np.where(co, acc, big))
+    kept = co[rows, cols]
+    partner[rows[kept]] = cols[kept]
+    return partner
 
 
 def ospat(truth_steps, estimate_steps, params=None):
@@ -120,22 +115,19 @@ def ospat(truth_steps, estimate_steps, params=None):
     params = params or OspaParams()
     if len(truth_steps) != len(estimate_steps):
         raise ConfigurationError("truth and estimate sequences differ in length")
-    matching = _stage1_correspondence(truth_steps, estimate_steps, params)
-    out = np.zeros(len(truth_steps))
-    for k, (t_step, e_step) in enumerate(zip(truth_steps, estimate_steps)):
-        n, m = len(t_step), len(e_step)
-        if n == 0 or m == 0:
-            out[k] = _ospa_from_matrix(None, n, m, params)
-            continue
-        dist = np.zeros((n, m))
-        for i, (tid, tpos) in enumerate(t_step):
-            tpos = np.asarray(tpos, dtype=float)
-            for j, (lab, epos) in enumerate(e_step):
-                base = float(np.linalg.norm(tpos - np.asarray(epos,
-                                                              dtype=float)))
-                mismatch = 0.0 if matching.get(tid) == lab else params.alpha
-                dist[i, j] = min((base ** params.p +
-                                  mismatch ** params.p) ** (1.0 / params.p),
-                                 params.c)
-        out[k] = _ospa_from_matrix(dist, n, m, params)
+    # Identities and labels numbered in order of first appearance.
+    t_index, e_index = {}, {}
+    scans = [([t_index.setdefault(t, len(t_index)) for t, _ in t_step],
+              [e_index.setdefault(e, len(e_index)) for e, _ in e_step],
+              _distances([p for _, p in t_step], [p for _, p in e_step]))
+             for t_step, e_step in zip(truth_steps, estimate_steps)]
+    partner = _stage1_correspondence(scans, len(t_index), len(e_index),
+                                     params)
+    out = np.zeros(len(scans))
+    for k, (rows, cols, base) in enumerate(scans):
+        mismatch = np.where(partner[rows][:, None] == np.array(cols, int),
+                            0.0, params.alpha)
+        dist = np.minimum((base ** params.p + mismatch ** params.p)
+                          ** (1.0 / params.p), params.c)
+        out[k] = _ospa_from_matrix(dist, len(rows), len(cols), params)
     return out

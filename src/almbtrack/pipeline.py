@@ -285,7 +285,7 @@ def update_group(group, measurements, sensor, config):
                             cap=CAP, gate_sq=GATE_SQ)
     elif len(group.density.tracks) != 1:
         full = lmb_update(group.density, measurements, sensor,
-                          cap=CAP, gate_sq=GATE_SQ).full
+                          cap=CAP, gate_sq=GATE_SQ)
     else:
         return _update_one_track(group, measurements, sensor, config)
     kl = kl_criterion(full.posterior)

@@ -242,10 +242,11 @@ def ref_cross_product(a, b, weight_threshold, cap):
 
 
 def ref_dedup(entries):
-    """First occurrences of (labels, mixture uids), log weights merged."""
+    """First occurrences of (labels, mixture ids), log weights merged; the
+    entries keep every mixture alive, so no id is reused."""
     merged, order = {}, []
     for labels, log_w, spatial in entries:
-        key = (labels, tuple(spatial[lab].uid for lab in labels))
+        key = (labels, tuple(id(spatial[lab]) for lab in labels))
         if key in merged:
             prev = merged[key]
             merged[key] = (labels, np.logaddexp(prev[1], log_w), spatial)
@@ -285,7 +286,7 @@ def ref_marginalize(d, member_labels, reduce):
         weight, parts = buckets[key]
         spatial = {}
         for lab in key:
-            if len({gm.uid for _, gm in parts[lab]}) == 1:
+            if len({id(gm) for _, gm in parts[lab]}) == 1:
                 spatial[lab] = parts[lab][0][1]
             else:
                 spatial[lab] = reduce(parts[lab], weight)

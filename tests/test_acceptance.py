@@ -239,7 +239,8 @@ def test_05_update_matches_enumeration(rng):
                                                               sensor)
         worst_w = max(worst_w, float(np.max(np.abs(
             np.sort(out.posterior.w) - weights))))
-        row = {lab: i for i, lab in enumerate(out.labels)}
+        row = {lab: i
+               for i, lab in enumerate(out.posterior.label_space)}
         for i, lab in enumerate(sorted(prior.label_space)):
             if len(Z):
                 worst_m = max(worst_m, float(np.max(np.abs(

@@ -163,7 +163,8 @@ def test_update_matches_brute_force(rng):
         for i, lab in enumerate(labels):
             assert existence_from_dglmb(out.posterior, lab) == pytest.approx(
                 existence[lab], abs=1e-9)
-        row = {lab: i for i, lab in enumerate(out.labels)}
+        row = {lab: i
+               for i, lab in enumerate(out.posterior.label_space)}
         for i, lab in enumerate(labels):
             np.testing.assert_allclose(out.assoc_marginals[row[lab]],
                                        marginals[i], atol=1e-9)
@@ -175,7 +176,7 @@ def test_update_marginals_bounded_by_existence(rng):
         lmb, Z = random_lmb_instance(rng)
         prior = lmb_to_dglmb(lmb, CAP)
         out = dglmb_update(prior, Z, sensor, cap=CAP, gate_sq=np.inf)
-        for i, lab in enumerate(out.labels):
+        for i, lab in enumerate(out.posterior.label_space):
             r = existence_from_dglmb(out.posterior, lab)
             assert float(out.assoc_marginals[i].sum()) <= r + 1e-10
 

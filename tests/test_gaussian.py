@@ -201,17 +201,18 @@ def test_mahalanobis_takes_min_over_components():
 
 def test_innovation_terms_follow_the_sensor():
     # A component keeps the innovation terms of the last sensor it met;
-    # another sensor, or a reweighted copy of the mixture, must not see
+    # another sensor, or a reweighted copy of the component, must not see
     # stale ones.  By hand: S = P + R, d^2 = 4 / S.
     gm = single([0.0], [[1.0]])
+    half = GaussianMixture([gm.components[0].reweighted(0.5)])
     d = [mahalanobis_sq([2.0], gm, scalar_sensor(3.0)),
          mahalanobis_sq([2.0], gm, scalar_sensor(1.0)),
-         mahalanobis_sq([2.0], gm.scaled(0.5), scalar_sensor(7.0))]
+         mahalanobis_sq([2.0], half, scalar_sensor(7.0))]
     np.testing.assert_allclose(d, [1.0, 2.0, 0.5], rtol=1e-12)
     _, S = predicted_measurement(gm, scalar_sensor(3.0))
     np.testing.assert_allclose(S, [[4.0]], rtol=1e-12)
     with pytest.raises(ConfigurationError):
-        gm.scaled(-1.0)
+        gm.components[0].reweighted(-1.0)
 
 
 TERMS = ("z_pred", "S", "L", "K", "cov", "logdet", "d2")

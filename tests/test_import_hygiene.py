@@ -1,8 +1,9 @@
 """Import hygiene of the package: every module uses what it imports,
-every function reads every parameter it takes, every top-level function
-and class is used, and every public name resolves."""
+every function reads every parameter it takes, every top-level function,
+class and method is used, and every public name resolves."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,60 @@ def test_unused_definition_is_reported():
     }
     assert unreferenced_definitions(sources) == [
         ("a.py", "Unused"), ("a.py", "recursive"), ("b.py", "dead")]
+
+
+def _loads(tree):
+    # How often each name is read as a variable or an attribute.
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute))
+                   and isinstance(node.ctx, ast.Load))
+
+
+def unreferenced_methods(sources):
+    """``(module, class, method)`` of every non-dunder method of a
+    top-level class whose name no module reads outside the method's own
+    definition.
+
+    ``sources`` maps module file names to their text.  A read is a name
+    or an attribute in load context, whatever object it is read from.
+    """
+    methods, read = [], Counter()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read += _loads(tree)
+        methods += [(module, top.name, node) for top in tree.body
+                    if isinstance(top, ast.ClassDef) for node in top.body
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))]
+    return sorted((module, cls, node.name) for module, cls, node in methods
+                  if read[node.name] <= _loads(node)[node.name])
+
+
+def test_every_method_is_used():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert unreferenced_methods(sources) == []
+
+
+def test_unused_method_is_reported():
+    sources = {
+        "a.py": ("class A:\n"
+                 "    def __init__(self):\n        self.used()\n"
+                 "    def used(self):\n        return self.dim\n"
+                 "    @property\n    def dim(self):\n        return 1\n"
+                 "    def recursive(self, n):\n"
+                 "        return self.recursive(n - 1)\n"
+                 "    def stored(self):\n        pass\n"
+                 "    def elsewhere(self):\n        pass\n"
+                 "    def _private(self):\n        pass\n"),
+        "b.py": ("from .a import A\n"
+                 "def f(a):\n    a.stored = A._private\n"
+                 "    return a.elsewhere()\n"),
+    }
+    assert unreferenced_methods(sources) == [
+        ("a.py", "A", "recursive"), ("a.py", "A", "stored")]
 
 
 def test_public_names_resolve():

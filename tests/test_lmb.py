@@ -9,7 +9,8 @@ from almbtrack import (Label, LmbDensity, SensorModel, Track,
 from almbtrack.gaussian import MotionModel, gm_kalman_update_log
 
 from conftest import CAP, scalar_sensor, single
-from oracles import mean_cardinality, random_lmb_instance
+from oracles import (existence_from_dglmb, mean_cardinality,
+                     random_lmb_instance)
 
 L0 = Label(0, 0)
 
@@ -35,20 +36,25 @@ def test_update_no_measurements_shrinks_existence():
     sensor = scalar_sensor(1.0, detection_prob=0.98, clutter_density=1e-3)
     out = lmb_update(one_track(0.5), [], sensor, CAP, np.inf)
     expected = 0.5 * 0.02 / (0.5 * 0.02 + 0.5)
-    assert out.approx.tracks[L0].existence == pytest.approx(expected,
-                                                            abs=1e-12)
+    assert dglmb_to_lmb(out.posterior).tracks[L0].existence == \
+        pytest.approx(expected, abs=1e-12)
 
 
 def test_update_approx_is_collapse_of_full(rng):
+    # The LMB approximation is one object, kept on the posterior, whose
+    # existences are the posterior's summed hypothesis weights.
     sensor = SensorModel(np.eye(2), 4.0 * np.eye(2), 0.9, 1e-3)
     for _ in range(10):
         lmb, Z = random_lmb_instance(rng)
         out = lmb_update(lmb, Z, sensor, CAP, np.inf)
-        collapsed = dglmb_to_lmb(out.full.posterior)
-        assert sorted(out.approx.labels()) == sorted(collapsed.labels())
-        for lab in out.approx.labels():
-            assert out.approx.tracks[lab].existence == pytest.approx(
-                collapsed.tracks[lab].existence, abs=1e-12)
+        approx = dglmb_to_lmb(out.posterior)
+        assert dglmb_to_lmb(out.posterior) is approx
+        assert approx.labels() == [
+            lab for lab in out.posterior.label_space
+            if existence_from_dglmb(out.posterior, lab) > 0.0]
+        for lab in approx.labels():
+            assert approx.tracks[lab].existence == pytest.approx(
+                existence_from_dglmb(out.posterior, lab), abs=1e-12)
 
 
 def test_update_preserves_mean_cardinality(rng):
@@ -57,17 +63,19 @@ def test_update_preserves_mean_cardinality(rng):
     for _ in range(10):
         lmb, Z = random_lmb_instance(rng)
         out = lmb_update(lmb, Z, sensor, CAP, np.inf)
-        full_mean = mean_cardinality(dglmb_cardinality(out.full.posterior))
-        approx_mean = mean_cardinality(lmb_cardinality(out.approx))
+        full_mean = mean_cardinality(dglmb_cardinality(out.posterior))
+        approx_mean = mean_cardinality(lmb_cardinality(
+            dglmb_to_lmb(out.posterior)))
         assert approx_mean == pytest.approx(full_mean, abs=1e-10)
 
 
 def test_update_single_target_reduces_to_kalman():
     sensor = scalar_sensor(1.0, detection_prob=1.0, clutter_density=0.0)
-    out = lmb_update(one_track(1.0), [[2.0]], sensor, CAP, np.inf)
-    assert out.approx.tracks[L0].existence == pytest.approx(1.0)
+    out = dglmb_to_lmb(lmb_update(one_track(1.0), [[2.0]], sensor, CAP,
+                                  np.inf).posterior)
+    assert out.tracks[L0].existence == pytest.approx(1.0)
     expected, _ = gm_kalman_update_log(single([0.0], [[1.0]]), [2.0], sensor)
-    got = out.approx.tracks[L0].spatial
+    got = out.tracks[L0].spatial
     np.testing.assert_allclose(got.components[0].mean,
                                expected.components[0].mean, atol=1e-12)
     np.testing.assert_allclose(got.components[0].covariance,
@@ -78,4 +86,4 @@ def test_update_detection_raises_existence():
     # A nearby measurement should confirm a tentative track.
     sensor = scalar_sensor(1.0, detection_prob=0.9, clutter_density=1e-4)
     out = lmb_update(one_track(0.05), [[0.1]], sensor, CAP, np.inf)
-    assert out.approx.tracks[L0].existence > 0.5
+    assert dglmb_to_lmb(out.posterior).tracks[L0].existence > 0.5

@@ -462,16 +462,17 @@ def generic_update(group, measurements, sensor, config):
     expansion, update, both criteria, the automaton and the reduction."""
     result = lmb_update(group.density, measurements, sensor, cap=CAP,
                         gate_sq=GATE_SQ)
-    kl = kl_criterion(result.full.posterior)
-    entropy = association_entropy(result.full.assoc_marginals)
+    kl = kl_criterion(result.posterior)
+    entropy = association_entropy(result.assoc_marginals)
     state = decide_switch(group.state, kl, entropy, config)
     if state.mode is Mode.DGLMB:
         value = {Trigger.KL: kl, Trigger.ENTROPY: entropy}.get(
             state.trigger, 0.0)
-        return (dataclasses.replace(group, density=result.full.posterior,
+        return (dataclasses.replace(group, density=result.posterior,
                                     state=state, criterion_value=value),
                 kl, entropy)
-    return (dataclasses.replace(group, density=_reduce_lmb(result.approx),
+    reduced = _reduce_lmb(dglmb_to_lmb(result.posterior))
+    return (dataclasses.replace(group, density=reduced,
                                 state=state, criterion_value=0.0),
             kl, entropy)
 
@@ -545,7 +546,7 @@ def test_one_track_update_keeps_the_quota_truncation():
     slow = generic_update(one_track(0.02, 1), scan, sensor, CFG)
     assert_same_update(fast, slow)
     full = lmb_update(one_track(0.02, 1).density, scan, sensor, cap=CAP,
-                      gate_sq=GATE_SQ).full.posterior
+                      gate_sq=GATE_SQ).posterior
     assert sum(1 for h in full.hypotheses if h.labels) == 2
 
 

@@ -74,7 +74,7 @@ def test_criterion_positive_after_contested_update(rng):
     })
     sensor = SensorModel(np.eye(2), np.eye(2), 0.9, 1e-4)
     out = lmb_update(lmb, [[0.2, 0.0]], sensor, CAP, np.inf)
-    assert kl_criterion(out.full.posterior) > 1e-4
+    assert kl_criterion(out.posterior) > 1e-4
 
 
 def test_entropy_certain_association_is_zero():
