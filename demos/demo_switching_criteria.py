@@ -12,7 +12,7 @@ Run:  python3 demos/demo_switching_criteria.py
 import numpy as np
 
 from almbtrack import (DglmbDensity, GaussianComponent, GaussianMixture,
-                       Hypothesis, Label, LmbDensity, Mode, PipelineConfig,
+                       Label, LmbDensity, Mode, PipelineConfig,
                        RepresentationState, SensorModel, Track, Trigger,
                        association_entropy, decide_switch, kl_criterion,
                        lmb_to_dglmb, lmb_update)
@@ -41,10 +41,10 @@ def main():
     print("   now a perfectly correlated pair: half the weight on 'both")
     print("   exist', half on 'neither'. Existence 1/2 each is the best an")
     print("   independent model can do, and it misses the correlation:")
-    d = DglmbDensity((l1, l2), [
-        Hypothesis((), 0.5, {}),
-        Hypothesis((l1, l2), 0.5, {l1: gm([0.0]), l2: gm([1.0])}),
-    ])
+    # Rows are hypotheses, columns labels; entries index the mixture
+    # table, -1 where the label is absent.
+    d = DglmbDensity((l1, l2), [gm([0.0]), gm([1.0])],
+                     np.array([[-1, -1], [0, 1]]), np.array([0.5, 0.5]))
     print("   kl_criterion(correlated pair) = %.6f (= ln 2)" % kl_criterion(d))
 
     print()

@@ -1,6 +1,6 @@
 """Multi-object tracking with adaptive mixed labeled multi-Bernoulli densities."""
 
-from .densities import (DglmbDensity, Hypothesis, Label, LmbDensity, Track,
+from .densities import (DglmbDensity, Label, LmbDensity, Track,
                         dglmb_cardinality, dglmb_to_lmb, lmb_cardinality,
                         lmb_to_dglmb)
 from .dglmb import dglmb_predict, dglmb_prune, dglmb_update
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BUILTIN_SCENARIOS", "BirthEntry", "ConfigurationError",
     "DensityGroup", "DglmbDensity", "GaussianComponent",
-    "GaussianMixture", "Hypothesis", "Label", "LmbDensity", "Mode",
+    "GaussianMixture", "Label", "LmbDensity", "Mode",
     "MotionModel", "MultiObjectTracker", "NumericalError", "OspaParams",
     "PipelineConfig", "RepresentationState", "ScenarioConfig", "SensorModel",
     "Track", "Trigger", "UsageError", "association_entropy",

@@ -10,7 +10,6 @@ distributions they induce live here.
 import heapq
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -69,61 +68,30 @@ class LmbDensity:
         return sorted(self.tracks)
 
 
-@dataclass(eq=False)
-class Hypothesis:
-    """One delta-GLMB hypothesis: label set, weight, per-label spatials."""
-
-    labels: tuple
-    weight: float
-    spatial: dict
-
-    def __post_init__(self):
-        self.labels = tuple(sorted(self.labels))
-        self.weight = float(self.weight)
-        if set(self.labels) != set(self.spatial):
-            raise UsageError("hypothesis spatial map does not cover its labels")
-
-
 class DglmbDensity:
-    """delta-GLMB density over a sorted label space, held in arrays:
-    ``index[h, k]`` is the position in the table ``mixtures`` of
-    hypothesis ``h``'s mixture for ``label_space[k]`` (-1 if absent;
-    within a column one mixture has one position) and ``w[h]`` is its
-    weight.  ``hypotheses`` views the rows as ``Hypothesis`` objects.  A
-    density is never modified, except that ``dglmb_to_lmb`` keeps its
+    """delta-GLMB density over a sorted label space, in four fields:
+
+    - ``label_space``: the sorted tuple of labels, one column each;
+    - ``mixtures``: the table of spatial mixtures;
+    - ``hypotheses``: an (H, |label space|) int array whose row ``h`` is
+      hypothesis ``h``: ``hypotheses[h, k]`` is the table position of its
+      mixture for ``label_space[k]``, -1 if the label is absent (within a
+      column one mixture has one position);
+    - ``w``: the H hypothesis weights.
+
+    Construction is unchecked and keeps only the mixtures the rows use.
+    A density is never modified, except that ``dglmb_to_lmb`` keeps its
     result in ``_lmb``."""
 
-    def __init__(self, label_space, hypotheses):
-        label_space = tuple(sorted(label_space))
-        if any(not set(h.labels) <= set(label_space) for h in hypotheses):
-            raise UsageError("hypothesis uses labels outside the label space")
-        table = {}  # id(gm) -> (position, gm); the hypotheses keep gm alive
-        index = [[-1 if gm is None
-                  else table.setdefault(id(gm), (len(table), gm))[0]
-                  for gm in map(h.spatial.get, label_space)]
-                 for h in hypotheses]
-        vars(self).update(vars(DglmbDensity.from_table(
-            label_space, [gm for _, gm in table.values()],
-            np.array(index, dtype=int).reshape(len(index), len(label_space)),
-            np.array([h.weight for h in hypotheses], dtype=float))))
-
-    @classmethod
-    def from_table(cls, label_space, mixtures, index, w):
-        """The density of index rows into ``mixtures`` and their weights,
-        unchecked; its table keeps only the mixtures the rows use."""
+    def __init__(self, label_space, mixtures, hypotheses, w):
         used = np.zeros(len(mixtures) + 1, dtype=bool)
-        used[index] = True  # -1 marks the spare last slot
+        used[hypotheses] = True  # -1 marks the spare last slot
         if not used[:-1].all():
-            index = np.where(index >= 0, np.cumsum(used)[index] - 1, -1)
+            hypotheses = np.where(hypotheses >= 0,
+                                  np.cumsum(used)[hypotheses] - 1, -1)
             mixtures = [gm for gm, u in zip(mixtures, used) if u]
-        out = object.__new__(cls)
-        vars(out).update(label_space=label_space, mixtures=mixtures,
-                         index=index, w=w, _lmb=None)
-        return out
-
-    @property
-    def hypotheses(self):
-        return _Hypotheses(self)
+        self.label_space, self.mixtures = label_space, mixtures
+        self.hypotheses, self.w, self._lmb = hypotheses, w, None
 
     def normalized(self):
         tot = float(self.w.sum())
@@ -132,20 +100,6 @@ class DglmbDensity:
         out = object.__new__(DglmbDensity)
         vars(out).update(vars(self), w=self.w / tot, _lmb=None)
         return out
-
-
-@dataclass
-class _Hypotheses(Sequence):
-    # The rows of a DglmbDensity as Hypothesis objects, built on access.
-    d: DglmbDensity
-
-    def __len__(self):
-        return len(self.d.w)
-
-    def __getitem__(self, h):
-        spatial = {label: self.d.mixtures[i] for label, i
-                   in zip(self.d.label_space, self.d.index[h]) if i >= 0}
-        return Hypothesis(tuple(spatial), self.d.w[h], spatial)
 
 
 def top_weighted_subsets(log_odds, limit):
@@ -216,7 +170,7 @@ def lmb_to_dglmb(lmb, max_hypotheses):
     index = np.array([[k if k in s else -1 for k in range(len(labels))]
                       for s in subsets], dtype=int).reshape(len(subsets),
                                                             len(labels))
-    return DglmbDensity.from_table(
+    return DglmbDensity(
         tuple(labels), [lmb.tracks[lab].spatial for lab in labels], index, w)
 
 
@@ -233,7 +187,7 @@ def dglmb_to_lmb(d):
     tot = float(d.w.sum())
     w = (d.w / tot if tot > 0.0 else d.w).tolist()
     tracks = {}
-    for label, column in zip(d.label_space, d.index.T.tolist()):
+    for label, column in zip(d.label_space, d.hypotheses.T.tolist()):
         parts = [(wi, d.mixtures[i]) for wi, i in zip(w, column) if i >= 0]
         r = 0.0
         for wi, _ in parts:
@@ -268,5 +222,5 @@ def lmb_cardinality(lmb):
 def dglmb_cardinality(d):
     """Cardinality pmf of a delta-GLMB density (weight sums by |I|)."""
     # bincount adds in hypothesis order.
-    return np.bincount((d.index >= 0).sum(axis=1), d.w,
+    return np.bincount((d.hypotheses >= 0).sum(axis=1), d.w,
                        len(d.label_space) + 1).astype(float, copy=False)

@@ -182,7 +182,8 @@ def dglmb_predict(d, motion, cap):
     """
     d = d.normalized()
     subsets, rows, log_w = {}, [], []
-    for row, lw, quota in zip(d.index.tolist(), _log_weights(d.w.tolist()),
+    for row, lw, quota in zip(d.hypotheses.tolist(),
+                              _log_weights(d.w.tolist()),
                               _per_hypothesis_quota(d.w.tolist(), cap)):
         labels = [k for k, i in enumerate(row) if i >= 0]
         key = (len(labels), quota)
@@ -199,7 +200,7 @@ def dglmb_predict(d, motion, cap):
     slot = {i: p for p, i in enumerate(used)}
     rows = [[slot.get(i, -1) for i in row] for row in rows]
     keep, w = _finalize(rows, log_w, mixtures, cap)
-    return DglmbDensity.from_table(d.label_space, mixtures, np.array(
+    return DglmbDensity(d.label_space, mixtures, np.array(
         [rows[e] for e in keep], dtype=int), w)
 
 
@@ -235,7 +236,8 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
             mixtures += [] if post is None else [post]
         child[i].append(i)
     rows, thetas, log_w = [], [], []
-    for row, lw, quota in zip(d.index.tolist(), _log_weights(d.w.tolist()),
+    for row, lw, quota in zip(d.hypotheses.tolist(),
+                              _log_weights(d.w.tolist()),
                               _per_hypothesis_quota(d.w.tolist(), cap)):
         cols = [k for k, i in enumerate(row) if i >= 0]
         matrix = np.array([cost[row[k]] + [np.inf] * r + [-log_qd] + [
@@ -253,7 +255,7 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
         for k, j in thetas[e]:
             if j:
                 marginals[k, j - 1] += wi
-    return UpdateOutput(DglmbDensity.from_table(
+    return UpdateOutput(DglmbDensity(
         d.label_space, mixtures, np.array([rows[e] for e in keep], dtype=int),
         w), marginals)
 
@@ -312,9 +314,9 @@ def dglmb_prune(d, weight_threshold, cap):
     """Drop hypotheses at or below ``weight_threshold``, keep the ``cap``
     heaviest, renormalize.  The heaviest hypothesis always survives."""
     w = d.w.tolist()
-    order = _ranking(d.index.tolist(), w)
+    order = _ranking(d.hypotheses.tolist(), w)
     kept = ([h for h in order if w[h] > weight_threshold] or order[:1])[
         : int(cap)]
     tot = sum(w[h] for h in kept)
-    return DglmbDensity.from_table(d.label_space, d.mixtures, d.index[kept],
-                                   np.array([w[h] / tot for h in kept]))
+    return DglmbDensity(d.label_space, d.mixtures, d.hypotheses[kept],
+                        np.array([w[h] / tot for h in kept]))

@@ -330,7 +330,13 @@ def gm_reduce(gm, prune_threshold, merge_threshold, max_components):
     while pool:
         i_best = int(np.argmax([c.weight for c in pool]))
         head = pool[i_best]
-        P_inv = np.linalg.inv(head.covariance)
+        try:
+            P_inv = np.linalg.inv(head.covariance)
+        except np.linalg.LinAlgError:
+            raise NumericalError(
+                "singular component covariance",
+                {"matrix": head.covariance,
+                 "what": "component covariance"}) from None
         group, rest = [], []
         for c in pool:
             d = c.mean - head.mean

@@ -210,12 +210,13 @@ def _cross_product(a, b):
     space = tuple(sorted(a.label_space + b.label_space))
     # Row (i, j) joins a's row i and b's row j; b's table follows a's.
     index = np.full((len(a.w), len(b.w), len(space)), -1)
-    index[:, :, [space.index(lab) for lab in a.label_space]] = a.index[:, None]
+    index[:, :, [space.index(lab) for lab in a.label_space]] = \
+        a.hypotheses[:, None]
     index[:, :, [space.index(lab) for lab in b.label_space]] = np.where(
-        b.index >= 0, b.index + len(a.mixtures), -1)
-    merged = DglmbDensity.from_table(
-        space, a.mixtures + b.mixtures, index.reshape(-1, len(space)),
-        (a.w[:, None] * b.w).ravel())
+        b.hypotheses >= 0, b.hypotheses + len(a.mixtures), -1)
+    merged = DglmbDensity(space, a.mixtures + b.mixtures,
+                          index.reshape(-1, len(space)),
+                          (a.w[:, None] * b.w).ravel())
     return dglmb_prune(merged, DGLMB_PRUNE, CAP)
 
 
@@ -324,7 +325,7 @@ def _update_one_track(group, measurements, sensor, config):
     entropy = association_entropy(marginals)
     state = decide_switch(group.state, kl, entropy, config)
     if state.mode is Mode.DGLMB:
-        density = DglmbDensity.from_table((label,), mixtures, index, w)
+        density = DglmbDensity((label,), mixtures, index, w)
     else:
         density = _reduce_lmb(LmbDensity({label: Track(
             label, existence, mixture_average(parts, r))} if r > 0.0 else {}))
@@ -334,11 +335,11 @@ def _update_one_track(group, measurements, sensor, config):
 def _drop_labels(density, doomed):
     columns = [k for k, lab in enumerate(density.label_space)
                if lab not in doomed]
-    index = density.index[:, columns]
+    index = density.hypotheses[:, columns]
     first, log_w = _dedup(index.tolist(),
                           np.log(np.maximum(density.w, 1e-300)).tolist())
     weights = np.exp(np.array(log_w))
-    return DglmbDensity.from_table(
+    return DglmbDensity(
         tuple(density.label_space[k] for k in columns), density.mixtures,
         index[first], weights / np.cumsum(weights)[-1])
 
@@ -412,7 +413,7 @@ def _marginalize(density, member_labels):
     """
     columns = [k for k, lab in enumerate(density.label_space)
                if lab in member_labels]
-    sub = density.index[:, columns]
+    sub = density.hypotheses[:, columns]
     # Child c collects the rows whose restriction has its label set.
     child = {}
     rows = np.array([child.setdefault(key.tobytes(), len(child))
@@ -432,7 +433,7 @@ def _marginalize(density, member_labels):
                 zip(density.w[rows == c].tolist(),
                     [density.mixtures[i] for i in used]), weight[c]),
                 GM_PRUNE, GM_MERGE, GM_CAP))
-    return DglmbDensity.from_table(
+    return DglmbDensity(
         tuple(sorted(member_labels)), mixtures, index,
         weight / sum(weight.tolist()))
 

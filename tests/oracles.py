@@ -9,7 +9,8 @@ import itertools
 
 import numpy as np
 
-from almbtrack import Label, LmbDensity, NumericalError, Track
+from almbtrack import (DglmbDensity, Label, LmbDensity, NumericalError,
+                       Track)
 from almbtrack.gaussian import gm_kalman_update_log
 
 from conftest import single
@@ -37,9 +38,38 @@ def gm_covariance(gm):
     return 0.5 * (P + P.T)
 
 
+def dglmb_from_rows(label_space, rows):
+    """The delta-GLMB density of ``(labels, weight, spatial)`` rows, with
+    ``spatial`` mapping each of ``labels`` to its mixture.  The table
+    holds each mixture once, in order of first appearance by identity."""
+    label_space = tuple(sorted(label_space))
+    table = {}  # id(gm) -> (position, gm); the rows keep gm alive
+    index = []
+    for labels, _, spatial in rows:
+        assert set(labels) == set(spatial) <= set(label_space)
+        index.append([-1 if gm is None
+                      else table.setdefault(id(gm), (len(table), gm))[0]
+                      for gm in map(spatial.get, label_space)])
+    return DglmbDensity(
+        label_space, [gm for _, gm in table.values()],
+        np.array(index, dtype=int).reshape(len(index), len(label_space)),
+        np.array([weight for _, weight, _ in rows], dtype=float))
+
+
+def rows_of(d):
+    """The ``(labels, weight, spatial)`` row of each hypothesis of ``d``,
+    in order, with labels sorted and ``spatial`` a dict."""
+    out = []
+    for row, weight in zip(d.hypotheses.tolist(), d.w.tolist()):
+        spatial = {label: d.mixtures[i]
+                   for label, i in zip(d.label_space, row) if i >= 0}
+        out.append((tuple(spatial), weight, spatial))
+    return out
+
+
 def existence_from_dglmb(d, label):
     """Marginal existence probability of one label; zero if absent."""
-    return float(sum(h.weight for h in d.hypotheses if label in h.labels))
+    return float(sum(w for labels, w, _ in rows_of(d) if label in labels))
 
 
 def mean_cardinality(rho):
@@ -72,15 +102,14 @@ def brute_dglmb_update(d, measurements, sensor):
     p_d = sensor.detection_prob
     log_kappa = sensor.log_clutter()
     entries = []
-    for h in d.hypotheses:
-        labels = list(h.labels)
+    for labels, weight, hyp_spatial in rows_of(d):
         n = len(labels)
         for theta in association_maps(n, m):
-            log_w = np.log(h.weight) if h.weight > 0 else -np.inf
+            log_w = np.log(weight) if weight > 0 else -np.inf
             spatial = {}
             ok = True
             for lab, j in zip(labels, theta):
-                gm = h.spatial[lab]
+                gm = hyp_spatial[lab]
                 if j == 0:
                     if p_d >= 1.0:
                         ok = False
@@ -93,7 +122,7 @@ def brute_dglmb_update(d, measurements, sensor):
                     log_w += np.log(p_d) + log_lik - log_kappa
                     spatial[lab] = post
             if ok and np.isfinite(log_w):
-                entries.append((tuple(labels), theta, log_w, spatial))
+                entries.append((labels, theta, log_w, spatial))
     if not entries:
         raise AssertionError("no feasible association")
     top = max(e[2] for e in entries)
@@ -188,7 +217,7 @@ def random_lmb_instance(rng, max_tracks=3, max_measurements=4, dim=2):
 
 
 # Object-loop references of the array-backed delta-GLMB operations.  Each
-# walks ``density.hypotheses`` one Hypothesis at a time and adds in
+# walks ``rows_of(density)`` one hypothesis at a time and adds in
 # hypothesis order, as the operations did before their densities became
 # index arrays; the array versions must match them bit for bit.
 
@@ -201,23 +230,23 @@ def ref_mixture_average(parts, total):
 
 def ref_dglmb_to_lmb(d):
     """label -> (existence, components) of the LMB collapse."""
-    hyps = list(d.hypotheses)
-    tot = float(np.array([h.weight for h in hyps]).sum())
+    hyps = rows_of(d)
+    tot = float(np.array([weight for _, weight, _ in hyps]).sum())
     existence = {lab: 0.0 for lab in d.label_space}
     parts = {lab: [] for lab in d.label_space}
-    for h in hyps:
-        w = h.weight / tot if tot > 0.0 else h.weight
-        for lab in h.labels:
+    for labels, weight, spatial in hyps:
+        w = weight / tot if tot > 0.0 else weight
+        for lab in labels:
             existence[lab] += w
-            parts[lab].append((w, h.spatial[lab]))
+            parts[lab].append((w, spatial[lab]))
     return {lab: (min(r, 1.0), ref_mixture_average(parts[lab], r))
             for lab, r in existence.items() if r > 0.0}
 
 
 def ref_dglmb_cardinality(d):
     rho = np.zeros(len(d.label_space) + 1)
-    for h in d.hypotheses:
-        rho[len(h.labels)] += h.weight
+    for labels, weight, _ in rows_of(d):
+        rho[len(labels)] += weight
     return rho
 
 
@@ -232,12 +261,12 @@ def ref_dglmb_prune(hyps, weight_threshold, cap):
 
 def ref_cross_product(a, b, weight_threshold, cap):
     hyps = []
-    for ha in a.hypotheses:
-        for hb in b.hypotheses:
-            spatial = dict(ha.spatial)
-            spatial.update(hb.spatial)
-            hyps.append((tuple(sorted(ha.labels + hb.labels)),
-                         ha.weight * hb.weight, spatial))
+    for labels_a, w_a, spatial_a in rows_of(a):
+        for labels_b, w_b, spatial_b in rows_of(b):
+            spatial = dict(spatial_a)
+            spatial.update(spatial_b)
+            hyps.append((tuple(sorted(labels_a + labels_b)), w_a * w_b,
+                         spatial))
     return ref_dglmb_prune(hyps, weight_threshold, cap)
 
 
@@ -258,10 +287,10 @@ def ref_dedup(entries):
 
 def ref_drop_labels(d, doomed):
     hyps = []
-    for h in d.hypotheses:
-        labels = tuple(lab for lab in h.labels if lab not in doomed)
-        hyps.append((labels, np.log(max(h.weight, 1e-300)),
-                     {lab: h.spatial[lab] for lab in labels}))
+    for labels, weight, spatial in rows_of(d):
+        labels = tuple(lab for lab in labels if lab not in doomed)
+        hyps.append((labels, np.log(max(weight, 1e-300)),
+                     {lab: spatial[lab] for lab in labels}))
     merged = ref_dedup(hyps)
     total = sum(np.exp(lw) for _, lw, _ in merged)
     return [(labels, float(np.exp(lw) / total), spatial)
@@ -273,14 +302,14 @@ def ref_marginalize(d, member_labels, reduce):
     disagree gets ``reduce`` of their (weight, mixture) parts and summed
     weight."""
     buckets, order = {}, []
-    for h in d.hypotheses:
-        key = tuple(lab for lab in h.labels if lab in member_labels)
+    for labels, weight, spatial in rows_of(d):
+        key = tuple(lab for lab in labels if lab in member_labels)
         if key not in buckets:
             buckets[key] = [0.0, {lab: [] for lab in key}]
             order.append(key)
-        buckets[key][0] += h.weight
+        buckets[key][0] += weight
         for lab in key:
-            buckets[key][1][lab].append((h.weight, h.spatial[lab]))
+            buckets[key][1][lab].append((weight, spatial[lab]))
     hyps = []
     for key in order:
         weight, parts = buckets[key]

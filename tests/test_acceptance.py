@@ -15,12 +15,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from almbtrack import (DglmbDensity, Hypothesis, Label, MultiObjectTracker,
-                       PipelineConfig, SensorModel, association_entropy,
-                       builtin_scenario, decide_switch, dglmb_to_lmb,
-                       dglmb_update, generate_measurements, generate_truth,
-                       kl_criterion, lmb_cardinality, lmb_to_dglmb,
-                       scenario_from_dict)
+from almbtrack import (Label, MultiObjectTracker, PipelineConfig, SensorModel,
+                       association_entropy, builtin_scenario, decide_switch,
+                       dglmb_to_lmb, dglmb_update, generate_measurements,
+                       generate_truth, kl_criterion, lmb_cardinality,
+                       lmb_to_dglmb, scenario_from_dict)
 from almbtrack.cli import main
 from almbtrack.densities import LmbDensity, Track
 from almbtrack.harness import FILTER_NAMES, monte_carlo
@@ -28,8 +27,9 @@ from almbtrack.scenarios import (make_birth_model, make_motion,
                                  make_pipeline_config, make_sensor)
 
 from conftest import CAP, single
-from oracles import (brute_dglmb_update, existence_from_dglmb,
-                     random_lmb_instance, switch_cases)
+from oracles import (brute_dglmb_update, dglmb_from_rows,
+                     existence_from_dglmb, random_lmb_instance, rows_of,
+                     switch_cases)
 
 WINDOW = (65, 90)          # post-crossing scoring window (criterion 1)
 CRITICAL = (50, 65)        # crossing-time runtime window (criterion 2)
@@ -210,9 +210,8 @@ def random_dglmb(rng, max_labels=8, max_hyps=64):
     hyps = []
     for i in range(n_hyp):
         chosen = tuple(lab for lab in labels if rng.random() < 0.5)
-        hyps.append(Hypothesis(chosen, float(w[i]),
-                               {lab: gm for lab in chosen}))
-    return DglmbDensity(tuple(labels), hyps)
+        hyps.append((chosen, float(w[i]), {lab: gm for lab in chosen}))
+    return dglmb_from_rows(labels, hyps)
 
 
 def test_04_mean_cardinality_preserved(rng):
@@ -221,7 +220,8 @@ def test_04_mean_cardinality_preserved(rng):
         d = random_dglmb(rng)
         lmb = dglmb_to_lmb(d)
         r_sum = sum(lmb.tracks[lab].existence for lab in lmb.labels())
-        w_sum = sum(h.weight * len(h.labels) for h in d.hypotheses)
+        w_sum = sum(weight * len(labels)
+                    for labels, weight, _ in rows_of(d))
         worst = max(worst, abs(r_sum - w_sum))
     print("criterion 4: worst |sum r - sum w|I|| = %.2e over 1000 densities "
           "(need < 1e-12)" % worst)
@@ -303,9 +303,9 @@ def test_06_single_target_reduces_to_kalman():
 def test_07_criteria_analytics(rng):
     l1, l2 = Label(0, 0), Label(0, 1)
     g = single([0.0], [[1.0]])
-    correlated = DglmbDensity((l1, l2), [
-        Hypothesis((), 0.5, {}),
-        Hypothesis((l1, l2), 0.5, {l1: g, l2: g}),
+    correlated = dglmb_from_rows((l1, l2), [
+        ((), 0.5, {}),
+        ((l1, l2), 0.5, {l1: g, l2: g}),
     ])
     kl_pair = kl_criterion(correlated)
     entropy_pair = association_entropy(np.array([[0.5], [0.5]]))

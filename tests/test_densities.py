@@ -5,13 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
-from almbtrack import (DglmbDensity, Hypothesis, Label, LmbDensity, Track,
-                       UsageError, dglmb_cardinality, dglmb_to_lmb,
-                       lmb_cardinality, lmb_to_dglmb)
+from almbtrack import (Label, LmbDensity, Track, UsageError,
+                       dglmb_cardinality, dglmb_to_lmb, lmb_cardinality,
+                       lmb_to_dglmb)
 from almbtrack.densities import top_weighted_subsets
 
 from conftest import CAP, single
-from oracles import existence_from_dglmb, mean_cardinality
+from oracles import (dglmb_from_rows, existence_from_dglmb,
+                     mean_cardinality, rows_of)
 
 
 def make_lmb(existences):
@@ -23,7 +24,7 @@ def make_lmb(existences):
 
 
 def hyp_map(d):
-    return {h.labels: h.weight for h in d.hypotheses}
+    return {labels: weight for labels, weight, _ in rows_of(d)}
 
 
 def test_label_ordering_and_repr():
@@ -95,8 +96,8 @@ def test_expand_certain_track_clamped():
 
 def test_collapse_single_certain_hypothesis():
     lab = Label(0, 0)
-    d = DglmbDensity((lab,), [Hypothesis((lab,), 1.0,
-                                         {lab: single([0.0], [[1.0]])})])
+    d = dglmb_from_rows((lab,), [((lab,), 1.0,
+                                  {lab: single([0.0], [[1.0]])})])
     lmb = dglmb_to_lmb(d)
     assert lmb.tracks[lab].existence == pytest.approx(1.0, abs=1e-12)
 
@@ -104,9 +105,9 @@ def test_collapse_single_certain_hypothesis():
 def test_collapse_pairwise_half():
     l1, l2 = Label(0, 0), Label(0, 1)
     g = single([0.0], [[1.0]])
-    d = DglmbDensity((l1, l2), [
-        Hypothesis((), 0.5, {}),
-        Hypothesis((l1, l2), 0.5, {l1: g, l2: g}),
+    d = dglmb_from_rows((l1, l2), [
+        ((), 0.5, {}),
+        ((l1, l2), 0.5, {l1: g, l2: g}),
     ])
     lmb = dglmb_to_lmb(d)
     assert lmb.tracks[l1].existence == pytest.approx(0.5, abs=1e-12)
@@ -116,10 +117,10 @@ def test_collapse_pairwise_half():
 def test_collapse_matches_existence_helper():
     l1, l2 = Label(0, 0), Label(1, 0)
     g = single([0.0], [[1.0]])
-    d = DglmbDensity((l1, l2), [
-        Hypothesis((l1,), 0.3, {l1: g}),
-        Hypothesis((l2,), 0.2, {l2: g}),
-        Hypothesis((l1, l2), 0.5, {l1: g, l2: g}),
+    d = dglmb_from_rows((l1, l2), [
+        ((l1,), 0.3, {l1: g}),
+        ((l2,), 0.2, {l2: g}),
+        ((l1, l2), 0.5, {l1: g, l2: g}),
     ])
     lmb = dglmb_to_lmb(d)
     for lab in (l1, l2):
@@ -167,11 +168,11 @@ def test_cardinality_matches_subset_enumeration(rng):
 def test_dglmb_cardinality_sums_by_size():
     l1, l2 = Label(0, 0), Label(0, 1)
     g = single([0.0], [[1.0]])
-    d = DglmbDensity((l1, l2), [
-        Hypothesis((), 0.1, {}),
-        Hypothesis((l1,), 0.3, {l1: g}),
-        Hypothesis((l2,), 0.2, {l2: g}),
-        Hypothesis((l1, l2), 0.4, {l1: g, l2: g}),
+    d = dglmb_from_rows((l1, l2), [
+        ((), 0.1, {}),
+        ((l1,), 0.3, {l1: g}),
+        ((l2,), 0.2, {l2: g}),
+        ((l1, l2), 0.4, {l1: g, l2: g}),
     ])
     np.testing.assert_allclose(dglmb_cardinality(d), [0.1, 0.5, 0.4],
                                atol=1e-12)
@@ -203,11 +204,3 @@ def test_top_weighted_subsets_limit():
     odds = np.zeros(4)
     out = list(top_weighted_subsets(odds, limit=5))
     assert len(out) == 5
-
-
-def test_hypothesis_label_space_guard():
-    lab = Label(0, 0)
-    stray = Label(9, 9)
-    with pytest.raises(UsageError):
-        DglmbDensity((lab,), [Hypothesis((stray,), 1.0,
-                                         {stray: single([0.0], [[1.0]])})])

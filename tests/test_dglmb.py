@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from almbtrack import (DglmbDensity, GaussianComponent, GaussianMixture,
-                       Hypothesis, Label, LmbDensity, SensorModel, Track,
-                       dglmb_predict, dglmb_prune, dglmb_update, lmb_to_dglmb)
+from almbtrack import (GaussianComponent, GaussianMixture, Label, LmbDensity,
+                       SensorModel, Track, dglmb_predict, dglmb_prune,
+                       dglmb_update, lmb_to_dglmb)
 from almbtrack.dglmb import _CONSOLIDATE_ATOL, _consolidate
 from almbtrack.gaussian import MotionModel, gm_kalman_update_log
 from almbtrack.pipeline import DensityGroup, gate_measurements
 
 from conftest import CAP, cv_motion, random_mixture, scalar_sensor, single
-from oracles import (brute_dglmb_update, existence_from_dglmb,
-                     random_lmb_instance, ref_consolidate)
+from oracles import (brute_dglmb_update, dglmb_from_rows,
+                     existence_from_dglmb, random_lmb_instance,
+                     ref_consolidate, rows_of)
 
 L0 = Label(0, 0)
 LB = Label(1, 0)
@@ -21,14 +22,14 @@ LB = Label(1, 0)
 def one_track_density(existence=1.0, mean=(0.0,), cov=((1.0,),)):
     gm = single(mean, cov)
     if existence >= 1.0:
-        return DglmbDensity((L0,), [Hypothesis((L0,), 1.0, {L0: gm})])
+        return dglmb_from_rows((L0,), [((L0,), 1.0, {L0: gm})])
     return lmb_to_dglmb(LmbDensity({L0: Track(L0, existence, gm)}), CAP)
 
 
 def hyp_map(d):
     out = {}
-    for h in d.hypotheses:
-        out[h.labels] = out.get(h.labels, 0.0) + h.weight
+    for labels, weight, _ in rows_of(d):
+        out[labels] = out.get(labels, 0.0) + weight
     return out
 
 
@@ -50,9 +51,10 @@ def test_predict_unit_survival_identity_weights():
 def test_predict_applies_kalman_prediction():
     motion = cv_motion(dt=1.0, accel_var=0.0, survival=1.0)
     gm = single([0.0, 0.0, 3.0, -1.0], np.eye(4))
-    d = DglmbDensity((L0,), [Hypothesis((L0,), 1.0, {L0: gm})])
+    d = dglmb_from_rows((L0,), [((L0,), 1.0, {L0: gm})])
     out = dglmb_predict(d, motion, CAP)
-    np.testing.assert_allclose(out.hypotheses[0].spatial[L0].components[0].mean,
+    (_, _, spatial), = rows_of(out)
+    np.testing.assert_allclose(spatial[L0].components[0].mean,
                                [3.0, -1.0, 3.0, -1.0])
 
 
@@ -64,8 +66,8 @@ def test_update_empty_measurement_set():
         LB: Track(LB, 0.8, single([5.0], [[1.0]])),
     }), CAP)
     out = dglmb_update(prior, [], sensor, cap=CAP, gate_sq=np.inf)
-    raw = {h.labels: h.weight * 0.5 ** len(h.labels)
-           for h in prior.hypotheses}
+    raw = {labels: weight * 0.5 ** len(labels)
+           for labels, weight, _ in rows_of(prior)}
     tot = sum(raw.values())
     got = hyp_map(out.posterior)
     for key, val in raw.items():
@@ -81,13 +83,13 @@ def test_update_miss_and_hit_thirds():
     sensor = scalar_sensor(1.0, detection_prob=0.5, clutter_density=0.5 * g)
     out = dglmb_update(one_track_density(), [[0.0]], sensor, cap=CAP,
                        gate_sq=np.inf)
-    weights = sorted(h.weight for h in out.posterior.hypotheses)
+    weights = sorted(out.posterior.w)
     np.testing.assert_allclose(weights, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
     np.testing.assert_allclose(out.assoc_marginals, [[2.0 / 3.0]], atol=1e-12)
     assert existence_from_dglmb(out.posterior, L0) == pytest.approx(1.0)
     # The hit branch carries the Kalman posterior (variance 1/2).
-    hit = max(out.posterior.hypotheses, key=lambda h: h.weight)
-    np.testing.assert_allclose(hit.spatial[L0].components[0].covariance,
+    _, _, hit = max(rows_of(out.posterior), key=lambda row: row[1])
+    np.testing.assert_allclose(hit[L0].components[0].covariance,
                                [[0.5]], atol=1e-12)
 
 
@@ -95,12 +97,11 @@ def test_update_certain_detection_no_clutter():
     sensor = scalar_sensor(1.0, detection_prob=1.0, clutter_density=0.0)
     out = dglmb_update(one_track_density(), [[2.0]], sensor, cap=CAP,
                        gate_sq=np.inf)
-    assert len(out.posterior.hypotheses) == 1
-    hyp = out.posterior.hypotheses[0]
-    assert hyp.weight == pytest.approx(1.0)
+    (_, weight, spatial), = rows_of(out.posterior)
+    assert weight == pytest.approx(1.0)
     expected, _ = gm_kalman_update_log(single([0.0], [[1.0]]), [2.0],
                                        scalar_sensor(1.0))
-    np.testing.assert_allclose(hyp.spatial[L0].components[0].mean,
+    np.testing.assert_allclose(spatial[L0].components[0].mean,
                                expected.components[0].mean, atol=1e-12)
 
 
@@ -135,13 +136,11 @@ def test_update_after_gate_pass_matches_direct_call_bit_for_bit():
     via_gate = dglmb_update(gated_prior, subset, sensor, cap=50, gate_sq=9.2)
     direct = dglmb_update(prior(), subset, sensor, cap=50, gate_sq=9.2)
     assert np.array_equal(via_gate.assoc_marginals, direct.assoc_marginals)
-    assert len(via_gate.posterior.hypotheses) == len(
-        direct.posterior.hypotheses)
-    for a, b in zip(via_gate.posterior.hypotheses,
-                    direct.posterior.hypotheses):
-        assert a.labels == b.labels and a.weight == b.weight
-        for lab in a.labels:
-            ga, gb = a.spatial[lab], b.spatial[lab]
+    assert len(via_gate.posterior.w) == len(direct.posterior.w)
+    for a, b in zip(rows_of(via_gate.posterior), rows_of(direct.posterior)):
+        assert a[:2] == b[:2]
+        for lab in a[0]:
+            ga, gb = a[2][lab], b[2][lab]
             assert len(ga.components) == len(gb.components)
             for ca, cb in zip(ga.components, gb.components):
                 assert ca.weight == cb.weight
@@ -183,26 +182,26 @@ def test_update_marginals_bounded_by_existence(rng):
 
 def test_prune_threshold_and_cap():
     g = single([0.0], [[1.0]])
-    d = DglmbDensity((L0,), [
-        Hypothesis((), 0.7, {}),
-        Hypothesis((L0,), 0.25, {L0: g}),
-        Hypothesis((L0,), 0.05, {L0: g}),
+    d = dglmb_from_rows((L0,), [
+        ((), 0.7, {}),
+        ((L0,), 0.25, {L0: g}),
+        ((L0,), 0.05, {L0: g}),
     ])
     out = dglmb_prune(d, 0.1, 10)
-    w = sorted(h.weight for h in out.hypotheses)
+    w = sorted(out.w)
     np.testing.assert_allclose(w, [0.25 / 0.95, 0.7 / 0.95], atol=1e-12)
     out = dglmb_prune(d, 0.0, 1)
-    assert len(out.hypotheses) == 1
-    assert out.hypotheses[0].weight == pytest.approx(1.0)
-    assert out.hypotheses[0].labels == ()
+    (labels, weight, _), = rows_of(out)
+    assert weight == pytest.approx(1.0)
+    assert labels == ()
 
 
 def test_prune_keeps_heaviest_when_all_below():
     g = single([0.0], [[1.0]])
-    d = DglmbDensity((L0,), [Hypothesis((L0,), 1.0, {L0: g})])
+    d = dglmb_from_rows((L0,), [((L0,), 1.0, {L0: g})])
     out = dglmb_prune(d, 2.0, 10)
-    assert len(out.hypotheses) == 1
-    assert out.hypotheses[0].weight == pytest.approx(1.0)
+    assert len(out.w) == 1
+    assert out.w[0] == pytest.approx(1.0)
 
 
 def test_capped_update_keeps_best_assignments(rng):

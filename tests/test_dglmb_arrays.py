@@ -12,19 +12,19 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from almbtrack import (DglmbDensity, GaussianComponent,  # noqa: E402
-                       GaussianMixture, Hypothesis, Label, dglmb_cardinality,
-                       dglmb_prune, dglmb_to_lmb, gm_reduce)
+from almbtrack import (GaussianComponent, GaussianMixture,  # noqa: E402
+                       Label, dglmb_cardinality, dglmb_prune, dglmb_to_lmb,
+                       gm_reduce)
 from almbtrack.dglmb import _CONSOLIDATE_ATOL, _consolidate  # noqa: E402
 from almbtrack.pipeline import (DGLMB_PRUNE, CAP, GM_CAP,  # noqa: E402
                                 GM_MERGE, GM_PRUNE, _cross_product,
                                 _drop_labels, _marginalize)
 
 from conftest import random_mixture  # noqa: E402
-from oracles import (ref_consolidate, ref_cross_product,  # noqa: E402
-                     ref_dglmb_cardinality, ref_dglmb_prune,
-                     ref_dglmb_to_lmb, ref_drop_labels, ref_marginalize,
-                     ref_mixture_average)
+from oracles import (dglmb_from_rows, ref_consolidate,  # noqa: E402
+                     ref_cross_product, ref_dglmb_cardinality,
+                     ref_dglmb_prune, ref_dglmb_to_lmb, ref_drop_labels,
+                     ref_marginalize, ref_mixture_average, rows_of)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -39,11 +39,11 @@ def random_density(seed, n_labels, n_hyps, birth_step=0):
             for _ in range(int(rng.integers(1, 6)))]
     hyps = []
     for _ in range(n_hyps):
-        chosen = [lab for lab in labels if rng.random() < 0.6]
+        chosen = tuple(lab for lab in labels if rng.random() < 0.6)
         weight = rng.choice([0.125, 0.25, rng.uniform(1e-7, 1.0)])
-        hyps.append(Hypothesis(chosen, float(weight), {
+        hyps.append((chosen, float(weight), {
             lab: pool[int(rng.integers(len(pool)))] for lab in chosen}))
-    return DglmbDensity(labels, hyps)
+    return dglmb_from_rows(labels, hyps)
 
 
 densities = st.builds(random_density, st.integers(0, 2 ** 32 - 1),
@@ -62,11 +62,13 @@ def assert_matches(density, label_space, expected):
     """``density`` holds the (labels, weight, spatial) list ``expected``,
     weights by ``==`` and mixtures by identity or equal components."""
     assert density.label_space == tuple(label_space)
-    assert len(density.hypotheses) == len(expected)
-    for hyp, (labels, weight, spatial) in zip(density.hypotheses, expected):
-        assert hyp.labels == tuple(labels)
-        assert hyp.weight == weight
-        assert all(same_mixture(hyp.spatial[lab], spatial[lab])
+    rows = rows_of(density)
+    assert len(rows) == len(expected)
+    for (got_labels, got_weight, got_spatial), (labels, weight, spatial) \
+            in zip(rows, expected):
+        assert got_labels == tuple(labels)
+        assert got_weight == weight
+        assert all(same_mixture(got_spatial[lab], spatial[lab])
                    for lab in labels)
 
 
@@ -79,7 +81,8 @@ def assert_invariants(density):
 
 
 def existence(density, label):
-    return sum(h.weight for h in density.hypotheses if label in h.labels)
+    return sum(weight for labels, weight, _ in rows_of(density)
+               if label in labels)
 
 
 @SETTINGS
@@ -112,9 +115,8 @@ def test_cardinality_matches_object_loop(d):
 def test_prune_matches_object_loop(d, threshold, cap):
     d = d.normalized()
     out = dglmb_prune(d, threshold, cap)
-    hyps = [(h.labels, h.weight, h.spatial) for h in d.hypotheses]
     assert_matches(out, d.label_space,
-                   ref_dglmb_prune(hyps, threshold, cap))
+                   ref_dglmb_prune(rows_of(d), threshold, cap))
     assert_invariants(out)
 
 

@@ -150,6 +150,18 @@ def test_reduce_one_component_matches_merge_path(rng, weight):
         gm_reduce(single([0.0], [[1.0]], weight=0.0), 1e-5, 4.0, 20)
 
 
+def test_reduce_singular_covariance_raises_numerical_error():
+    # The heaviest component has no velocity spread, so its covariance
+    # has no inverse for the merge distance.
+    P = np.diag([10.0, 0.0])
+    gm = GaussianMixture([GaussianComponent(0.7, [0.0, 0.0], P),
+                          GaussianComponent(0.3, [1.0, 0.0], np.eye(2))])
+    with pytest.raises(NumericalError) as err:
+        gm_reduce(gm, 1e-5, 4.0, 20)
+    assert err.value.diagnostics["what"] == "component covariance"
+    assert np.array_equal(err.value.diagnostics["matrix"], P)
+
+
 def test_reduce_caps_component_count(rng):
     gm = random_mixture(rng, dim=2, n_comp=8, spread=100.0)
     out = gm_reduce(gm, 0.0, 0.0, 3)

@@ -218,6 +218,17 @@ def test_cli_error_exit_codes(tmp_path):
                                motion={"velocity_noise_std": float("nan")})
     assert main(["run", "--scenario", nan_noise, "--filter", "lmb",
                  "--runs", "1", "--out", str(tmp_path / "v")]) == 2
+    # No process noise and no birth velocity spread pass validation, but
+    # give LMB tracks singular covariances: a numerical failure, exit 3.
+    birth = builtin_scenario("two-target").to_dict()["birth"]
+    for entry in birth:
+        entry["std"] = [10.0, 0.0, 10.0, 0.0]
+    singular = write_scenario(tmp_path, birth=birth,
+                              motion={"velocity_noise_std": 0.0,
+                                      "survival_prob": 0.99})
+    for name in ("lmb", "almb"):
+        assert main(["run", "--scenario", singular, "--filter", name,
+                     "--runs", "1", "--out", str(tmp_path / name)]) == 3
     text_steps = write_scenario(tmp_path, steps="x")
     assert main(["run", "--scenario", text_steps, "--filter", "lmb",
                  "--runs", "1", "--out", str(tmp_path / "u")]) == 2

@@ -1,6 +1,7 @@
 """Import hygiene of the package: every module uses what it imports,
 every function reads every parameter it takes, every top-level function,
-class and method is used, and every public name resolves."""
+class and method is used, and the public names are a pinned list that
+resolves."""
 
 import ast
 from collections import Counter
@@ -146,11 +147,10 @@ def test_unused_definition_is_reported():
         ("a.py", "Unused"), ("a.py", "recursive"), ("b.py", "dead")]
 
 
-def _loads(tree):
-    # How often each name is read as a variable or an attribute.
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree)
-                   if isinstance(node, (ast.Name, ast.Attribute))
+def _attribute_loads(tree):
+    # How often each name is read as an attribute.
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
                    and isinstance(node.ctx, ast.Load))
 
 
@@ -159,13 +159,14 @@ def unreferenced_methods(sources):
     top-level class whose name no module reads outside the method's own
     definition.
 
-    ``sources`` maps module file names to their text.  A read is a name
-    or an attribute in load context, whatever object it is read from.
+    ``sources`` maps module file names to their text.  A read is an
+    attribute in load context, whatever object it is read from; a bare
+    name of the same spelling, such as a parameter, is not.
     """
     methods, read = [], Counter()
     for module, source in sources.items():
         tree = ast.parse(source)
-        read += _loads(tree)
+        read += _attribute_loads(tree)
         methods += [(module, top.name, node) for top in tree.body
                     if isinstance(top, ast.ClassDef) for node in top.body
                     if isinstance(node, (ast.FunctionDef,
@@ -173,7 +174,7 @@ def unreferenced_methods(sources):
                     and not (node.name.startswith("__")
                              and node.name.endswith("__"))]
     return sorted((module, cls, node.name) for module, cls, node in methods
-                  if read[node.name] <= _loads(node)[node.name])
+                  if read[node.name] <= _attribute_loads(node)[node.name])
 
 
 def test_every_method_is_used():
@@ -191,13 +192,37 @@ def test_unused_method_is_reported():
                  "        return self.recursive(n - 1)\n"
                  "    def stored(self):\n        pass\n"
                  "    def elsewhere(self):\n        pass\n"
-                 "    def _private(self):\n        pass\n"),
+                 "    def _private(self):\n        pass\n"
+                 "    def named(self):\n        pass\n"),
         "b.py": ("from .a import A\n"
                  "def f(a):\n    a.stored = A._private\n"
-                 "    return a.elsewhere()\n"),
+                 "    return a.elsewhere()\n"
+                 "def g(named):\n    return named\n"),
     }
     assert unreferenced_methods(sources) == [
-        ("a.py", "A", "recursive"), ("a.py", "A", "stored")]
+        ("a.py", "A", "named"), ("a.py", "A", "recursive"),
+        ("a.py", "A", "stored")]
+
+
+EXPORTS = (
+    "BUILTIN_SCENARIOS", "BirthEntry", "ConfigurationError", "DensityGroup",
+    "DglmbDensity", "GaussianComponent", "GaussianMixture", "Label",
+    "LmbDensity", "Mode", "MotionModel", "MultiObjectTracker",
+    "NumericalError", "OspaParams", "PipelineConfig", "RepresentationState",
+    "ScenarioConfig", "SensorModel", "Track", "Trigger", "UsageError",
+    "association_entropy", "builtin_scenario", "decide_switch",
+    "dglmb_cardinality", "dglmb_predict", "dglmb_prune", "dglmb_to_lmb",
+    "dglmb_update", "extract_tracks", "generate_measurements",
+    "generate_truth", "gm_predict", "gm_reduce", "kl_criterion",
+    "kl_divergence", "lmb_cardinality", "lmb_predict", "lmb_to_dglmb",
+    "lmb_update", "load_scenario", "ospa", "ospat", "pipeline_step",
+    "scenario_from_dict", "truth_cardinality", "truth_positions",
+)
+
+
+def test_exports_are_pinned():
+    # Adding or removing a public name shows up as an edit of EXPORTS.
+    assert tuple(sorted(almbtrack.__all__)) == EXPORTS
 
 
 def test_public_names_resolve():

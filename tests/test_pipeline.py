@@ -9,7 +9,7 @@ import pytest
 
 from almbtrack import (BirthEntry, ConfigurationError,
                        DensityGroup, DglmbDensity, GaussianComponent,
-                       GaussianMixture, Hypothesis, Label,
+                       GaussianMixture, Label,
                        LmbDensity, Mode, MultiObjectTracker, PipelineConfig,
                        RepresentationState, Track, Trigger, UsageError,
                        association_entropy, builtin_scenario, decide_switch,
@@ -23,6 +23,7 @@ from almbtrack.pipeline import (CAP, GATE_SQ, _reduce_lmb, _within,
                                 prune_group, split_group, update_group)
 
 from conftest import cv_motion, position_sensor, single
+from oracles import dglmb_from_rows, rows_of
 
 CFG = PipelineConfig()
 LMB_STATE = RepresentationState(Mode.LMB, Trigger.NONE)
@@ -174,7 +175,7 @@ def test_merge_cross_product_weights():
     assert len(merged) == 1
     d = merged[0].density
     assert isinstance(d, DglmbDensity)
-    weights = sorted(h.weight for h in d.hypotheses)
+    weights = sorted(d.w)
     np.testing.assert_allclose(weights, sorted([0.35, 0.35, 0.15, 0.15]),
                                atol=1e-12)
     assert float(d.w.sum()) == pytest.approx(1.0, abs=1e-12)
@@ -282,16 +283,16 @@ def test_prune_dead_group_returns_none():
 def test_prune_delta_drops_light_hypotheses_and_dead_labels():
     la, lb = Label(1, 0), Label(1, 1)
     g = single([0, 0, 0, 0], np.eye(4))
-    d = DglmbDensity((la, lb), [
-        Hypothesis((la,), 0.991, {la: g}),
-        Hypothesis((la, lb), 0.009, {la: g, lb: g}),
-        Hypothesis((lb,), 1e-7, {lb: g}),
+    d = dglmb_from_rows((la, lb), [
+        ((la,), 0.991, {la: g}),
+        ((la, lb), 0.009, {la: g, lb: g}),
+        ((lb,), 1e-7, {lb: g}),
     ])
     out = prune_group(DensityGroup(d))
     # The 1e-7 hypothesis dies on weight; lb's remaining marginal 0.009
     # is at or below lmb_prune and the label leaves the space.
     assert list(out.density.label_space) == [la]
-    assert sum(h.weight for h in out.density.hypotheses) == pytest.approx(1.0)
+    assert sum(out.density.w.tolist()) == pytest.approx(1.0)
 
 
 def test_split_separates_distant_tracks():
@@ -342,7 +343,8 @@ def test_split_marginalizes_independent_delta_pair():
     assert len(out) == 2
     for child in out:
         assert isinstance(child.density, DglmbDensity)
-        weights = {h.labels: h.weight for h in child.density.hypotheses}
+        weights = {labels: weight
+                   for labels, weight, _ in rows_of(child.density)}
         lab = child.density.label_space[0]
         assert weights[()] == pytest.approx(0.5, abs=1e-12)
         assert weights[(lab,)] == pytest.approx(0.5, abs=1e-12)
@@ -381,9 +383,9 @@ def test_extract_threshold_is_strict():
 def test_extract_collapses_delta_groups():
     lab = Label(1, 0)
     g = single([1, 2, 0, 0], np.eye(4))
-    d = DglmbDensity((lab,), [
-        Hypothesis((), 0.3, {}),
-        Hypothesis((lab,), 0.7, {lab: g}),
+    d = dglmb_from_rows((lab,), [
+        ((), 0.3, {}),
+        ((lab,), 0.7, {lab: g}),
     ])
     out = extract_tracks([DensityGroup(d)], 0.5)
     assert [lab_ for lab_, _ in out] == [lab]
@@ -498,11 +500,11 @@ def assert_same_update(fast, slow):
                                 track.spatial)
         return
     assert g.density.label_space == h.density.label_space
-    assert len(g.density.hypotheses) == len(h.density.hypotheses)
-    for a, b in zip(g.density.hypotheses, h.density.hypotheses):
-        assert a.labels == b.labels and a.weight == b.weight
-        for label in b.labels:
-            assert_same_mixture(a.spatial[label], b.spatial[label])
+    assert len(g.density.w) == len(h.density.w)
+    for a, b in zip(rows_of(g.density), rows_of(h.density)):
+        assert a[:2] == b[:2]
+        for label in b[0]:
+            assert_same_mixture(a[2][label], b[2][label])
 
 
 def one_track(existence, components):
@@ -547,7 +549,7 @@ def test_one_track_update_keeps_the_quota_truncation():
     assert_same_update(fast, slow)
     full = lmb_update(one_track(0.02, 1).density, scan, sensor, cap=CAP,
                       gate_sq=GATE_SQ).posterior
-    assert sum(1 for h in full.hypotheses if h.labels) == 2
+    assert sum(1 for labels, _, _ in rows_of(full) if labels) == 2
 
 
 def test_one_track_update_ranks_many_measurements_like_murty():

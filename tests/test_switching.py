@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from almbtrack import (DglmbDensity, Hypothesis, Label, Mode,
-                       PipelineConfig, RepresentationState, Trigger,
-                       association_entropy, decide_switch, kl_criterion,
-                       kl_divergence, lmb_to_dglmb)
+from almbtrack import (Label, Mode, PipelineConfig, RepresentationState,
+                       Trigger, association_entropy, decide_switch,
+                       kl_criterion, kl_divergence, lmb_to_dglmb)
 from almbtrack.lmb import lmb_update
 from almbtrack import SensorModel
 
 from conftest import CAP, single
-from oracles import random_lmb_instance, switch_cases
+from oracles import dglmb_from_rows, random_lmb_instance, switch_cases
 
 L1, L2 = Label(0, 0), Label(0, 1)
 
@@ -49,9 +48,9 @@ def test_criterion_correlated_pair_is_ln2():
     # Perfectly correlated pair: cardinality [1/2, 0, 1/2]; the LMB
     # approximation with r = 1/2 each gives [1/4, 1/2, 1/4]; KL = ln 2.
     g = single([0.0], [[1.0]])
-    d = DglmbDensity((L1, L2), [
-        Hypothesis((), 0.5, {}),
-        Hypothesis((L1, L2), 0.5, {L1: g, L2: g}),
+    d = dglmb_from_rows((L1, L2), [
+        ((), 0.5, {}),
+        ((L1, L2), 0.5, {L1: g, L2: g}),
     ])
     assert kl_criterion(d) == pytest.approx(np.log(2.0), abs=1e-12)
 
