@@ -13,7 +13,7 @@ import numpy as np
 
 from almbtrack import (DglmbDensity, GaussianComponent, GaussianMixture,
                        Label, LmbDensity, Mode, PipelineConfig,
-                       RepresentationState, SensorModel, Track, Trigger,
+                       RepresentationState, SensorModel, Trigger,
                        association_entropy, decide_switch, kl_criterion,
                        lmb_to_dglmb, lmb_update)
 from almbtrack.pipeline import CAP, GATE_SQ
@@ -32,8 +32,8 @@ def main():
     print("1. cardinality KL")
     print("   independent tracks first: expanding an LMB and collapsing it")
     print("   back loses nothing, so the criterion is ~0:")
-    lmb = LmbDensity({l1: Track(l1, 0.7, gm([0.0])),
-                      l2: Track(l2, 0.4, gm([50.0]))})
+    # One column per label: its mixture and its existence.
+    lmb = LmbDensity((l1, l2), [gm([0.0]), gm([50.0])], [0.7, 0.4])
     print("   kl_criterion(expanded independent pair) = %.2e"
           % kl_criterion(lmb_to_dglmb(lmb, CAP)))
 
@@ -57,8 +57,8 @@ def main():
 
     print()
     print("   on live densities: two tracks straddle one measurement.")
-    lmb = LmbDensity({l1: Track(l1, 0.6, gm([0.0, 0.0], 25.0)),
-                      l2: Track(l2, 0.6, gm([6.0, 0.0], 25.0))})
+    lmb = LmbDensity((l1, l2), [gm([0.0, 0.0], 25.0), gm([6.0, 0.0], 25.0)],
+                     [0.6, 0.6])
     sensor = SensorModel(np.eye(2), np.eye(2), 0.9, 1e-4)
     out = lmb_update(lmb, [np.array([3.0, 0.0])], sensor, CAP, GATE_SQ)
     print("   posterior association marginals (rows = tracks):")

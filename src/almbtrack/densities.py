@@ -3,14 +3,15 @@
 An LMB density is a set of statistically independent Bernoulli tracks,
 one per label.  A delta-GLMB density is a weighted list of hypotheses;
 each hypothesis fixes a label set and one spatial density per label in
-that set.  The conversions between the two forms and the cardinality
-distributions they induce live here.
+that set.  Both are tables over a sorted label space.  The conversions
+between the two forms and the cardinality distributions they induce
+live here.
 """
 
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -40,32 +41,18 @@ class Label(tuple):
 
 
 @dataclass(eq=False)
-class Track:
-    """Bernoulli track: existence probability and spatial mixture."""
-
-    label: Label
-    existence: float
-    spatial: GaussianMixture
-
-    def __post_init__(self):
-        self.existence = float(self.existence)
-        if not 0.0 <= self.existence <= 1.0:
-            raise UsageError("existence probability outside [0, 1]")
-
-
-@dataclass(eq=False)
 class LmbDensity:
-    """LMB density: tracks keyed by label."""
+    """LMB density over a sorted label space, in three fields:
 
-    tracks: dict = field(default_factory=dict)
+    - ``label_space``: the sorted tuple of labels;
+    - ``mixtures``: the spatial mixture of each label;
+    - ``r``: the existence probability of each label.
 
-    def __post_init__(self):
-        for label, track in self.tracks.items():
-            if track.label != label:
-                raise UsageError("track keyed under a different label")
+    Construction is unchecked, and a density is never modified."""
 
-    def labels(self):
-        return sorted(self.tracks)
+    label_space: tuple
+    mixtures: list
+    r: list
 
 
 class DglmbDensity:
@@ -159,19 +146,16 @@ def expansion(existences, max_hypotheses):
 def lmb_to_dglmb(lmb, max_hypotheses):
     """Expand an LMB density into the equivalent delta-GLMB density.
 
-    Hypothesis weights follow the independent-Bernoulli product; each
-    hypothesis reuses the tracks' spatial mixtures unchanged.  Only the
-    ``max_hypotheses`` heaviest label subsets are kept and their weights
-    renormalized.
+    Hypothesis weights follow the independent-Bernoulli product; the
+    mixture table is the LMB density's mixtures, passed through unchanged.
+    Only the ``max_hypotheses`` heaviest label subsets are kept and their
+    weights renormalized.
     """
-    labels = lmb.labels()
-    subsets, w = expansion([lmb.tracks[lab].existence for lab in labels],
-                           max_hypotheses)
-    index = np.array([[k if k in s else -1 for k in range(len(labels))]
-                      for s in subsets], dtype=int).reshape(len(subsets),
-                                                            len(labels))
-    return DglmbDensity(
-        tuple(labels), [lmb.tracks[lab].spatial for lab in labels], index, w)
+    n = len(lmb.label_space)
+    subsets, w = expansion(lmb.r, max_hypotheses)
+    index = np.array([[k if k in s else -1 for k in range(n)]
+                      for s in subsets], dtype=int).reshape(len(subsets), n)
+    return DglmbDensity(lmb.label_space, lmb.mixtures, index, w)
 
 
 def dglmb_to_lmb(d):
@@ -186,16 +170,17 @@ def dglmb_to_lmb(d):
         return d._lmb
     tot = float(d.w.sum())
     w = (d.w / tot if tot > 0.0 else d.w).tolist()
-    tracks = {}
+    labels, mixtures, existences = [], [], []
     for label, column in zip(d.label_space, d.hypotheses.T.tolist()):
         parts = [(wi, d.mixtures[i]) for wi, i in zip(w, column) if i >= 0]
         r = 0.0
         for wi, _ in parts:
             r += wi
         if r > 0.0:
-            tracks[label] = Track(label, min(r, 1.0),
-                                  mixture_average(parts, r))
-    d._lmb = LmbDensity(tracks)
+            labels.append(label)
+            mixtures.append(mixture_average(parts, r))
+            existences.append(min(r, 1.0))
+    d._lmb = LmbDensity(tuple(labels), mixtures, existences)
     return d._lmb
 
 
@@ -213,8 +198,7 @@ def mixture_average(parts, total):
 def lmb_cardinality(lmb):
     """Cardinality pmf of an LMB density (Bernoulli convolution)."""
     rho = np.array([1.0])
-    for label in lmb.labels():
-        r = lmb.tracks[label].existence
+    for r in lmb.r:
         rho = np.convolve(rho, [1.0 - r, r])
     return rho
 

@@ -276,10 +276,11 @@ def _association(gm, z, sensor, gate_sq, log_pd, log_kappa):
     return post, log_pd + log_lik - log_kappa
 
 
-def one_track_update(track, measurements, sensor, cap, gate_sq):
-    """``dglmb_update`` on the expansion of a one-track LMB density, in
-    closed form: ``(mixtures, index, theta, w)`` of the kept children,
-    with ``index`` of one label column and ``theta`` a list.
+def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
+    """``dglmb_update`` on the expansion of the one-track LMB density of
+    ``existence`` and mixture ``gm``, in closed form: ``(mixtures, index,
+    theta, w)`` of the kept children, with ``index`` of one label column
+    and ``theta`` a list.
 
     The absent hypothesis has one child.  The present one has its miss
     and its gated measurements, ranked by (cost, theta) and cut at its
@@ -287,18 +288,18 @@ def one_track_update(track, measurements, sensor, cap, gate_sq):
     measurements that is Murty's algorithm, which alone would put a miss
     after a measurement of bit-equal cost.
     """
-    subsets, w = expansion([track.existence], cap)
+    subsets, w = expansion([existence], cap)
     w = w / w.sum()  # DglmbDensity.normalized
     log_pd, log_qd, log_kappa = _log_factors(sensor)
-    options = [(-log_qd, 0, track.spatial)]
+    options = [(-log_qd, 0, gm)]
     for j, z in enumerate(measurements):
-        post, log_eta = _association(track.spatial, z, sensor, gate_sq,
-                                     log_pd, log_kappa)
+        post, log_eta = _association(gm, z, sensor, gate_sq, log_pd,
+                                     log_kappa)
         options.append((-log_eta, j + 1, post))
     # Forbidden (infinite) costs would rank last; none is kept.
     options = sorted((o for o in options if math.isfinite(o[0])),
                      key=lambda o: o[:2])
-    mixtures, rows = [gm for _, _, gm in options], []
+    mixtures, rows = [post for _, _, post in options], []
     for subset, log_w, quota in zip(subsets, _log_weights(w),
                                     _per_hypothesis_quota(w, cap)):
         # (table position, theta, log weight) of each child.

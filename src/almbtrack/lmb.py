@@ -1,11 +1,11 @@
 """LMB filter recursion.
 
-Prediction acts track-wise.  The update routes through the exact
+Prediction acts label by label.  The update routes through the exact
 delta-GLMB update of the expanded prior; ``dglmb_to_lmb`` of its
 posterior is the LMB approximation.
 """
 
-from .densities import LmbDensity, Track, lmb_to_dglmb
+from .densities import LmbDensity, lmb_to_dglmb
 from .dglmb import dglmb_update
 from .gaussian import gm_predict
 
@@ -13,12 +13,9 @@ from .gaussian import gm_predict
 def lmb_predict(lmb, motion):
     """Predict an LMB density: survival discounts every existence by
     ``p_S`` and spatial mixtures are Kalman-predicted."""
-    tracks = {}
-    for label in lmb.labels():
-        track = lmb.tracks[label]
-        tracks[label] = Track(label, motion.survival_prob * track.existence,
-                              gm_predict(track.spatial, motion))
-    return LmbDensity(tracks)
+    return LmbDensity(lmb.label_space,
+                      [gm_predict(gm, motion) for gm in lmb.mixtures],
+                      [motion.survival_prob * r for r in lmb.r])
 
 
 def lmb_update(lmb, measurements, sensor, cap, gate_sq):

@@ -19,13 +19,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .densities import (DglmbDensity, Label, LmbDensity, Track, dglmb_to_lmb,
+from .densities import (DglmbDensity, Label, LmbDensity, dglmb_to_lmb,
                         lmb_to_dglmb, mixture_average)
 from .dglmb import (_dedup, dglmb_predict, dglmb_prune, dglmb_update,
                     one_track_update)
 from .errors import UsageError, check_numbers
-from .gaussian import (GaussianMixture, gate_mask, gm_reduce,
-                       innovation_terms, map_point, predicted_measurement)
+from .gaussian import (gate_mask, gm_reduce, innovation_terms, map_point,
+                       predicted_measurement)
 from .lmb import lmb_predict, lmb_update
 from .switching import (Mode, RepresentationState, Trigger,
                         association_entropy, cardinality_kl, decide_switch,
@@ -36,14 +36,6 @@ FILTER_NAMES = ("lmb", "dglmb", "almb")
 
 _LMB_STATE = RepresentationState(Mode.LMB, Trigger.NONE)
 _PINNED_STATE = RepresentationState(Mode.DGLMB, Trigger.PINNED)
-
-
-@dataclass(eq=False)
-class BirthEntry:
-    """One static birth site: existence probability and birth mixture."""
-
-    existence: float
-    spatial: GaussianMixture
 
 
 # Truncation settings of the group recursion, the standard machinery of
@@ -130,7 +122,8 @@ def _components(n, pairs):
 
 
 def inject_birth(groups, births, step_index, birth_state, sensor):
-    """Append one single-track group per ``BirthEntry``, labeled by scan.
+    """Append one single-track group per ``(existence, mixture)`` birth
+    site, labeled by scan.
 
     Each new group starts in ``birth_state``, in delta-GLMB form unless
     that state is LMB.
@@ -145,18 +138,16 @@ def inject_birth(groups, births, step_index, birth_state, sensor):
     predicted measurements under the mean of the innovation covariances,
     tested against ``GATE_SQ``.
     """
-    covering = [predicted_measurement(track.spatial, sensor)
-                for group in groups
-                for track in group.lmb_view().tracks.values()]
+    covering = [predicted_measurement(gm, sensor) for group in groups
+                for gm in group.lmb_view().mixtures]
     if covering:
         z, S = map(np.array, zip(*covering))
     out = list(groups)
-    for i, entry in enumerate(births):
-        site = predicted_measurement(entry.spatial, sensor)
+    for i, (existence, gm) in enumerate(births):
+        site = predicted_measurement(gm, sensor)
         if covering and _within(z, S, *site, GATE_SQ).any():
             continue
-        label = Label(step_index, i)
-        lmb = LmbDensity({label: Track(label, entry.existence, entry.spatial)})
+        lmb = LmbDensity((Label(step_index, i),), [gm], [existence])
         out.append(DensityGroup(
             lmb if birth_state.mode is Mode.LMB
             else lmb_to_dglmb(lmb, CAP),
@@ -180,14 +171,12 @@ def gate_measurements(groups, measurements, sensor, gate_sq):
     """
     views = [group.lmb_view() for group in groups]
     if len(measurements):
-        innovation_terms([c for view in views for track in view.tracks.values()
-                          for c in track.spatial.components],
-                         sensor, measurements)
+        innovation_terms([c for view in views for gm in view.mixtures
+                          for c in gm.components], sensor, measurements)
     out = []
     for group, view in zip(groups, views):
         hits = np.zeros(len(measurements), dtype=bool)
-        for label in view.labels():
-            gm = view.tracks[label].spatial
+        for gm in view.mixtures:
             hits |= gate_mask(measurements, gm, sensor, gate_sq)
         out.append(replace(group, gated=tuple(int(j) for j in
                                               np.flatnonzero(hits))))
@@ -195,13 +184,20 @@ def gate_measurements(groups, measurements, sensor, gate_sq):
 
 
 def _union_lmb(members):
-    tracks = {}
-    for g in members:
-        for label, track in g.density.tracks.items():
-            if label in tracks:
-                raise UsageError("label %r appears in two groups" % (label,))
-            tracks[label] = track
-    return LmbDensity(tracks)
+    space, mixtures, r = zip(*sorted(
+        (column for m in members for column in zip(
+            m.density.label_space, m.density.mixtures, m.density.r)),
+        key=lambda column: column[0]))
+    if len(set(space)) < len(space):
+        raise UsageError("label spaces of merged groups overlap")
+    return LmbDensity(space, list(mixtures), list(r))
+
+
+def _lmb_columns(lmb, columns):
+    """The LMB density of the labels at positions ``columns`` of ``lmb``."""
+    return LmbDensity(tuple(lmb.label_space[k] for k in columns),
+                      [lmb.mixtures[k] for k in columns],
+                      [lmb.r[k] for k in columns])
 
 
 def _cross_product(a, b):
@@ -262,13 +258,9 @@ def merge_groups(groups):
 
 
 def _reduce_lmb(lmb):
-    tracks = {}
-    for label in lmb.labels():
-        track = lmb.tracks[label]
-        tracks[label] = Track(label, track.existence,
-                              gm_reduce(track.spatial, GM_PRUNE, GM_MERGE,
-                                        GM_CAP))
-    return LmbDensity(tracks)
+    return LmbDensity(lmb.label_space, [
+        gm_reduce(gm, GM_PRUNE, GM_MERGE, GM_CAP) for gm in lmb.mixtures],
+        lmb.r)
 
 
 def update_group(group, measurements, sensor, config):
@@ -284,7 +276,7 @@ def update_group(group, measurements, sensor, config):
     if isinstance(group.density, DglmbDensity):
         full = dglmb_update(group.density, measurements, sensor,
                             cap=CAP, gate_sq=GATE_SQ)
-    elif len(group.density.tracks) != 1:
+    elif len(group.density.label_space) != 1:
         full = lmb_update(group.density, measurements, sensor,
                           cap=CAP, gate_sq=GATE_SQ)
     else:
@@ -308,9 +300,9 @@ def _update_one_track(group, measurements, sensor, config):
     association marginals and LMB collapse are read off the finalized
     entries with the arithmetic of ``dglmb_update``, ``dglmb_cardinality``
     and ``dglmb_to_lmb``; only a group that switches gets a density."""
-    (label, track), = group.density.tracks.items()
-    mixtures, index, theta, w = one_track_update(track, measurements, sensor,
-                                                 CAP, GATE_SQ)
+    lmb = group.density
+    mixtures, index, theta, w = one_track_update(
+        lmb.r[0], lmb.mixtures[0], measurements, sensor, CAP, GATE_SQ)
     rho, marginals = np.zeros(2), np.zeros((1, len(measurements)))
     tot, r, parts = float(w.sum()), 0.0, []
     for i, j, wi in zip(index[:, 0].tolist(), theta, w.tolist()):
@@ -325,10 +317,12 @@ def _update_one_track(group, measurements, sensor, config):
     entropy = association_entropy(marginals)
     state = decide_switch(group.state, kl, entropy, config)
     if state.mode is Mode.DGLMB:
-        density = DglmbDensity((label,), mixtures, index, w)
+        density = DglmbDensity(lmb.label_space, mixtures, index, w)
+    elif r > 0.0:
+        density = _reduce_lmb(LmbDensity(
+            lmb.label_space, [mixture_average(parts, r)], [existence]))
     else:
-        density = _reduce_lmb(LmbDensity({label: Track(
-            label, existence, mixture_average(parts, r))} if r > 0.0 else {}))
+        density = LmbDensity((), [], [])
     return _settle(group, state, kl, entropy, density)
 
 
@@ -352,16 +346,14 @@ def prune_group(group):
     labels whose marginal existence falls to ``LMB_PRUNE`` or below.
     """
     if isinstance(group.density, LmbDensity):
-        tracks = {label: t for label, t in group.density.tracks.items()
-                  if t.existence > LMB_PRUNE}
-        if not tracks:
+        kept = [k for k, r in enumerate(group.density.r) if r > LMB_PRUNE]
+        if not kept:
             return None
-        return replace(group, density=LmbDensity(tracks))
+        return replace(group, density=_lmb_columns(group.density, kept))
     density = dglmb_prune(group.density, DGLMB_PRUNE, CAP)
     view = dglmb_to_lmb(density)
-    doomed = {label for label in density.label_space
-              if label not in view.tracks
-              or view.tracks[label].existence <= LMB_PRUNE}
+    doomed = set(density.label_space) - {
+        label for label, r in zip(view.label_space, view.r) if r > LMB_PRUNE}
     if doomed:
         density = _drop_labels(density, doomed)
     if not density.label_space:
@@ -380,11 +372,11 @@ def split_group(group, sensor):
     restriction matches, which preserves every label's existence.
     """
     view = group.lmb_view()
-    labels = view.labels()
+    labels = view.label_space
     if len(labels) <= 1:
         return [group]
-    z, S = map(np.array, zip(*(predicted_measurement(
-        view.tracks[label].spatial, sensor) for label in labels)))
+    z, S = map(np.array, zip(*(predicted_measurement(gm, sensor)
+                               for gm in view.mixtures)))
     i, k = np.triu_indices(len(labels), 1)
     near = _within(z[i], S[i], z[k], S[k], 4.0 * GATE_SQ)
     components = _components(len(labels), zip(i[near], k[near]))
@@ -392,15 +384,12 @@ def split_group(group, sensor):
         return [group]
     out = []
     for component in components:
-        member_labels = [labels[i] for i in component]
-        if isinstance(group.density, LmbDensity):
-            tracks = {lab: group.density.tracks[lab] for lab in member_labels}
-            out.append(DensityGroup(LmbDensity(tracks), group.state,
-                                    group.criterion_value))
+        if isinstance(group.density, LmbDensity):  # its own view
+            density = _lmb_columns(group.density, component)
         else:
-            out.append(DensityGroup(
-                _marginalize(group.density, set(member_labels)),
-                group.state, group.criterion_value))
+            density = _marginalize(group.density,
+                                   {labels[i] for i in component})
+        out.append(DensityGroup(density, group.state, group.criterion_value))
     return out
 
 
@@ -441,17 +430,19 @@ def _marginalize(density, member_labels):
 def extract_tracks(groups, threshold):
     """Report (label, MAP state) for tracks with existence above the
     threshold (strict), sorted by label."""
-    return sorted(((label, map_point(track.spatial)) for group in groups
-                   for label, track in group.lmb_view().tracks.items()
-                   if track.existence > threshold), key=lambda t: t[0])
+    views = [group.lmb_view() for group in groups]
+    return sorted(((label, map_point(gm)) for view in views
+                   for label, gm, r in zip(view.label_space, view.mixtures,
+                                           view.r)
+                   if r > threshold), key=lambda t: t[0])
 
 
 def pipeline_step(groups, measurements, step_index, motion, sensor,
                   births, config, birth_state=_LMB_STATE):
     """Run one full scan; returns ``(groups, extracted, diagnostics)``.
 
-    ``births`` is a list of ``BirthEntry``; new births start in
-    ``birth_state``."""
+    ``births`` is a list of ``(existence, mixture)`` pairs; new births
+    start in ``birth_state``."""
     groups = inject_birth(groups, births, step_index, birth_state, sensor)
     groups = [predict_group(g, motion) for g in groups]
     groups = gate_measurements(groups, measurements, sensor, GATE_SQ)
@@ -482,7 +473,8 @@ class MultiObjectTracker:
     ``policy`` picks the filter.  ``"almb"`` runs ``config`` as given;
     ``"lmb"`` is ALMB whose switching criteria never fire (both
     thresholds infinite); ``"dglmb"`` is ALMB whose births start pinned
-    in delta-GLMB form.
+    in delta-GLMB form.  ``births`` is a list of ``(existence, mixture)``
+    pairs; an existence outside [0, 1] is a ``ConfigurationError``.
     """
 
     def __init__(self, motion, sensor, births, config=None,
@@ -490,6 +482,9 @@ class MultiObjectTracker:
         if policy not in FILTER_NAMES:
             raise UsageError("unknown policy %r (known: %s)"
                              % (policy, ", ".join(FILTER_NAMES)))
+        for i, (existence, _) in enumerate(births):
+            check_numbers("births[%d]" % i, {"existence": existence}, [
+                (("existence",), "in [0, 1]", lambda v: 0.0 <= v <= 1.0)])
         config = config or PipelineConfig()
         if policy == "lmb":
             config = replace(config, kl_threshold=np.inf,

@@ -19,7 +19,7 @@ from .errors import ConfigurationError, UsageError, check_numbers
 from .gaussian import (GaussianComponent, GaussianMixture, MotionModel,
                        SensorModel)
 from .metrics import OspaParams
-from .pipeline import BirthEntry, PipelineConfig
+from .pipeline import PipelineConfig
 
 BUILTIN_SCENARIOS = ("two-target", "sixteen-target")
 
@@ -130,7 +130,10 @@ def _validate(config):
         check_numbers("birth[%d]" % i, vars(site), [
             (("existence",), "in (0, 1)", lambda v: 0.0 < v < 1.0)])
         _finite("birth[%d] mean" % i, site.mean, (4,))
-        _finite("birth[%d] std" % i, site.std, (4,))
+        std = _finite("birth[%d] std" % i, site.std, (4,))
+        if np.any(std < 0.0):
+            raise ConfigurationError("birth[%d] std must be >= 0, got %r"
+                                     % (i, site.std))
     # The tracker and ospa blocks check themselves on construction.
     check_numbers("motion", vars(config.motion), [
         (("velocity_noise_std",), ">= 0", lambda v: v >= 0.0),
@@ -188,12 +191,13 @@ def make_sensor(config):
 
 
 def make_birth_model(config):
-    """One ``BirthEntry`` per birth site, in scenario order."""
+    """One ``(existence, mixture)`` pair per birth site, in scenario
+    order."""
     births = []
     for site in config.birth:
         cov = np.diag(np.asarray(site.std, dtype=float) ** 2)
         gm = GaussianMixture([GaussianComponent(1.0, site.mean, cov)])
-        births.append(BirthEntry(site.existence, gm))
+        births.append((site.existence, gm))
     return births
 
 

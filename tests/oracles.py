@@ -9,8 +9,7 @@ import itertools
 
 import numpy as np
 
-from almbtrack import (DglmbDensity, Label, LmbDensity, NumericalError,
-                       Track)
+from almbtrack import DglmbDensity, Label, LmbDensity, NumericalError
 from almbtrack.gaussian import gm_kalman_update_log
 
 from conftest import single
@@ -36,6 +35,20 @@ def gm_covariance(gm):
         d = c.mean - mu
         P += (c.weight / tot) * (c.covariance + np.outer(d, d))
     return 0.5 * (P + P.T)
+
+
+def lmb_from_tracks(tracks):
+    """The LMB density of ``{label: (existence, spatial)}``."""
+    label_space = tuple(sorted(tracks))
+    return LmbDensity(label_space, [tracks[lab][1] for lab in label_space],
+                      [float(tracks[lab][0]) for lab in label_space])
+
+
+def tracks_of(lmb):
+    """``{label: (existence, spatial)}`` of an LMB density, in label
+    order."""
+    return {label: (r, gm) for label, gm, r in zip(lmb.label_space,
+                                                   lmb.mixtures, lmb.r)}
 
 
 def dglmb_from_rows(label_space, rows):
@@ -207,13 +220,12 @@ def random_lmb_instance(rng, max_tracks=3, max_measurements=4, dim=2):
         mean = rng.normal(0.0, 8.0, dim)
         centers.append(mean)
         cov = np.diag(rng.uniform(1.0, 6.0, dim))
-        tracks[lab] = Track(lab, float(rng.uniform(0.1, 0.95)),
-                            single(mean, cov))
+        tracks[lab] = (float(rng.uniform(0.1, 0.95)), single(mean, cov))
     measurements = []
     for j in range(m):
         base = centers[int(rng.integers(0, n))]
         measurements.append(base + rng.normal(0.0, 3.0, dim))
-    return LmbDensity(tracks), measurements
+    return lmb_from_tracks(tracks), measurements
 
 
 # Object-loop references of the array-backed delta-GLMB operations.  Each

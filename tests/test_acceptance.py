@@ -21,15 +21,14 @@ from almbtrack import (Label, MultiObjectTracker, PipelineConfig, SensorModel,
                        generate_truth, kl_criterion, lmb_cardinality,
                        lmb_to_dglmb, scenario_from_dict)
 from almbtrack.cli import main
-from almbtrack.densities import LmbDensity, Track
 from almbtrack.harness import FILTER_NAMES, monte_carlo
 from almbtrack.scenarios import (make_birth_model, make_motion,
                                  make_pipeline_config, make_sensor)
 
 from conftest import CAP, single
 from oracles import (brute_dglmb_update, dglmb_from_rows,
-                     existence_from_dglmb, random_lmb_instance, rows_of,
-                     switch_cases)
+                     existence_from_dglmb, lmb_from_tracks,
+                     random_lmb_instance, rows_of, switch_cases)
 
 WINDOW = (65, 90)          # post-crossing scoring window (criterion 1)
 CRITICAL = (50, 65)        # crossing-time runtime window (criterion 2)
@@ -219,7 +218,7 @@ def test_04_mean_cardinality_preserved(rng):
     for _ in range(1000):
         d = random_dglmb(rng)
         lmb = dglmb_to_lmb(d)
-        r_sum = sum(lmb.tracks[lab].existence for lab in lmb.labels())
+        r_sum = sum(lmb.r)
         w_sum = sum(weight * len(labels)
                     for labels, weight, _ in rows_of(d))
         worst = max(worst, abs(r_sum - w_sum))
@@ -312,11 +311,10 @@ def test_07_criteria_analytics(rng):
     worst = 0.0
     for _ in range(500):
         n = int(rng.integers(1, 9))
-        tracks = {}
-        for i in range(n):
-            lab = Label(0, i)
-            tracks[lab] = Track(lab, float(rng.uniform(0.01, 0.99)), g)
-        worst = max(worst, kl_criterion(lmb_to_dglmb(LmbDensity(tracks), CAP)))
+        tracks = {Label(0, i): (float(rng.uniform(0.01, 0.99)), g)
+                  for i in range(n)}
+        worst = max(worst, kl_criterion(lmb_to_dglmb(
+            lmb_from_tracks(tracks), CAP)))
     print("criterion 7: kl(correlated pair)=%.12f (ln 2 = %.12f), "
           "entropy([.5,.5])=%.12f, worst kl of independent density %.2e "
           "(need < 1e-10)" % (kl_pair, np.log(2.0), entropy_pair, worst))
@@ -330,11 +328,9 @@ def test_08_cardinality_oracle(rng):
     for _ in range(100):
         n = int(rng.integers(1, 11))
         rs = rng.uniform(0.0, 1.0, n)
-        tracks = {}
-        for i, r in enumerate(rs):
-            lab = Label(0, i)
-            tracks[lab] = Track(lab, float(r), single([0.0], [[1.0]]))
-        got = lmb_cardinality(LmbDensity(tracks))
+        got = lmb_cardinality(lmb_from_tracks({
+            Label(0, i): (float(r), single([0.0], [[1.0]]))
+            for i, r in enumerate(rs)}))
         brute = np.zeros(n + 1)
         for bits in itertools.product([0, 1], repeat=n):
             p = 1.0

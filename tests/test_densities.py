@@ -5,22 +5,19 @@ import itertools
 import numpy as np
 import pytest
 
-from almbtrack import (Label, LmbDensity, Track, UsageError,
-                       dglmb_cardinality, dglmb_to_lmb, lmb_cardinality,
-                       lmb_to_dglmb)
+from almbtrack import (Label, dglmb_cardinality, dglmb_to_lmb,
+                       lmb_cardinality, lmb_to_dglmb)
 from almbtrack.densities import top_weighted_subsets
 
 from conftest import CAP, single
 from oracles import (dglmb_from_rows, existence_from_dglmb,
-                     mean_cardinality, rows_of)
+                     lmb_from_tracks, mean_cardinality, rows_of, tracks_of)
 
 
 def make_lmb(existences):
-    tracks = {}
-    for i, r in enumerate(existences):
-        lab = Label(0, i)
-        tracks[lab] = Track(lab, r, single([float(i), 0.0], np.eye(2)))
-    return LmbDensity(tracks)
+    return lmb_from_tracks({Label(0, i): (r, single([float(i), 0.0],
+                                                     np.eye(2)))
+                            for i, r in enumerate(existences)})
 
 
 def hyp_map(d):
@@ -30,17 +27,6 @@ def hyp_map(d):
 def test_label_ordering_and_repr():
     assert Label(1, 0) < Label(1, 1) < Label(2, 0)
     assert repr(Label(3, 2)) == "L(3,2)"
-
-
-def test_track_rejects_bad_existence():
-    with pytest.raises(UsageError):
-        Track(Label(0, 0), 1.5, single([0.0], [[1.0]]))
-
-
-def test_lmb_keying_enforced():
-    t = Track(Label(0, 0), 0.5, single([0.0], [[1.0]]))
-    with pytest.raises(UsageError):
-        LmbDensity({Label(0, 1): t})
 
 
 def test_expand_single_half():
@@ -59,7 +45,7 @@ def test_expand_two_tracks_uniform():
 
 
 def test_expand_empty():
-    d = lmb_to_dglmb(LmbDensity({}), CAP)
+    d = lmb_to_dglmb(lmb_from_tracks({}), CAP)
     assert hyp_map(d) == {(): pytest.approx(1.0)}
 
 
@@ -99,7 +85,7 @@ def test_collapse_single_certain_hypothesis():
     d = dglmb_from_rows((lab,), [((lab,), 1.0,
                                   {lab: single([0.0], [[1.0]])})])
     lmb = dglmb_to_lmb(d)
-    assert lmb.tracks[lab].existence == pytest.approx(1.0, abs=1e-12)
+    assert tracks_of(lmb)[lab][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_collapse_pairwise_half():
@@ -110,8 +96,8 @@ def test_collapse_pairwise_half():
         ((l1, l2), 0.5, {l1: g, l2: g}),
     ])
     lmb = dglmb_to_lmb(d)
-    assert lmb.tracks[l1].existence == pytest.approx(0.5, abs=1e-12)
-    assert lmb.tracks[l2].existence == pytest.approx(0.5, abs=1e-12)
+    assert lmb.label_space == (l1, l2)
+    assert lmb.r == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 def test_collapse_matches_existence_helper():
@@ -124,7 +110,7 @@ def test_collapse_matches_existence_helper():
     ])
     lmb = dglmb_to_lmb(d)
     for lab in (l1, l2):
-        assert lmb.tracks[lab].existence == pytest.approx(
+        assert tracks_of(lmb)[lab][0] == pytest.approx(
             existence_from_dglmb(d, lab), abs=1e-12)
 
 
@@ -134,7 +120,7 @@ def test_round_trip_existences(rng):
         lmb = make_lmb(rs)
         back = dglmb_to_lmb(lmb_to_dglmb(lmb, CAP))
         for i, r in enumerate(rs):
-            assert back.tracks[Label(0, i)].existence == pytest.approx(
+            assert tracks_of(back)[Label(0, i)][0] == pytest.approx(
                 r, abs=1e-9)
 
 

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from almbtrack import (GaussianComponent, GaussianMixture, Label, LmbDensity,
-                       SensorModel, Track, dglmb_predict, dglmb_prune,
-                       dglmb_update, lmb_to_dglmb)
+from almbtrack import (GaussianComponent, GaussianMixture, Label, SensorModel,
+                       dglmb_predict, dglmb_prune, dglmb_update, lmb_to_dglmb)
 from almbtrack.dglmb import _CONSOLIDATE_ATOL, _consolidate
 from almbtrack.gaussian import MotionModel, gm_kalman_update_log
 from almbtrack.pipeline import DensityGroup, gate_measurements
 
 from conftest import CAP, cv_motion, random_mixture, scalar_sensor, single
 from oracles import (brute_dglmb_update, dglmb_from_rows,
-                     existence_from_dglmb, random_lmb_instance,
-                     ref_consolidate, rows_of)
+                     existence_from_dglmb, lmb_from_tracks,
+                     random_lmb_instance, ref_consolidate, rows_of)
 
 L0 = Label(0, 0)
 LB = Label(1, 0)
@@ -23,7 +22,7 @@ def one_track_density(existence=1.0, mean=(0.0,), cov=((1.0,),)):
     gm = single(mean, cov)
     if existence >= 1.0:
         return dglmb_from_rows((L0,), [((L0,), 1.0, {L0: gm})])
-    return lmb_to_dglmb(LmbDensity({L0: Track(L0, existence, gm)}), CAP)
+    return lmb_to_dglmb(lmb_from_tracks({L0: (existence, gm)}), CAP)
 
 
 def hyp_map(d):
@@ -61,9 +60,9 @@ def test_predict_applies_kalman_prediction():
 def test_update_empty_measurement_set():
     # With no measurements every label multiplies by (1 - p_D).
     sensor = scalar_sensor(1.0, detection_prob=0.5, clutter_density=1e-3)
-    prior = lmb_to_dglmb(LmbDensity({
-        L0: Track(L0, 0.3, single([0.0], [[1.0]])),
-        LB: Track(LB, 0.8, single([5.0], [[1.0]])),
+    prior = lmb_to_dglmb(lmb_from_tracks({
+        L0: (0.3, single([0.0], [[1.0]])),
+        LB: (0.8, single([5.0], [[1.0]])),
     }), CAP)
     out = dglmb_update(prior, [], sensor, cap=CAP, gate_sq=np.inf)
     raw = {labels: weight * 0.5 ** len(labels)
@@ -124,9 +123,9 @@ def test_update_after_gate_pass_matches_direct_call_bit_for_bit():
                                [2.0, 2.0], [-3.0, 6.5])]
 
     def prior():
-        return lmb_to_dglmb(LmbDensity({
-            L0: Track(L0, 0.6, random_mixture(np.random.default_rng(7))),
-            LB: Track(LB, 0.8, random_mixture(np.random.default_rng(8))),
+        return lmb_to_dglmb(lmb_from_tracks({
+            L0: (0.6, random_mixture(np.random.default_rng(7))),
+            LB: (0.8, random_mixture(np.random.default_rng(8))),
         }), CAP)
 
     gated_prior = prior()

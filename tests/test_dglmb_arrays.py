@@ -76,8 +76,8 @@ def assert_invariants(density):
     w = density.w
     assert np.isfinite(w).all()
     assert abs(w.sum() - 1.0) <= 1e-12
-    for track in dglmb_to_lmb(density).tracks.values():
-        assert 0.0 <= track.existence <= 1.0
+    for r in dglmb_to_lmb(density).r:
+        assert 0.0 <= r <= 1.0
 
 
 def existence(density, label):
@@ -90,13 +90,13 @@ def existence(density, label):
 def test_to_lmb_matches_object_loop(d):
     view = dglmb_to_lmb(d)
     expected = ref_dglmb_to_lmb(d)
-    assert list(view.tracks) == list(expected)
-    for label, (r, components) in expected.items():
-        track = view.tracks[label]
-        assert track.existence == r
-        assert 0.0 <= track.existence <= 1.0
-        assert len(track.spatial.components) == len(components)
-        for c, (w, mean, cov) in zip(track.spatial.components, components):
+    assert view.label_space == tuple(expected)
+    for (label, (r, components)), got_r, gm in zip(
+            expected.items(), view.r, view.mixtures):
+        assert got_r == r
+        assert 0.0 <= got_r <= 1.0
+        assert len(gm.components) == len(components)
+        for c, (w, mean, cov) in zip(gm.components, components):
             assert c.weight == w
             assert np.array_equal(c.mean, mean)
             assert np.array_equal(c.covariance, cov)

@@ -205,11 +205,11 @@ def test_unused_method_is_reported():
 
 
 EXPORTS = (
-    "BUILTIN_SCENARIOS", "BirthEntry", "ConfigurationError", "DensityGroup",
+    "BUILTIN_SCENARIOS", "ConfigurationError", "DensityGroup",
     "DglmbDensity", "GaussianComponent", "GaussianMixture", "Label",
     "LmbDensity", "Mode", "MotionModel", "MultiObjectTracker",
     "NumericalError", "OspaParams", "PipelineConfig", "RepresentationState",
-    "ScenarioConfig", "SensorModel", "Track", "Trigger", "UsageError",
+    "ScenarioConfig", "SensorModel", "Trigger", "UsageError",
     "association_entropy", "builtin_scenario", "decide_switch",
     "dglmb_cardinality", "dglmb_predict", "dglmb_prune", "dglmb_to_lmb",
     "dglmb_update", "extract_tracks", "generate_measurements",

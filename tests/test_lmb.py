@@ -3,32 +3,31 @@
 import numpy as np
 import pytest
 
-from almbtrack import (Label, LmbDensity, SensorModel, Track,
-                       dglmb_cardinality, dglmb_to_lmb, lmb_cardinality,
-                       lmb_predict, lmb_update)
+from almbtrack import (Label, SensorModel, dglmb_cardinality, dglmb_to_lmb,
+                       lmb_cardinality, lmb_predict, lmb_update)
 from almbtrack.gaussian import MotionModel, gm_kalman_update_log
 
 from conftest import CAP, scalar_sensor, single
-from oracles import (existence_from_dglmb, mean_cardinality,
-                     random_lmb_instance)
+from oracles import (existence_from_dglmb, lmb_from_tracks, mean_cardinality,
+                     random_lmb_instance, tracks_of)
 
 L0 = Label(0, 0)
 
 
 def one_track(existence, mean=(0.0,), cov=((1.0,),)):
-    return LmbDensity({L0: Track(L0, existence, single(mean, cov))})
+    return lmb_from_tracks({L0: (existence, single(mean, cov))})
 
 
 def test_predict_discounts_existence():
     motion = MotionModel(np.eye(1), np.zeros((1, 1)), 0.99)
     out = lmb_predict(one_track(0.5), motion)
-    assert out.tracks[L0].existence == pytest.approx(0.495, abs=1e-12)
+    assert out.r == pytest.approx([0.495], abs=1e-12)
 
 
 def test_predict_unit_survival_keeps_existence():
     motion = MotionModel(np.eye(1), np.zeros((1, 1)), 1.0)
     out = lmb_predict(one_track(0.37), motion)
-    assert out.tracks[L0].existence == pytest.approx(0.37, abs=1e-15)
+    assert out.r == pytest.approx([0.37], abs=1e-15)
 
 
 def test_update_no_measurements_shrinks_existence():
@@ -36,7 +35,7 @@ def test_update_no_measurements_shrinks_existence():
     sensor = scalar_sensor(1.0, detection_prob=0.98, clutter_density=1e-3)
     out = lmb_update(one_track(0.5), [], sensor, CAP, np.inf)
     expected = 0.5 * 0.02 / (0.5 * 0.02 + 0.5)
-    assert dglmb_to_lmb(out.posterior).tracks[L0].existence == \
+    assert tracks_of(dglmb_to_lmb(out.posterior))[L0][0] == \
         pytest.approx(expected, abs=1e-12)
 
 
@@ -49,11 +48,11 @@ def test_update_approx_is_collapse_of_full(rng):
         out = lmb_update(lmb, Z, sensor, CAP, np.inf)
         approx = dglmb_to_lmb(out.posterior)
         assert dglmb_to_lmb(out.posterior) is approx
-        assert approx.labels() == [
+        assert approx.label_space == tuple(
             lab for lab in out.posterior.label_space
-            if existence_from_dglmb(out.posterior, lab) > 0.0]
-        for lab in approx.labels():
-            assert approx.tracks[lab].existence == pytest.approx(
+            if existence_from_dglmb(out.posterior, lab) > 0.0)
+        for lab, r in zip(approx.label_space, approx.r):
+            assert r == pytest.approx(
                 existence_from_dglmb(out.posterior, lab), abs=1e-12)
 
 
@@ -73,9 +72,9 @@ def test_update_single_target_reduces_to_kalman():
     sensor = scalar_sensor(1.0, detection_prob=1.0, clutter_density=0.0)
     out = dglmb_to_lmb(lmb_update(one_track(1.0), [[2.0]], sensor, CAP,
                                   np.inf).posterior)
-    assert out.tracks[L0].existence == pytest.approx(1.0)
+    (r, got), = tracks_of(out).values()
+    assert r == pytest.approx(1.0)
     expected, _ = gm_kalman_update_log(single([0.0], [[1.0]]), [2.0], sensor)
-    got = out.tracks[L0].spatial
     np.testing.assert_allclose(got.components[0].mean,
                                expected.components[0].mean, atol=1e-12)
     np.testing.assert_allclose(got.components[0].covariance,
@@ -86,4 +85,4 @@ def test_update_detection_raises_existence():
     # A nearby measurement should confirm a tentative track.
     sensor = scalar_sensor(1.0, detection_prob=0.9, clutter_density=1e-4)
     out = lmb_update(one_track(0.05), [[0.1]], sensor, CAP, np.inf)
-    assert dglmb_to_lmb(out.posterior).tracks[L0].existence > 0.5
+    assert tracks_of(dglmb_to_lmb(out.posterior))[L0][0] > 0.5

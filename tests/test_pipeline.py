@@ -7,11 +7,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from almbtrack import (BirthEntry, ConfigurationError,
-                       DensityGroup, DglmbDensity, GaussianComponent,
-                       GaussianMixture, Label,
+from almbtrack import (ConfigurationError, DensityGroup, DglmbDensity,
+                       GaussianComponent, GaussianMixture, Label,
                        LmbDensity, Mode, MultiObjectTracker, PipelineConfig,
-                       RepresentationState, Track, Trigger, UsageError,
+                       RepresentationState, Trigger, UsageError,
                        association_entropy, builtin_scenario, decide_switch,
                        dglmb_to_lmb, generate_measurements, generate_truth,
                        kl_criterion, lmb_to_dglmb, lmb_update)
@@ -23,7 +22,7 @@ from almbtrack.pipeline import (CAP, GATE_SQ, _reduce_lmb, _within,
                                 prune_group, split_group, update_group)
 
 from conftest import cv_motion, position_sensor, single
-from oracles import dglmb_from_rows, rows_of
+from oracles import dglmb_from_rows, lmb_from_tracks, rows_of
 
 CFG = PipelineConfig()
 LMB_STATE = RepresentationState(Mode.LMB, Trigger.NONE)
@@ -33,14 +32,12 @@ MOTION = cv_motion()
 
 
 def birth_entry(x, y, existence=0.05, std=10.0):
-    return BirthEntry(existence, single([x, y, 0.0, 0.0],
-                                        std ** 2 * np.eye(4)))
+    return existence, single([x, y, 0.0, 0.0], std ** 2 * np.eye(4))
 
 
 def track_group(label, x, y, existence=0.9, std=10.0, state=None):
-    lmb = LmbDensity({label: Track(label, existence,
-                                   single([x, y, 0.0, 0.0],
-                                          std ** 2 * np.eye(4)))})
+    lmb = lmb_from_tracks({label: (existence, single(
+        [x, y, 0.0, 0.0], std ** 2 * np.eye(4)))})
     if state is None:
         return DensityGroup(lmb)
     return DensityGroup(lmb, state)
@@ -50,13 +47,12 @@ def test_birth_injects_one_group_per_entry():
     births = [birth_entry(-1000.0, 0.0), birth_entry(1000.0, 0.0)]
     groups = inject_birth([], births, 3, LMB_STATE, SENSOR)
     assert len(groups) == 2
-    labels = sorted(lab for g in groups for lab in g.density.labels())
+    labels = sorted(lab for g in groups for lab in g.density.label_space)
     assert labels == [Label(3, 0), Label(3, 1)]
     for g in groups:
         assert isinstance(g.density, LmbDensity)
         assert g.state.mode is Mode.LMB
-        lab = g.density.labels()[0]
-        assert g.density.tracks[lab].existence == pytest.approx(0.05)
+        assert g.density.r == [pytest.approx(0.05)]
 
 
 def test_birth_pinned_delta_for_dglmb_policy():
@@ -73,7 +69,7 @@ def test_birth_masked_by_covering_track():
     births = [birth_entry(-1000.0, 0.0), birth_entry(1000.0, 0.0)]
     existing = track_group(Label(1, 0), -1001.0, 2.0)
     groups = inject_birth([existing], births, 5, LMB_STATE, SENSOR)
-    labels = sorted(lab for g in groups for lab in g.density.labels())
+    labels = sorted(lab for g in groups for lab in g.density.label_space)
     assert labels == [Label(1, 0), Label(5, 1)]
 
 
@@ -107,9 +103,9 @@ def test_gate_keeps_near_drops_far():
 
 def test_gate_unions_over_tracks():
     l1, l2 = Label(1, 0), Label(1, 1)
-    lmb = LmbDensity({
-        l1: Track(l1, 0.9, single([0.0, 0.0, 0.0, 0.0], np.eye(4))),
-        l2: Track(l2, 0.9, single([200.0, 0.0, 0.0, 0.0], np.eye(4))),
+    lmb = lmb_from_tracks({
+        l1: (0.9, single([0.0, 0.0, 0.0, 0.0], np.eye(4))),
+        l2: (0.9, single([200.0, 0.0, 0.0, 0.0], np.eye(4))),
     })
     group = DensityGroup(lmb)
     out = gate_measurements([group], [[0.0, 0.0], [200.0, 0.0],
@@ -140,7 +136,7 @@ def test_merge_unions_lmb_groups_sharing_a_measurement():
     merged = merge_groups(gated)
     assert len(merged) == 1
     assert isinstance(merged[0].density, LmbDensity)
-    assert sorted(merged[0].density.labels()) == [Label(1, 0), Label(1, 1)]
+    assert merged[0].density.label_space == (Label(1, 0), Label(1, 1))
     assert merged[0].gated == (0,)
 
 
@@ -153,7 +149,8 @@ def test_merge_closes_chains_of_shared_measurements():
                   for lab, gated in zip(labels, [(0,), (2,), (0, 1), (1,)])]
     merged = merge_groups([a, d, b, c])
     assert len(merged) == 2
-    assert merged[0].density.labels() == [labels[0], labels[2], labels[3]]
+    assert merged[0].density.label_space == (labels[0], labels[2],
+                                             labels[3])
     assert merged[0].gated == (0, 1)
     assert merged[1] is d
 
@@ -161,12 +158,10 @@ def test_merge_closes_chains_of_shared_measurements():
 def test_merge_cross_product_weights():
     from almbtrack import RepresentationState
     la, lb = Label(1, 0), Label(1, 1)
-    da = lmb_to_dglmb(LmbDensity({la: Track(la, 0.5,
-                                            single([0, 0, 0, 0], np.eye(4)))}),
-                      CAP)
-    db = lmb_to_dglmb(LmbDensity({lb: Track(lb, 0.3,
-                                            single([9, 0, 0, 0], np.eye(4)))}),
-                      CAP)
+    da = lmb_to_dglmb(lmb_from_tracks(
+        {la: (0.5, single([0, 0, 0, 0], np.eye(4)))}), CAP)
+    db = lmb_to_dglmb(lmb_from_tracks(
+        {lb: (0.3, single([9, 0, 0, 0], np.eye(4)))}), CAP)
     ga = DensityGroup(da, RepresentationState(Mode.DGLMB, Trigger.KL), 0.2,
                       (0,))
     gb = DensityGroup(db, RepresentationState(Mode.DGLMB, Trigger.ENTROPY),
@@ -189,9 +184,8 @@ def test_merge_expands_lmb_member_into_delta():
     la, lb = Label(1, 0), Label(1, 1)
     a = track_group(la, 0.0, 0.0, existence=0.5)
     a = DensityGroup(a.density, a.state, 0.0, (0,))
-    db = lmb_to_dglmb(LmbDensity({lb: Track(lb, 0.3,
-                                            single([9, 0, 0, 0], np.eye(4)))}),
-                      CAP)
+    db = lmb_to_dglmb(lmb_from_tracks(
+        {lb: (0.3, single([9, 0, 0, 0], np.eye(4)))}), CAP)
     gb = DensityGroup(db, RepresentationState(Mode.DGLMB, Trigger.KL), 0.4,
                       (0,))
     merged = merge_groups([a, gb])
@@ -203,9 +197,9 @@ def test_merge_expands_lmb_member_into_delta():
 def contested_group():
     # Two tracks competing for one measurement between them.
     l1, l2 = Label(1, 0), Label(1, 1)
-    lmb = LmbDensity({
-        l1: Track(l1, 0.5, single([0, 0, 0, 0], 25.0 * np.eye(4))),
-        l2: Track(l2, 0.5, single([5, 0, 0, 0], 25.0 * np.eye(4))),
+    lmb = lmb_from_tracks({
+        l1: (0.5, single([0, 0, 0, 0], 25.0 * np.eye(4))),
+        l2: (0.5, single([5, 0, 0, 0], 25.0 * np.eye(4))),
     })
     return DensityGroup(lmb, gated=(0,))
 
@@ -254,9 +248,9 @@ def test_update_empty_scan_cannot_trigger_entropy():
     # No measurement columns means zero association entropy by
     # construction, whatever the track configuration.
     l1, l2 = Label(1, 0), Label(1, 1)
-    lmb = LmbDensity({
-        l1: Track(l1, 0.9, single([0, 0, 0, 0], np.eye(4))),
-        l2: Track(l2, 0.9, single([1, 0, 0, 0], np.eye(4))),
+    lmb = lmb_from_tracks({
+        l1: (0.9, single([0, 0, 0, 0], np.eye(4))),
+        l2: (0.9, single([1, 0, 0, 0], np.eye(4))),
     })
     group = DensityGroup(lmb)
     new, kl, entropy = update_group(group, [], SENSOR, CFG)
@@ -266,17 +260,17 @@ def test_update_empty_scan_cannot_trigger_entropy():
 
 def test_prune_drops_weak_lmb_tracks():
     l1, l2 = Label(1, 0), Label(1, 1)
-    lmb = LmbDensity({
-        l1: Track(l1, 0.9, single([0, 0, 0, 0], np.eye(4))),
-        l2: Track(l2, 0.005, single([9, 0, 0, 0], np.eye(4))),
+    lmb = lmb_from_tracks({
+        l1: (0.9, single([0, 0, 0, 0], np.eye(4))),
+        l2: (0.005, single([9, 0, 0, 0], np.eye(4))),
     })
     out = prune_group(DensityGroup(lmb))
-    assert out.density.labels() == [l1]
+    assert out.density.label_space == (l1,)
 
 
 def test_prune_dead_group_returns_none():
-    lmb = LmbDensity({Label(1, 0): Track(Label(1, 0), 0.004,
-                                         single([0, 0, 0, 0], np.eye(4)))})
+    lmb = lmb_from_tracks({Label(1, 0): (0.004, single([0, 0, 0, 0],
+                                                       np.eye(4)))})
     assert prune_group(DensityGroup(lmb)) is None
 
 
@@ -297,20 +291,20 @@ def test_prune_delta_drops_light_hypotheses_and_dead_labels():
 
 def test_split_separates_distant_tracks():
     l1, l2 = Label(1, 0), Label(1, 1)
-    lmb = LmbDensity({
-        l1: Track(l1, 0.9, single([0, 0, 0, 0], np.eye(4))),
-        l2: Track(l2, 0.9, single([500, 0, 0, 0], np.eye(4))),
+    lmb = lmb_from_tracks({
+        l1: (0.9, single([0, 0, 0, 0], np.eye(4))),
+        l2: (0.9, single([500, 0, 0, 0], np.eye(4))),
     })
     out = split_group(DensityGroup(lmb), SENSOR)
     assert len(out) == 2
-    assert sorted(g.density.labels()[0] for g in out) == [l1, l2]
+    assert sorted(g.density.label_space[0] for g in out) == [l1, l2]
 
 
 def test_split_keeps_interacting_tracks_together():
     l1, l2 = Label(1, 0), Label(1, 1)
-    lmb = LmbDensity({
-        l1: Track(l1, 0.9, single([0, 0, 0, 0], np.eye(4))),
-        l2: Track(l2, 0.9, single([30, 0, 0, 0], np.eye(4))),
+    lmb = lmb_from_tracks({
+        l1: (0.9, single([0, 0, 0, 0], np.eye(4))),
+        l2: (0.9, single([30, 0, 0, 0], np.eye(4))),
     })
     out = split_group(DensityGroup(lmb), SENSOR)
     assert len(out) == 1
@@ -321,20 +315,20 @@ def test_split_keeps_chains_together_in_label_order():
     # l3-l2 are 60 m apart, l1-l2 are 120 m apart, l0 is far away.
     l0, l1, l2, l3 = (Label(1, i) for i in range(4))
     xs = {l0: 1000.0, l1: 0.0, l2: 120.0, l3: 60.0}
-    lmb = LmbDensity({lab: Track(lab, 0.9, single([x, 0, 0, 0],
-                                                  100.0 * np.eye(4)))
-                      for lab, x in xs.items()})
+    lmb = lmb_from_tracks({lab: (0.9, single([x, 0, 0, 0],
+                                             100.0 * np.eye(4)))
+                           for lab, x in xs.items()})
     out = split_group(DensityGroup(lmb), SENSOR)
-    assert [g.density.labels() for g in out] == [[l0], [l1, l2, l3]]
+    assert [g.density.label_space for g in out] == [(l0,), (l1, l2, l3)]
 
 
 def test_split_marginalizes_independent_delta_pair():
     # Expansion of two independent Bernoullis splits back into the
     # original marginals.
     l1, l2 = Label(1, 0), Label(1, 1)
-    lmb = LmbDensity({
-        l1: Track(l1, 0.5, single([0, 0, 0, 0], np.eye(4))),
-        l2: Track(l2, 0.5, single([500, 0, 0, 0], np.eye(4))),
+    lmb = lmb_from_tracks({
+        l1: (0.5, single([0, 0, 0, 0], np.eye(4))),
+        l2: (0.5, single([500, 0, 0, 0], np.eye(4))),
     })
     from almbtrack import RepresentationState
     parent = DensityGroup(lmb_to_dglmb(lmb, CAP),
@@ -357,23 +351,22 @@ def test_split_preserves_existence(rng):
     labels = [Label(1, i) for i in range(3)]
     xs = [0.0, 40.0, 800.0]
     rs = [0.7, 0.6, 0.9]
-    lmb = LmbDensity({lab: Track(lab, r, single([x, 0, 0, 0], np.eye(4)))
-                      for lab, x, r in zip(labels, xs, rs)})
+    lmb = lmb_from_tracks({lab: (r, single([x, 0, 0, 0], np.eye(4)))
+                           for lab, x, r in zip(labels, xs, rs)})
     out = split_group(DensityGroup(lmb_to_dglmb(lmb, CAP)), SENSOR)
     got = {}
     for child in out:
         view = dglmb_to_lmb(child.density)
-        for lab in view.labels():
-            got[lab] = view.tracks[lab].existence
+        got.update(zip(view.label_space, view.r))
     for lab, r in zip(labels, rs):
         assert got[lab] == pytest.approx(r, abs=1e-9)
 
 
 def test_extract_threshold_is_strict():
     l1, l2 = Label(1, 0), Label(1, 1)
-    lmb = LmbDensity({
-        l1: Track(l1, 0.6, single([3, 4, 0, 0], np.eye(4))),
-        l2: Track(l2, 0.5, single([9, 9, 0, 0], np.eye(4))),
+    lmb = lmb_from_tracks({
+        l1: (0.6, single([3, 4, 0, 0], np.eye(4))),
+        l2: (0.5, single([9, 9, 0, 0], np.eye(4))),
     })
     out = extract_tracks([DensityGroup(lmb)], 0.5)
     assert [lab for lab, _ in out] == [l1]
@@ -411,6 +404,13 @@ def test_pipeline_step_is_deterministic():
 def test_tracker_rejects_unknown_policy():
     with pytest.raises(UsageError):
         MultiObjectTracker(MOTION, SENSOR, [], policy="foo")
+
+
+@pytest.mark.parametrize("existence", [1.5, -0.1, float("nan")])
+def test_tracker_rejects_bad_birth_existence(existence):
+    births = [birth_entry(0.0, 0.0), birth_entry(500.0, 0.0, existence)]
+    with pytest.raises(ConfigurationError, match=r"births\[1\] existence"):
+        MultiObjectTracker(MOTION, SENSOR, births)
 
 
 def test_tracker_policies_are_settings():
@@ -493,11 +493,10 @@ def assert_same_update(fast, slow):
     assert g.state == h.state and g.criterion_value == h.criterion_value
     assert type(g.density) is type(h.density)
     if isinstance(h.density, LmbDensity):
-        assert g.density.labels() == h.density.labels()
-        for label, track in h.density.tracks.items():
-            assert g.density.tracks[label].existence == track.existence
-            assert_same_mixture(g.density.tracks[label].spatial,
-                                track.spatial)
+        assert g.density.label_space == h.density.label_space
+        assert g.density.r == h.density.r
+        for a, b in zip(g.density.mixtures, h.density.mixtures):
+            assert_same_mixture(a, b)
         return
     assert g.density.label_space == h.density.label_space
     assert len(g.density.w) == len(h.density.w)
@@ -514,7 +513,7 @@ def one_track(existence, components):
         GaussianComponent(w / sum(weights), [3.0 * i, -2.0 * i, 1.0, 0.5],
                           (80.0 + 20.0 * i) * np.eye(4))
         for i, w in enumerate(weights)])
-    return DensityGroup(LmbDensity({label: Track(label, existence, gm)}))
+    return DensityGroup(lmb_from_tracks({label: (existence, gm)}))
 
 
 # Three measurements inside the gate, two of them identical (their Kalman
@@ -587,12 +586,12 @@ def test_lmb_filter_sends_only_multi_track_groups_to_lmb_update(monkeypatch):
         pipeline.update_group
 
     def spy_lmb_update(lmb, *args, **kwargs):
-        seen.append(len(lmb.tracks))
+        seen.append(len(lmb.label_space))
         return real_lmb_update(lmb, *args, **kwargs)
 
     def spy_update_group(group, *args):
         if isinstance(group.density, LmbDensity) \
-                and len(group.density.tracks) == 1:
+                and len(group.density.label_space) == 1:
             one_track_updates.append(group)
         return real_update_group(group, *args)
 
@@ -646,6 +645,6 @@ def test_stacked_split_test_is_exact(rng):
 
 
 def test_update_of_an_empty_lmb_group_takes_the_generic_path():
-    new, kl, entropy = update_group(DensityGroup(LmbDensity()), [[1.0, 0.0]],
-                                    SENSOR, CFG)
-    assert new.density.tracks == {} and kl == 0.0 and entropy == 0.0
+    new, kl, entropy = update_group(DensityGroup(lmb_from_tracks({})),
+                                    [[1.0, 0.0]], SENSOR, CFG)
+    assert new.density.label_space == () and kl == 0.0 and entropy == 0.0

@@ -145,7 +145,7 @@ def test_model_builders_match_config():
     assert sensor.clutter_density == pytest.approx(50.0 / 4e6)
     births = make_birth_model(cfg)
     assert len(births) == 2
-    assert births[0].existence == pytest.approx(0.05)
+    assert births[0][0] == pytest.approx(0.05)
     assert make_pipeline_config(cfg) == PipelineConfig(
         kl_threshold=1e-4, entropy_threshold=0.5)
     params = make_ospa_params(cfg)
@@ -227,6 +227,7 @@ NAN = float("nan")
     bad(None, "region", [[-1.0, 1.0], [-1.0]]),
     bad("birth", "existence", "x"), bad("birth", "mean", [0.0, "x", 0.0, 0.0]),
     bad("birth", "std", [1.0, 1.0, 1.0, NAN]),
+    bad("birth", "std", [-10.0, 10.0, 10.0, 10.0]),
     bad("truth", "birth_step", "x"), bad("truth", "death_step", 2.5),
     bad("truth", "state", [0.0, 1.0, None, 0.0]),
 ])

@@ -7,7 +7,9 @@ delta-GLMB weights are finite and sum to one, existences lie in [0, 1]
 and no mixture holds a NaN; after the update every covariance is
 symmetric and has a Cholesky factor.  The hand-run scans report what
 ``MultiObjectTracker`` reports, so the stages are those the tracker
-runs.
+runs.  One more run adds, from scan 5 on, a measurement exactly on each
+reported track's predicted measurement (squared Mahalanobis distance
+zero).
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ import pytest
 
 from almbtrack import (DglmbDensity, MultiObjectTracker, builtin_scenario,
                        generate_measurements, generate_truth)
+from almbtrack.gaussian import mahalanobis_sq, predicted_measurement
 from almbtrack.harness import FILTER_NAMES
 from almbtrack.pipeline import (EXTRACTION, GATE_SQ, extract_tracks,
                                 gate_measurements, inject_birth, merge_groups,
@@ -48,21 +51,15 @@ def scenario(name):
     return config
 
 
-def mixtures(group):
-    if isinstance(group.density, DglmbDensity):
-        return group.density.mixtures
-    return [track.spatial for track in group.density.tracks.values()]
-
-
 def check(groups, stage, updated=False):
     for group in groups:
         d = group.density
         if isinstance(d, DglmbDensity):
             assert np.isfinite(d.w).all(), stage
             assert abs(float(d.w.sum()) - 1.0) <= 1e-12, stage
-        for track in group.lmb_view().tracks.values():
-            assert 0.0 <= track.existence <= 1.0, stage
-        for gm in mixtures(group):
+        for r in group.lmb_view().r:
+            assert 0.0 <= r <= 1.0, stage
+        for gm in d.mixtures:
             for c in gm.components:
                 assert not np.isnan(c.weight), stage
                 assert not np.isnan(c.mean).any(), stage
@@ -73,10 +70,25 @@ def check(groups, stage, updated=False):
                     np.linalg.cholesky(c.covariance)
 
 
-@pytest.mark.parametrize("policy", FILTER_NAMES)
-@pytest.mark.parametrize("setting", SETTINGS)
-def test_invariants_hold_after_every_stage(setting, policy):
-    config = scenario(setting)
+def on_predictions(groups, sensor):
+    """A measurement exactly at ``H m`` of the heaviest predicted
+    component of each track above the extraction threshold."""
+    out = []
+    for group in groups:
+        view = group.lmb_view()
+        for gm, r in zip(view.mixtures, view.r):
+            if r > EXTRACTION:
+                z = np.array(predicted_measurement(gm, sensor)[0])
+                assert mahalanobis_sq(z, gm, sensor) == 0.0
+                out.append(z)
+    return out
+
+
+def run_stages(config, policy, exact_from=None):
+    """Run the stages by hand for ``SCANS`` scans, checking after each,
+    and check each scan against ``MultiObjectTracker``.  From scan
+    ``exact_from`` on the scan also holds ``on_predictions``; returns how
+    many such measurements there were."""
     truth = generate_truth(config)
     measurements = generate_measurements(
         truth, config, np.random.default_rng(config.seed))[:SCANS]
@@ -84,13 +96,16 @@ def test_invariants_hold_after_every_stage(setting, policy):
                                  make_birth_model(config),
                                  make_pipeline_config(config), policy)
     motion, sensor = tracker.motion, tracker.sensor
-    groups = []
+    groups, exact = [], 0
     for k, Z in enumerate(measurements, 1):
         groups = inject_birth(groups, tracker.births, k, tracker.birth_state,
                               sensor)
         check(groups, "birth")
         groups = [predict_group(g, motion) for g in groups]
         check(groups, "predict")
+        if exact_from is not None and k >= exact_from:
+            on = on_predictions(groups, sensor)
+            Z, exact = list(Z) + on, exact + len(on)
         groups = gate_measurements(groups, Z, sensor, GATE_SQ)
         check(groups, "gate")
         groups = merge_groups(groups)
@@ -112,3 +127,15 @@ def test_invariants_hold_after_every_stage(setting, policy):
         for (_, state), (_, want) in zip(extracted, expected):
             assert np.isfinite(state).all()
             assert np.array_equal(state, want)
+    return exact
+
+
+@pytest.mark.parametrize("policy", FILTER_NAMES)
+@pytest.mark.parametrize("setting", SETTINGS)
+def test_invariants_hold_after_every_stage(setting, policy):
+    run_stages(scenario(setting), policy)
+
+
+@pytest.mark.parametrize("policy", FILTER_NAMES)
+def test_invariants_hold_with_measurements_on_predictions(policy):
+    assert run_stages(scenario("two-target"), policy, exact_from=5) > 0

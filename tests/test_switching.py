@@ -10,7 +10,8 @@ from almbtrack.lmb import lmb_update
 from almbtrack import SensorModel
 
 from conftest import CAP, single
-from oracles import dglmb_from_rows, random_lmb_instance, switch_cases
+from oracles import (dglmb_from_rows, lmb_from_tracks, random_lmb_instance,
+                     switch_cases)
 
 L1, L2 = Label(0, 0), Label(0, 1)
 
@@ -66,10 +67,9 @@ def test_criterion_zero_for_independent_density(rng):
 def test_criterion_positive_after_contested_update(rng):
     # Two overlapping tracks fighting for one measurement leave real
     # cardinality correlation behind.
-    from almbtrack import LmbDensity, Track
-    lmb = LmbDensity({
-        L1: Track(L1, 0.5, single([0.0, 0.0], np.eye(2))),
-        L2: Track(L2, 0.5, single([0.5, 0.0], np.eye(2))),
+    lmb = lmb_from_tracks({
+        L1: (0.5, single([0.0, 0.0], np.eye(2))),
+        L2: (0.5, single([0.5, 0.0], np.eye(2))),
     })
     sensor = SensorModel(np.eye(2), np.eye(2), 0.9, 1e-4)
     out = lmb_update(lmb, [[0.2, 0.0]], sensor, CAP, np.inf)
