@@ -11,18 +11,16 @@ Run:  python3 demos/demo_switching_criteria.py
 
 import numpy as np
 
-from almbtrack import (DglmbDensity, GaussianComponent, GaussianMixture,
-                       Label, LmbDensity, Mode, PipelineConfig,
-                       RepresentationState, SensorModel, Trigger,
-                       association_entropy, decide_switch, kl_criterion,
-                       lmb_to_dglmb, lmb_update)
+from almbtrack import (DglmbDensity, GaussianMixture, Label, LmbDensity,
+                       Mode, PipelineConfig, RepresentationState, SensorModel,
+                       Trigger, association_entropy, decide_switch,
+                       kl_criterion, lmb_to_dglmb, lmb_update)
 from almbtrack.pipeline import CAP, GATE_SQ
 
 
 def gm(mean, var=1.0):
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    return GaussianMixture([GaussianComponent(1.0, mean,
-                                              var * np.eye(mean.size))])
+    return GaussianMixture([1.0], [mean], [var * np.eye(mean.size)])
 
 
 def main():

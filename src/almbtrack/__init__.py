@@ -4,8 +4,8 @@ from .densities import (DglmbDensity, Label, LmbDensity, dglmb_cardinality,
                         dglmb_to_lmb, lmb_cardinality, lmb_to_dglmb)
 from .dglmb import dglmb_predict, dglmb_prune, dglmb_update
 from .errors import ConfigurationError, NumericalError, UsageError
-from .gaussian import (GaussianComponent, GaussianMixture, MotionModel,
-                       SensorModel, gm_predict, gm_reduce)
+from .gaussian import (GaussianMixture, MotionModel, SensorModel, gm_predict,
+                       gm_reduce)
 from .lmb import lmb_predict, lmb_update
 from .metrics import OspaParams, ospa, ospat
 from .pipeline import (DensityGroup, MultiObjectTracker, PipelineConfig,
@@ -21,9 +21,8 @@ from .switching import (Mode, RepresentationState, Trigger,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTIN_SCENARIOS", "ConfigurationError",
-    "DensityGroup", "DglmbDensity", "GaussianComponent",
-    "GaussianMixture", "Label", "LmbDensity", "Mode",
+    "BUILTIN_SCENARIOS", "ConfigurationError", "DensityGroup",
+    "DglmbDensity", "GaussianMixture", "Label", "LmbDensity", "Mode",
     "MotionModel", "MultiObjectTracker", "NumericalError", "OspaParams",
     "PipelineConfig", "RepresentationState", "ScenarioConfig", "SensorModel",
     "Trigger", "UsageError", "association_entropy",

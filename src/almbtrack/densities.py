@@ -17,7 +17,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import UsageError
-from .gaussian import GaussianMixture, _component
+from .gaussian import GaussianMixture, joined_terms
 
 # Existence probabilities of exactly one are clamped so hypothesis
 # weights (products of r and 1 - r) stay finite.
@@ -185,14 +185,16 @@ def dglmb_to_lmb(d):
 
 
 def mixture_average(parts, total):
-    """The sum of ``w / total`` times each normalized mixture ``gm``."""
-    components = []
-    for w, gm in parts:
-        factor = w / (total * gm.total_weight())
-        components += [_component(float(c.weight * factor), c.mean,
-                                  c.covariance, c._innovation_terms)
-                       for c in gm.components]
-    return GaussianMixture(components)
+    """The sum of ``w / total`` times each normalized mixture ``gm``,
+    holding the innovation terms its parts share (``joined_terms``)."""
+    weights, mixtures = zip(*parts)
+    out = GaussianMixture(
+        np.concatenate([gm.w * (w / (total * gm.total_weight()))
+                        for w, gm in zip(weights, mixtures)]),
+        np.concatenate([gm.m for gm in mixtures]),
+        np.concatenate([gm.P for gm in mixtures]))
+    out._terms = joined_terms(mixtures)
+    return out
 
 
 def lmb_cardinality(lmb):

@@ -61,18 +61,18 @@ _CONSOLIDATE_ATOL = 1e-2
 def _signatures(mixtures):
     """One row per mixture, all of one shape: the component weights,
     means and covariances, in component order."""
-    comps = [c for gm in mixtures for c in gm.components]
-    return np.hstack([np.array([[c.weight] for c in comps]),
-                      np.array([c.mean for c in comps]),
-                      np.array([c.covariance.ravel() for c in comps])
-                      ]).reshape(len(mixtures), -1)
+    k = len(mixtures)
+    return np.concatenate([np.array([gm.w for gm in mixtures])[..., None],
+                           np.array([gm.m for gm in mixtures]),
+                           np.array([gm.P for gm in mixtures]).reshape(
+                               k, len(mixtures[0].w), -1)], 2).reshape(k, -1)
 
 
 def _close(mixtures, shared):
     """``(k, k)`` mask of the pairs of ``mixtures``, all of one shape,
     whose signatures are within ``_CONSOLIDATE_ATOL`` elementwise (on the
     diagonal only where ``shared``); the first mean entry screens."""
-    x = np.array([gm.components[0].mean[0] for gm in mixtures])
+    x = np.array([gm.m[0, 0] for gm in mixtures])
     near = np.abs(x[:, None] - x) <= _CONSOLIDATE_ATOL
     near.flat[::len(x) + 1] = shared  # unless nan or inf, close to itself
     a, b = np.nonzero(near)
@@ -93,7 +93,7 @@ def _consolidate(rows, log_w, mixtures):
     representatives, in visiting order, and their merged log weights."""
     order = _ranking(rows, log_w)
     log_w = list(log_w)
-    shapes = [(len(gm.components), gm.dim) for gm in mixtures]
+    shapes = [gm.m.shape for gm in mixtures]
     # The signature sizes, which one label set fixes where all shapes
     # agree; position -1 reads the trailing 0.
     sizes = [c * (1 + d + d * d) for c, d in shapes] + [0]

@@ -6,7 +6,7 @@ Kalman update, likelihood evaluation and mixture-reduction routines
 defined here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,86 +16,57 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def _symmetrize(P):
-    return 0.5 * (P + P.T)
+    # The symmetric part of a matrix, or of each in a stack.
+    S = P + P.swapaxes(-1, -2)
+    S *= 0.5
+    return S
 
 
-@dataclass(eq=False)
-class GaussianComponent:
-    """One weighted Gaussian: nonnegative weight, mean vector, covariance.
-
-    The covariance is symmetrized on construction; positive definiteness
-    is only enforced where a factorization is actually taken.
-    """
-
-    weight: float
-    mean: np.ndarray
-    covariance: np.ndarray
-    _innovation_terms: dict = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        self.weight = float(self.weight)
-        self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        self.covariance = _symmetrize(np.asarray(self.covariance, dtype=float))
-        if self.weight < 0.0:
-            raise ConfigurationError("component weight must be nonnegative")
-        n = self.mean.size
-        if self.covariance.shape != (n, n):
-            raise ConfigurationError(
-                "covariance shape %s does not match mean dimension %d"
-                % (self.covariance.shape, n)
-            )
-        self._innovation_terms = {}
-
-    def reweighted(self, weight):
-        """The same Gaussian under a new weight, sharing its arrays."""
-        if weight < 0.0:
-            raise ConfigurationError("component weight must be nonnegative")
-        return _component(float(weight), self.mean, self.covariance,
-                          self._innovation_terms)
-
-
-def _component(weight, mean, covariance, terms=None):
-    # A component from a float weight and valid arrays, unchecked.
-    out = object.__new__(GaussianComponent)
-    out.__dict__.update(weight=weight, mean=mean, covariance=covariance,
-                        _innovation_terms={} if terms is None else terms)
-    return out
-
-
-@dataclass(eq=False)
 class GaussianMixture:
-    """Finite Gaussian mixture over a single state space.
+    """Finite Gaussian mixture over one state space, in three arrays:
 
-    Components all share one state dimension.  Weights are kept as given;
-    most operations normalize explicitly where their contract says so.
+    - ``w``: the (n,) nonnegative component weights, kept as given (most
+      operations normalize explicitly where their contract says so);
+    - ``m``: the (n, d) component means;
+    - ``P``: the (n, d, d) component covariances, symmetrized on
+      construction (positive definiteness is only enforced where a
+      factorization is actually taken).
+
+    A mixture is never modified, except that ``innovation_terms`` keeps
+    the innovation terms of its components for one sensor in ``_terms``.
     """
 
-    components: list
-
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, w, m, P):
+        w = np.asarray(w, dtype=float)
+        m = np.asarray(m, dtype=float)
+        P = np.asarray(P, dtype=float)
+        if m.ndim != 2 or w.shape != m.shape[:1] or \
+                P.shape != m.shape + m.shape[1:]:
+            raise ConfigurationError(
+                "mixture of weights %s, means %s and covariances %s"
+                % (w.shape, m.shape, P.shape))
+        if not len(w):
             raise UsageError("mixture must contain at least one component")
-        dim = self.components[0].mean.size
-        if any(c.mean.size != dim for c in self.components):
-            raise ConfigurationError("mixed state dimensions in one mixture")
+        if min(w.tolist()) < 0.0:
+            raise ConfigurationError("component weight must be nonnegative")
+        self.w, self.m, self.P = w, m, _symmetrize(P)
+        self._terms = None
 
     @property
     def dim(self):
-        return self.components[0].mean.size
-
-    def weights(self):
-        return np.array([c.weight for c in self.components])
+        return self.m.shape[1]
 
     def total_weight(self):
-        return float(sum(c.weight for c in self.components))
+        return float(sum(self.w.tolist()))
 
     def normalized(self):
         tot = self.total_weight()
         if tot <= 0.0:
             raise NumericalError("mixture weight sum is not positive",
                                  {"total": tot})
-        return GaussianMixture(
-            [c.reweighted(c.weight / tot) for c in self.components])
+        out = object.__new__(GaussianMixture)
+        vars(out).update(vars(self), w=self.w / tot)
+        return out
 
 
 @dataclass(eq=False)
@@ -165,77 +136,84 @@ def gm_predict(gm, model):
     """
     if model.F.shape[1] != gm.dim:
         raise ConfigurationError("motion model dimension does not match mixture")
-    out = []
-    for c in gm.components:
-        mean = model.F @ c.mean
-        cov = model.F @ c.covariance @ model.F.T + model.Q
-        out.append(GaussianComponent(c.weight, mean, cov))
-    return GaussianMixture(out)
+    F = model.F
+    return GaussianMixture(gm.w, np.matmul(F, gm.m[..., None])[..., 0],
+                           np.matmul(np.matmul(F, gm.P), F.T) + model.Q)
 
 
-def _lacks(t, sensor, table=None, factor=True):
-    return (t.get("sensor") is not sensor or "S" not in t
-            or (factor and "L" not in t)
-            or (table is not None and t.get("table") != table))
+def _predicted(m, P, sensor):
+    # Stacked predicted measurements H m and innovation covariances
+    # H P H' + R (symmetrized).
+    H = sensor.H
+    S = np.matmul(np.matmul(H, P), H.T) + sensor.R
+    return np.matmul(H, m[..., None])[..., 0], _symmetrize(S)
 
 
-def innovation_terms(components, sensor, Z=None, factor=True):
-    """Fill the innovation terms each component lacks for ``sensor``.
+def innovation_terms(mixtures, sensor, Z=None):
+    """Fill the innovation terms each mixture lacks for ``sensor``.
 
-    The terms live in the dict ``_innovation_terms``, which reweighted
-    copies share: ``z_pred = H m`` and ``S = H P H' + R``; with
-    ``factor`` the Cholesky factor ``L`` (None if ``S`` has none, and
-    readers raise), the gain ``K``, ``cov = (I - K H) P`` (symmetrized)
-    and ``logdet`` of ``S``; given ``Z``, ``d2[j] = |L^-1 (Z[j] -
-    z_pred)|^2``, keyed by the bytes of ``Z`` (``table``) and of its rows
-    (``rows``).  Each term comes from one stacked call whose slices run
-    the routine of a single component: the same bits in any company.
+    The terms live in the dict ``_terms`` of the mixture, stacked over its
+    components: ``z_pred = H m`` and ``S = H P H' + R``; for the ``ok``
+    components before the first whose ``S`` has no Cholesky factor (the
+    readers raise unless that is all of them), the factor ``L``, the gain
+    ``K``, ``cov = (I - K H) P`` (symmetrized) and ``logdet`` of ``S``;
+    given ``Z``, ``d2[i, j] = |L_i^-1 (Z[j] - z_pred_i)|^2``, for the
+    bytes of ``Z`` (``table``) and of its rows (``rows``).  Each term
+    comes from one stacked call over the components that lack it, whose
+    slices run the routine of a single component: the same bits in any
+    company.
     """
     table = None
     if Z is not None and len(Z):
         Z = np.asarray(Z, dtype=float).reshape(len(Z), -1)
         table = Z.tobytes()
-    todo = {}
-    for c in components:
-        t = c._innovation_terms
-        if t.get("sensor") is not sensor:
-            t.clear()
-            t["sensor"] = sensor
-        todo[id(t)] = (t, c)
-    H = sensor.H
-    new = [(t, c) for t, c in todo.values() if _lacks(t, sensor, factor=factor)]
+    todo = list({id(gm): gm for gm in mixtures}.values())
+    new = [gm for gm in todo
+           if gm._terms is None or gm._terms["sensor"] is not sensor]
     if new:
-        P = np.array([c.covariance for _, c in new])
-        z_pred = np.matmul(H, np.array([c.mean for _, c in new])[..., None])
-        S = np.matmul(np.matmul(H, P), H.T) + sensor.R
-        S = 0.5 * (S + S.swapaxes(-1, -2))
-        _store(new, z_pred=z_pred[..., 0], S=S)
-        if factor:
-            _store(new, L=_cholesky(S))
-            ok = [i for i, (t, _) in enumerate(new) if t["L"] is not None]
-            new, P, S = [new[i] for i in ok], P[ok], S[ok]
-    if new and factor:
-        K = np.linalg.solve(S, np.matmul(H, P)).swapaxes(-1, -2)
-        cov = np.matmul(np.eye(P.shape[-1]) - np.matmul(K, H), P)
-        L = np.array([t["L"] for t, _ in new])
-        _store(new, K=K, cov=0.5 * (cov + cov.swapaxes(-1, -2)),
-               logdet=2.0 * np.sum(np.log(np.diagonal(L, 0, -2, -1)), -1))
-    new = [(t, c) for t, c in todo.values() if table is not None
-           and t.get("L") is not None and t.get("table") != table]
-    if new:
+        _factor(new, sensor)
+    terms = [gm._terms for gm in todo
+             if table is not None and gm._terms["table"] != table]
+    if terms:
         # One right-hand side per slice: that is the bits of a solve per
         # measurement, which a solve with many columns need not be.
-        L = np.array([t["L"] for t, _ in new])[:, None]
-        r = Z - np.array([t["z_pred"] for t, _ in new])[:, None]
+        L = np.concatenate([t["L"] for t in terms])[:, None]
+        r = Z - np.concatenate([t["z_pred"][:t["ok"]] for t in terms])[:, None]
         y = np.linalg.solve(L, r[..., None])
+        d2 = np.matmul(y.swapaxes(-1, -2), y)[..., 0, 0]
         rows = {z.tobytes(): j for j, z in enumerate(Z)}
-        _store(new, d2=np.matmul(y.swapaxes(-1, -2), y)[..., 0, 0],
-               table=[table] * len(new), rows=[rows] * len(new))
+        ends = np.cumsum([t["ok"] for t in terms]).tolist()
+        for t, a, b in zip(terms, [0] + ends, ends):
+            t.update(d2=d2[a:b], table=table, rows=rows)
 
 
-def _store(pairs, **terms):
-    for i, (t, _) in enumerate(pairs):
-        t.update((name, values[i]) for name, values in terms.items())
+def _factor(mixtures, sensor):
+    # Every innovation term but d2, for all components of ``mixtures``.
+    sizes = [len(gm.w) for gm in mixtures]
+    P = np.concatenate([gm.P for gm in mixtures])
+    z_pred, S = _predicted(np.concatenate([gm.m for gm in mixtures]), P,
+                           sensor)
+    L, ok = _cholesky(S), sizes
+    if isinstance(L, list):
+        # A mixture's terms stop before its first component without one.
+        starts = np.cumsum([0] + sizes).tolist()
+        ok = [next((i for i in range(n) if L[s + i] is None), n)
+              for s, n in zip(starts, sizes)]
+        keep = [s + i for s, n in zip(starts, ok) for i in range(n)]
+        L = np.array([L[i] for i in keep]).reshape((len(keep),) + S.shape[1:])
+    else:
+        keep = slice(None)
+    H, P = sensor.H, P[keep]
+    K = np.linalg.solve(S[keep], np.matmul(H, P)).swapaxes(-1, -2)
+    cov = _symmetrize(np.matmul(np.eye(P.shape[-1]) - np.matmul(K, H), P))
+    logdet = 2.0 * np.sum(np.log(np.diagonal(L, 0, -2, -1)), -1)
+    a = b = 0
+    for gm, n, k in zip(mixtures, sizes, ok):
+        gm._terms = dict(sensor=sensor, ok=k, z_pred=z_pred[a:a + n],
+                         S=S[a:a + n], L=L[b:b + k], K=K[b:b + k],
+                         cov=cov[b:b + k], logdet=logdet[b:b + k], d2=None,
+                         table=None, rows={})
+        a, b = a + n, b + k
 
 
 def _cholesky(S):
@@ -246,25 +224,42 @@ def _cholesky(S):
         return [_cholesky(Si) for Si in S] if S.ndim > 2 else None
 
 
-def _read(c, sensor, Z=None, table=None):
-    # One component's terms, filled on demand, with S factored.
-    t = c._innovation_terms
-    if _lacks(t, sensor, table):
-        innovation_terms([c], sensor, Z)
-    if t["L"] is None:
+def joined_terms(mixtures):
+    """The innovation terms of ``mixtures`` concatenated in order, if
+    each holds them for every component for one sensor and one
+    measurement table; else None.  One mixture's are shared as they are."""
+    terms = [gm._terms for gm in mixtures]
+    first = terms[0]
+    if first is None or not all(
+            t is not None and t["sensor"] is first["sensor"]
+            and t["table"] == first["table"] and t["ok"] == len(gm.w)
+            for t, gm in zip(terms, mixtures)):
+        return None
+    if len(terms) == 1:
+        return first
+    return dict(first, ok=sum(t["ok"] for t in terms), **{
+        name: np.concatenate([t[name] for t in terms]) for name in (
+            "z_pred", "S", "L", "K", "cov", "logdet", "d2")
+        if first[name] is not None})
+
+
+def _factored(gm, t):
+    # The terms t of gm, unless a component's S has no Cholesky factor.
+    if t["ok"] < len(gm.w):
         raise NumericalError(
             "singular or indefinite innovation covariance",
-            {"matrix": t["S"], "what": "innovation covariance"})
+            {"matrix": t["S"][t["ok"]], "what": "innovation covariance"})
     return t
 
 
-def _row(c, sensor, z, key):
-    # (terms, j) with d2[j] the squared whitened residual of the
-    # measurement z, whose bytes are ``key``.
-    t = c._innovation_terms
-    if t.get("sensor") is not sensor or key not in t.get("rows", ()):
-        return _read(c, sensor, [z], key), 0
-    return _read(c, sensor), t["rows"][key]
+def _terms_at(gm, sensor, z):
+    # (terms, j) of gm with d2[:, j] the squared whitened residuals of
+    # the measurement z, filled on demand.
+    t, key = gm._terms, z.tobytes()
+    if t is None or t["sensor"] is not sensor or key not in t["rows"]:
+        innovation_terms([gm], sensor, [z])
+        t = gm._terms
+    return _factored(gm, t), t["rows"][key]
 
 
 def gm_kalman_update_log(gm, z, sensor):
@@ -275,36 +270,29 @@ def gm_kalman_update_log(gm, z, sensor):
     ``log sum_i w_i N(z; H m_i, H P_i H' + R)``.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
-    key = z.tobytes()
     if sensor.H.shape[1] != gm.dim:
         raise ConfigurationError("sensor model dimension does not match mixture")
     if z.size != sensor.meas_dim:
         raise ConfigurationError("measurement dimension does not match H")
-    log_w = np.empty(len(gm.components))
-    updated = []
-    for i, c in enumerate(gm.components):
-        t, j = _row(c, sensor, z, key)
-        mean = c.mean + t["K"] @ (z - t["z_pred"])
-        # log N(z; z_pred, S) via the Cholesky factor L of S.
-        log_w[i] = np.log(max(c.weight, 1e-300)) + -0.5 * (
-            z.size * _LOG_2PI + t["logdet"] + float(t["d2"][j]))
-        updated.append((mean, t["cov"]))
+    t, j = _terms_at(gm, sensor, z)
+    mean = gm.m + np.matmul(t["K"], (z - t["z_pred"])[..., None])[..., 0]
+    # log N(z; z_pred, S) via the Cholesky factor L of S.
+    log_w = np.log(np.maximum(gm.w, 1e-300)) + -0.5 * (
+        z.size * _LOG_2PI + t["logdet"] + t["d2"][:, j])
     top = float(np.max(log_w))
     log_lik = top + float(np.log(np.sum(np.exp(log_w - top))))
-    w = np.exp(log_w - log_lik)
-    post = GaussianMixture([_component(float(w[i]), m, P)
-                            for i, (m, P) in enumerate(updated)])
-    return post, log_lik
+    return GaussianMixture(np.exp(log_w - log_lik), mean, t["cov"]), log_lik
 
 
-def _merge_components(parts):
-    w = sum(c.weight for c in parts)
-    mean = sum(c.weight * c.mean for c in parts) / w
-    P = np.zeros_like(parts[0].covariance)
-    for c in parts:
-        d = c.mean - mean
-        P += c.weight * (c.covariance + np.outer(d, d))
-    return GaussianComponent(w, mean, P / w)
+def _merge(parts):
+    # Moment match of (weight, mean, covariance) parts, summed in order.
+    w = sum(c[0] for c in parts)
+    mean = sum(c[0] * c[1] for c in parts) / w
+    P = np.zeros_like(parts[0][2])
+    for cw, cm, cP in parts:
+        d = cm - mean
+        P += cw * (cP + np.outer(d, d))
+    return w, mean, P / w
 
 
 def gm_reduce(gm, prune_threshold, merge_threshold, max_components):
@@ -318,37 +306,33 @@ def gm_reduce(gm, prune_threshold, merge_threshold, max_components):
     returned with weight one.  Merging preserves the mixture mean exactly.
     A one-component mixture merges with itself: it is only normalized.
     """
-    if len(gm.components) == 1:
-        return gm.normalized()
     norm = gm.normalized()
-    keep = [c for c in norm.components if c.weight >= prune_threshold]
-    if not keep:
-        best = max(norm.components, key=lambda c: c.weight)
-        return GaussianMixture([best.reweighted(1.0)])
+    if len(gm.w) == 1:
+        return norm
+    pool = [c for c in zip(norm.w.tolist(), norm.m, norm.P)
+            if c[0] >= prune_threshold]
+    if not pool:
+        best = int(np.argmax(norm.w))
+        return GaussianMixture([1.0], norm.m[best:best + 1],
+                               norm.P[best:best + 1])
     merged = []
-    pool = list(keep)
     while pool:
-        i_best = int(np.argmax([c.weight for c in pool]))
-        head = pool[i_best]
+        _, mean, P = pool[int(np.argmax([c[0] for c in pool]))]
         try:
-            P_inv = np.linalg.inv(head.covariance)
+            P_inv = np.linalg.inv(P)
         except np.linalg.LinAlgError:
             raise NumericalError(
                 "singular component covariance",
-                {"matrix": head.covariance,
-                 "what": "component covariance"}) from None
+                {"matrix": P, "what": "component covariance"}) from None
         group, rest = [], []
         for c in pool:
-            d = c.mean - head.mean
-            if float(d @ P_inv @ d) <= merge_threshold:
-                group.append(c)
-            else:
-                rest.append(c)
-        merged.append(_merge_components(group))
+            d = c[1] - mean
+            (group if float(d @ P_inv @ d) <= merge_threshold
+             else rest).append(c)
+        merged.append(_merge(group))
         pool = rest
-    merged.sort(key=lambda c: -c.weight)
-    merged = merged[: int(max_components)]
-    return GaussianMixture(merged).normalized()
+    merged.sort(key=lambda c: -c[0])
+    return GaussianMixture(*zip(*merged[: int(max_components)])).normalized()
 
 
 def mahalanobis_sq(z, gm, sensor):
@@ -358,13 +342,8 @@ def mahalanobis_sq(z, gm, sensor):
     gate when any component covers it; gating on a single representative
     component starves the low-weight alternatives that exist precisely
     to recover from association mistakes."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    key = z.tobytes()
-    best = np.inf
-    for c in gm.components:
-        t, j = _row(c, sensor, z, key)
-        best = min(best, float(t["d2"][j]))
-    return best
+    t, j = _terms_at(gm, sensor, np.asarray(z, dtype=float).reshape(-1))
+    return min([np.inf] + t["d2"][:, j].tolist())
 
 
 def gate_mask(measurements, gm, sensor, gate_sq):
@@ -373,24 +352,29 @@ def gate_mask(measurements, gm, sensor, gate_sq):
     if not len(measurements):
         return np.zeros(0, dtype=bool)
     Z = np.asarray(measurements, dtype=float).reshape(len(measurements), -1)
-    table = Z.tobytes()
-    mask = np.zeros(len(Z), dtype=bool)
-    for c in gm.components:
-        if mask.all():
-            break
-        mask |= _read(c, sensor, Z, table)["d2"] < gate_sq
+    t = gm._terms
+    if t is None or t["sensor"] is not sensor or t["table"] != Z.tobytes():
+        innovation_terms([gm], sensor, Z)
+        t = gm._terms
+    mask = (t["d2"] < gate_sq).any(0)
+    if not mask.all():
+        # Components are read in order until every measurement is in, so
+        # one without a factor after that point does not matter.
+        _factored(gm, t)
     return mask
 
 
 def predicted_measurement(gm, sensor):
     """Predicted measurement and innovation covariance of the
     highest-weight component (lowest index on ties)."""
-    c = gm.components[int(np.argmax(gm.weights()))]
-    innovation_terms([c], sensor, factor=False)
-    return c._innovation_terms["z_pred"], c._innovation_terms["S"]
+    i = int(np.argmax(gm.w))
+    t = gm._terms
+    if t is not None and t["sensor"] is sensor:
+        return t["z_pred"][i], t["S"][i]
+    z_pred, S = _predicted(gm.m[i:i + 1], gm.P[i:i + 1], sensor)
+    return z_pred[0], S[0]
 
 
 def map_point(gm):
     """Mean of the highest-weight component (lowest index on ties)."""
-    idx = int(np.argmax(gm.weights()))
-    return np.array(gm.components[idx].mean)
+    return np.array(gm.m[int(np.argmax(gm.w))])

@@ -120,26 +120,29 @@ def write_rows(rows, path):
 
 
 def read_rows(path):
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != CSV_HEADER:
-            raise UsageError("unexpected CSV header in %s" % path)
-        rows = []
-        for raw in reader:
-            row = dict(raw)
-            try:
-                for name in ("run", "k", "n_est", "n_true", "n_lmb_groups",
-                             "n_dglmb_groups"):
-                    row[name] = int(row[name])
-                for name in ("ospat_m", "step_time_s", "max_kl",
-                             "max_entropy"):
-                    row[name] = float(row[name])
-            except (TypeError, ValueError):
-                raise UsageError("%s line %d, column %s: %r is not a valid "
-                                 "value" % (path, reader.line_num, name,
-                                            row[name])) from None
-            rows.append(row)
-        return rows
+    try:
+        with open(path, newline="") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise UsageError("cannot read %s: %s" % (path, err)) from None
+    reader = csv.DictReader(lines)
+    if reader.fieldnames != CSV_HEADER:
+        raise UsageError("unexpected CSV header in %s" % path)
+    rows = []
+    for raw in reader:
+        row = dict(raw)
+        try:
+            for name in ("run", "k", "n_est", "n_true", "n_lmb_groups",
+                         "n_dglmb_groups"):
+                row[name] = int(row[name])
+            for name in ("ospat_m", "step_time_s", "max_kl", "max_entropy"):
+                row[name] = float(row[name])
+        except (TypeError, ValueError):
+            raise UsageError("%s line %d, column %s: %r is not a valid "
+                             "value" % (path, reader.line_num, name,
+                                        row[name])) from None
+        rows.append(row)
+    return rows
 
 
 def _mean_by_step(rows, field_name):

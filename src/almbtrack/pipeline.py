@@ -169,10 +169,13 @@ def gate_measurements(groups, measurements, sensor, gate_sq):
     Returns the groups with ``gated`` filled.  Measurements gated by no
     group are ignored downstream (treated as clutter).
     """
-    views = [group.lmb_view() for group in groups]
+    # The mixture tables first: the collapses of delta-GLMB densities
+    # concatenate the terms of their parts.
     if len(measurements):
-        innovation_terms([c for view in views for gm in view.mixtures
-                          for c in gm.components], sensor, measurements)
+        innovation_terms([gm for group in groups
+                          for gm in group.density.mixtures], sensor,
+                         measurements)
+    views = [group.lmb_view() for group in groups]
     out = []
     for group, view in zip(groups, views):
         hits = np.zeros(len(measurements), dtype=bool)

@@ -16,8 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigurationError, UsageError, check_numbers
-from .gaussian import (GaussianComponent, GaussianMixture, MotionModel,
-                       SensorModel)
+from .gaussian import GaussianMixture, MotionModel, SensorModel
 from .metrics import OspaParams
 from .pipeline import PipelineConfig
 
@@ -145,11 +144,16 @@ def _validate(config):
 
 
 def load_scenario(path):
-    with open(path) as handle:
-        try:
+    """Read a scenario JSON file; a file that cannot be read, decoded as
+    UTF-8 or parsed is a ``ConfigurationError``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise ConfigurationError("invalid scenario JSON: %s" % err) from None
+    except json.JSONDecodeError as err:
+        raise ConfigurationError("invalid scenario JSON: %s" % err) from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigurationError("cannot read scenario %s: %s"
+                                 % (path, err)) from None
     return scenario_from_dict(data)
 
 
@@ -196,8 +200,8 @@ def make_birth_model(config):
     births = []
     for site in config.birth:
         cov = np.diag(np.asarray(site.std, dtype=float) ** 2)
-        gm = GaussianMixture([GaussianComponent(1.0, site.mean, cov)])
-        births.append((site.existence, gm))
+        births.append((site.existence,
+                       GaussianMixture([1.0], [site.mean], [cov])))
     return births
 
 

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from almbtrack import (GaussianComponent, GaussianMixture, MotionModel,
-                       SensorModel)
+from almbtrack import GaussianMixture, MotionModel, SensorModel
 
 
 # A hypothesis cap no test instance reaches: the truncated recursion then
@@ -14,8 +13,7 @@ CAP = 10 ** 6
 
 def single(mean, cov, weight=1.0):
     """One-component mixture from plain lists."""
-    return GaussianMixture([GaussianComponent(weight, np.asarray(mean, float),
-                                              np.asarray(cov, float))])
+    return GaussianMixture([weight], [mean], [cov])
 
 
 def cv_motion(dt=1.0, accel_var=5.0, survival=0.99):
@@ -48,11 +46,10 @@ def rng():
 
 
 def random_mixture(rng, dim=2, n_comp=3, spread=5.0):
-    comps = []
     w = rng.dirichlet(np.ones(n_comp))
+    means, covs = [], []
     for i in range(n_comp):
-        mean = rng.normal(0.0, spread, dim)
+        means.append(rng.normal(0.0, spread, dim))
         A = rng.normal(0.0, 1.0, (dim, dim))
-        cov = A @ A.T + np.eye(dim)
-        comps.append(GaussianComponent(w[i], mean, cov))
-    return GaussianMixture(comps)
+        covs.append(A @ A.T + np.eye(dim))
+    return GaussianMixture(w, means, covs)

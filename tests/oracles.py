@@ -15,25 +15,28 @@ from almbtrack.gaussian import gm_kalman_update_log
 from conftest import single
 
 
+def components(gm):
+    """The ``(weight, mean, covariance)`` of each component of ``gm``, the
+    weight a Python float."""
+    return list(zip(gm.w.tolist(), gm.m, gm.P))
+
+
 def gm_mean(gm):
     """Weight-averaged mean of a mixture (weights need not be normalized)."""
-    w = gm.weights()
-    tot = w.sum()
+    tot = gm.w.sum()
     if tot <= 0.0:
         raise NumericalError("mixture weight sum is not positive", {"total": tot})
-    means = np.array([c.mean for c in gm.components])
-    return (w[:, None] * means).sum(axis=0) / tot
+    return (gm.w[:, None] * gm.m).sum(axis=0) / tot
 
 
 def gm_covariance(gm):
     """Moment-matched covariance of a mixture seen as one Gaussian."""
-    w = gm.weights()
-    tot = w.sum()
+    tot = gm.w.sum()
     mu = gm_mean(gm)
     P = np.zeros((gm.dim, gm.dim))
-    for c in gm.components:
-        d = c.mean - mu
-        P += (c.weight / tot) * (c.covariance + np.outer(d, d))
+    for w, m, cov in components(gm):
+        d = m - mu
+        P += (w / tot) * (cov + np.outer(d, d))
     return 0.5 * (P + P.T)
 
 
@@ -161,7 +164,7 @@ def brute_dglmb_update(d, measurements, sensor):
             if j > 0:
                 marginals[i, j - 1] += w
             mu = spatial[lab]
-            mu_mean = sum(c.weight * c.mean for c in mu.components) / \
+            mu_mean = sum(w * m for w, m, _ in components(mu)) / \
                 mu.total_weight()
             if mean_acc[lab] is None:
                 mean_acc[lab] = w * mu_mean
@@ -236,8 +239,8 @@ def random_lmb_instance(rng, max_tracks=3, max_measurements=4, dim=2):
 def ref_mixture_average(parts, total):
     """(weight, mean, covariance) of every component of
     ``sum(w / total * gm / gm.total_weight())``."""
-    return [(c.weight * (w / (total * gm.total_weight())), c.mean,
-             c.covariance) for w, gm in parts for c in gm.components]
+    return [(cw * (w / (total * gm.total_weight())), m, P)
+            for w, gm in parts for cw, m, P in components(gm)]
 
 
 def ref_dglmb_to_lmb(d):
@@ -339,8 +342,8 @@ def ref_marginalize(d, member_labels, reduce):
 def signature(labels, spatial):
     """Component weights, means and covariances of every label's mixture,
     concatenated in label then component order."""
-    parts = [np.concatenate(([c.weight], c.mean, c.covariance.ravel()))
-             for lab in labels for c in spatial[lab].components]
+    parts = [np.concatenate(([w], m, P.ravel()))
+             for lab in labels for w, m, P in components(spatial[lab])]
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -362,3 +365,104 @@ def ref_consolidate(entries, atol):
         else:
             kept.append((labels, log_w, sig, key))
     return [(key, log_w) for _, log_w, _, key in kept]
+
+
+# Component-loop references of the array-backed Gaussian-mixture
+# operations: the arithmetic of one component at a time, in component
+# order, that the stacked versions must reproduce bit for bit.  Each
+# returns a list of (weight, mean, covariance).
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def ref_terms(mean, cov, sensor, Z=()):
+    """Innovation terms of one component by the plain algebra, with
+    ``d2[j]`` the squared whitened residual of ``Z[j]``."""
+    H = sensor.H
+    S = H @ cov @ H.T + sensor.R
+    S = 0.5 * (S + S.T)
+    L = np.linalg.cholesky(S)
+    K = np.linalg.solve(S, H @ cov).T
+    post = (np.eye(len(mean)) - K @ H) @ cov
+    d2 = [float(y @ y) for y in (np.linalg.solve(L, z - H @ mean)
+                                 for z in Z)]
+    return {"z_pred": H @ mean, "S": S, "L": L, "K": K,
+            "cov": 0.5 * (post + post.T),
+            "logdet": 2.0 * np.sum(np.log(np.diag(L))), "d2": d2}
+
+
+def ref_gm_predict(gm, model):
+    out = []
+    for w, m, P in components(gm):
+        cov = model.F @ P @ model.F.T + model.Q
+        out.append((w, model.F @ m, 0.5 * (cov + cov.T)))
+    return out
+
+
+def ref_kalman_update(gm, z, sensor):
+    """(posterior components, log likelihood) of ``gm_kalman_update_log``."""
+    z = np.asarray(z, dtype=float)
+    log_w, updated = np.empty(len(gm.w)), []
+    for i, (w, m, P) in enumerate(components(gm)):
+        t = ref_terms(m, P, sensor, [z])
+        log_w[i] = np.log(max(w, 1e-300)) + -0.5 * (
+            z.size * _LOG_2PI + t["logdet"] + t["d2"][0])
+        updated.append((m + t["K"] @ (z - t["z_pred"]), t["cov"]))
+    top = float(np.max(log_w))
+    log_lik = top + float(np.log(np.sum(np.exp(log_w - top))))
+    w = np.exp(log_w - log_lik)
+    return [(float(w[i]), m, P) for i, (m, P) in enumerate(updated)], log_lik
+
+
+def ref_gm_reduce(gm, prune_threshold, merge_threshold, max_components):
+    """``gm_reduce`` by the merge path, a lone component included."""
+    tot = sum(gm.w.tolist())
+    pool = [(w / tot, m, P) for w, m, P in components(gm)]
+    if not any(c[0] >= prune_threshold for c in pool):
+        best = max(pool, key=lambda c: c[0])
+        return [(1.0, best[1], best[2])]
+    pool = [c for c in pool if c[0] >= prune_threshold]
+    merged = []
+    while pool:
+        head = pool[int(np.argmax([c[0] for c in pool]))]
+        P_inv = np.linalg.inv(head[2])
+        near = [float((c[1] - head[1]) @ P_inv @ (c[1] - head[1]))
+                <= merge_threshold for c in pool]
+        group = [c for c, n in zip(pool, near) if n]
+        w = sum(c[0] for c in group)
+        mean = sum(c[0] * c[1] for c in group) / w
+        P = np.zeros_like(head[2])
+        for c in group:
+            d = c[1] - mean
+            P += c[0] * (c[2] + np.outer(d, d))
+        P = P / w
+        merged.append((w, mean, 0.5 * (P + P.T)))
+        pool = [c for c, n in zip(pool, near) if not n]
+    merged.sort(key=lambda c: -c[0])
+    merged = merged[: int(max_components)]
+    tot = sum(c[0] for c in merged)
+    return [(w / tot, m, P) for w, m, P in merged]
+
+
+def ref_gate_mask(Z, gm, sensor, gate_sq):
+    """Components in order, until every measurement is in a gate."""
+    mask = np.zeros(len(Z), dtype=bool)
+    for _, m, P in components(gm):
+        if mask.all():
+            break
+        mask |= np.array(ref_terms(m, P, sensor, Z)["d2"]) < gate_sq
+    return mask
+
+
+def same_mixture(a, b):
+    """Whether ``a`` is ``b`` or holds the same arrays, by ``==``."""
+    return a is b or all(np.array_equal(x, y) for x, y in (
+        (a.w, b.w), (a.m, b.m), (a.P, b.P)))
+
+
+def same_components(gm, expected):
+    """Whether ``gm`` holds the (weight, mean, covariance) list
+    ``expected``, by ``==``."""
+    return len(gm.w) == len(expected) and all(
+        w == ew and np.array_equal(m, em) and np.array_equal(P, eP)
+        for (w, m, P), (ew, em, eP) in zip(components(gm), expected))

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from almbtrack import (GaussianComponent, GaussianMixture, Label, SensorModel,
-                       dglmb_predict, dglmb_prune, dglmb_update, lmb_to_dglmb)
+from almbtrack import (GaussianMixture, Label, SensorModel, dglmb_predict,
+                       dglmb_prune, dglmb_update, lmb_to_dglmb)
 from almbtrack.dglmb import _CONSOLIDATE_ATOL, _consolidate
 from almbtrack.gaussian import MotionModel, gm_kalman_update_log
 from almbtrack.pipeline import DensityGroup, gate_measurements
@@ -12,7 +12,8 @@ from almbtrack.pipeline import DensityGroup, gate_measurements
 from conftest import CAP, cv_motion, random_mixture, scalar_sensor, single
 from oracles import (brute_dglmb_update, dglmb_from_rows,
                      existence_from_dglmb, lmb_from_tracks,
-                     random_lmb_instance, ref_consolidate, rows_of)
+                     random_lmb_instance, ref_consolidate, rows_of,
+                     same_mixture)
 
 L0 = Label(0, 0)
 LB = Label(1, 0)
@@ -53,8 +54,7 @@ def test_predict_applies_kalman_prediction():
     d = dglmb_from_rows((L0,), [((L0,), 1.0, {L0: gm})])
     out = dglmb_predict(d, motion, CAP)
     (_, _, spatial), = rows_of(out)
-    np.testing.assert_allclose(spatial[L0].components[0].mean,
-                               [3.0, -1.0, 3.0, -1.0])
+    np.testing.assert_allclose(spatial[L0].m[0], [3.0, -1.0, 3.0, -1.0])
 
 
 def test_update_empty_measurement_set():
@@ -88,8 +88,7 @@ def test_update_miss_and_hit_thirds():
     assert existence_from_dglmb(out.posterior, L0) == pytest.approx(1.0)
     # The hit branch carries the Kalman posterior (variance 1/2).
     _, _, hit = max(rows_of(out.posterior), key=lambda row: row[1])
-    np.testing.assert_allclose(hit[L0].components[0].covariance,
-                               [[0.5]], atol=1e-12)
+    np.testing.assert_allclose(hit[L0].P[0], [[0.5]], atol=1e-12)
 
 
 def test_update_certain_detection_no_clutter():
@@ -100,8 +99,7 @@ def test_update_certain_detection_no_clutter():
     assert weight == pytest.approx(1.0)
     expected, _ = gm_kalman_update_log(single([0.0], [[1.0]]), [2.0],
                                        scalar_sensor(1.0))
-    np.testing.assert_allclose(spatial[L0].components[0].mean,
-                               expected.components[0].mean, atol=1e-12)
+    np.testing.assert_allclose(spatial[L0].m[0], expected.m[0], atol=1e-12)
 
 
 def test_update_gated_out_measurement_is_pure_clutter():
@@ -117,7 +115,7 @@ def test_update_gated_out_measurement_is_pure_clutter():
 def test_update_after_gate_pass_matches_direct_call_bit_for_bit():
     # The gate pass caches innovation terms for the scan's whole
     # measurement list and the update of the gated subset reads them; a
-    # direct call on fresh components fills them on first use instead.
+    # direct call on fresh mixtures fills them on first use instead.
     sensor = SensorModel(np.eye(2), 4.0 * np.eye(2), 0.9, 1e-3)
     Z = [np.array(z) for z in ([0.5, 0.3], [300.0, 0.0], [4.2, -1.0],
                                [2.0, 2.0], [-3.0, 6.5])]
@@ -139,12 +137,7 @@ def test_update_after_gate_pass_matches_direct_call_bit_for_bit():
     for a, b in zip(rows_of(via_gate.posterior), rows_of(direct.posterior)):
         assert a[:2] == b[:2]
         for lab in a[0]:
-            ga, gb = a[2][lab], b[2][lab]
-            assert len(ga.components) == len(gb.components)
-            for ca, cb in zip(ga.components, gb.components):
-                assert ca.weight == cb.weight
-                assert np.array_equal(ca.mean, cb.mean)
-                assert np.array_equal(ca.covariance, cb.covariance)
+            assert same_mixture(a[2][lab], b[2][lab])
 
 
 def test_update_matches_brute_force(rng):
@@ -230,10 +223,8 @@ def both_consolidations(rows, log_w, mixtures):
                                                     _CONSOLIDATE_ATOL)
 
 
-def mixture(*components):
-    return GaussianMixture([GaussianComponent(w, np.array(mean, float),
-                                              np.array(cov, float))
-                            for w, mean, cov in components])
+def mixture(*parts):
+    return GaussianMixture(*zip(*parts))
 
 
 EYE = [[1.0, 0.0], [0.0, 1.0]]

@@ -12,8 +12,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from almbtrack import (GaussianComponent, GaussianMixture,  # noqa: E402
-                       Label, dglmb_cardinality, dglmb_prune, dglmb_to_lmb,
+from almbtrack import (GaussianMixture, Label,  # noqa: E402
+                       dglmb_cardinality, dglmb_prune, dglmb_to_lmb,
                        gm_reduce)
 from almbtrack.dglmb import _CONSOLIDATE_ATOL, _consolidate  # noqa: E402
 from almbtrack.pipeline import (DGLMB_PRUNE, CAP, GM_CAP,  # noqa: E402
@@ -24,7 +24,8 @@ from conftest import random_mixture  # noqa: E402
 from oracles import (dglmb_from_rows, ref_consolidate,  # noqa: E402
                      ref_cross_product, ref_dglmb_cardinality,
                      ref_dglmb_prune, ref_dglmb_to_lmb, ref_drop_labels,
-                     ref_marginalize, ref_mixture_average, rows_of)
+                     ref_marginalize, ref_mixture_average, rows_of,
+                     same_components, same_mixture)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -48,14 +49,6 @@ def random_density(seed, n_labels, n_hyps, birth_step=0):
 
 densities = st.builds(random_density, st.integers(0, 2 ** 32 - 1),
                       st.integers(1, 4), st.integers(1, 30))
-
-
-def same_mixture(a, b):
-    return a is b or (
-        len(a.components) == len(b.components)
-        and all(ca.weight == cb.weight and np.array_equal(ca.mean, cb.mean)
-                and np.array_equal(ca.covariance, cb.covariance)
-                for ca, cb in zip(a.components, b.components)))
 
 
 def assert_matches(density, label_space, expected):
@@ -95,11 +88,7 @@ def test_to_lmb_matches_object_loop(d):
             expected.items(), view.r, view.mixtures):
         assert got_r == r
         assert 0.0 <= got_r <= 1.0
-        assert len(gm.components) == len(components)
-        for c, (w, mean, cov) in zip(gm.components, components):
-            assert c.weight == w
-            assert np.array_equal(c.mean, mean)
-            assert np.array_equal(c.covariance, cov)
+        assert same_components(gm, components)
     assert dglmb_to_lmb(d) is view
 
 
@@ -144,10 +133,8 @@ def test_drop_labels_matches_object_loop(d, mask):
 
 
 def reference_reduce(parts, weight):
-    return gm_reduce(GaussianMixture([
-        GaussianComponent(w, mean, cov)
-        for w, mean, cov in ref_mixture_average(parts, weight)]),
-        GM_PRUNE, GM_MERGE, GM_CAP)
+    return gm_reduce(GaussianMixture(*zip(*ref_mixture_average(
+        parts, weight))), GM_PRUNE, GM_MERGE, GM_CAP)
 
 
 @SETTINGS
@@ -166,9 +153,7 @@ def test_marginalize_matches_object_loop_and_keeps_existence(d, mask):
 
 def near_copy(gm, offset):
     # ``gm`` with every mean entry shifted by ``offset``.
-    return GaussianMixture([GaussianComponent(c.weight, c.mean + offset,
-                                              c.covariance)
-                            for c in gm.components])
+    return GaussianMixture(gm.w, gm.m + offset, gm.P)
 
 
 @SETTINGS

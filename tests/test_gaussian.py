@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from almbtrack import (ConfigurationError, GaussianComponent, GaussianMixture,
-                       MotionModel, NumericalError, SensorModel, gm_predict,
+from almbtrack import (ConfigurationError, GaussianMixture, MotionModel,
+                       NumericalError, SensorModel, UsageError, gm_predict,
                        gm_reduce)
-from almbtrack.gaussian import (_merge_components, gate_mask,
-                                gm_kalman_update_log, innovation_terms,
-                                mahalanobis_sq, map_point,
+from almbtrack.gaussian import (gate_mask, gm_kalman_update_log,
+                                innovation_terms, mahalanobis_sq, map_point,
                                 predicted_measurement)
 
 from conftest import cv_motion, random_mixture, scalar_sensor, single
-from oracles import gm_covariance, gm_mean
+from oracles import (gm_covariance, gm_mean, ref_gm_reduce, ref_terms,
+                     same_components)
 
 
 def log_likelihood(gm, z, sensor):
@@ -21,17 +21,23 @@ def log_likelihood(gm, z, sensor):
 
 def test_component_validation():
     with pytest.raises(ConfigurationError):
-        GaussianComponent(-0.1, [0.0], [[1.0]])
+        GaussianMixture([0.5, -0.1], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
     with pytest.raises(ConfigurationError):
-        GaussianComponent(1.0, [0.0, 0.0], [[1.0]])
+        GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0]]])
+    with pytest.raises(ConfigurationError):
+        GaussianMixture([1.0, 1.0], [[0.0]], [[[1.0]], [[1.0]]])
+    with pytest.raises(UsageError):
+        GaussianMixture([], np.zeros((0, 1)), np.zeros((0, 1, 1)))
+    gm = GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 2.0], [0.0, 1.0]]])
+    assert np.array_equal(gm.P, [[[1.0, 1.0], [1.0, 1.0]]])
 
 
 def test_predict_identity():
     gm = single([1.0, 2.0], [[4.0, 0.0], [0.0, 9.0]])
     model = MotionModel(np.eye(2), np.zeros((2, 2)), 1.0)
     out = gm_predict(gm, model)
-    np.testing.assert_allclose(out.components[0].mean, [1.0, 2.0])
-    np.testing.assert_allclose(out.components[0].covariance,
+    np.testing.assert_allclose(out.m[0], [1.0, 2.0])
+    np.testing.assert_allclose(out.P[0],
                                [[4.0, 0.0], [0.0, 9.0]])
 
 
@@ -40,7 +46,7 @@ def test_predict_constant_velocity_mean():
     gm = single([0.0, 1.0], np.eye(2))
     model = MotionModel([[1.0, 1.0], [0.0, 1.0]], np.zeros((2, 2)), 1.0)
     out = gm_predict(gm, model)
-    np.testing.assert_allclose(out.components[0].mean, [1.0, 1.0])
+    np.testing.assert_allclose(out.m[0], [1.0, 1.0])
 
 
 def test_predict_covariance_by_hand():
@@ -49,7 +55,7 @@ def test_predict_covariance_by_hand():
     Q = np.array([[0.25, 0.5], [0.5, 1.0]])
     gm = single([0.0, 0.0], P)
     out = gm_predict(gm, MotionModel(F, Q, 1.0))
-    np.testing.assert_allclose(out.components[0].covariance, F @ P @ F.T + Q,
+    np.testing.assert_allclose(out.P[0], F @ P @ F.T + Q,
                                atol=1e-12)
 
 
@@ -58,8 +64,8 @@ def test_scalar_kalman_update():
     # likelihood N(2; 0, 2).
     gm = single([0.0], [[1.0]])
     post, log_lik = gm_kalman_update_log(gm, [2.0], scalar_sensor(1.0))
-    np.testing.assert_allclose(post.components[0].mean, [1.0], atol=1e-12)
-    np.testing.assert_allclose(post.components[0].covariance, [[0.5]],
+    np.testing.assert_allclose(post.m[0], [1.0], atol=1e-12)
+    np.testing.assert_allclose(post.P[0], [[0.5]],
                                atol=1e-12)
     expected = np.exp(-1.0) / np.sqrt(4.0 * np.pi)
     np.testing.assert_allclose(np.exp(log_lik), expected, rtol=1e-12)
@@ -78,8 +84,7 @@ def test_two_component_likelihood_sums():
     sensor = scalar_sensor(1.0)
     a = single([0.0], [[1.0]])
     b = single([4.0], [[3.0]])
-    gm = GaussianMixture([GaussianComponent(0.3, [0.0], [[1.0]]),
-                          GaussianComponent(0.7, [4.0], [[3.0]])])
+    gm = GaussianMixture([0.3, 0.7], [[0.0], [4.0]], [[[1.0]], [[3.0]]])
     z = [1.5]
     la = np.exp(log_likelihood(a, z, sensor))
     lb = np.exp(log_likelihood(b, z, sensor))
@@ -95,31 +100,29 @@ def test_update_preserves_total_weight_normalization(rng):
 
 
 def test_reduce_merges_duplicates():
-    gm = GaussianMixture([GaussianComponent(0.5, [0.0], [[1.0]]),
-                          GaussianComponent(0.5, [0.0], [[1.0]])])
+    gm = GaussianMixture([0.5, 0.5], [[0.0], [0.0]], [[[1.0]], [[1.0]]])
     out = gm_reduce(gm, 1e-5, 4.0, 20)
-    assert len(out.components) == 1
-    np.testing.assert_allclose(out.components[0].weight, 1.0)
-    np.testing.assert_allclose(out.components[0].mean, [0.0])
-    np.testing.assert_allclose(out.components[0].covariance, [[1.0]])
+    assert len(out.w) == 1
+    np.testing.assert_allclose(out.w[0], 1.0)
+    np.testing.assert_allclose(out.m[0], [0.0])
+    np.testing.assert_allclose(out.P[0], [[1.0]])
 
 
 def test_reduce_prunes_and_renormalizes():
-    gm = GaussianMixture([GaussianComponent(0.999, [0.0], [[1.0]]),
-                          GaussianComponent(0.001, [100.0], [[1.0]])])
+    gm = GaussianMixture([0.999, 0.001], [[0.0], [100.0]],
+                         [[[1.0]], [[1.0]]])
     out = gm_reduce(gm, 0.01, 4.0, 20)
-    assert len(out.components) == 1
+    assert len(out.w) == 1
     np.testing.assert_allclose(out.total_weight(), 1.0, atol=1e-12)
-    np.testing.assert_allclose(out.components[0].mean, [0.0])
+    np.testing.assert_allclose(out.m[0], [0.0])
 
 
 def test_reduce_merge_preserves_moments():
-    gm = GaussianMixture([GaussianComponent(0.6, [0.0], [[1.0]]),
-                          GaussianComponent(0.4, [1.0], [[2.0]])])
+    gm = GaussianMixture([0.6, 0.4], [[0.0], [1.0]], [[[1.0]], [[2.0]]])
     before_mean = gm_mean(gm)
     before_cov = gm_covariance(gm)
     out = gm_reduce(gm, 1e-9, 100.0, 20)
-    assert len(out.components) == 1
+    assert len(out.w) == 1
     np.testing.assert_allclose(gm_mean(out), before_mean, atol=1e-12)
     np.testing.assert_allclose(gm_covariance(out), before_cov, atol=1e-12)
 
@@ -127,9 +130,8 @@ def test_reduce_merge_preserves_moments():
 def test_reduce_identity_settings(rng):
     gm = random_mixture(rng, dim=2, n_comp=5, spread=50.0)
     out = gm_reduce(gm, 0.0, 0.0, 100)
-    assert len(out.components) == 5
-    np.testing.assert_allclose(sorted(out.weights()), sorted(gm.weights()),
-                               atol=1e-12)
+    assert len(out.w) == 5
+    np.testing.assert_allclose(sorted(out.w), sorted(gm.w), atol=1e-12)
 
 
 @pytest.mark.parametrize("weight", [1e-9, 1.0, 7.3])
@@ -137,15 +139,11 @@ def test_reduce_one_component_matches_merge_path(rng, weight):
     # A lone component only normalizes; the prune, merge and renormalize
     # steps it skips would give the same bits.
     for _ in range(20):
-        c = random_mixture(rng, dim=4, n_comp=1).components[0]
-        gm = GaussianMixture([GaussianComponent(weight, c.mean, c.covariance)])
-        merged = GaussianMixture([_merge_components(
-            gm.normalized().components)]).normalized()
-        (got,), (want,) = gm_reduce(gm, 1e-5, 4.0, 20).components, \
-            merged.components
-        assert got.weight == want.weight == 1.0
-        assert np.array_equal(got.mean, want.mean)
-        assert np.array_equal(got.covariance, want.covariance)
+        c = random_mixture(rng, dim=4, n_comp=1)
+        gm = GaussianMixture([weight], c.m, c.P)
+        want = ref_gm_reduce(gm, 1e-5, 4.0, 20)
+        assert want[0][0] == 1.0
+        assert same_components(gm_reduce(gm, 1e-5, 4.0, 20), want)
     with pytest.raises(NumericalError):
         gm_reduce(single([0.0], [[1.0]], weight=0.0), 1e-5, 4.0, 20)
 
@@ -154,8 +152,7 @@ def test_reduce_singular_covariance_raises_numerical_error():
     # The heaviest component has no velocity spread, so its covariance
     # has no inverse for the merge distance.
     P = np.diag([10.0, 0.0])
-    gm = GaussianMixture([GaussianComponent(0.7, [0.0, 0.0], P),
-                          GaussianComponent(0.3, [1.0, 0.0], np.eye(2))])
+    gm = GaussianMixture([0.7, 0.3], [[0.0, 0.0], [1.0, 0.0]], [P, np.eye(2)])
     with pytest.raises(NumericalError) as err:
         gm_reduce(gm, 1e-5, 4.0, 20)
     assert err.value.diagnostics["what"] == "component covariance"
@@ -165,11 +162,11 @@ def test_reduce_singular_covariance_raises_numerical_error():
 def test_reduce_caps_component_count(rng):
     gm = random_mixture(rng, dim=2, n_comp=8, spread=100.0)
     out = gm_reduce(gm, 0.0, 0.0, 3)
-    assert len(out.components) == 3
+    assert len(out.w) == 3
     np.testing.assert_allclose(out.total_weight(), 1.0, atol=1e-12)
     # Heaviest three survive.
-    top = sorted(gm.weights())[-3:]
-    kept = sorted(c.weight for c in out.components)
+    top = sorted(gm.w)[-3:]
+    kept = sorted(out.w)
     np.testing.assert_allclose(kept, np.asarray(top) / np.sum(top), atol=1e-12)
 
 
@@ -206,25 +203,22 @@ def test_mahalanobis_takes_min_over_components():
     # gating must not starve the alternatives kept to recover from
     # association mistakes.
     sensor = scalar_sensor(1.0)
-    gm = GaussianMixture([GaussianComponent(0.99, [10.0], [[1.0]]),
-                          GaussianComponent(0.01, [0.0], [[1.0]])])
+    gm = GaussianMixture([0.99, 0.01], [[10.0], [0.0]], [[[1.0]], [[1.0]]])
     assert mahalanobis_sq([0.0], gm, sensor) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_innovation_terms_follow_the_sensor():
-    # A component keeps the innovation terms of the last sensor it met;
-    # another sensor, or a reweighted copy of the component, must not see
-    # stale ones.  By hand: S = P + R, d^2 = 4 / S.
-    gm = single([0.0], [[1.0]])
-    half = GaussianMixture([gm.components[0].reweighted(0.5)])
+    # A mixture keeps the innovation terms of the last sensor it met;
+    # another sensor, or a normalized copy of the mixture, which shares
+    # them, must not see stale ones.  By hand: S = P + R, d^2 = 4 / S.
+    gm = single([0.0], [[1.0]], weight=2.0)
+    half = gm.normalized()
     d = [mahalanobis_sq([2.0], gm, scalar_sensor(3.0)),
          mahalanobis_sq([2.0], gm, scalar_sensor(1.0)),
          mahalanobis_sq([2.0], half, scalar_sensor(7.0))]
     np.testing.assert_allclose(d, [1.0, 2.0, 0.5], rtol=1e-12)
     _, S = predicted_measurement(gm, scalar_sensor(3.0))
     np.testing.assert_allclose(S, [[4.0]], rtol=1e-12)
-    with pytest.raises(ConfigurationError):
-        gm.components[0].reweighted(-1.0)
 
 
 TERMS = ("z_pred", "S", "L", "K", "cov", "logdet", "d2")
@@ -232,40 +226,31 @@ TERMS = ("z_pred", "S", "L", "K", "cov", "logdet", "d2")
 
 def test_stacked_terms_equal_one_component_at_a_time(rng):
     # Random mixtures of 1-3 components, 4-D state, 2-D measurements and
-    # a dense H: the terms of one stacked call over every component must
-    # be the bits of a call per component, and those the bits of the
-    # plain per-component algebra.
+    # a dense H: the terms of one stacked call over every mixture must be
+    # the bits of a call per mixture, and those, component by component,
+    # the bits of the plain per-component algebra of ``ref_terms``.
     H = rng.normal(0.0, 1.0, (2, 4))
     A = rng.normal(0.0, 1.0, (2, 2))
     sensor = SensorModel(H, A @ A.T + np.eye(2), 0.9, 1e-4)
     Z = list(rng.normal(0.0, 5.0, (7, 2)))
     arrays = []
     for _ in range(12):
-        for _ in range(rng.integers(1, 4)):
-            B = rng.normal(0.0, 1.0, (4, 4))
-            arrays.append((rng.normal(0.0, 3.0, 4), B @ B.T + 0.1 * np.eye(4)))
-    stacked = [GaussianComponent(1.0, m, P) for m, P in arrays]
-    apart = [GaussianComponent(1.0, m, P) for m, P in arrays]
+        n = rng.integers(1, 4)
+        B = rng.normal(0.0, 1.0, (n, 4, 4))
+        arrays.append((rng.normal(0.0, 3.0, (n, 4)),
+                       B @ B.swapaxes(1, 2) + 0.1 * np.eye(4)))
+    stacked = [GaussianMixture(np.ones(len(m)), m, P) for m, P in arrays]
+    apart = [GaussianMixture(np.ones(len(m)), m, P) for m, P in arrays]
     innovation_terms(stacked, sensor, Z)
-    for c in apart:
-        innovation_terms([c], sensor, Z)
+    for gm in apart:
+        innovation_terms([gm], sensor, Z)
     for a, b in zip(stacked, apart):
         for name in TERMS:
-            assert np.array_equal(a._innovation_terms[name],
-                                  b._innovation_terms[name]), name
-        t, P = b._innovation_terms, b.covariance
-        S = H @ P @ H.T + sensor.R
-        S = 0.5 * (S + S.T)
-        L = np.linalg.cholesky(S)
-        K = np.linalg.solve(S, H @ P).T
-        cov = (np.eye(4) - K @ H) @ P
-        d2 = [float(y @ y) for y in (np.linalg.solve(L, z - H @ b.mean)
-                                     for z in Z)]
-        for name, want in (("z_pred", H @ b.mean), ("S", S), ("L", L),
-                           ("K", K), ("cov", 0.5 * (cov + cov.T)),
-                           ("logdet", 2.0 * np.sum(np.log(np.diag(L)))),
-                           ("d2", d2)):
-            assert np.array_equal(t[name], want), name
+            assert np.array_equal(a._terms[name], b._terms[name]), name
+        for i in range(len(b.w)):
+            want = ref_terms(b.m[i], b.P[i], sensor, Z)
+            for name in TERMS:
+                assert np.array_equal(b._terms[name][i], want[name]), name
 
 
 def test_indefinite_innovation_raises_from_the_public_call():
@@ -273,7 +258,7 @@ def test_indefinite_innovation_raises_from_the_public_call():
     gm = single([0.0, 0.0], np.eye(2))
     sensor = SensorModel(np.eye(2), -np.eye(2), 0.9, 1e-4)
     z = np.array([0.5, 0.5])
-    innovation_terms(gm.components, sensor, [z])  # no raise
+    innovation_terms([gm], sensor, [z])  # no raise
     for call in (lambda: mahalanobis_sq(z, gm, sensor),
                  lambda: gate_mask([z], gm, sensor, 9.0),
                  lambda: gm_kalman_update_log(gm, z, sensor)):
@@ -291,14 +276,15 @@ def test_gate_never_factors_a_component_it_does_not_need():
     # reaches the second, whose S = P + R is indefinite: a stacked call
     # over both leaves the second unfactored instead of raising.
     sensor = SensorModel(np.eye(2), np.eye(2), 0.9, 1e-4)
-    gm = GaussianMixture([GaussianComponent(0.5, [0.0, 0.0], np.eye(2)),
-                          GaussianComponent(0.5, [1.0, 0.0], -3.0 * np.eye(2))])
+    gm = GaussianMixture([0.5, 0.5], [[0.0, 0.0], [1.0, 0.0]],
+                         [np.eye(2), -3.0 * np.eye(2)])
     Z = [np.array([0.1, 0.2]), np.array([-0.3, 0.0])]
-    innovation_terms(gm.components, sensor, Z)
-    assert gm.components[1]._innovation_terms["L"] is None
+    innovation_terms([gm], sensor, Z)
+    assert gm._terms["ok"] == 1 and len(gm._terms["L"]) == 1
     assert gate_mask(Z, gm, sensor, 9.0).all()
     with pytest.raises(NumericalError):
-        gate_mask(Z, GaussianMixture(gm.components[::-1]), sensor, 9.0)
+        gate_mask(Z, GaussianMixture(gm.w, gm.m[::-1], gm.P[::-1]), sensor,
+                  9.0)
 
 
 def test_gate_mask_matches_distance(rng):
@@ -316,36 +302,33 @@ def test_gate_mask_empty():
 
 
 def test_map_point_argmax_and_ties():
-    gm = GaussianMixture([GaussianComponent(0.2, [1.0], [[1.0]]),
-                          GaussianComponent(0.6, [5.0], [[1.0]]),
-                          GaussianComponent(0.2, [9.0], [[1.0]])])
+    gm = GaussianMixture([0.2, 0.6, 0.2], [[1.0], [5.0], [9.0]],
+                         np.ones((3, 1, 1)))
     np.testing.assert_allclose(map_point(gm), [5.0])
-    tie = GaussianMixture([GaussianComponent(0.5, [1.0], [[1.0]]),
-                           GaussianComponent(0.5, [2.0], [[1.0]])])
+    tie = GaussianMixture([0.5, 0.5], [[1.0], [2.0]], np.ones((2, 1, 1)))
     np.testing.assert_allclose(map_point(tie), [1.0])
 
 
 def test_predicted_measurement_uses_heaviest_component():
     sensor = scalar_sensor(2.0)
-    gm = GaussianMixture([GaussianComponent(0.7, [3.0], [[1.0]]),
-                          GaussianComponent(0.3, [8.0], [[5.0]])])
+    gm = GaussianMixture([0.7, 0.3], [[3.0], [8.0]], [[[1.0]], [[5.0]]])
     z_pred, S = predicted_measurement(gm, sensor)
     np.testing.assert_allclose(z_pred, [3.0])
     np.testing.assert_allclose(S, [[3.0]])
 
 
 def test_likelihood_reorder_invariant(rng):
-    comps = random_mixture(rng, dim=2, n_comp=4).components
+    gm = random_mixture(rng, dim=2, n_comp=4)
     sensor = SensorModel(np.eye(2), np.eye(2), 1.0, 0.0)
     z = rng.normal(0, 4, 2)
-    l0 = log_likelihood(GaussianMixture(list(comps)), z, sensor)
-    l1 = log_likelihood(GaussianMixture(list(reversed(comps))), z, sensor)
+    l0 = log_likelihood(gm, z, sensor)
+    l1 = log_likelihood(GaussianMixture(gm.w[::-1], gm.m[::-1], gm.P[::-1]),
+                        z, sensor)
     assert l1 == pytest.approx(l0, rel=1e-12)
 
 
 def test_mean_and_covariance_of_mixture():
-    gm = GaussianMixture([GaussianComponent(0.5, [0.0], [[1.0]]),
-                          GaussianComponent(0.5, [2.0], [[1.0]])])
+    gm = GaussianMixture([0.5, 0.5], [[0.0], [2.0]], np.ones((2, 1, 1)))
     np.testing.assert_allclose(gm_mean(gm), [1.0])
     # Spread term: 1 + E[(m - mu)^2] = 1 + 1.
     np.testing.assert_allclose(gm_covariance(gm), [[2.0]])

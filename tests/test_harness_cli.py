@@ -211,6 +211,17 @@ def test_cli_error_exit_codes(tmp_path):
                  "--runs", "1", "--out", str(tmp_path / "y")]) == 2
     assert main(["plotdata", "--in", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "z")]) == 2
+    # A scenario path that is a directory, a scenario file that is not
+    # UTF-8, and a results.csv that is a directory.
+    assert main(["run", "--scenario", str(tmp_path), "--filter", "lmb",
+                 "--runs", "1", "--out", str(tmp_path / "s")]) == 2
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"name": "caf\xe9"}')
+    assert main(["run", "--scenario", str(latin), "--filter", "lmb",
+                 "--runs", "1", "--out", str(tmp_path / "r")]) == 2
+    (tmp_path / "nested" / "results.csv").mkdir(parents=True)
+    assert main(["plotdata", "--in", str(tmp_path / "nested"),
+                 "--out", str(tmp_path / "q")]) == 2
     zero_cap = write_scenario(tmp_path, tracker={"cap": 0})
     assert main(["run", "--scenario", zero_cap, "--filter", "lmb",
                  "--runs", "1", "--out", str(tmp_path / "w")]) == 2

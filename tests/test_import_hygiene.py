@@ -206,7 +206,7 @@ def test_unused_method_is_reported():
 
 EXPORTS = (
     "BUILTIN_SCENARIOS", "ConfigurationError", "DensityGroup",
-    "DglmbDensity", "GaussianComponent", "GaussianMixture", "Label",
+    "DglmbDensity", "GaussianMixture", "Label",
     "LmbDensity", "Mode", "MotionModel", "MultiObjectTracker",
     "NumericalError", "OspaParams", "PipelineConfig", "RepresentationState",
     "ScenarioConfig", "SensorModel", "Trigger", "UsageError",

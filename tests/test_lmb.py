@@ -75,10 +75,8 @@ def test_update_single_target_reduces_to_kalman():
     (r, got), = tracks_of(out).values()
     assert r == pytest.approx(1.0)
     expected, _ = gm_kalman_update_log(single([0.0], [[1.0]]), [2.0], sensor)
-    np.testing.assert_allclose(got.components[0].mean,
-                               expected.components[0].mean, atol=1e-12)
-    np.testing.assert_allclose(got.components[0].covariance,
-                               expected.components[0].covariance, atol=1e-12)
+    np.testing.assert_allclose(got.m[0], expected.m[0], atol=1e-12)
+    np.testing.assert_allclose(got.P[0], expected.P[0], atol=1e-12)
 
 
 def test_update_detection_raises_existence():

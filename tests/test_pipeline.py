@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from almbtrack import (ConfigurationError, DensityGroup, DglmbDensity,
-                       GaussianComponent, GaussianMixture, Label,
+                       GaussianMixture, Label,
                        LmbDensity, Mode, MultiObjectTracker, PipelineConfig,
                        RepresentationState, Trigger, UsageError,
                        association_entropy, builtin_scenario, decide_switch,
@@ -22,7 +22,7 @@ from almbtrack.pipeline import (CAP, GATE_SQ, _reduce_lmb, _within,
                                 prune_group, split_group, update_group)
 
 from conftest import cv_motion, position_sensor, single
-from oracles import dglmb_from_rows, lmb_from_tracks, rows_of
+from oracles import dglmb_from_rows, lmb_from_tracks, rows_of, same_mixture
 
 CFG = PipelineConfig()
 LMB_STATE = RepresentationState(Mode.LMB, Trigger.NONE)
@@ -479,14 +479,6 @@ def generic_update(group, measurements, sensor, config):
             kl, entropy)
 
 
-def assert_same_mixture(a, b):
-    assert len(a.components) == len(b.components)
-    for ca, cb in zip(a.components, b.components):
-        assert ca.weight == cb.weight
-        assert np.array_equal(ca.mean, cb.mean)
-        assert np.array_equal(ca.covariance, cb.covariance)
-
-
 def assert_same_update(fast, slow):
     (g, kl, entropy), (h, kl_ref, entropy_ref) = fast, slow
     assert kl == kl_ref and entropy == entropy_ref
@@ -496,23 +488,23 @@ def assert_same_update(fast, slow):
         assert g.density.label_space == h.density.label_space
         assert g.density.r == h.density.r
         for a, b in zip(g.density.mixtures, h.density.mixtures):
-            assert_same_mixture(a, b)
+            assert same_mixture(a, b)
         return
     assert g.density.label_space == h.density.label_space
     assert len(g.density.w) == len(h.density.w)
     for a, b in zip(rows_of(g.density), rows_of(h.density)):
         assert a[:2] == b[:2]
         for label in b[0]:
-            assert_same_mixture(a[2][label], b[2][label])
+            assert same_mixture(a[2][label], b[2][label])
 
 
 def one_track(existence, components):
     label = Label(1, 0)
     weights = [0.6, 0.3, 0.1][:components]
-    gm = GaussianMixture([
-        GaussianComponent(w / sum(weights), [3.0 * i, -2.0 * i, 1.0, 0.5],
-                          (80.0 + 20.0 * i) * np.eye(4))
-        for i, w in enumerate(weights)])
+    gm = GaussianMixture(
+        [w / sum(weights) for w in weights],
+        [[3.0 * i, -2.0 * i, 1.0, 0.5] for i in range(components)],
+        [(80.0 + 20.0 * i) * np.eye(4) for i in range(components)])
     return DensityGroup(lmb_from_tracks({label: (existence, gm)}))
 
 
