@@ -89,7 +89,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, UsageError) as exc:
+    except (ConfigurationError, UsageError, FileNotFoundError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -40,13 +40,13 @@ class GaussianMixture:
         w = np.asarray(w, dtype=float)
         m = np.asarray(m, dtype=float)
         P = np.asarray(P, dtype=float)
+        if not w.size:
+            raise UsageError("mixture must contain at least one component")
         if m.ndim != 2 or w.shape != m.shape[:1] or \
                 P.shape != m.shape + m.shape[1:]:
             raise ConfigurationError(
                 "mixture of weights %s, means %s and covariances %s"
                 % (w.shape, m.shape, P.shape))
-        if not len(w):
-            raise UsageError("mixture must contain at least one component")
         if min(w.tolist()) < 0.0:
             raise ConfigurationError("component weight must be nonnegative")
         self.w, self.m, self.P = w, m, _symmetrize(P)
@@ -64,8 +64,9 @@ class GaussianMixture:
         if tot <= 0.0:
             raise NumericalError("mixture weight sum is not positive",
                                  {"total": tot})
-        out = object.__new__(GaussianMixture)
-        vars(out).update(vars(self), w=self.w / tot)
+        # The innovation terms do not depend on the weights: share them.
+        out = GaussianMixture(self.w / tot, self.m, self.P)
+        out._terms = self._terms
         return out
 
 

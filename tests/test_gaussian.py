@@ -28,6 +28,8 @@ def test_component_validation():
         GaussianMixture([1.0, 1.0], [[0.0]], [[[1.0]], [[1.0]]])
     with pytest.raises(UsageError):
         GaussianMixture([], np.zeros((0, 1)), np.zeros((0, 1, 1)))
+    with pytest.raises(UsageError):
+        GaussianMixture([], [], [])
     gm = GaussianMixture([1.0], [[0.0, 0.0]], [[[1.0, 2.0], [0.0, 1.0]]])
     assert np.array_equal(gm.P, [[[1.0, 1.0], [1.0, 1.0]]])
 
@@ -212,10 +214,11 @@ def test_innovation_terms_follow_the_sensor():
     # another sensor, or a normalized copy of the mixture, which shares
     # them, must not see stale ones.  By hand: S = P + R, d^2 = 4 / S.
     gm = single([0.0], [[1.0]], weight=2.0)
+    d = [mahalanobis_sq([2.0], gm, scalar_sensor(3.0))]
     half = gm.normalized()
-    d = [mahalanobis_sq([2.0], gm, scalar_sensor(3.0)),
-         mahalanobis_sq([2.0], gm, scalar_sensor(1.0)),
-         mahalanobis_sq([2.0], half, scalar_sensor(7.0))]
+    assert half._terms is gm._terms
+    d += [mahalanobis_sq([2.0], gm, scalar_sensor(1.0)),
+          mahalanobis_sq([2.0], half, scalar_sensor(7.0))]
     np.testing.assert_allclose(d, [1.0, 2.0, 0.5], rtol=1e-12)
     _, S = predicted_measurement(gm, scalar_sensor(3.0))
     np.testing.assert_allclose(S, [[4.0]], rtol=1e-12)

@@ -222,6 +222,14 @@ def test_cli_error_exit_codes(tmp_path):
     (tmp_path / "nested" / "results.csv").mkdir(parents=True)
     assert main(["plotdata", "--in", str(tmp_path / "nested"),
                  "--out", str(tmp_path / "q")]) == 2
+    # An empty output directory, for run and for plotdata.
+    assert main(["run", "--scenario", write_scenario(tmp_path), "--filter",
+                 "lmb", "--runs", "1", "--out", ""]) == 2
+    ok = tmp_path / "ok"
+    ok.mkdir()
+    (ok / "results.csv").write_text(
+        ",".join(CSV_HEADER) + "\n0,1,lmb,1.5,0.0,1,1,1,0,0.0,0.0\n")
+    assert main(["plotdata", "--in", str(ok), "--out", ""]) == 2
     zero_cap = write_scenario(tmp_path, tracker={"cap": 0})
     assert main(["run", "--scenario", zero_cap, "--filter", "lmb",
                  "--runs", "1", "--out", str(tmp_path / "w")]) == 2
