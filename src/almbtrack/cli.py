@@ -4,8 +4,9 @@
 plus a copy of the resolved scenario; ``track plotdata`` aggregates such a
 results file into per-scan mean curves ready for plotting.
 
-Exit codes: 0 on success, 2 on configuration or usage errors, 3 when the
-filter recursion degenerates numerically.
+Exit codes: 0 on success, 2 on configuration or usage errors (an output
+path that cannot be written included), 3 when the filter recursion
+degenerates numerically.
 """
 
 import argparse
@@ -89,7 +90,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, UsageError, FileNotFoundError) as exc:
+    except (ConfigurationError, UsageError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except NumericalError as exc:

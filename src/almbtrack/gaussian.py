@@ -33,7 +33,8 @@ class GaussianMixture:
       factorization is actually taken).
 
     A mixture is never modified, except that ``innovation_terms`` keeps
-    the innovation terms of its components for one sensor in ``_terms``.
+    the innovation terms of all its components for one sensor in
+    ``_terms``.
     """
 
     def __init__(self, w, m, P):
@@ -150,107 +151,90 @@ def _predicted(m, P, sensor):
     return np.matmul(H, m[..., None])[..., 0], _symmetrize(S)
 
 
-def innovation_terms(mixtures, sensor, Z=None):
-    """Fill the innovation terms each mixture lacks for ``sensor``.
+def innovation_terms(mixtures, sensor, Z):
+    """Fill the innovation terms each mixture lacks for ``sensor`` and
+    the measurements ``Z``.
 
     The terms live in the dict ``_terms`` of the mixture, stacked over its
-    components: ``z_pred = H m`` and ``S = H P H' + R``; for the ``ok``
-    components before the first whose ``S`` has no Cholesky factor (the
-    readers raise unless that is all of them), the factor ``L``, the gain
-    ``K``, ``cov = (I - K H) P`` (symmetrized) and ``logdet`` of ``S``;
-    given ``Z``, ``d2[i, j] = |L_i^-1 (Z[j] - z_pred_i)|^2``, for the
-    bytes of ``Z`` (``table``) and of its rows (``rows``).  Each term
-    comes from one stacked call over the components that lack it, whose
-    slices run the routine of a single component: the same bits in any
-    company.
+    components, one row each: ``z_pred = H m``, ``S = H P H' + R``, the
+    Cholesky factor ``L`` of ``S``, the gain ``K``, ``cov = (I - K H) P``
+    (symmetrized), ``logdet`` of ``S`` and ``d2[i, j] = |L_i^-1 (Z[j] -
+    z_pred_i)|^2``, for the bytes of ``Z`` (``table``) and of its rows
+    (``rows``).  A component whose ``S`` has no Cholesky factor raises
+    ``NumericalError`` here.  Each term comes from one stacked call over
+    the components that lack it, whose slices run the routine of a single
+    component: the same bits in any company.
     """
-    table = None
-    if Z is not None and len(Z):
-        Z = np.asarray(Z, dtype=float).reshape(len(Z), -1)
-        table = Z.tobytes()
+    Z = np.asarray(Z, dtype=float).reshape(len(Z), -1)
+    table = Z.tobytes()
     todo = list({id(gm): gm for gm in mixtures}.values())
     new = [gm for gm in todo
            if gm._terms is None or gm._terms["sensor"] is not sensor]
     if new:
         _factor(new, sensor)
-    terms = [gm._terms for gm in todo
-             if table is not None and gm._terms["table"] != table]
+    terms = [gm._terms for gm in todo if gm._terms["table"] != table]
     if terms:
         # One right-hand side per slice: that is the bits of a solve per
         # measurement, which a solve with many columns need not be.
         L = np.concatenate([t["L"] for t in terms])[:, None]
-        r = Z - np.concatenate([t["z_pred"][:t["ok"]] for t in terms])[:, None]
+        r = Z - np.concatenate([t["z_pred"] for t in terms])[:, None]
         y = np.linalg.solve(L, r[..., None])
         d2 = np.matmul(y.swapaxes(-1, -2), y)[..., 0, 0]
         rows = {z.tobytes(): j for j, z in enumerate(Z)}
-        ends = np.cumsum([t["ok"] for t in terms]).tolist()
+        ends = np.cumsum([len(t["L"]) for t in terms]).tolist()
         for t, a, b in zip(terms, [0] + ends, ends):
             t.update(d2=d2[a:b], table=table, rows=rows)
 
 
 def _factor(mixtures, sensor):
     # Every innovation term but d2, for all components of ``mixtures``.
-    sizes = [len(gm.w) for gm in mixtures]
     P = np.concatenate([gm.P for gm in mixtures])
     z_pred, S = _predicted(np.concatenate([gm.m for gm in mixtures]), P,
                            sensor)
-    L, ok = _cholesky(S), sizes
-    if isinstance(L, list):
-        # A mixture's terms stop before its first component without one.
-        starts = np.cumsum([0] + sizes).tolist()
-        ok = [next((i for i in range(n) if L[s + i] is None), n)
-              for s, n in zip(starts, sizes)]
-        keep = [s + i for s, n in zip(starts, ok) for i in range(n)]
-        L = np.array([L[i] for i in keep]).reshape((len(keep),) + S.shape[1:])
-    else:
-        keep = slice(None)
-    H, P = sensor.H, P[keep]
-    K = np.linalg.solve(S[keep], np.matmul(H, P)).swapaxes(-1, -2)
+    L, H = _cholesky(S), sensor.H
+    K = np.linalg.solve(S, np.matmul(H, P)).swapaxes(-1, -2)
     cov = _symmetrize(np.matmul(np.eye(P.shape[-1]) - np.matmul(K, H), P))
     logdet = 2.0 * np.sum(np.log(np.diagonal(L, 0, -2, -1)), -1)
-    a = b = 0
-    for gm, n, k in zip(mixtures, sizes, ok):
-        gm._terms = dict(sensor=sensor, ok=k, z_pred=z_pred[a:a + n],
-                         S=S[a:a + n], L=L[b:b + k], K=K[b:b + k],
-                         cov=cov[b:b + k], logdet=logdet[b:b + k], d2=None,
-                         table=None, rows={})
-        a, b = a + n, b + k
+    a = 0
+    for gm in mixtures:
+        b = a + len(gm.w)
+        gm._terms = dict(sensor=sensor, z_pred=z_pred[a:b], S=S[a:b],
+                         L=L[a:b], K=K[a:b], cov=cov[a:b],
+                         logdet=logdet[a:b], table=None)
+        a = b
 
 
 def _cholesky(S):
-    # Cholesky factors of a stack of matrices, None for those without.
+    # Cholesky factors of a stack of matrices; raises for the first
+    # without one.
     try:
         return np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        return [_cholesky(Si) for Si in S] if S.ndim > 2 else None
+        for Si in S:
+            try:
+                np.linalg.cholesky(Si)
+            except np.linalg.LinAlgError:
+                raise NumericalError(
+                    "singular or indefinite innovation covariance",
+                    {"matrix": Si, "what": "innovation covariance"}) from None
+        raise
 
 
 def joined_terms(mixtures):
     """The innovation terms of ``mixtures`` concatenated in order, if
-    each holds them for every component for one sensor and one
-    measurement table; else None.  One mixture's are shared as they are."""
+    each holds them for one sensor and one measurement table; else None.
+    One mixture's are shared as they are."""
     terms = [gm._terms for gm in mixtures]
     first = terms[0]
     if first is None or not all(
             t is not None and t["sensor"] is first["sensor"]
-            and t["table"] == first["table"] and t["ok"] == len(gm.w)
-            for t, gm in zip(terms, mixtures)):
+            and t["table"] == first["table"] for t in terms):
         return None
     if len(terms) == 1:
         return first
-    return dict(first, ok=sum(t["ok"] for t in terms), **{
+    return dict(first, **{
         name: np.concatenate([t[name] for t in terms]) for name in (
-            "z_pred", "S", "L", "K", "cov", "logdet", "d2")
-        if first[name] is not None})
-
-
-def _factored(gm, t):
-    # The terms t of gm, unless a component's S has no Cholesky factor.
-    if t["ok"] < len(gm.w):
-        raise NumericalError(
-            "singular or indefinite innovation covariance",
-            {"matrix": t["S"][t["ok"]], "what": "innovation covariance"})
-    return t
+            "z_pred", "S", "L", "K", "cov", "logdet", "d2")})
 
 
 def _terms_at(gm, sensor, z):
@@ -260,7 +244,7 @@ def _terms_at(gm, sensor, z):
     if t is None or t["sensor"] is not sensor or key not in t["rows"]:
         innovation_terms([gm], sensor, [z])
         t = gm._terms
-    return _factored(gm, t), t["rows"][key]
+    return t, t["rows"][key]
 
 
 def gm_kalman_update_log(gm, z, sensor):
@@ -357,12 +341,7 @@ def gate_mask(measurements, gm, sensor, gate_sq):
     if t is None or t["sensor"] is not sensor or t["table"] != Z.tobytes():
         innovation_terms([gm], sensor, Z)
         t = gm._terms
-    mask = (t["d2"] < gate_sq).any(0)
-    if not mask.all():
-        # Components are read in order until every measurement is in, so
-        # one without a factor after that point does not matter.
-        _factored(gm, t)
-    return mask
+    return (t["d2"] < gate_sq).any(0)
 
 
 def predicted_measurement(gm, sensor):

@@ -88,6 +88,8 @@ def scenario_from_dict(data):
     config = _build(ScenarioConfig, data, "scenario")
     for key, value in data.items():
         if key in ("birth", "truth"):
+            if not isinstance(value, list):
+                raise ConfigurationError("%s must be a list" % key)
             value = [_build(blocks[key], item, "%s[%d]" % (key, i))
                      for i, item in enumerate(value)]
         elif key in blocks:

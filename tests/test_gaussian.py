@@ -256,38 +256,47 @@ def test_stacked_terms_equal_one_component_at_a_time(rng):
                 assert np.array_equal(b._terms[name][i], want[name]), name
 
 
-def test_indefinite_innovation_raises_from_the_public_call():
-    # R = -I makes S = P + R = 0 for a unit covariance: no factor.
+def test_a_component_without_a_factor_raises_when_its_terms_are_filled():
+    # R = -I makes S = P + R = 0 for a unit covariance: no factor.  Every
+    # call that fills the terms raises and keeps none.
     gm = single([0.0, 0.0], np.eye(2))
     sensor = SensorModel(np.eye(2), -np.eye(2), 0.9, 1e-4)
     z = np.array([0.5, 0.5])
-    innovation_terms([gm], sensor, [z])  # no raise
-    for call in (lambda: mahalanobis_sq(z, gm, sensor),
+    for call in (lambda: innovation_terms([gm], sensor, [z]),
+                 lambda: mahalanobis_sq(z, gm, sensor),
                  lambda: gate_mask([z], gm, sensor, 9.0),
                  lambda: gm_kalman_update_log(gm, z, sensor)):
         with pytest.raises(NumericalError) as err:
             call()
         assert err.value.diagnostics["what"] == "innovation covariance"
-        assert err.value.diagnostics["matrix"].shape == (2, 2)
+        np.testing.assert_array_equal(err.value.diagnostics["matrix"],
+                                      np.zeros((2, 2)))
+        assert gm._terms is None
     # Predicting the measurement takes no factor, so it does not raise.
     z_pred, S = predicted_measurement(gm, sensor)
     np.testing.assert_array_equal(S, np.zeros((2, 2)))
 
 
-def test_gate_never_factors_a_component_it_does_not_need():
-    # The first component gates every measurement, so the gate never
-    # reaches the second, whose S = P + R is indefinite: a stacked call
-    # over both leaves the second unfactored instead of raising.
+def test_gate_raises_for_a_component_without_a_factor_in_any_order():
+    # The good component gates every measurement; the other, whose
+    # S = P + R = -2 I has no factor, makes the gate raise all the same,
+    # first or second.  A stacked call keeps the terms of no mixture in
+    # the stack, not even those of a good one before it.
     sensor = SensorModel(np.eye(2), np.eye(2), 0.9, 1e-4)
     gm = GaussianMixture([0.5, 0.5], [[0.0, 0.0], [1.0, 0.0]],
                          [np.eye(2), -3.0 * np.eye(2)])
     Z = [np.array([0.1, 0.2]), np.array([-0.3, 0.0])]
-    innovation_terms([gm], sensor, Z)
-    assert gm._terms["ok"] == 1 and len(gm._terms["L"]) == 1
-    assert gate_mask(Z, gm, sensor, 9.0).all()
-    with pytest.raises(NumericalError):
-        gate_mask(Z, GaussianMixture(gm.w, gm.m[::-1], gm.P[::-1]), sensor,
-                  9.0)
+    good = single([0.0, 0.0], np.eye(2))
+    for order in (slice(None), slice(None, None, -1)):
+        mixture = GaussianMixture(gm.w[order], gm.m[order], gm.P[order])
+        for call in (lambda: gate_mask(Z, mixture, sensor, 9.0),
+                     lambda: innovation_terms([good, mixture], sensor, Z)):
+            with pytest.raises(NumericalError) as err:
+                call()
+            np.testing.assert_array_equal(err.value.diagnostics["matrix"],
+                                          -2.0 * np.eye(2))
+            assert mixture._terms is None and good._terms is None
+    assert gate_mask(Z, good, sensor, 9.0).all()
 
 
 def test_gate_mask_matches_distance(rng):

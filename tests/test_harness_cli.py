@@ -202,7 +202,7 @@ def test_cli_builtin_scenario_spec(tmp_path):
     assert len(rows) == 100
 
 
-def test_cli_error_exit_codes(tmp_path):
+def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["run", "--scenario", "builtin:nope", "--filter", "lmb",
                  "--runs", "1", "--out", str(tmp_path / "x")]) == 2
     bad = tmp_path / "bad.json"
@@ -230,6 +230,26 @@ def test_cli_error_exit_codes(tmp_path):
     (ok / "results.csv").write_text(
         ",".join(CSV_HEADER) + "\n0,1,lmb,1.5,0.0,1,1,1,0,0.0,0.0\n")
     assert main(["plotdata", "--in", str(ok), "--out", ""]) == 2
+    # Output paths that cannot be written: an existing file as the output
+    # directory of run and of plotdata, and a directory where run's
+    # results.csv or plotdata's ospat_mean.csv goes.  The error names it.
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for name in ("results.csv", "ospat_mean.csv"):
+        (tmp_path / "held" / name).mkdir(parents=True)
+    run_to = ["run", "--scenario", write_scenario(tmp_path), "--filter",
+              "lmb", "--runs", "1", "--out"]
+    for argv, path in (
+            (run_to + [str(taken)], taken),
+            (["plotdata", "--in", str(ok), "--out", str(taken)], taken),
+            (run_to + [str(tmp_path / "held")],
+             tmp_path / "held" / "results.csv"),
+            (["plotdata", "--in", str(ok), "--out", str(tmp_path / "held")],
+             tmp_path / "held" / "ospat_mean.csv")):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
     zero_cap = write_scenario(tmp_path, tracker={"cap": 0})
     assert main(["run", "--scenario", zero_cap, "--filter", "lmb",
                  "--runs", "1", "--out", str(tmp_path / "w")]) == 2

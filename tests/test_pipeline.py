@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from almbtrack import (ConfigurationError, DensityGroup, DglmbDensity,
-                       GaussianMixture, Label,
-                       LmbDensity, Mode, MultiObjectTracker, PipelineConfig,
+                       GaussianMixture, Label, LmbDensity, Mode,
+                       MultiObjectTracker, NumericalError, PipelineConfig,
                        RepresentationState, Trigger, UsageError,
                        association_entropy, builtin_scenario, decide_switch,
                        dglmb_to_lmb, generate_measurements, generate_truth,
@@ -437,6 +437,32 @@ def test_config_validated_at_construction(name, value):
     error = ConfigurationError if name in fields else TypeError
     with pytest.raises(error, match=name):
         PipelineConfig(**{name: value})
+
+
+@pytest.mark.parametrize("scans", [
+    [[[0.0, 0.0]]], [[[0.0, 0.0], [-500.0, 500.0]]], [[], [[0.0, 0.0]]]],
+    ids=["near", "near-and-far", "empty-then-near"])
+@pytest.mark.parametrize("policy", ["lmb", "almb", "dglmb"])
+def test_unfactorable_innovation_covariance_raises_in_its_scan(policy,
+                                                               scans):
+    # The birth's second component has covariance -300 I: predicted, its
+    # S = H (F P F' + Q) H' + R = (-600 + 1.25 + 100) I has no Cholesky
+    # factor.  The first scan with a measurement raises, whether the
+    # measurement lies near the good component only or one is far from
+    # both; after an empty scan the missed track is pruned, so the raise
+    # is a new birth's.
+    birth = GaussianMixture([0.5, 0.5], [[0.0] * 4, [1000.0, 1000.0, 0, 0]],
+                            [100.0 * np.eye(4), -300.0 * np.eye(4)])
+    tracker = MultiObjectTracker(MOTION, SENSOR, [(0.05, birth)],
+                                 policy=policy)
+    for scan in scans[:-1]:
+        tracker.step(scan)
+    with pytest.raises(NumericalError) as err:
+        tracker.step(scans[-1])
+    assert tracker.step_index == len(scans)
+    assert err.value.diagnostics["what"] == "innovation covariance"
+    np.testing.assert_array_equal(err.value.diagnostics["matrix"],
+                                  -498.75 * np.eye(2))
 
 
 def test_tracker_locks_onto_clean_target():
