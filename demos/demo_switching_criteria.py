@@ -12,9 +12,9 @@ Run:  python3 demos/demo_switching_criteria.py
 import numpy as np
 
 from almbtrack import (DglmbDensity, GaussianMixture, Label, LmbDensity,
-                       Mode, PipelineConfig, RepresentationState, SensorModel,
-                       Trigger, association_entropy, decide_switch,
-                       kl_criterion, lmb_to_dglmb, lmb_update)
+                       PipelineConfig, SensorModel, Trigger,
+                       association_entropy, decide_switch, kl_criterion,
+                       lmb_to_dglmb, lmb_update)
 from almbtrack.pipeline import CAP, GATE_SQ
 
 
@@ -69,7 +69,7 @@ def main():
     print("3. the automaton")
     print("   thresholds: kl %.0e, entropy %.2f"
           % (config.kl_threshold, config.entropy_threshold))
-    state = RepresentationState(Mode.LMB, Trigger.NONE)
+    state = Trigger.NONE
     script = [
         ("clean scan", 0.0, 0.1),
         ("crossing starts, kl spikes", 3e-3, 0.4),
@@ -80,7 +80,7 @@ def main():
     for label, kl, entropy in script:
         state = decide_switch(state, kl, entropy, config)
         print("   %-28s -> %-5s (trigger %s)"
-              % (label, state.mode.name, state.trigger.name))
+              % (label, state.mode.name, state.name))
     print("   note the third scan: entropy 0.6 is above threshold but the")
     print("   group switched on KL, so only KL can release it; and the")
     print("   release happens at <=, switching is > (asymmetric).")

@@ -14,9 +14,8 @@ from .scenarios import (BUILTIN_SCENARIOS, ScenarioConfig, builtin_scenario,
                         generate_measurements, generate_truth, load_scenario,
                         scenario_from_dict, truth_cardinality,
                         truth_positions)
-from .switching import (Mode, RepresentationState, Trigger,
-                        association_entropy, decide_switch, kl_criterion,
-                        kl_divergence)
+from .switching import (Mode, Trigger, association_entropy, decide_switch,
+                        kl_criterion, kl_divergence)
 
 __version__ = "0.1.0"
 
@@ -24,9 +23,8 @@ __all__ = [
     "BUILTIN_SCENARIOS", "ConfigurationError", "DensityGroup",
     "DglmbDensity", "GaussianMixture", "Label", "LmbDensity", "Mode",
     "MotionModel", "MultiObjectTracker", "NumericalError", "OspaParams",
-    "PipelineConfig", "RepresentationState", "ScenarioConfig", "SensorModel",
-    "Trigger", "UsageError", "association_entropy",
-    "builtin_scenario", "decide_switch", "dglmb_cardinality", "dglmb_predict",
+    "PipelineConfig", "ScenarioConfig", "SensorModel", "Trigger",
+    "UsageError", "association_entropy", "builtin_scenario", "decide_switch", "dglmb_cardinality", "dglmb_predict",
     "dglmb_prune", "dglmb_to_lmb", "dglmb_update", "extract_tracks",
     "generate_measurements", "generate_truth", "gm_predict", "gm_reduce",
     "kl_criterion", "kl_divergence", "lmb_cardinality", "lmb_predict",

@@ -30,14 +30,24 @@ def _cmd_run(args):
     config = _resolve_scenario(args.scenario)
     filters = FILTER_NAMES if args.filter == "all" else (args.filter,)
     seed = config.seed if args.seed is None else args.seed
+    out_csv, out_json = (os.path.join(args.out, name)
+                         for name in ("results.csv", "scenario.json"))
+    # An output path that cannot be written fails now, not after the runs.
+    head = args.out
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    for path, is_dir in ((head, True), (out_csv, False), (out_json, False)):
+        if not args.out or (os.path.exists(path)
+                            and os.path.isdir(path) != is_dir):
+            raise UsageError("cannot write %r: %s a directory"
+                             % (path, "not" if is_dir else "is"))
     rows = monte_carlo(config, args.runs, filters=filters, base_seed=seed,
                        timing_mode=args.timing_mode)
     os.makedirs(args.out, exist_ok=True)
-    out_csv = os.path.join(args.out, "results.csv")
     write_rows(rows, out_csv)
     scenario_copy = dict(config.to_dict())
     scenario_copy["seed"] = int(seed)
-    with open(os.path.join(args.out, "scenario.json"), "w") as handle:
+    with open(out_json, "w") as handle:
         json.dump(scenario_copy, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print("wrote %s (%d rows)" % (out_csv, len(rows)))

@@ -33,8 +33,8 @@ class GaussianMixture:
       factorization is actually taken).
 
     A mixture is never modified, except that ``innovation_terms`` keeps
-    the innovation terms of all its components for one sensor in
-    ``_terms``.
+    the innovation terms of all its components for one sensor and one
+    measurement table in ``_terms``.
     """
 
     def __init__(self, w, m, P):
@@ -152,55 +152,44 @@ def _predicted(m, P, sensor):
 
 
 def innovation_terms(mixtures, sensor, Z):
-    """Fill the innovation terms each mixture lacks for ``sensor`` and
-    the measurements ``Z``.
+    """Fill the innovation terms of each mixture that lacks them for
+    ``sensor`` and the measurements ``Z``.
 
     The terms live in the dict ``_terms`` of the mixture, stacked over its
-    components, one row each: ``z_pred = H m``, ``S = H P H' + R``, the
-    Cholesky factor ``L`` of ``S``, the gain ``K``, ``cov = (I - K H) P``
-    (symmetrized), ``logdet`` of ``S`` and ``d2[i, j] = |L_i^-1 (Z[j] -
-    z_pred_i)|^2``, for the bytes of ``Z`` (``table``) and of its rows
+    components, one row each: ``z_pred = H m``, the gain ``K``, ``cov =
+    (I - K H) P`` (symmetrized), ``logdet`` of ``S = H P H' + R`` and
+    ``d2[i, j] = |L_i^-1 (Z[j] - z_pred_i)|^2`` with ``L_i`` the Cholesky
+    factor of ``S_i``, for the bytes of ``Z`` (``table``) and of its rows
     (``rows``).  A component whose ``S`` has no Cholesky factor raises
-    ``NumericalError`` here.  Each term comes from one stacked call over
-    the components that lack it, whose slices run the routine of a single
-    component: the same bits in any company.
+    ``NumericalError`` here, and no mixture of the call keeps new terms.
+    The terms of all mixtures that lack them come from one stacked pass,
+    whose slices run the routine of a single component: the same bits in
+    any company.
     """
     Z = np.asarray(Z, dtype=float).reshape(len(Z), -1)
     table = Z.tobytes()
-    todo = list({id(gm): gm for gm in mixtures}.values())
-    new = [gm for gm in todo
-           if gm._terms is None or gm._terms["sensor"] is not sensor]
-    if new:
-        _factor(new, sensor)
-    terms = [gm._terms for gm in todo if gm._terms["table"] != table]
-    if terms:
-        # One right-hand side per slice: that is the bits of a solve per
-        # measurement, which a solve with many columns need not be.
-        L = np.concatenate([t["L"] for t in terms])[:, None]
-        r = Z - np.concatenate([t["z_pred"] for t in terms])[:, None]
-        y = np.linalg.solve(L, r[..., None])
-        d2 = np.matmul(y.swapaxes(-1, -2), y)[..., 0, 0]
-        rows = {z.tobytes(): j for j, z in enumerate(Z)}
-        ends = np.cumsum([len(t["L"]) for t in terms]).tolist()
-        for t, a, b in zip(terms, [0] + ends, ends):
-            t.update(d2=d2[a:b], table=table, rows=rows)
-
-
-def _factor(mixtures, sensor):
-    # Every innovation term but d2, for all components of ``mixtures``.
-    P = np.concatenate([gm.P for gm in mixtures])
-    z_pred, S = _predicted(np.concatenate([gm.m for gm in mixtures]), P,
-                           sensor)
+    new = [gm for gm in {id(gm): gm for gm in mixtures}.values()
+           if gm._terms is None or gm._terms["sensor"] is not sensor
+           or gm._terms["table"] != table]
+    if not new:
+        return
+    P = np.concatenate([gm.P for gm in new])
+    z_pred, S = _predicted(np.concatenate([gm.m for gm in new]), P, sensor)
     L, H = _cholesky(S), sensor.H
     K = np.linalg.solve(S, np.matmul(H, P)).swapaxes(-1, -2)
     cov = _symmetrize(np.matmul(np.eye(P.shape[-1]) - np.matmul(K, H), P))
     logdet = 2.0 * np.sum(np.log(np.diagonal(L, 0, -2, -1)), -1)
+    # One right-hand side per slice: that is the bits of a solve per
+    # measurement, which a solve with many columns need not be.
+    y = np.linalg.solve(L[:, None], (Z - z_pred[:, None])[..., None])
+    d2 = np.matmul(y.swapaxes(-1, -2), y)[..., 0, 0]
+    rows = {z.tobytes(): j for j, z in enumerate(Z)}
     a = 0
-    for gm in mixtures:
+    for gm in new:
         b = a + len(gm.w)
-        gm._terms = dict(sensor=sensor, z_pred=z_pred[a:b], S=S[a:b],
-                         L=L[a:b], K=K[a:b], cov=cov[a:b],
-                         logdet=logdet[a:b], table=None)
+        gm._terms = dict(sensor=sensor, table=table, rows=rows,
+                         z_pred=z_pred[a:b], K=K[a:b], cov=cov[a:b],
+                         logdet=logdet[a:b], d2=d2[a:b])
         a = b
 
 
@@ -234,7 +223,7 @@ def joined_terms(mixtures):
         return first
     return dict(first, **{
         name: np.concatenate([t[name] for t in terms]) for name in (
-            "z_pred", "S", "L", "K", "cov", "logdet", "d2")})
+            "z_pred", "K", "cov", "logdet", "d2")})
 
 
 def _terms_at(gm, sensor, z):
@@ -336,21 +325,14 @@ def gate_mask(measurements, gm, sensor, gate_sq):
     (within ``gate_sq`` of any component)."""
     if not len(measurements):
         return np.zeros(0, dtype=bool)
-    Z = np.asarray(measurements, dtype=float).reshape(len(measurements), -1)
-    t = gm._terms
-    if t is None or t["sensor"] is not sensor or t["table"] != Z.tobytes():
-        innovation_terms([gm], sensor, Z)
-        t = gm._terms
-    return (t["d2"] < gate_sq).any(0)
+    innovation_terms([gm], sensor, measurements)
+    return (gm._terms["d2"] < gate_sq).any(0)
 
 
 def predicted_measurement(gm, sensor):
     """Predicted measurement and innovation covariance of the
     highest-weight component (lowest index on ties)."""
     i = int(np.argmax(gm.w))
-    t = gm._terms
-    if t is not None and t["sensor"] is sensor:
-        return t["z_pred"][i], t["S"][i]
     z_pred, S = _predicted(gm.m[i:i + 1], gm.P[i:i + 1], sensor)
     return z_pred[0], S[0]
 

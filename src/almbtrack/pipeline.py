@@ -27,15 +27,11 @@ from .errors import UsageError, check_numbers
 from .gaussian import (gate_mask, gm_reduce, innovation_terms, map_point,
                        predicted_measurement)
 from .lmb import lmb_predict, lmb_update
-from .switching import (Mode, RepresentationState, Trigger,
-                        association_entropy, cardinality_kl, decide_switch,
-                        kl_criterion)
+from .switching import (Mode, Trigger, association_entropy, cardinality_kl,
+                        decide_switch, kl_criterion)
 
 # The policies of ``MultiObjectTracker``; CSV rows follow this order.
 FILTER_NAMES = ("lmb", "dglmb", "almb")
-
-_LMB_STATE = RepresentationState(Mode.LMB, Trigger.NONE)
-_PINNED_STATE = RepresentationState(Mode.DGLMB, Trigger.PINNED)
 
 
 # Truncation settings of the group recursion, the standard machinery of
@@ -80,7 +76,7 @@ class DensityGroup:
     """
 
     density: object
-    state: RepresentationState = _LMB_STATE
+    state: Trigger = Trigger.NONE
     criterion_value: float = 0.0
     gated: tuple = ()
 
@@ -125,8 +121,8 @@ def inject_birth(groups, births, step_index, birth_state, sensor):
     """Append one single-track group per ``(existence, mixture)`` birth
     site, labeled by scan.
 
-    Each new group starts in ``birth_state``, in delta-GLMB form unless
-    that state is LMB.
+    Each new group starts in the ``Trigger`` ``birth_state``, in
+    delta-GLMB form unless its mode is LMB.
 
     An entry is skipped while any surviving track covers its site: the
     live track already carries the appearance hypothesis there (one
@@ -244,7 +240,7 @@ def merge_groups(groups):
         dglmb_members = [m for m in members
                          if isinstance(m.density, DglmbDensity)]
         if not dglmb_members:
-            out.append(DensityGroup(_union_lmb(members), _LMB_STATE,
+            out.append(DensityGroup(_union_lmb(members), Trigger.NONE,
                                     0.0, gated))
             continue
         lead = max(dglmb_members, key=lambda m: m.criterion_value)
@@ -293,7 +289,7 @@ def update_group(group, measurements, sensor, config):
 
 
 def _settle(group, state, kl, entropy, density):
-    value = {Trigger.KL: kl, Trigger.ENTROPY: entropy}.get(state.trigger, 0.0)
+    value = {Trigger.KL: kl, Trigger.ENTROPY: entropy}.get(state, 0.0)
     return replace(group, density=density, state=state,
                    criterion_value=float(value)), kl, entropy
 
@@ -441,11 +437,11 @@ def extract_tracks(groups, threshold):
 
 
 def pipeline_step(groups, measurements, step_index, motion, sensor,
-                  births, config, birth_state=_LMB_STATE):
+                  births, config, birth_state=Trigger.NONE):
     """Run one full scan; returns ``(groups, extracted, diagnostics)``.
 
     ``births`` is a list of ``(existence, mixture)`` pairs; new births
-    start in ``birth_state``."""
+    start in the ``Trigger`` ``birth_state``."""
     groups = inject_birth(groups, births, step_index, birth_state, sensor)
     groups = [predict_group(g, motion) for g in groups]
     groups = gate_measurements(groups, measurements, sensor, GATE_SQ)
@@ -497,7 +493,8 @@ class MultiObjectTracker:
         self.births = births
         self.config = config
         self.policy = policy
-        self.birth_state = _PINNED_STATE if policy == "dglmb" else _LMB_STATE
+        self.birth_state = (Trigger.PINNED if policy == "dglmb"
+                            else Trigger.NONE)
         self.groups = []
         self.step_index = 0
 

@@ -10,12 +10,10 @@ threshold or below.  All information measures use natural logarithms.
 """
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .densities import dglmb_cardinality, dglmb_to_lmb, lmb_cardinality
-from .errors import UsageError
 
 
 class Mode(enum.Enum):
@@ -24,24 +22,18 @@ class Mode(enum.Enum):
 
 
 class Trigger(enum.Enum):
+    """Automaton state of a group: ``NONE`` is LMB form; the others are
+    delta-GLMB form, held there by the KL or the entropy criterion, or
+    for good (``PINNED``: the delta-GLMB filter's groups)."""
+
     NONE = "none"
     KL = "kl"
     ENTROPY = "entropy"
-    # Pinned groups (the delta-GLMB filter's) never leave delta-GLMB
-    # form; the tag records why a group is held there.
     PINNED = "pinned"
 
-
-@dataclass(frozen=True)
-class RepresentationState:
-    """Automaton state: current representation and what triggered it."""
-
-    mode: Mode = Mode.LMB
-    trigger: Trigger = Trigger.NONE
-
-    def __post_init__(self):
-        if (self.mode is Mode.LMB) != (self.trigger is Trigger.NONE):
-            raise UsageError("LMB mode pairs with trigger NONE only")
+    @property
+    def mode(self):
+        return Mode.LMB if self is Trigger.NONE else Mode.DGLMB
 
 
 def kl_divergence(p, q):
@@ -95,7 +87,7 @@ def association_entropy(marginals):
 
 
 def decide_switch(state, kl, entropy, config):
-    """Advance the switching automaton by one update.
+    """Advance the switching automaton, a ``Trigger``, by one update.
 
     In LMB mode the KL criterion is consulted first, then entropy; the
     first one above its threshold (``config.kl_threshold``,
@@ -104,14 +96,12 @@ def decide_switch(state, kl, entropy, config):
     consulted, and the group returns to LMB once it is at or below its
     threshold.  Pinned groups stay as they are.
     """
-    if state.mode is Mode.LMB:
+    if state is Trigger.NONE:
         if kl > config.kl_threshold:
-            return RepresentationState(Mode.DGLMB, Trigger.KL)
+            return Trigger.KL
         if entropy > config.entropy_threshold:
-            return RepresentationState(Mode.DGLMB, Trigger.ENTROPY)
+            return Trigger.ENTROPY
         return state
     settled = {Trigger.KL: kl <= config.kl_threshold,
                Trigger.ENTROPY: entropy <= config.entropy_threshold}
-    if settled.get(state.trigger, False):
-        return RepresentationState(Mode.LMB, Trigger.NONE)
-    return state
+    return Trigger.NONE if settled.get(state, False) else state

@@ -186,12 +186,10 @@ def switch_cases(config):
     threshold; switch-back is asymmetric (at-threshold returns to LMB,
     at-threshold does not leave it).
     """
-    from almbtrack import Mode, RepresentationState, Trigger
+    from almbtrack import Trigger
 
-    lmb = RepresentationState(Mode.LMB, Trigger.NONE)
-    d_kl = RepresentationState(Mode.DGLMB, Trigger.KL)
-    d_en = RepresentationState(Mode.DGLMB, Trigger.ENTROPY)
-    pinned = RepresentationState(Mode.DGLMB, Trigger.PINNED)
+    lmb, d_kl, d_en, pinned = (Trigger.NONE, Trigger.KL, Trigger.ENTROPY,
+                               Trigger.PINNED)
     kl_t, en_t = config.kl_threshold, config.entropy_threshold
     kl_vals = (0.5 * kl_t, kl_t, 2.0 * kl_t)
     en_vals = (0.5 * en_t, en_t, 2.0 * en_t)

@@ -349,7 +349,7 @@ def test_09_switch_automaton_table():
     wrong = []
     for state, kl, entropy, expected in cases:
         got = decide_switch(state, kl, entropy, config)
-        if got.mode is not expected.mode or got.trigger is not expected.trigger:
+        if got is not expected:
             wrong.append((state, kl, entropy, got, expected))
     print("criterion 9: %d/%d automaton cells correct (states x below/at/"
           "above threshold)" % (len(cases) - len(wrong), len(cases)))

@@ -3,7 +3,8 @@ the current package.
 
 Each runs in a fresh interpreter with ``src`` on ``PYTHONPATH``, so a
 checkout that is not installed runs them too.  The two tracking demos,
-which take several seconds each, are left out.
+which take several seconds each, are left out; the CI workflow runs them
+in a step of its own.
 """
 
 import os

@@ -224,14 +224,12 @@ def test_innovation_terms_follow_the_sensor():
     np.testing.assert_allclose(S, [[4.0]], rtol=1e-12)
 
 
-TERMS = ("z_pred", "S", "L", "K", "cov", "logdet", "d2")
+TERMS = ("z_pred", "K", "cov", "logdet", "d2")
 
 
-def test_stacked_terms_equal_one_component_at_a_time(rng):
-    # Random mixtures of 1-3 components, 4-D state, 2-D measurements and
-    # a dense H: the terms of one stacked call over every mixture must be
-    # the bits of a call per mixture, and those, component by component,
-    # the bits of the plain per-component algebra of ``ref_terms``.
+def random_terms_case(rng):
+    # A sensor with a dense 2x4 H, 7 measurements and the means and
+    # covariances of 12 mixtures of 1-3 components in 4-D.
     H = rng.normal(0.0, 1.0, (2, 4))
     A = rng.normal(0.0, 1.0, (2, 2))
     sensor = SensorModel(H, A @ A.T + np.eye(2), 0.9, 1e-4)
@@ -242,6 +240,14 @@ def test_stacked_terms_equal_one_component_at_a_time(rng):
         B = rng.normal(0.0, 1.0, (n, 4, 4))
         arrays.append((rng.normal(0.0, 3.0, (n, 4)),
                        B @ B.swapaxes(1, 2) + 0.1 * np.eye(4)))
+    return sensor, Z, arrays
+
+
+def test_stacked_terms_equal_one_component_at_a_time(rng):
+    # The terms of one stacked call over every mixture must be the bits
+    # of a call per mixture, and those, component by component, the bits
+    # of the plain per-component algebra of ``ref_terms``.
+    sensor, Z, arrays = random_terms_case(rng)
     stacked = [GaussianMixture(np.ones(len(m)), m, P) for m, P in arrays]
     apart = [GaussianMixture(np.ones(len(m)), m, P) for m, P in arrays]
     innovation_terms(stacked, sensor, Z)
@@ -254,6 +260,41 @@ def test_stacked_terms_equal_one_component_at_a_time(rng):
             want = ref_terms(b.m[i], b.P[i], sensor, Z)
             for name in TERMS:
                 assert np.array_equal(b._terms[name][i], want[name]), name
+
+
+def test_terms_for_another_table_are_a_whole_fill(rng):
+    # Half the mixtures hold terms for the first three measurements; one
+    # call for the other four then gives every mixture the terms of a
+    # single fill for those four, and keeps only the five term arrays.
+    sensor, Z, arrays = random_terms_case(rng)
+    refilled = [GaussianMixture(np.ones(len(m)), m, P) for m, P in arrays]
+    once = [GaussianMixture(np.ones(len(m)), m, P) for m, P in arrays]
+    innovation_terms(refilled[::2], sensor, Z[:3])
+    innovation_terms(refilled, sensor, Z[3:])
+    innovation_terms(once, sensor, Z[3:])
+    for a, b in zip(refilled, once):
+        assert set(a._terms) == {"sensor", "table", "rows", *TERMS}
+        assert a._terms["table"] == b._terms["table"]
+        assert a._terms["rows"] == b._terms["rows"]
+        for name in TERMS:
+            assert np.array_equal(a._terms[name], b._terms[name]), name
+
+
+def test_predicted_measurement_is_the_heaviest_components(rng):
+    # z_pred and S of the heaviest component, with the bits of
+    # ``ref_terms``, whether or not the mixture holds its terms.
+    sensor, Z, arrays = random_terms_case(rng)
+    mixtures = [GaussianMixture(rng.uniform(0.1, 1.0, len(m)), m, P)
+                for m, P in arrays]
+    for filled in (False, True):
+        if filled:
+            innovation_terms(mixtures, sensor, Z)
+        for gm in mixtures:
+            i = int(np.argmax(gm.w))
+            want = ref_terms(gm.m[i], gm.P[i], sensor)
+            z_pred, S = predicted_measurement(gm, sensor)
+            assert np.array_equal(z_pred, want["z_pred"])
+            assert np.array_equal(S, want["S"])
 
 
 def test_a_component_without_a_factor_raises_when_its_terms_are_filled():

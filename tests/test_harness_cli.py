@@ -294,6 +294,29 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                      "--out", str(tmp_path / (name + "_plots"))]) == 2
 
 
+def test_run_checks_its_output_path_before_the_runs(tmp_path, monkeypatch,
+                                                    capsys):
+    # No filter may run: an output directory that is a file or lies under
+    # one, and one whose results.csv or scenario.json is a directory, fail
+    # first and name the path; so does an empty one.
+    def no_run(*args):
+        raise AssertionError("a filter ran")
+
+    monkeypatch.setattr(harness, "run_filter", no_run)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    held = [tmp_path / "a" / "results.csv", tmp_path / "b" / "scenario.json"]
+    for path in held:
+        path.mkdir(parents=True)
+    scenario = write_scenario(tmp_path)
+    for out, path in [(taken, taken), (taken / "sub", taken), ("", "''")] + [
+            (path.parent, path) for path in held]:
+        assert main(["run", "--scenario", scenario, "--filter", "lmb",
+                     "--runs", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+
 def test_cli_rejects_removed_tracker_key(tmp_path, capsys):
     # Setting a truncation constant is a usage error naming the key.
     scenario = write_scenario(tmp_path, tracker={

@@ -208,8 +208,8 @@ EXPORTS = (
     "BUILTIN_SCENARIOS", "ConfigurationError", "DensityGroup",
     "DglmbDensity", "GaussianMixture", "Label",
     "LmbDensity", "Mode", "MotionModel", "MultiObjectTracker",
-    "NumericalError", "OspaParams", "PipelineConfig", "RepresentationState",
-    "ScenarioConfig", "SensorModel", "Trigger", "UsageError",
+    "NumericalError", "OspaParams", "PipelineConfig", "ScenarioConfig",
+    "SensorModel", "Trigger", "UsageError",
     "association_entropy", "builtin_scenario", "decide_switch",
     "dglmb_cardinality", "dglmb_predict", "dglmb_prune", "dglmb_to_lmb",
     "dglmb_update", "extract_tracks", "generate_measurements",

@@ -10,7 +10,7 @@ import pytest
 from almbtrack import (ConfigurationError, DensityGroup, DglmbDensity,
                        GaussianMixture, Label, LmbDensity, Mode,
                        MultiObjectTracker, NumericalError, PipelineConfig,
-                       RepresentationState, Trigger, UsageError,
+                       Trigger, UsageError,
                        association_entropy, builtin_scenario, decide_switch,
                        dglmb_to_lmb, generate_measurements, generate_truth,
                        kl_criterion, lmb_to_dglmb, lmb_update)
@@ -25,8 +25,8 @@ from conftest import cv_motion, position_sensor, single
 from oracles import dglmb_from_rows, lmb_from_tracks, rows_of, same_mixture
 
 CFG = PipelineConfig()
-LMB_STATE = RepresentationState(Mode.LMB, Trigger.NONE)
-PINNED = RepresentationState(Mode.DGLMB, Trigger.PINNED)
+LMB_STATE = Trigger.NONE
+PINNED = Trigger.PINNED
 SENSOR = position_sensor(10.0, 0.98, 1.25e-5)
 MOTION = cv_motion()
 
@@ -60,7 +60,7 @@ def test_birth_pinned_delta_for_dglmb_policy():
     groups = inject_birth([], births, 1, PINNED, SENSOR)
     assert isinstance(groups[0].density, DglmbDensity)
     assert groups[0].state.mode is Mode.DGLMB
-    assert groups[0].state.trigger is Trigger.PINNED
+    assert groups[0].state is Trigger.PINNED
 
 
 def test_birth_masked_by_covering_track():
@@ -156,16 +156,13 @@ def test_merge_closes_chains_of_shared_measurements():
 
 
 def test_merge_cross_product_weights():
-    from almbtrack import RepresentationState
     la, lb = Label(1, 0), Label(1, 1)
     da = lmb_to_dglmb(lmb_from_tracks(
         {la: (0.5, single([0, 0, 0, 0], np.eye(4)))}), CAP)
     db = lmb_to_dglmb(lmb_from_tracks(
         {lb: (0.3, single([9, 0, 0, 0], np.eye(4)))}), CAP)
-    ga = DensityGroup(da, RepresentationState(Mode.DGLMB, Trigger.KL), 0.2,
-                      (0,))
-    gb = DensityGroup(db, RepresentationState(Mode.DGLMB, Trigger.ENTROPY),
-                      0.1, (0,))
+    ga = DensityGroup(da, Trigger.KL, 0.2, (0,))
+    gb = DensityGroup(db, Trigger.ENTROPY, 0.1, (0,))
     merged = merge_groups([ga, gb])
     assert len(merged) == 1
     d = merged[0].density
@@ -175,19 +172,17 @@ def test_merge_cross_product_weights():
                                atol=1e-12)
     assert float(d.w.sum()) == pytest.approx(1.0, abs=1e-12)
     # State follows the member with the larger outstanding criterion.
-    assert merged[0].state.trigger is Trigger.KL
+    assert merged[0].state is Trigger.KL
     assert merged[0].criterion_value == pytest.approx(0.2)
 
 
 def test_merge_expands_lmb_member_into_delta():
-    from almbtrack import RepresentationState
     la, lb = Label(1, 0), Label(1, 1)
     a = track_group(la, 0.0, 0.0, existence=0.5)
     a = DensityGroup(a.density, a.state, 0.0, (0,))
     db = lmb_to_dglmb(lmb_from_tracks(
         {lb: (0.3, single([9, 0, 0, 0], np.eye(4)))}), CAP)
-    gb = DensityGroup(db, RepresentationState(Mode.DGLMB, Trigger.KL), 0.4,
-                      (0,))
+    gb = DensityGroup(db, Trigger.KL, 0.4, (0,))
     merged = merge_groups([a, gb])
     assert len(merged) == 1
     assert isinstance(merged[0].density, DglmbDensity)
@@ -330,9 +325,7 @@ def test_split_marginalizes_independent_delta_pair():
         l1: (0.5, single([0, 0, 0, 0], np.eye(4))),
         l2: (0.5, single([500, 0, 0, 0], np.eye(4))),
     })
-    from almbtrack import RepresentationState
-    parent = DensityGroup(lmb_to_dglmb(lmb, CAP),
-                          RepresentationState(Mode.DGLMB, Trigger.KL), 0.3)
+    parent = DensityGroup(lmb_to_dglmb(lmb, CAP), Trigger.KL, 0.3)
     out = split_group(parent, SENSOR)
     assert len(out) == 2
     for child in out:
@@ -343,7 +336,7 @@ def test_split_marginalizes_independent_delta_pair():
         assert weights[()] == pytest.approx(0.5, abs=1e-12)
         assert weights[(lab,)] == pytest.approx(0.5, abs=1e-12)
         # Children inherit the parent's representation state.
-        assert child.state.trigger is Trigger.KL
+        assert child.state is Trigger.KL
         assert child.criterion_value == pytest.approx(0.3)
 
 
@@ -494,8 +487,7 @@ def generic_update(group, measurements, sensor, config):
     entropy = association_entropy(result.assoc_marginals)
     state = decide_switch(group.state, kl, entropy, config)
     if state.mode is Mode.DGLMB:
-        value = {Trigger.KL: kl, Trigger.ENTROPY: entropy}.get(
-            state.trigger, 0.0)
+        value = {Trigger.KL: kl, Trigger.ENTROPY: entropy}.get(state, 0.0)
         return (dataclasses.replace(group, density=result.posterior,
                                     state=state, criterion_value=value),
                 kl, entropy)
@@ -591,7 +583,7 @@ def test_one_track_update_switches_on_entropy():
     assert_same_update(fast, slow)
     group, kl, entropy = fast
     assert kl <= CFG.kl_threshold < entropy
-    assert group.state == RepresentationState(Mode.DGLMB, Trigger.ENTROPY)
+    assert group.state is Trigger.ENTROPY
     assert group.criterion_value == entropy
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from almbtrack import (Label, Mode, PipelineConfig, RepresentationState,
-                       Trigger, association_entropy, decide_switch,
-                       kl_criterion, kl_divergence, lmb_to_dglmb)
+from almbtrack import (Label, Mode, PipelineConfig, Trigger,
+                       association_entropy, decide_switch, kl_criterion,
+                       kl_divergence, lmb_to_dglmb)
 from almbtrack.lmb import lmb_update
 from almbtrack import SensorModel
 
@@ -115,30 +115,31 @@ def test_switch_automaton_exhaustive():
     config = PipelineConfig(kl_threshold=1e-4, entropy_threshold=0.5)
     for state, kl, entropy, expected in switch_cases(config):
         got = decide_switch(state, kl, entropy, config)
-        assert got.mode is expected.mode and got.trigger is expected.trigger, \
-            (state, kl, entropy, got, expected)
+        assert got is expected, (state, kl, entropy, got, expected)
+
+
+def test_trigger_mode_names_the_form():
+    # NONE is LMB form; every other trigger holds delta-GLMB form.
+    assert [t.mode for t in Trigger] == [Mode.LMB] + 3 * [Mode.DGLMB]
+    assert [t.name for t in Trigger] == ["NONE", "KL", "ENTROPY", "PINNED"]
 
 
 def test_switch_kl_checked_before_entropy():
     config = PipelineConfig(kl_threshold=1e-4, entropy_threshold=0.5)
-    state = RepresentationState(Mode.LMB, Trigger.NONE)
-    out = decide_switch(state, 1.0, 1.0, config)
-    assert out.trigger is Trigger.KL
+    out = decide_switch(Trigger.NONE, 1.0, 1.0, config)
+    assert out is Trigger.KL
 
 
 def test_switch_back_only_on_own_criterion():
     config = PipelineConfig(kl_threshold=1e-4, entropy_threshold=0.5)
     # KL-triggered group ignores entropy staying high.
-    state = RepresentationState(Mode.DGLMB, Trigger.KL)
-    out = decide_switch(state, 0.0, 10.0, config)
+    out = decide_switch(Trigger.KL, 0.0, 10.0, config)
     assert out.mode is Mode.LMB
     # Entropy-triggered group ignores KL staying high.
-    state = RepresentationState(Mode.DGLMB, Trigger.ENTROPY)
-    out = decide_switch(state, 10.0, 0.0, config)
+    out = decide_switch(Trigger.ENTROPY, 10.0, 0.0, config)
     assert out.mode is Mode.LMB
 
 
 def test_lmb_state_never_carries_a_trigger():
-    state = RepresentationState(Mode.DGLMB, Trigger.KL)
-    back = decide_switch(state, 0.0, 0.0, PipelineConfig())
-    assert back.mode is Mode.LMB and back.trigger is Trigger.NONE
+    back = decide_switch(Trigger.KL, 0.0, 0.0, PipelineConfig())
+    assert back is Trigger.NONE and back.mode is Mode.LMB
