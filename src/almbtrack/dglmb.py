@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import ranked_assignments
-from .densities import DglmbDensity, expansion, top_weighted_subsets
+from .densities import (DglmbDensity, _bernoulli_log_odds,
+                        top_weighted_subsets)
 from .errors import NumericalError
 from .gaussian import gm_kalman_update_log, gm_predict, mahalanobis_sq
 
@@ -143,10 +144,14 @@ def _finalize(rows, log_w, mixtures, cap):
     if len(keep) < len(finite):
         order = _ranking([rows[e] for e in keep], log_w)
         keep, log_w = [keep[e] for e in order], [log_w[e] for e in order]
-    keep, log_ws = keep[: int(cap)], np.array(log_w[: int(cap)])
-    top = log_ws.max()
-    log_total = top + np.log(np.sum(np.exp(log_ws - top)))
-    return keep, np.exp(log_ws - log_total)
+    return keep[: int(cap)], _normalized(log_w[: int(cap)])
+
+
+def _normalized(log_w):
+    # exp(log_w) over its log-sum-exp, taken from the largest entry.
+    log_w = np.array(log_w)
+    top = log_w.max()
+    return np.exp(log_w - (top + np.log(np.sum(np.exp(log_w - top)))))
 
 
 def _per_hypothesis_quota(weights, cap):
@@ -276,6 +281,23 @@ def _association(gm, z, sensor, gate_sq, log_pd, log_kappa):
     return post, log_pd + log_lik - log_kappa
 
 
+def _bernoulli_expansion(existence):
+    """``expansion([existence], cap)``, for any cap of 2 or more, then
+    normalized again as ``DglmbDensity.normalized`` does: whether each
+    label subset holds the track, and its weight, best first.  The absent
+    subset alone where the existence is 0."""
+    lo = _bernoulli_log_odds(existence)
+    if lo == -math.inf:
+        return [False], [1.0]
+    # The weights relative to the best subset's, as expansion's
+    # exponentials give them; then its normalization, then the density's.
+    w = [1.0, float(np.exp(-abs(lo)))]
+    for _ in range(2):
+        tot = w[0] + w[1]
+        w = [w[0] / tot, w[1] / tot]
+    return [lo > 0.0, lo <= 0.0], w
+
+
 def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
     """``dglmb_update`` on the expansion of the one-track LMB density of
     ``existence`` and mixture ``gm``, in closed form: ``(mixtures, index,
@@ -288,8 +310,7 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
     measurements that is Murty's algorithm, which alone would put a miss
     after a measurement of bit-equal cost.
     """
-    subsets, w = expansion([existence], cap)
-    w = w / w.sum()  # DglmbDensity.normalized
+    present, w = _bernoulli_expansion(existence)
     log_pd, log_qd, log_kappa = _log_factors(sensor)
     options = [(-log_qd, 0, gm)]
     for j, z in enumerate(measurements):
@@ -300,15 +321,36 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
     options = sorted((o for o in options if math.isfinite(o[0])),
                      key=lambda o: o[:2])
     mixtures, rows = [post for _, _, post in options], []
-    for subset, log_w, quota in zip(subsets, _log_weights(w),
-                                    _per_hypothesis_quota(w, cap)):
+    for there, log_w, quota in zip(present, _log_weights(w),
+                                   _per_hypothesis_quota(w, cap)):
         # (table position, theta, log weight) of each child.
         rows += [(p, theta, log_w - score) for p, (score, theta, _)
-                 in enumerate(options[:quota])] if subset else [(-1, 0, log_w)]
+                 in enumerate(options[:quota])] if there else [(-1, 0, log_w)]
     keep, w = _finalize([row[:1] for row in rows], [row[2] for row in rows],
                         mixtures, cap)
     return (mixtures, np.array([rows[e][:1] for e in keep], dtype=int),
             [rows[e][1] for e in keep], w)
+
+
+def one_track_miss(existence, gm, sensor):
+    """``one_track_update`` of an empty scan, in closed form: the Bernoulli
+    missed-detection posterior, existence r (1 - p_D) / (1 - r p_D) and
+    ``gm`` unchanged (Ristic, Vo, Vo & Farina, "A tutorial on Bernoulli
+    filters", IEEE TSP 2013), with the bits of the generic path.  None
+    where a child's log weight is not finite (existence 0 or p_D 1): the
+    generic path drops that child.
+    """
+    present, w = _bernoulli_expansion(existence)
+    score = -_log_factors(sensor)[1]
+    log_w = [lw - score if there else lw
+             for there, lw in zip(present, _log_weights(w))]
+    if len(log_w) < 2 or not all(map(math.isfinite, log_w)):
+        return None
+    # _finalize of two rows of different label sets, which never merge:
+    # heaviest first, the absent row first on a tie.
+    order = sorted((0, 1), key=lambda e: (-log_w[e], present[e]))
+    return ([gm], np.array([[0 if present[e] else -1] for e in order]),
+            [0, 0], _normalized([log_w[e] for e in order]))
 
 
 def dglmb_prune(d, weight_threshold, cap):

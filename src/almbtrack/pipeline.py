@@ -8,11 +8,13 @@ longer interact, and track extraction.
 
 Every group runs the same update: the exact delta-GLMB update, then the
 switching automaton, which keeps the posterior or approximates it in LMB
-form; an LMB group of one track takes it in closed form, to the bit.  The
-three filters are settings of this one path (``MultiObjectTracker``):
+form; an LMB group of one track takes it in closed form, to the bit, and
+with nothing in its gate as the Bernoulli missed-detection posterior.
+The three filters are settings of this one path (``MultiObjectTracker``):
 ``"almb"`` switches per the criteria, ``"lmb"`` sets both thresholds to
 infinity so no group ever switches, and ``"dglmb"`` starts every birth
-pinned in delta-GLMB form.
+pinned in delta-GLMB form.  A birth is masked where a live track covers
+its site, all (birth, track) pairs in one stacked test.
 """
 
 from dataclasses import dataclass, replace
@@ -22,10 +24,10 @@ import numpy as np
 from .densities import (DglmbDensity, Label, LmbDensity, dglmb_to_lmb,
                         lmb_to_dglmb, mixture_average)
 from .dglmb import (_dedup, dglmb_predict, dglmb_prune, dglmb_update,
-                    one_track_update)
+                    one_track_miss, one_track_update)
 from .errors import UsageError, check_numbers
-from .gaussian import (gate_mask, gm_reduce, innovation_terms, map_point,
-                       predicted_measurement)
+from .gaussian import (_predicted, gate_mask, gm_reduce, innovation_terms,
+                       map_point, predicted_measurement)
 from .lmb import lmb_predict, lmb_update
 from .switching import (Mode, Trigger, association_entropy, cardinality_kl,
                         decide_switch, kl_criterion)
@@ -95,6 +97,14 @@ def _within(za, Sa, zb, Sb, limit):
     return np.matmul(d.swapaxes(-1, -2), x)[..., 0, 0] < limit
 
 
+def _sites(mixtures, sensor):
+    # predicted_measurement of each mixture, stacked, in one pass.
+    top = [int(np.argmax(gm.w)) for gm in mixtures]
+    return _predicted(np.array([gm.m[i] for gm, i in zip(mixtures, top)]),
+                      np.array([gm.P[i] for gm, i in zip(mixtures, top)]),
+                      sensor)
+
+
 def _components(n, pairs):
     """Connected components of ``range(n)`` under the edges ``pairs``, as
     ascending index lists in the order of their smallest members."""
@@ -132,16 +142,17 @@ def inject_birth(groups, births, step_index, birth_state, sensor):
     separate the two and the group carries the frozen label ambiguity
     forever.  Coverage is the squared Mahalanobis distance between the
     predicted measurements under the mean of the innovation covariances,
-    tested against ``GATE_SQ``.
+    tested against ``GATE_SQ`` for every (birth, track) pair at once.
     """
-    covering = [predicted_measurement(gm, sensor) for group in groups
-                for gm in group.lmb_view().mixtures]
-    if covering:
-        z, S = map(np.array, zip(*covering))
+    covering = [gm for group in groups for gm in group.lmb_view().mixtures]
+    covered = np.zeros(len(births), dtype=bool)
+    if covering and births:
+        z, S = _sites(covering, sensor)
+        zb, Sb = _sites([gm for _, gm in births], sensor)
+        covered = _within(z, S, zb[:, None], Sb[:, None], GATE_SQ).any(1)
     out = list(groups)
     for i, (existence, gm) in enumerate(births):
-        site = predicted_measurement(gm, sensor)
-        if covering and _within(z, S, *site, GATE_SQ).any():
+        if covered[i]:
             continue
         lmb = LmbDensity((Label(step_index, i),), [gm], [existence])
         out.append(DensityGroup(
@@ -298,10 +309,16 @@ def _update_one_track(group, measurements, sensor, config):
     """``update_group`` of a one-track LMB group.  The cardinality pmfs,
     association marginals and LMB collapse are read off the finalized
     entries with the arithmetic of ``dglmb_update``, ``dglmb_cardinality``
-    and ``dglmb_to_lmb``; only a group that switches gets a density."""
+    and ``dglmb_to_lmb``; only a group that switches gets a density.
+    With no gated measurement the entries are the missed-detection closed
+    form (``one_track_miss``), and a one-component mixture stays the prior
+    at weight 1 (no average or reduction); existence 0 and p_D = 1 take
+    ``one_track_update``."""
     lmb = group.density
-    mixtures, index, theta, w = one_track_update(
-        lmb.r[0], lmb.mixtures[0], measurements, sensor, CAP, GATE_SQ)
+    prior = lmb.r[0], lmb.mixtures[0]
+    mixtures, index, theta, w = (
+        None if measurements else one_track_miss(*prior, sensor)) \
+        or one_track_update(*prior, measurements, sensor, CAP, GATE_SQ)
     rho, marginals = np.zeros(2), np.zeros((1, len(measurements)))
     tot, r, parts = float(w.sum()), 0.0, []
     for i, j, wi in zip(index[:, 0].tolist(), theta, w.tolist()):
@@ -317,11 +334,18 @@ def _update_one_track(group, measurements, sensor, config):
     state = decide_switch(group.state, kl, entropy, config)
     if state.mode is Mode.DGLMB:
         density = DglmbDensity(lmb.label_space, mixtures, index, w)
-    elif r > 0.0:
+    elif r <= 0.0:
+        density = LmbDensity((), [], [])
+    elif len(parts) == 1 and len(parts[0][1].w) == 1:
+        # Averaging one one-component mixture and reducing the result
+        # leave it at weight 1, to the bit: x / x is 1, and symmetrizing a
+        # symmetric covariance again is exact.
+        gm = parts[0][1]
+        density = LmbDensity(lmb.label_space, [
+            gm if gm.w.tolist() == [1.0] else gm.normalized()], [existence])
+    else:
         density = _reduce_lmb(LmbDensity(
             lmb.label_space, [mixture_average(parts, r)], [existence]))
-    else:
-        density = LmbDensity((), [], [])
     return _settle(group, state, kl, entropy, density)
 
 

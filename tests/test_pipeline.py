@@ -15,6 +15,7 @@ from almbtrack import (ConfigurationError, DensityGroup, DglmbDensity,
                        dglmb_to_lmb, generate_measurements, generate_truth,
                        kl_criterion, lmb_to_dglmb, lmb_update)
 from almbtrack import pipeline
+from almbtrack.dglmb import one_track_miss
 from almbtrack.harness import run_filter
 from almbtrack.pipeline import (CAP, GATE_SQ, _reduce_lmb, _within,
                                 extract_tracks, gate_measurements,
@@ -517,10 +518,16 @@ def assert_same_update(fast, slow):
 
 
 def one_track(existence, components):
+    """A one-track group of ``components`` normalized components, or, for
+    a float ``components``, of one component of that weight."""
     label = Label(1, 0)
-    weights = [0.6, 0.3, 0.1][:components]
+    if isinstance(components, float):
+        weights, components = [components], 1
+    else:
+        weights = [0.6, 0.3, 0.1][:components]
+        weights = [w / sum(weights) for w in weights]
     gm = GaussianMixture(
-        [w / sum(weights) for w in weights],
+        weights,
         [[3.0 * i, -2.0 * i, 1.0, 0.5] for i in range(components)],
         [(80.0 + 20.0 * i) * np.eye(4) for i in range(components)])
     return DensityGroup(lmb_from_tracks({label: (existence, gm)}))
@@ -534,10 +541,11 @@ NEVER = PipelineConfig(kl_threshold=np.inf, entropy_threshold=np.inf)
 
 
 @pytest.mark.parametrize("config", [CFG, NEVER], ids=["almb", "lmb"])
-@pytest.mark.parametrize("components", [1, 3])
+@pytest.mark.parametrize("components", [1, 3, 0.37])
 @pytest.mark.parametrize("scan", SCANS, ids=["gated0", "gated1", "gated3"])
 @pytest.mark.parametrize("p_d", [0.0, 0.9, 1.0])
-@pytest.mark.parametrize("existence", [0.02, 0.5, 0.9, 1.0 - 1e-12, 1.0])
+@pytest.mark.parametrize("existence", [0.0, 0.02, 0.5, 0.9, 1.0 - 1e-12,
+                                       1.0])
 def test_one_track_update_matches_generic_path(existence, p_d, scan,
                                                components, config):
     sensor = position_sensor(10.0, p_d, 1.25e-5)
@@ -546,6 +554,26 @@ def test_one_track_update_matches_generic_path(existence, p_d, scan,
     slow = generic_update(one_track(existence, components), scan, sensor,
                           config)
     assert_same_update(fast, slow)
+
+
+@pytest.mark.parametrize("p_d", [0.0, 0.5, 0.98, 1.0])
+def test_one_track_miss_entries_match_the_generic_update(p_d, rng):
+    # The posterior rows of an empty scan, in order: existence 0.5 at p_D 0
+    # ties, and the absent row comes first.
+    sensor = position_sensor(10.0, p_d, 1.25e-5)
+    for existence in [0.0, 1e-300, 0.02, 0.5, 0.9, 1.0 - 1e-12, 1.0] + \
+            rng.random(300).tolist():
+        group = one_track(existence, 1)
+        gm = group.density.mixtures[0]
+        fast = one_track_miss(existence, gm, sensor)
+        if existence == 0.0 or p_d == 1.0:
+            assert fast is None  # one child only: the general path
+            continue
+        slow = lmb_update(group.density, [], sensor, cap=CAP,
+                          gate_sq=GATE_SQ).posterior
+        assert fast[0] == slow.mixtures and fast[2] == [0, 0]
+        assert fast[1].tolist() == slow.hypotheses.tolist()
+        assert fast[3].tolist() == slow.w.tolist()
 
 
 def test_one_track_update_keeps_the_quota_truncation():
@@ -612,6 +640,32 @@ def test_lmb_filter_sends_only_multi_track_groups_to_lmb_update(monkeypatch):
     assert all(n >= 2 for n in seen)
 
 
+def test_miss_only_update_skips_the_generic_one_track_update(monkeypatch):
+    # A one-track group with nothing in its gate takes the closed form.
+    config = builtin_scenario("two-target")
+    scans = generate_measurements(generate_truth(config), config,
+                                  np.random.default_rng(2025))[:30]
+    real_update, real_miss = pipeline.one_track_update, \
+        pipeline.one_track_miss
+    misses = []
+
+    def update(existence, gm, measurements, *args):
+        if not measurements:
+            raise AssertionError("miss-only update took the generic path")
+        return real_update(existence, gm, measurements, *args)
+
+    def miss(*args):
+        misses.append(args)
+        return real_miss(*args)
+
+    monkeypatch.setattr(pipeline, "one_track_update", update)
+    monkeypatch.setattr(pipeline, "one_track_miss", miss)
+    for name in ("lmb", "almb"):
+        del misses[:]
+        assert len(run_filter(name, scans, config).estimates) == 30
+        assert misses
+
+
 def close_pair(a, b, limit):
     # The per-pair cover and split test the stacked one replaced.
     d = a[0] - b[0]
@@ -641,6 +695,15 @@ def test_stacked_cover_test_is_exact(rng):
         for limit in (exact, np.nextafter(exact, np.inf)):
             assert _within(z, S, *site, limit)[0] == \
                 close_pair(tracks[0], site, limit)
+        # inject_birth tests every birth site against every track at once,
+        # as (births, tracks); the last birth is the site above.
+        births = random_sites(rng, int(rng.integers(0, 5))) + [site]
+        zb, Sb = map(np.array, zip(*births))
+        for limit in (GATE_SQ, 4.0 * GATE_SQ, exact,
+                      np.nextafter(exact, np.inf)):
+            got = _within(z, S, zb[:, None], Sb[:, None], limit)
+            assert got.tolist() == [[close_pair(t, b, limit) for t in tracks]
+                                    for b in births]
 
 
 def test_stacked_split_test_is_exact(rng):
