@@ -17,7 +17,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import UsageError
-from .gaussian import GaussianMixture, joined_terms
+from .gaussian import _mixture, joined_terms
 
 # Existence probabilities of exactly one are clamped so hypothesis
 # weights (products of r and 1 - r) stay finite.
@@ -186,9 +186,10 @@ def dglmb_to_lmb(d):
 
 def mixture_average(parts, total):
     """The sum of ``w / total`` times each normalized mixture ``gm``,
-    holding the innovation terms its parts share (``joined_terms``)."""
+    holding the innovation terms its parts share (``joined_terms``).  The
+    covariances are the parts' stored ones, symmetric already."""
     weights, mixtures = zip(*parts)
-    out = GaussianMixture(
+    out = _mixture(
         np.concatenate([gm.w * (w / (total * gm.total_weight()))
                         for w, gm in zip(weights, mixtures)]),
         np.concatenate([gm.m for gm in mixtures]),

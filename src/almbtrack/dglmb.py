@@ -1,7 +1,13 @@
 """delta-GLMB filter recursion.
 
 Prediction expands each hypothesis over survival subsets; the update
-expands each hypothesis over ranked association maps.
+expands each hypothesis over ranked association maps.  The Gaussian work
+is stacked over the density's mixture table: the prediction predicts the
+table's used mixtures in one pass, and the update gates and
+Kalman-updates every (table mixture, measurement) pair in one pass, from
+which each hypothesis's cost matrix is read (Vo, Vo & Hoang, "An
+efficient implementation of the generalized labeled multi-Bernoulli
+filter", IEEE TSP 2017).
 All weight arithmetic runs in the log domain.  Hypotheses that end up
 with the same label set and the same per-label spatial densities (same
 mixture provenance, or numerically indistinguishable after their Kalman
@@ -18,7 +24,8 @@ from .assignment import ranked_assignments
 from .densities import (DglmbDensity, _bernoulli_log_odds,
                         top_weighted_subsets)
 from .errors import NumericalError
-from .gaussian import gm_kalman_update_log, gm_predict, mahalanobis_sq
+from .gaussian import (gm_kalman_update_log, kalman_updates, mahalanobis_sq,
+                       predict_mixtures)
 
 
 @dataclass(eq=False)
@@ -201,7 +208,7 @@ def dglmb_predict(d, motion, cap):
             log_w.append(lw + log_surv)
     # Predict the mixtures the children use, in a table of their own.
     used = list(dict.fromkeys(i for row in rows for i in row if i >= 0))
-    mixtures = [gm_predict(d.mixtures[i], motion) for i in used]
+    mixtures = predict_mixtures([d.mixtures[i] for i in used], motion)
     slot = {i: p for p, i in enumerate(used)}
     rows = [[slot.get(i, -1) for i in row] for row in rows]
     keep, w = _finalize(rows, log_w, mixtures, cap)
@@ -216,30 +223,28 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
     factors: miss ``1 - p_D``, assignment ``p_D g(z|track) / kappa(z)``;
     pairs outside the ``gate_sq`` Mahalanobis gate are forbidden.  Ranked
     assignments expand each hypothesis into children whose weights are
-    globally renormalized; ``cap`` keeps the heaviest children.  The
-    innovation terms are those the gate pass cached on each component,
-    filled on first use where it did not run.
+    globally renormalized; ``cap`` keeps the heaviest children.  Every
+    (table mixture, measurement) pair is gated and updated in one stacked
+    ``kalman_updates`` pass, which reads the innovation terms the gate
+    pass cached on the table and fills them, in one stacked call, for the
+    mixtures that hold none covering ``measurements``.
 
     Returns an :class:`UpdateOutput` carrying the posterior and the
     track-to-measurement association marginals of the retained children.
     """
     d = d.normalized()
-    Z = [np.asarray(z, dtype=float).reshape(-1) for z in measurements]
-    m = len(Z)
+    m = len(measurements)
     log_pd, log_qd, log_kappa = _log_factors(sensor)
+    log_lik, posteriors = kalman_updates(d.mixtures, sensor, measurements,
+                                         gate_sq)
     # Each mixture's cost and posterior table position per measurement;
-    # a last position, its own, for a miss.
-    mixtures, cost, child = list(d.mixtures), [], []
-    for i, gm in enumerate(d.mixtures):
-        cost.append([])
-        child.append([])
-        for z in Z:
-            post, log_eta = _association(gm, z, sensor, gate_sq, log_pd,
-                                         log_kappa)
-            cost[i].append(-log_eta)
-            child[i].append(i if post is None else len(mixtures))
-            mixtures += [] if post is None else [post]
-        child[i].append(i)
+    # a last position, its own, for a miss.  A pair outside the gate keeps
+    # the mixture at an infinite cost.
+    gated = np.isfinite(log_lik)
+    child = np.repeat(np.arange(len(d.mixtures))[:, None], m + 1, 1)
+    child[:, :m][gated] = len(d.mixtures) + np.arange(len(posteriors))
+    cost, child = (-(log_pd + log_lik - log_kappa)).tolist(), child.tolist()
+    mixtures = list(d.mixtures) + posteriors
     rows, thetas, log_w = [], [], []
     for row, lw, quota in zip(d.hypotheses.tolist(),
                               _log_weights(d.w.tolist()),

@@ -4,6 +4,15 @@ All multi-object filters in this package represent each track's spatial
 density as a weighted Gaussian mixture and share the Kalman prediction,
 Kalman update, likelihood evaluation and mixture-reduction routines
 defined here.
+
+The prediction and the Kalman update are each one kernel over stacked
+components.  ``gm_predict`` and ``gm_kalman_update_log`` run it on one
+mixture or one (mixture, measurement) pair; ``predict_mixtures`` and
+``kalman_updates`` run it once over a whole mixture table, with the same
+bits.  A covariance is symmetrized once, where it is formed: on input, in
+the prediction ``F P F' + Q`` and in the innovation terms.  Mixtures built
+from covariances that are stored or symmetrized already skip the public
+constructor's checks and its symmetrize.
 """
 
 from dataclasses import dataclass
@@ -66,9 +75,18 @@ class GaussianMixture:
             raise NumericalError("mixture weight sum is not positive",
                                  {"total": tot})
         # The innovation terms do not depend on the weights: share them.
-        out = GaussianMixture(self.w / tot, self.m, self.P)
+        out = _mixture(self.w / tot, self.m, self.P)
         out._terms = self._terms
         return out
+
+
+def _mixture(w, m, P):
+    # A mixture of float arrays the library formed itself, of matching
+    # shapes, nonnegative weights and symmetric covariances: without the
+    # constructor's checks and its second symmetrize.
+    gm = GaussianMixture.__new__(GaussianMixture)
+    gm.w, gm.m, gm.P, gm._terms = w, m, P, None
+    return gm
 
 
 @dataclass(eq=False)
@@ -130,17 +148,38 @@ class SensorModel:
         return float(np.log(max(self.clutter_density, 1e-300)))
 
 
+def _predict_stack(m, P, model):
+    # Stacked Kalman predictions F m and F P F' + Q (symmetrized).  One
+    # slice per component: the bits of a single component's prediction.
+    if model.F.shape[1] != m.shape[-1]:
+        raise ConfigurationError("motion model dimension does not match mixture")
+    F = model.F
+    return (np.matmul(F, m[..., None])[..., 0],
+            _symmetrize(np.matmul(np.matmul(F, P), F.T) + model.Q))
+
+
 def gm_predict(gm, model):
     """Kalman-predict every component through the motion model.
 
     Weights are unchanged; each component maps to
     ``N(F m, F P F' + Q)``.
     """
-    if model.F.shape[1] != gm.dim:
-        raise ConfigurationError("motion model dimension does not match mixture")
-    F = model.F
-    return GaussianMixture(gm.w, np.matmul(F, gm.m[..., None])[..., 0],
-                           np.matmul(np.matmul(F, gm.P), F.T) + model.Q)
+    return _mixture(gm.w, *_predict_stack(gm.m, gm.P, model))
+
+
+def predict_mixtures(mixtures, model):
+    """``gm_predict`` of each mixture, from one stacked prediction of all
+    their components."""
+    if not mixtures:
+        return []
+    m, P = _predict_stack(np.concatenate([gm.m for gm in mixtures]),
+                          np.concatenate([gm.P for gm in mixtures]), model)
+    out, a = [], 0
+    for gm in mixtures:
+        b = a + len(gm.w)
+        out.append(_mixture(gm.w, m[a:b], P[a:b]))
+        a = b
+    return out
 
 
 def _predicted(m, P, sensor):
@@ -226,14 +265,33 @@ def joined_terms(mixtures):
             "z_pred", "K", "cov", "logdet", "d2")})
 
 
+def _covers(t, sensor, keys):
+    # Whether terms t are for sensor and hold a d2 column for each key.
+    return t is not None and t["sensor"] is sensor and all(
+        key in t["rows"] for key in keys)
+
+
 def _terms_at(gm, sensor, z):
     # (terms, j) of gm with d2[:, j] the squared whitened residuals of
     # the measurement z, filled on demand.
-    t, key = gm._terms, z.tobytes()
-    if t is None or t["sensor"] is not sensor or key not in t["rows"]:
+    key = z.tobytes()
+    if not _covers(gm._terms, sensor, [key]):
         innovation_terms([gm], sensor, [z])
-        t = gm._terms
-    return t, t["rows"][key]
+    return gm._terms, gm._terms["rows"][key]
+
+
+def _update_rows(n, w, m, z_pred, K, logdet, d2, z):
+    # Kalman updates of (mixture, measurement) pairs of n components each,
+    # in consecutive blocks of n rows, one row per (component, measurement):
+    # each pair's log likelihood, and each row's posterior weight and mean.
+    # A pair's log-sum-exp reduces one contiguous row of n, which gives the
+    # bits of np.sum over that mixture's components.
+    log_w = (np.log(np.maximum(w, 1e-300)) + -0.5 * (
+        z.shape[-1] * _LOG_2PI + logdet + d2)).reshape(-1, n)
+    top = log_w.max(1)
+    log_lik = top + np.log(np.sum(np.exp(log_w - top[:, None]), 1))
+    return (log_lik, np.exp(log_w - log_lik[:, None]).ravel(),
+            m + np.matmul(K, (z - z_pred)[..., None])[..., 0])
 
 
 def gm_kalman_update_log(gm, z, sensor):
@@ -249,13 +307,59 @@ def gm_kalman_update_log(gm, z, sensor):
     if z.size != sensor.meas_dim:
         raise ConfigurationError("measurement dimension does not match H")
     t, j = _terms_at(gm, sensor, z)
-    mean = gm.m + np.matmul(t["K"], (z - t["z_pred"])[..., None])[..., 0]
-    # log N(z; z_pred, S) via the Cholesky factor L of S.
-    log_w = np.log(np.maximum(gm.w, 1e-300)) + -0.5 * (
-        z.size * _LOG_2PI + t["logdet"] + t["d2"][:, j])
-    top = float(np.max(log_w))
-    log_lik = top + float(np.log(np.sum(np.exp(log_w - top))))
-    return GaussianMixture(np.exp(log_w - log_lik), mean, t["cov"]), log_lik
+    log_lik, w, mean = _update_rows(len(gm.w), gm.w, gm.m, t["z_pred"],
+                                    t["K"], t["logdet"], t["d2"][:, j], z)
+    return _mixture(w, mean, t["cov"]), float(log_lik[0])
+
+
+def kalman_updates(mixtures, sensor, Z, gate_sq):
+    """Gate and Kalman-update every pair of a mixture of ``mixtures`` and
+    a row of ``Z``, stacked over all pairs.
+
+    Returns ``(log_lik, posteriors)``: the (k, M) log likelihoods of
+    ``gm_kalman_update_log``, ``-inf`` for the pairs whose
+    ``mahalanobis_sq`` is ``gate_sq`` or more, and the posterior mixtures
+    of the other pairs in row-major order, all with those functions'
+    bits.  The innovation terms are those each mixture holds where they
+    cover ``Z``; the mixtures without get them from one
+    ``innovation_terms`` fill for ``Z``.
+    """
+    log_lik = np.full((len(mixtures), len(Z)), -np.inf)
+    if not log_lik.size:
+        return log_lik, []
+    Z = np.asarray(Z, dtype=float).reshape(len(Z), -1)
+    keys = [z.tobytes() for z in Z]
+    lacking = [gm for gm in mixtures if not _covers(gm._terms, sensor, keys)]
+    if lacking:
+        innovation_terms(lacking, sensor, Z)
+    terms = [gm._terms for gm in mixtures]
+    d2 = np.concatenate([t["d2"][:, [t["rows"][key] for key in keys]]
+                         for t in terms])
+    n = np.array([len(gm.w) for gm in mixtures])
+    start = np.cumsum(n) - n
+    a, j = np.nonzero(np.minimum.reduceat(d2, start) < gate_sq)
+    if not a.size:
+        return log_lik, []
+    w = np.concatenate([gm.w for gm in mixtures])
+    m = np.concatenate([gm.m for gm in mixtures])
+    z_pred, K, cov, logdet = (np.concatenate([t[name] for t in terms])
+                              for name in ("z_pred", "K", "cov", "logdet"))
+    posteriors = [None] * a.size
+    for size in set(n[a].tolist()):
+        # The pairs of mixtures of this many components, one block of
+        # rows each.
+        p = np.flatnonzero(n[a] == size)
+        rows = (start[a[p], None] + np.arange(size)).ravel()
+        zj = np.repeat(j[p], size)
+        lik, pw, mean = _update_rows(size, w[rows], m[rows], z_pred[rows],
+                                     K[rows], logdet[rows], d2[rows, zj],
+                                     Z[zj])
+        log_lik[a[p], j[p]] = lik
+        P = cov[rows]
+        for q, e in enumerate(p.tolist()):
+            b = slice(q * size, (q + 1) * size)
+            posteriors[e] = _mixture(pw[b], mean[b], P[b])
+    return log_lik, posteriors
 
 
 def _merge(parts):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from almbtrack import (GaussianMixture, Label, SensorModel, dglmb_predict,
+from almbtrack import (ConfigurationError, GaussianMixture, Label,
+                       NumericalError, SensorModel, dglmb_predict,
                        dglmb_prune, dglmb_update, lmb_to_dglmb)
 from almbtrack.dglmb import _CONSOLIDATE_ATOL, _consolidate
 from almbtrack.gaussian import MotionModel, gm_kalman_update_log
@@ -55,6 +56,27 @@ def test_predict_applies_kalman_prediction():
     out = dglmb_predict(d, motion, CAP)
     (_, _, spatial), = rows_of(out)
     np.testing.assert_allclose(spatial[L0].m[0], [3.0, -1.0, 3.0, -1.0])
+
+
+def test_predict_with_a_motion_model_of_another_dimension_raises():
+    d = dglmb_from_rows((L0,), [((L0,), 1.0, {L0: single([0.0, 0.0],
+                                                         np.eye(2))})])
+    with pytest.raises(ConfigurationError):
+        dglmb_predict(d, cv_motion(), CAP)
+
+
+def test_update_of_an_ungated_table_raises_for_an_unfactorable_covariance():
+    # R = -I makes S = P + R = 0 for a unit covariance: no factor.  The
+    # update fills the terms the table lacks, and that fill raises.
+    sensor = SensorModel(np.eye(2), -np.eye(2), 0.9, 1e-4)
+    d = dglmb_from_rows((L0, LB), [
+        ((L0, LB), 1.0, {L0: single([0.0, 0.0], 2.0 * np.eye(2)),
+                         LB: single([5.0, 5.0], np.eye(2))})])
+    with pytest.raises(NumericalError) as err:
+        dglmb_update(d, [np.array([0.5, 0.5])], sensor, cap=CAP, gate_sq=9.0)
+    assert err.value.diagnostics["what"] == "innovation covariance"
+    np.testing.assert_array_equal(err.value.diagnostics["matrix"],
+                                  np.zeros((2, 2)))
 
 
 def test_update_empty_measurement_set():
@@ -115,7 +137,7 @@ def test_update_gated_out_measurement_is_pure_clutter():
 def test_update_after_gate_pass_matches_direct_call_bit_for_bit():
     # The gate pass caches innovation terms for the scan's whole
     # measurement list and the update of the gated subset reads them; a
-    # direct call on fresh mixtures fills them on first use instead.
+    # direct call on fresh mixtures fills them for the subset instead.
     sensor = SensorModel(np.eye(2), 4.0 * np.eye(2), 0.9, 1e-3)
     Z = [np.array(z) for z in ([0.5, 0.3], [300.0, 0.0], [4.2, -1.0],
                                [2.0, 2.0], [-3.0, 6.5])]

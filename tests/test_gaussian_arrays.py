@@ -2,9 +2,12 @@
 references.
 
 Random mixtures have 1-4 components in a 4-D state, with weights that tie
-often; the sensor measures 2-D positions through a dense ``H``.  Every
-operation must reproduce the reference of ``oracles.py`` bit for bit
-(arrays by ``np.array_equal``, floats by ``==``).
+often; the sensor measures 2-D positions through a dense ``H``.  The
+prediction and Kalman-update cases also draw 8, 9 and 20 components, where
+``np.sum`` sums pairwise.  Every operation must reproduce the reference of
+``oracles.py`` bit for bit (arrays by ``np.array_equal``, floats by
+``==``); the stacked kernels must reproduce the single-mixture and
+single-pair calls the same way.
 """
 
 import numpy as np
@@ -17,17 +20,18 @@ from almbtrack import (GaussianMixture, MotionModel, SensorModel,  # noqa: E402
                        gm_predict, gm_reduce)
 from almbtrack.densities import mixture_average  # noqa: E402
 from almbtrack.gaussian import (gate_mask, gm_kalman_update_log,  # noqa: E402
-                                innovation_terms)
+                                innovation_terms, kalman_updates,
+                                mahalanobis_sq, predict_mixtures)
 
 from oracles import (ref_gate_mask, ref_gm_predict,  # noqa: E402
                      ref_gm_reduce, ref_kalman_update, ref_mixture_average,
-                     same_components)
+                     same_components, same_mixture)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
-def random_mixture(rng, spread):
-    n = int(rng.integers(1, 5))
+def random_mixture(rng, spread, n=None):
+    n = int(rng.integers(1, 5)) if n is None else n
     w = [float(rng.choice([0.25, 0.5, rng.uniform(1e-6, 1.0)]))
          for _ in range(n)]
     B = rng.normal(0.0, 1.0, (n, 4, 4))
@@ -46,24 +50,39 @@ def models(rng):
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
+# Component counts on both sides of np.sum's pairwise summation, which
+# starts at 8 terms; None draws 1-4.
+sizes = st.sampled_from([None, 1, 2, 8, 9, 20])
 
 
 @SETTINGS
-@given(seeds)
-def test_predict_matches_component_loop(seed):
+@given(seeds, sizes)
+def test_predict_matches_component_loop(seed, n):
     rng = np.random.default_rng(seed)
-    gm = random_mixture(rng, 5.0)
+    gm = random_mixture(rng, 5.0, n)
     motion, _ = models(rng)
     assert same_components(gm_predict(gm, motion), ref_gm_predict(gm, motion))
 
 
 @SETTINGS
-@given(seeds, st.booleans())
-def test_kalman_update_matches_component_loop(seed, gated):
+@given(seeds, st.lists(sizes, max_size=5))
+def test_stacked_predict_matches_component_loop(seed, counts):
+    rng = np.random.default_rng(seed)
+    mixtures = [random_mixture(rng, 5.0, n) for n in counts]
+    motion, _ = models(rng)
+    out = predict_mixtures(mixtures, motion)
+    assert len(out) == len(mixtures)
+    for gm, got in zip(mixtures, out):
+        assert same_components(got, ref_gm_predict(gm, motion))
+
+
+@SETTINGS
+@given(seeds, st.booleans(), sizes)
+def test_kalman_update_matches_component_loop(seed, gated, n):
     # With the terms the gate pass filled for the whole scan, or filled
     # on first use for the one measurement.
     rng = np.random.default_rng(seed)
-    gm = random_mixture(rng, 3.0)
+    gm = random_mixture(rng, 3.0, n)
     _, sensor = models(rng)
     Z = list(rng.normal(0.0, 4.0, (int(rng.integers(1, 5)), 2)))
     if gated:
@@ -72,6 +91,54 @@ def test_kalman_update_matches_component_loop(seed, gated):
     post, log_lik = gm_kalman_update_log(gm, Z[-1], sensor)
     assert log_lik == want_lik
     assert same_components(post, want)
+
+
+@SETTINGS
+@given(seeds, st.lists(sizes, min_size=1, max_size=5), st.integers(1, 5))
+def test_stacked_kalman_update_matches_pair_loop(seed, counts, m):
+    # Each mixture holds terms for a table that covers Z (some in one
+    # stacked fill, with Z's rows among others in another order), for a
+    # table that does not, or none.  The gate sits exactly at one pair's
+    # distance, which puts that pair outside.
+    rng = np.random.default_rng(seed)
+    _, sensor = models(rng)
+    mixtures = [random_mixture(rng, 3.0, n) for n in counts]
+    Z = rng.normal(0.0, 4.0, (m, 2))
+    # The reference loop runs on copies, whose terms it fills pair by pair.
+    copies = [GaussianMixture(gm.w, gm.m, gm.P) for gm in mixtures]
+    d2 = [[mahalanobis_sq(z, gm, sensor) for z in Z] for gm in copies]
+    gate_sq = float(rng.choice(np.ravel(d2)))
+    extra = rng.normal(0.0, 4.0, (2, 2))
+    state = rng.integers(0, 3, len(mixtures))
+    innovation_terms([gm for gm, s in zip(mixtures, state) if s == 1],
+                     sensor, rng.permutation(np.concatenate([Z, extra])))
+    for gm in (gm for gm, s in zip(mixtures, state) if s == 2):
+        innovation_terms([gm], sensor, np.concatenate([Z[1:], extra]))
+    log_lik, posteriors = kalman_updates(mixtures, sensor, Z, gate_sq)
+    assert log_lik.shape == (len(mixtures), m)
+    e = 0
+    for i, gm in enumerate(copies):
+        for j, z in enumerate(Z):
+            if d2[i][j] >= gate_sq:
+                assert log_lik[i, j] == -np.inf
+                continue
+            want, want_lik = gm_kalman_update_log(gm, z, sensor)
+            assert log_lik[i, j] == want_lik
+            assert same_mixture(posteriors[e], want)
+            e += 1
+    assert e == len(posteriors)
+
+
+def test_stacked_kalman_update_of_an_empty_table_or_scan():
+    rng = np.random.default_rng(5)
+    _, sensor = models(rng)
+    gm = random_mixture(rng, 3.0)
+    Z = rng.normal(0.0, 4.0, (3, 2))
+    for mixtures, meas in (([], Z), ([gm], []), ([], [])):
+        log_lik, posteriors = kalman_updates(mixtures, sensor, meas, 9.0)
+        assert log_lik.shape == (len(mixtures), len(meas))
+        assert posteriors == []
+    assert gm._terms is None
 
 
 @SETTINGS
