@@ -24,8 +24,8 @@ from .assignment import ranked_assignments
 from .densities import (DglmbDensity, _bernoulli_log_odds,
                         top_weighted_subsets)
 from .errors import NumericalError
-from .gaussian import (gm_kalman_update_log, kalman_updates, mahalanobis_sq,
-                       predict_mixtures)
+from .gaussian import (gm_kalman_update_log, gm_predict, kalman_updates,
+                       mahalanobis_sq)
 
 
 @dataclass(eq=False)
@@ -208,7 +208,7 @@ def dglmb_predict(d, motion, cap):
             log_w.append(lw + log_surv)
     # Predict the mixtures the children use, in a table of their own.
     used = list(dict.fromkeys(i for row in rows for i in row if i >= 0))
-    mixtures = predict_mixtures([d.mixtures[i] for i in used], motion)
+    mixtures = gm_predict([d.mixtures[i] for i in used], motion)
     slot = {i: p for p, i in enumerate(used)}
     rows = [[slot.get(i, -1) for i in row] for row in rows]
     keep, w = _finalize(rows, log_w, mixtures, cap)
@@ -277,15 +277,6 @@ def _log_factors(sensor):
             math.log1p(-p_d) if p_d < 1.0 else -np.inf, sensor.log_clutter())
 
 
-def _association(gm, z, sensor, gate_sq, log_pd, log_kappa):
-    # (posterior mixture, log eta) of assigning measurement z to gm;
-    # (None, -inf) outside the gate.
-    if mahalanobis_sq(z, gm, sensor) >= gate_sq:
-        return None, -np.inf
-    post, log_lik = gm_kalman_update_log(gm, z, sensor)
-    return post, log_pd + log_lik - log_kappa
-
-
 def _bernoulli_expansion(existence):
     """``expansion([existence], cap)``, for any cap of 2 or more, then
     normalized again as ``DglmbDensity.normalized`` does: whether each
@@ -313,15 +304,21 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
     and its gated measurements, ranked by (cost, theta) and cut at its
     quota as ``ranked_assignments`` ranks a one-row cost matrix; above 16
     measurements that is Murty's algorithm, which alone would put a miss
-    after a measurement of bit-equal cost.
+    after a measurement of bit-equal cost.  Where the present hypothesis
+    has at most one option, as with nothing in the gate (the Bernoulli
+    missed-detection posterior, existence r (1 - p_D) / (1 - r p_D) and
+    ``gm`` unchanged: Ristic, Vo, Vo & Farina, "A tutorial on Bernoulli
+    filters", IEEE TSP 2013) or with p_D = 1 and one gated measurement, no
+    two children share a label set, and ``_finalize`` is a sort.
     """
     present, w = _bernoulli_expansion(existence)
     log_pd, log_qd, log_kappa = _log_factors(sensor)
     options = [(-log_qd, 0, gm)]
     for j, z in enumerate(measurements):
-        post, log_eta = _association(gm, z, sensor, gate_sq, log_pd,
-                                     log_kappa)
-        options.append((-log_eta, j + 1, post))
+        if mahalanobis_sq(z, gm, sensor) >= gate_sq:
+            continue
+        post, log_lik = gm_kalman_update_log(gm, z, sensor)
+        options.append((-(log_pd + log_lik - log_kappa), j + 1, post))
     # Forbidden (infinite) costs would rank last; none is kept.
     options = sorted((o for o in options if math.isfinite(o[0])),
                      key=lambda o: o[:2])
@@ -331,31 +328,23 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
         # (table position, theta, log weight) of each child.
         rows += [(p, theta, log_w - score) for p, (score, theta, _)
                  in enumerate(options[:quota])] if there else [(-1, 0, log_w)]
-    keep, w = _finalize([row[:1] for row in rows], [row[2] for row in rows],
-                        mixtures, cap)
-    return (mixtures, np.array([rows[e][:1] for e in keep], dtype=int),
-            [rows[e][1] for e in keep], w)
-
-
-def one_track_miss(existence, gm, sensor):
-    """``one_track_update`` of an empty scan, in closed form: the Bernoulli
-    missed-detection posterior, existence r (1 - p_D) / (1 - r p_D) and
-    ``gm`` unchanged (Ristic, Vo, Vo & Farina, "A tutorial on Bernoulli
-    filters", IEEE TSP 2013), with the bits of the generic path.  None
-    where a child's log weight is not finite (existence 0 or p_D 1): the
-    generic path drops that child.
-    """
-    present, w = _bernoulli_expansion(existence)
-    score = -_log_factors(sensor)[1]
-    log_w = [lw - score if there else lw
-             for there, lw in zip(present, _log_weights(w))]
-    if len(log_w) < 2 or not all(map(math.isfinite, log_w)):
-        return None
-    # _finalize of two rows of different label sets, which never merge:
-    # heaviest first, the absent row first on a tie.
-    order = sorted((0, 1), key=lambda e: (-log_w[e], present[e]))
-    return ([gm], np.array([[0 if present[e] else -1] for e in order]),
-            [0, 0], _normalized([log_w[e] for e in order]))
+    if len(options) > 1:
+        keep, w = _finalize([row[:1] for row in rows],
+                            [row[2] for row in rows], mixtures, cap)
+        rows = [rows[e] for e in keep]
+    else:
+        # One child per hypothesis: no two rows share a label set, so
+        # _finalize keeps the finite rows, heaviest first and the absent
+        # row first on a tie.
+        rows = sorted((row for row in rows if math.isfinite(row[2])),
+                      key=lambda row: (-row[2], row[0] >= 0))
+        if not rows:
+            raise NumericalError("all hypothesis weights vanished",
+                                 {"hypotheses": 0})
+        rows = rows[: int(cap)]
+        w = _normalized([row[2] for row in rows])
+    return (mixtures, np.array([row[:1] for row in rows], dtype=int),
+            [row[1] for row in rows], w)
 
 
 def dglmb_prune(d, weight_threshold, cap):

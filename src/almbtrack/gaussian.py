@@ -5,12 +5,14 @@ density as a weighted Gaussian mixture and share the Kalman prediction,
 Kalman update, likelihood evaluation and mixture-reduction routines
 defined here.
 
-The prediction and the Kalman update are each one kernel over stacked
-components.  ``gm_predict`` and ``gm_kalman_update_log`` run it on one
-mixture or one (mixture, measurement) pair; ``predict_mixtures`` and
-``kalman_updates`` run it once over a whole mixture table, with the same
-bits.  A covariance is symmetrized once, where it is formed: on input, in
-the prediction ``F P F' + Q`` and in the innovation terms.  Mixtures built
+``gm_predict``, ``predicted_measurement``, ``gate_mask`` and
+``innovation_terms`` take a list of mixtures and make one stacked pass
+over its components; the Kalman update is one kernel, which
+``gm_kalman_update_log`` runs on one (mixture, measurement) pair and
+``kalman_updates`` on a whole mixture table.  Each slice runs the routine
+of a single component, so a mixture gets the same bits in any company.
+A covariance is symmetrized once, where it is formed: on input, in the
+prediction ``F P F' + Q`` and in the innovation terms.  Mixtures built
 from covariances that are stored or symmetrized already skip the public
 constructor's checks and its symmetrize.
 """
@@ -148,32 +150,22 @@ class SensorModel:
         return float(np.log(max(self.clutter_density, 1e-300)))
 
 
-def _predict_stack(m, P, model):
-    # Stacked Kalman predictions F m and F P F' + Q (symmetrized).  One
-    # slice per component: the bits of a single component's prediction.
-    if model.F.shape[1] != m.shape[-1]:
-        raise ConfigurationError("motion model dimension does not match mixture")
-    F = model.F
-    return (np.matmul(F, m[..., None])[..., 0],
-            _symmetrize(np.matmul(np.matmul(F, P), F.T) + model.Q))
-
-
-def gm_predict(gm, model):
-    """Kalman-predict every component through the motion model.
+def gm_predict(mixtures, model):
+    """Kalman-predict every component of each mixture through the motion
+    model, in one stacked pass; returns the predicted mixtures in order.
 
     Weights are unchanged; each component maps to
     ``N(F m, F P F' + Q)``.
     """
-    return _mixture(gm.w, *_predict_stack(gm.m, gm.P, model))
-
-
-def predict_mixtures(mixtures, model):
-    """``gm_predict`` of each mixture, from one stacked prediction of all
-    their components."""
     if not mixtures:
         return []
-    m, P = _predict_stack(np.concatenate([gm.m for gm in mixtures]),
-                          np.concatenate([gm.P for gm in mixtures]), model)
+    m = np.concatenate([gm.m for gm in mixtures])
+    F = model.F
+    if F.shape[1] != m.shape[-1]:
+        raise ConfigurationError("motion model dimension does not match mixture")
+    m = np.matmul(F, m[..., None])[..., 0]
+    P = np.concatenate([gm.P for gm in mixtures])
+    P = _symmetrize(np.matmul(np.matmul(F, P), F.T) + model.Q)
     out, a = [], 0
     for gm in mixtures:
         b = a + len(gm.w)
@@ -391,8 +383,8 @@ def gm_reduce(gm, prune_threshold, merge_threshold, max_components):
             if c[0] >= prune_threshold]
     if not pool:
         best = int(np.argmax(norm.w))
-        return GaussianMixture([1.0], norm.m[best:best + 1],
-                               norm.P[best:best + 1])
+        return _mixture(np.ones(1), norm.m[best:best + 1],
+                        norm.P[best:best + 1])
     merged = []
     while pool:
         _, mean, P = pool[int(np.argmax([c[0] for c in pool]))]
@@ -410,7 +402,9 @@ def gm_reduce(gm, prune_threshold, merge_threshold, max_components):
         merged.append(_merge(group))
         pool = rest
     merged.sort(key=lambda c: -c[0])
-    return GaussianMixture(*zip(*merged[: int(max_components)])).normalized()
+    # Stored covariances plus exactly symmetric d d' terms: symmetric.
+    w, m, P = zip(*merged[: int(max_components)])
+    return _mixture(np.array(w), np.array(m), np.array(P)).normalized()
 
 
 def mahalanobis_sq(z, gm, sensor):
@@ -424,21 +418,28 @@ def mahalanobis_sq(z, gm, sensor):
     return min([np.inf] + t["d2"][:, j].tolist())
 
 
-def gate_mask(measurements, gm, sensor, gate_sq):
-    """Boolean mask of the measurements inside the mixture's gate
-    (within ``gate_sq`` of any component)."""
-    if not len(measurements):
-        return np.zeros(0, dtype=bool)
-    innovation_terms([gm], sensor, measurements)
-    return (gm._terms["d2"] < gate_sq).any(0)
+def gate_mask(measurements, mixtures, sensor, gate_sq):
+    """Boolean (M,) mask of the measurements inside the gate of any
+    mixture of ``mixtures`` (within ``gate_sq`` of any component); all
+    False for an empty list."""
+    if not (len(measurements) and mixtures):
+        return np.zeros(len(measurements), dtype=bool)
+    innovation_terms(mixtures, sensor, measurements)
+    return (np.concatenate([gm._terms["d2"] for gm in mixtures])
+            < gate_sq).any(0)
 
 
-def predicted_measurement(gm, sensor):
+def predicted_measurement(mixtures, sensor):
     """Predicted measurement and innovation covariance of the
-    highest-weight component (lowest index on ties)."""
-    i = int(np.argmax(gm.w))
-    z_pred, S = _predicted(gm.m[i:i + 1], gm.P[i:i + 1], sensor)
-    return z_pred[0], S[0]
+    highest-weight component (lowest index on ties) of each mixture,
+    stacked: ``(z_pred, S)`` of shapes (k, dz) and (k, dz, dz)."""
+    if not mixtures:
+        d = sensor.H.shape[1]
+        return _predicted(np.zeros((0, d)), np.zeros((0, d, d)), sensor)
+    top = [int(np.argmax(gm.w)) for gm in mixtures]
+    return _predicted(np.array([gm.m[i] for gm, i in zip(mixtures, top)]),
+                      np.array([gm.P[i] for gm, i in zip(mixtures, top)]),
+                      sensor)
 
 
 def map_point(gm):

@@ -13,8 +13,7 @@ from .gaussian import gm_predict
 def lmb_predict(lmb, motion):
     """Predict an LMB density: survival discounts every existence by
     ``p_S`` and spatial mixtures are Kalman-predicted."""
-    return LmbDensity(lmb.label_space,
-                      [gm_predict(gm, motion) for gm in lmb.mixtures],
+    return LmbDensity(lmb.label_space, gm_predict(lmb.mixtures, motion),
                       [motion.survival_prob * r for r in lmb.r])
 
 

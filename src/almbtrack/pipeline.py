@@ -14,7 +14,9 @@ The three filters are settings of this one path (``MultiObjectTracker``):
 ``"almb"`` switches per the criteria, ``"lmb"`` sets both thresholds to
 infinity so no group ever switches, and ``"dglmb"`` starts every birth
 pinned in delta-GLMB form.  A birth is masked where a live track covers
-its site, all (birth, track) pairs in one stacked test.
+its site, all (birth, track) pairs in one stacked test.  A stage's
+Gaussian work is one list-form call per density or group (prediction,
+gate, split test), and one per scan for the birth cover test.
 """
 
 from dataclasses import dataclass, replace
@@ -24,10 +26,10 @@ import numpy as np
 from .densities import (DglmbDensity, Label, LmbDensity, dglmb_to_lmb,
                         lmb_to_dglmb, mixture_average)
 from .dglmb import (_dedup, dglmb_predict, dglmb_prune, dglmb_update,
-                    one_track_miss, one_track_update)
+                    one_track_update)
 from .errors import UsageError, check_numbers
-from .gaussian import (_predicted, gate_mask, gm_reduce, innovation_terms,
-                       map_point, predicted_measurement)
+from .gaussian import (gate_mask, gm_reduce, innovation_terms, map_point,
+                       predicted_measurement)
 from .lmb import lmb_predict, lmb_update
 from .switching import (Mode, Trigger, association_entropy, cardinality_kl,
                         decide_switch, kl_criterion)
@@ -97,14 +99,6 @@ def _within(za, Sa, zb, Sb, limit):
     return np.matmul(d.swapaxes(-1, -2), x)[..., 0, 0] < limit
 
 
-def _sites(mixtures, sensor):
-    # predicted_measurement of each mixture, stacked, in one pass.
-    top = [int(np.argmax(gm.w)) for gm in mixtures]
-    return _predicted(np.array([gm.m[i] for gm, i in zip(mixtures, top)]),
-                      np.array([gm.P[i] for gm, i in zip(mixtures, top)]),
-                      sensor)
-
-
 def _components(n, pairs):
     """Connected components of ``range(n)`` under the edges ``pairs``, as
     ascending index lists in the order of their smallest members."""
@@ -147,8 +141,8 @@ def inject_birth(groups, births, step_index, birth_state, sensor):
     covering = [gm for group in groups for gm in group.lmb_view().mixtures]
     covered = np.zeros(len(births), dtype=bool)
     if covering and births:
-        z, S = _sites(covering, sensor)
-        zb, Sb = _sites([gm for _, gm in births], sensor)
+        z, S = predicted_measurement(covering, sensor)
+        zb, Sb = predicted_measurement([gm for _, gm in births], sensor)
         covered = _within(z, S, zb[:, None], Sb[:, None], GATE_SQ).any(1)
     out = list(groups)
     for i, (existence, gm) in enumerate(births):
@@ -182,15 +176,9 @@ def gate_measurements(groups, measurements, sensor, gate_sq):
         innovation_terms([gm for group in groups
                           for gm in group.density.mixtures], sensor,
                          measurements)
-    views = [group.lmb_view() for group in groups]
-    out = []
-    for group, view in zip(groups, views):
-        hits = np.zeros(len(measurements), dtype=bool)
-        for gm in view.mixtures:
-            hits |= gate_mask(measurements, gm, sensor, gate_sq)
-        out.append(replace(group, gated=tuple(int(j) for j in
-                                              np.flatnonzero(hits))))
-    return out
+    return [replace(group, gated=tuple(int(j) for j in np.flatnonzero(
+        gate_mask(measurements, group.lmb_view().mixtures, sensor,
+                  gate_sq)))) for group in groups]
 
 
 def _union_lmb(members):
@@ -310,15 +298,12 @@ def _update_one_track(group, measurements, sensor, config):
     association marginals and LMB collapse are read off the finalized
     entries with the arithmetic of ``dglmb_update``, ``dglmb_cardinality``
     and ``dglmb_to_lmb``; only a group that switches gets a density.
-    With no gated measurement the entries are the missed-detection closed
-    form (``one_track_miss``), and a one-component mixture stays the prior
-    at weight 1 (no average or reduction); existence 0 and p_D = 1 take
-    ``one_track_update``."""
+    The entries come from ``one_track_update``, in closed form.  A lone
+    one-component part, such as the prior on a miss, is kept at weight 1
+    without an average or reduction."""
     lmb = group.density
-    prior = lmb.r[0], lmb.mixtures[0]
-    mixtures, index, theta, w = (
-        None if measurements else one_track_miss(*prior, sensor)) \
-        or one_track_update(*prior, measurements, sensor, CAP, GATE_SQ)
+    mixtures, index, theta, w = one_track_update(
+        lmb.r[0], lmb.mixtures[0], measurements, sensor, CAP, GATE_SQ)
     rho, marginals = np.zeros(2), np.zeros((1, len(measurements)))
     tot, r, parts = float(w.sum()), 0.0, []
     for i, j, wi in zip(index[:, 0].tolist(), theta, w.tolist()):
@@ -398,8 +383,7 @@ def split_group(group, sensor):
     labels = view.label_space
     if len(labels) <= 1:
         return [group]
-    z, S = map(np.array, zip(*(predicted_measurement(gm, sensor)
-                               for gm in view.mixtures)))
+    z, S = predicted_measurement(view.mixtures, sensor)
     i, k = np.triu_indices(len(labels), 1)
     near = _within(z[i], S[i], z[k], S[k], 4.0 * GATE_SQ)
     components = _components(len(labels), zip(i[near], k[near]))

@@ -37,7 +37,7 @@ def test_component_validation():
 def test_predict_identity():
     gm = single([1.0, 2.0], [[4.0, 0.0], [0.0, 9.0]])
     model = MotionModel(np.eye(2), np.zeros((2, 2)), 1.0)
-    out = gm_predict(gm, model)
+    out, = gm_predict([gm], model)
     np.testing.assert_allclose(out.m[0], [1.0, 2.0])
     np.testing.assert_allclose(out.P[0],
                                [[4.0, 0.0], [0.0, 9.0]])
@@ -47,7 +47,7 @@ def test_predict_constant_velocity_mean():
     # x' = x + v with unit step: position 0, velocity 1 lands at 1.
     gm = single([0.0, 1.0], np.eye(2))
     model = MotionModel([[1.0, 1.0], [0.0, 1.0]], np.zeros((2, 2)), 1.0)
-    out = gm_predict(gm, model)
+    out, = gm_predict([gm], model)
     np.testing.assert_allclose(out.m[0], [1.0, 1.0])
 
 
@@ -56,7 +56,7 @@ def test_predict_covariance_by_hand():
     F = np.array([[1.0, 1.0], [0.0, 1.0]])
     Q = np.array([[0.25, 0.5], [0.5, 1.0]])
     gm = single([0.0, 0.0], P)
-    out = gm_predict(gm, MotionModel(F, Q, 1.0))
+    out, = gm_predict([gm], MotionModel(F, Q, 1.0))
     np.testing.assert_allclose(out.P[0], F @ P @ F.T + Q,
                                atol=1e-12)
 
@@ -220,8 +220,8 @@ def test_innovation_terms_follow_the_sensor():
     d += [mahalanobis_sq([2.0], gm, scalar_sensor(1.0)),
           mahalanobis_sq([2.0], half, scalar_sensor(7.0))]
     np.testing.assert_allclose(d, [1.0, 2.0, 0.5], rtol=1e-12)
-    _, S = predicted_measurement(gm, scalar_sensor(3.0))
-    np.testing.assert_allclose(S, [[4.0]], rtol=1e-12)
+    _, S = predicted_measurement([gm], scalar_sensor(3.0))
+    np.testing.assert_allclose(S, [[[4.0]]], rtol=1e-12)
 
 
 TERMS = ("z_pred", "K", "cov", "logdet", "d2")
@@ -281,20 +281,21 @@ def test_terms_for_another_table_are_a_whole_fill(rng):
 
 
 def test_predicted_measurement_is_the_heaviest_components(rng):
-    # z_pred and S of the heaviest component, with the bits of
-    # ``ref_terms``, whether or not the mixture holds its terms.
+    # z_pred and S of each mixture's heaviest component, with the bits of
+    # ``ref_terms``, whether or not the mixtures hold their terms.
     sensor, Z, arrays = random_terms_case(rng)
     mixtures = [GaussianMixture(rng.uniform(0.1, 1.0, len(m)), m, P)
                 for m, P in arrays]
     for filled in (False, True):
         if filled:
             innovation_terms(mixtures, sensor, Z)
-        for gm in mixtures:
+        z_pred, S = predicted_measurement(mixtures, sensor)
+        assert z_pred.shape == (len(mixtures), 2)
+        for k, gm in enumerate(mixtures):
             i = int(np.argmax(gm.w))
             want = ref_terms(gm.m[i], gm.P[i], sensor)
-            z_pred, S = predicted_measurement(gm, sensor)
-            assert np.array_equal(z_pred, want["z_pred"])
-            assert np.array_equal(S, want["S"])
+            assert np.array_equal(z_pred[k], want["z_pred"])
+            assert np.array_equal(S[k], want["S"])
 
 
 def test_a_component_without_a_factor_raises_when_its_terms_are_filled():
@@ -305,7 +306,7 @@ def test_a_component_without_a_factor_raises_when_its_terms_are_filled():
     z = np.array([0.5, 0.5])
     for call in (lambda: innovation_terms([gm], sensor, [z]),
                  lambda: mahalanobis_sq(z, gm, sensor),
-                 lambda: gate_mask([z], gm, sensor, 9.0),
+                 lambda: gate_mask([z], [gm], sensor, 9.0),
                  lambda: gm_kalman_update_log(gm, z, sensor)):
         with pytest.raises(NumericalError) as err:
             call()
@@ -314,8 +315,8 @@ def test_a_component_without_a_factor_raises_when_its_terms_are_filled():
                                       np.zeros((2, 2)))
         assert gm._terms is None
     # Predicting the measurement takes no factor, so it does not raise.
-    z_pred, S = predicted_measurement(gm, sensor)
-    np.testing.assert_array_equal(S, np.zeros((2, 2)))
+    z_pred, S = predicted_measurement([gm], sensor)
+    np.testing.assert_array_equal(S, np.zeros((1, 2, 2)))
 
 
 def test_gate_raises_for_a_component_without_a_factor_in_any_order():
@@ -330,28 +331,28 @@ def test_gate_raises_for_a_component_without_a_factor_in_any_order():
     good = single([0.0, 0.0], np.eye(2))
     for order in (slice(None), slice(None, None, -1)):
         mixture = GaussianMixture(gm.w[order], gm.m[order], gm.P[order])
-        for call in (lambda: gate_mask(Z, mixture, sensor, 9.0),
+        for call in (lambda: gate_mask(Z, [good, mixture], sensor, 9.0),
                      lambda: innovation_terms([good, mixture], sensor, Z)):
             with pytest.raises(NumericalError) as err:
                 call()
             np.testing.assert_array_equal(err.value.diagnostics["matrix"],
                                           -2.0 * np.eye(2))
             assert mixture._terms is None and good._terms is None
-    assert gate_mask(Z, good, sensor, 9.0).all()
+    assert gate_mask(Z, [good], sensor, 9.0).all()
 
 
 def test_gate_mask_matches_distance(rng):
     sensor = SensorModel(np.eye(2), np.eye(2), 1.0, 0.0)
     gm = random_mixture(rng, dim=2, n_comp=3)
     Z = rng.normal(0, 6, (40, 2))
-    mask = gate_mask(Z, gm, sensor, 9.2103)
+    mask = gate_mask(Z, [gm], sensor, 9.2103)
     for j, z in enumerate(Z):
         assert mask[j] == (mahalanobis_sq(z, gm, sensor) < 9.2103)
 
 
 def test_gate_mask_empty():
     sensor = scalar_sensor()
-    assert gate_mask([], single([0.0], [[1.0]]), sensor, 9.0).shape == (0,)
+    assert gate_mask([], [single([0.0], [[1.0]])], sensor, 9.0).shape == (0,)
 
 
 def test_map_point_argmax_and_ties():
@@ -365,9 +366,9 @@ def test_map_point_argmax_and_ties():
 def test_predicted_measurement_uses_heaviest_component():
     sensor = scalar_sensor(2.0)
     gm = GaussianMixture([0.7, 0.3], [[3.0], [8.0]], [[[1.0]], [[5.0]]])
-    z_pred, S = predicted_measurement(gm, sensor)
-    np.testing.assert_allclose(z_pred, [3.0])
-    np.testing.assert_allclose(S, [[3.0]])
+    z_pred, S = predicted_measurement([gm], sensor)
+    np.testing.assert_allclose(z_pred, [[3.0]])
+    np.testing.assert_allclose(S, [[[3.0]]])
 
 
 def test_likelihood_reorder_invariant(rng):
@@ -393,4 +394,4 @@ def test_dimension_mismatch_raises():
         gm_kalman_update_log(gm, [1.0], scalar_sensor())
     model_bad = cv_motion()
     with pytest.raises(ConfigurationError):
-        gm_predict(gm, model_bad)
+        gm_predict([gm], model_bad)

@@ -3,29 +3,30 @@ references.
 
 Random mixtures have 1-4 components in a 4-D state, with weights that tie
 often; the sensor measures 2-D positions through a dense ``H``.  The
-prediction and Kalman-update cases also draw 8, 9 and 20 components, where
-``np.sum`` sums pairwise.  Every operation must reproduce the reference of
-``oracles.py`` bit for bit (arrays by ``np.array_equal``, floats by
-``==``); the stacked kernels must reproduce the single-mixture and
-single-pair calls the same way.
+prediction, gate and Kalman-update cases also draw 8, 9 and 20
+components, where ``np.sum`` sums pairwise, and the operations that take a
+list of mixtures run on lists of 0 to 4.  Every operation must
+reproduce the reference of ``oracles.py`` bit for bit (arrays by
+``np.array_equal``, floats by ``==``); the stacked kernels must reproduce
+the single-mixture and single-pair calls the same way.
 """
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from almbtrack import (GaussianMixture, MotionModel, SensorModel,  # noqa: E402
                        gm_predict, gm_reduce)
 from almbtrack.densities import mixture_average  # noqa: E402
 from almbtrack.gaussian import (gate_mask, gm_kalman_update_log,  # noqa: E402
                                 innovation_terms, kalman_updates,
-                                mahalanobis_sq, predict_mixtures)
+                                mahalanobis_sq, predicted_measurement)
 
 from oracles import (ref_gate_mask, ref_gm_predict,  # noqa: E402
                      ref_gm_reduce, ref_kalman_update, ref_mixture_average,
-                     same_components, same_mixture)
+                     ref_terms, same_components, same_mixture)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -53,27 +54,44 @@ seeds = st.integers(0, 2 ** 32 - 1)
 # Component counts on both sides of np.sum's pairwise summation, which
 # starts at 8 terms; None draws 1-4.
 sizes = st.sampled_from([None, 1, 2, 8, 9, 20])
+# The component counts of a list of up to 4 mixtures; the lists of 0 and
+# 1 mixtures are also explicit examples.
+lists = st.lists(sizes, max_size=4)
 
 
 @SETTINGS
-@given(seeds, sizes)
-def test_predict_matches_component_loop(seed, n):
-    rng = np.random.default_rng(seed)
-    gm = random_mixture(rng, 5.0, n)
-    motion, _ = models(rng)
-    assert same_components(gm_predict(gm, motion), ref_gm_predict(gm, motion))
-
-
-@SETTINGS
-@given(seeds, st.lists(sizes, max_size=5))
-def test_stacked_predict_matches_component_loop(seed, counts):
+@given(seeds, lists)
+@example(seed=0, counts=[])
+@example(seed=1, counts=[20])
+def test_predict_matches_component_loop(seed, counts):
     rng = np.random.default_rng(seed)
     mixtures = [random_mixture(rng, 5.0, n) for n in counts]
     motion, _ = models(rng)
-    out = predict_mixtures(mixtures, motion)
+    out = gm_predict(mixtures, motion)
     assert len(out) == len(mixtures)
     for gm, got in zip(mixtures, out):
         assert same_components(got, ref_gm_predict(gm, motion))
+
+
+@SETTINGS
+@given(seeds, lists)
+@example(seed=0, counts=[])
+@example(seed=1, counts=[None])
+def test_predicted_measurement_is_each_heaviest_component(seed, counts):
+    # The heaviest component of each mixture, the first of a tie, found by
+    # a loop over the weights.
+    rng = np.random.default_rng(seed)
+    mixtures = [random_mixture(rng, 5.0, n) for n in counts]
+    _, sensor = models(rng)
+    z_pred, S = predicted_measurement(mixtures, sensor)
+    assert z_pred.shape == (len(mixtures), 2)
+    assert S.shape == (len(mixtures), 2, 2)
+    for gm, z, Si in zip(mixtures, z_pred, S):
+        w = gm.w.tolist()
+        i = w.index(max(w))
+        want = ref_terms(gm.m[i], gm.P[i], sensor)
+        assert np.array_equal(z, want["z_pred"])
+        assert np.array_equal(Si, want["S"])
 
 
 @SETTINGS
@@ -164,11 +182,23 @@ def test_mixture_average_matches_component_loop(seed, n_parts):
 
 
 @SETTINGS
-@given(seeds, st.integers(0, 6), st.sampled_from([1.0, 9.2103, np.inf]))
-def test_gate_mask_matches_component_loop(seed, m, gate_sq):
+@given(seeds, lists, st.integers(0, 6),
+       st.sampled_from([1.0, 9.2103, np.inf]))
+@example(seed=0, counts=[], m=3, gate_sq=np.inf)
+@example(seed=1, counts=[9], m=3, gate_sq=9.2103)
+def test_gate_mask_matches_component_loop(seed, counts, m, gate_sq):
+    # Each mixture holds terms for Z, for another table, or none.
     rng = np.random.default_rng(seed)
-    gm = random_mixture(rng, 3.0)
+    mixtures = [random_mixture(rng, 3.0, n) for n in counts]
     _, sensor = models(rng)
     Z = rng.normal(0.0, 4.0, (m, 2))
-    assert np.array_equal(gate_mask(Z, gm, sensor, gate_sq),
-                          ref_gate_mask(Z, gm, sensor, gate_sq))
+    state = rng.integers(0, 3, len(mixtures))
+    if m:
+        innovation_terms([gm for gm, s in zip(mixtures, state) if s == 1],
+                         sensor, Z)
+    innovation_terms([gm for gm, s in zip(mixtures, state) if s == 2],
+                     sensor, rng.normal(0.0, 4.0, (2, 2)))
+    want = np.zeros(m, dtype=bool)
+    for gm in mixtures:
+        want |= ref_gate_mask(Z, gm, sensor, gate_sq)
+    assert np.array_equal(gate_mask(Z, mixtures, sensor, gate_sq), want)

@@ -14,8 +14,8 @@ from almbtrack import (ConfigurationError, DensityGroup, DglmbDensity,
                        association_entropy, builtin_scenario, decide_switch,
                        dglmb_to_lmb, generate_measurements, generate_truth,
                        kl_criterion, lmb_to_dglmb, lmb_update)
-from almbtrack import pipeline
-from almbtrack.dglmb import one_track_miss
+from almbtrack import dglmb, pipeline
+from almbtrack.dglmb import one_track_update
 from almbtrack.harness import run_filter
 from almbtrack.pipeline import (CAP, GATE_SQ, _reduce_lmb, _within,
                                 extract_tracks, gate_measurements,
@@ -559,21 +559,21 @@ def test_one_track_update_matches_generic_path(existence, p_d, scan,
 @pytest.mark.parametrize("p_d", [0.0, 0.5, 0.98, 1.0])
 def test_one_track_miss_entries_match_the_generic_update(p_d, rng):
     # The posterior rows of an empty scan, in order: existence 0.5 at p_D 0
-    # ties, and the absent row comes first.
+    # ties, and the absent row comes first.  Existence 0, and p_D 1, keep
+    # the absent row alone.
     sensor = position_sensor(10.0, p_d, 1.25e-5)
     for existence in [0.0, 1e-300, 0.02, 0.5, 0.9, 1.0 - 1e-12, 1.0] + \
             rng.random(300).tolist():
         group = one_track(existence, 1)
         gm = group.density.mixtures[0]
-        fast = one_track_miss(existence, gm, sensor)
-        if existence == 0.0 or p_d == 1.0:
-            assert fast is None  # one child only: the general path
-            continue
+        mixtures, index, theta, w = one_track_update(
+            existence, gm, [], sensor, CAP, GATE_SQ)
         slow = lmb_update(group.density, [], sensor, cap=CAP,
                           gate_sq=GATE_SQ).posterior
-        assert fast[0] == slow.mixtures and fast[2] == [0, 0]
-        assert fast[1].tolist() == slow.hypotheses.tolist()
-        assert fast[3].tolist() == slow.w.tolist()
+        assert index.tolist() == slow.hypotheses.tolist()
+        assert theta == [0] * len(index) and w.tolist() == slow.w.tolist()
+        assert [mixtures[i] for i in index[:, 0] if i >= 0] == \
+            [slow.mixtures[i] for i in slow.hypotheses[:, 0] if i >= 0]
 
 
 def test_one_track_update_keeps_the_quota_truncation():
@@ -641,29 +641,35 @@ def test_lmb_filter_sends_only_multi_track_groups_to_lmb_update(monkeypatch):
 
 
 def test_miss_only_update_skips_the_generic_one_track_update(monkeypatch):
-    # A one-track group with nothing in its gate takes the closed form.
+    # A one-track group with nothing in its gate takes the closed form:
+    # its update never reaches the generic _finalize, which the other
+    # updates of the run still call.
     config = builtin_scenario("two-target")
     scans = generate_measurements(generate_truth(config), config,
                                   np.random.default_rng(2025))[:30]
-    real_update, real_miss = pipeline.one_track_update, \
-        pipeline.one_track_miss
-    misses = []
+    real_update, real_finalize = pipeline.one_track_update, dglmb._finalize
+    in_miss, misses, finalized = [False], [], []
 
     def update(existence, gm, measurements, *args):
-        if not measurements:
-            raise AssertionError("miss-only update took the generic path")
-        return real_update(existence, gm, measurements, *args)
+        in_miss[0] = not measurements
+        misses.append(in_miss[0])
+        try:
+            return real_update(existence, gm, measurements, *args)
+        finally:
+            in_miss[0] = False
 
-    def miss(*args):
-        misses.append(args)
-        return real_miss(*args)
+    def finalize(*args):
+        if in_miss[0]:
+            raise AssertionError("miss-only update reached _finalize")
+        finalized.append(args)
+        return real_finalize(*args)
 
     monkeypatch.setattr(pipeline, "one_track_update", update)
-    monkeypatch.setattr(pipeline, "one_track_miss", miss)
+    monkeypatch.setattr(dglmb, "_finalize", finalize)
     for name in ("lmb", "almb"):
-        del misses[:]
+        del misses[:], finalized[:]
         assert len(run_filter(name, scans, config).estimates) == 30
-        assert misses
+        assert any(misses) and finalized
 
 
 def close_pair(a, b, limit):

@@ -77,7 +77,7 @@ def on_predictions(groups, sensor):
         view = group.lmb_view()
         for gm, r in zip(view.mixtures, view.r):
             if r > EXTRACTION:
-                z = np.array(predicted_measurement(gm, sensor)[0])
+                z = predicted_measurement([gm], sensor)[0][0]
                 assert mahalanobis_sq(z, gm, sensor) == 0.0
                 out.append(z)
     return out
