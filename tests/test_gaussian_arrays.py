@@ -60,10 +60,20 @@ lists = st.lists(sizes, max_size=4)
 
 
 @SETTINGS
+@given(seeds, sizes)
+def test_predict_matches_component_loop(seed, n):
+    rng = np.random.default_rng(seed)
+    gm = random_mixture(rng, 5.0, n)
+    motion, _ = models(rng)
+    (got,) = gm_predict([gm], motion)
+    assert same_components(got, ref_gm_predict(gm, motion))
+
+
+@SETTINGS
 @given(seeds, lists)
 @example(seed=0, counts=[])
 @example(seed=1, counts=[20])
-def test_predict_matches_component_loop(seed, counts):
+def test_stacked_predict_matches_component_loop(seed, counts):
     rng = np.random.default_rng(seed)
     mixtures = [random_mixture(rng, 5.0, n) for n in counts]
     motion, _ = models(rng)
