@@ -16,7 +16,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericalError
 from .gaussian import _mixture, joined_terms
 
 # Existence probabilities of exactly one are clamped so hypothesis
@@ -82,8 +82,9 @@ class DglmbDensity:
 
     def normalized(self):
         tot = float(self.w.sum())
-        if tot <= 0.0:
-            raise UsageError("hypothesis weights sum to zero")
+        if not 0.0 < tot < math.inf:
+            raise NumericalError("hypothesis weight sum is not positive "
+                                 "and finite", {"total": tot})
         out = object.__new__(DglmbDensity)
         vars(out).update(vars(self), w=self.w / tot, _lmb=None)
         return out

@@ -3,16 +3,20 @@
 Prediction expands each hypothesis over survival subsets; the update
 expands each hypothesis over ranked association maps.  The Gaussian work
 is stacked over the density's mixture table: the prediction predicts the
-table's used mixtures in one pass, and the update gates and
-Kalman-updates every (table mixture, measurement) pair in one pass, from
-which each hypothesis's cost matrix is read (Vo, Vo & Hoang, "An
-efficient implementation of the generalized labeled multi-Bernoulli
-filter", IEEE TSP 2017).
+table in one pass, and the update gates and Kalman-updates every (table
+mixture, measurement) pair in one pass, from which each hypothesis's
+cost matrix is read (Vo, Vo & Hoang, "An efficient implementation of the
+generalized labeled multi-Bernoulli filter", IEEE TSP 2017).
+A recursion's children are one (children x labels) int array of
+mixture-table positions, as in ``DglmbDensity``, and a log-weight vector,
+from expansion to ``_finalize``: the prediction writes them through one
+boolean subset mask per label count, the update gathers them from the
+(mixture, map) table of posterior positions, and the maps of all
+hypotheses of at most one label come from one stacked sort.
 All weight arithmetic runs in the log domain.  Hypotheses that end up
 with the same label set and the same per-label spatial densities (same
 mixture provenance, or numerically indistinguishable after their Kalman
-chains converged) are merged by summing weights.  Children are rows of
-mixture-table positions, as in ``DglmbDensity``, with log weights.
+chains converged) are merged by summing weights.
 """
 
 import math
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import ranked_assignments
+from .assignment import _ENUMERATE_LIMIT, ranked_assignments
 from .densities import (DglmbDensity, _bernoulli_log_odds,
                         top_weighted_subsets)
 from .errors import NumericalError
@@ -42,52 +46,87 @@ class UpdateOutput:
 
 
 def _ranking(rows, values):
-    """Stable order of ``rows`` by descending ``values``, ties broken by
-    label set as tuples of sorted labels compare."""
-    keys = [-v for v in values]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    if any(keys[a] == keys[b] for a, b in zip(order, order[1:])):
-        keys = [(key, [k for k, i in enumerate(row) if i >= 0])
-                for key, row in zip(keys, rows)]
-        order.sort(key=keys.__getitem__)
-    return order
+    """Stable order of the rows of the int array ``rows`` by descending
+    ``values``; where values tie, by label set as tuples of sorted labels
+    compare."""
+    order = (-values).argsort(kind="stable")
+    ranked = values[order]
+    if not np.count_nonzero(ranked[1:] == ranked[:-1]):
+        return order
+    # A label set's sorted columns, padded with -1 (which sorts first), so
+    # a prefix ranks before its extensions.
+    width = rows.shape[1]
+    cols = np.where(rows >= 0, np.arange(width), width)
+    cols.sort(1)
+    cols[cols == width] = -1
+    return np.lexsort((*cols.T[::-1], -values))
+
+
+# Below this many rows a Python loop costs less than numpy's fixed cost
+# per call.
+_FEW = 16
+
+
+def _groups(keys):
+    """Equal rows of the 2-D ``keys``: each row's group, groups numbered
+    in order of first appearance, and the first row of each group."""
+    if len(keys) < _FEW:
+        # A dict of the rows' bytes.
+        raw, step, seen = keys.tobytes(), keys[:1].nbytes, {}
+        group = [seen.setdefault(raw[e * step:(e + 1) * step], len(seen))
+                 for e in range(len(keys))]
+        return (np.array(group, dtype=int),
+                np.array([group.index(g) for g in range(len(seen))],
+                         dtype=int))
+    # A stable sort of the rows' bytes.
+    keys = np.ascontiguousarray(keys)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[
+        :, 0] if keys.shape[1] else np.zeros(len(keys))
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    first = order[new]
+    rank = first.argsort()
+    group = np.empty(len(keys), dtype=int)
+    group[order] = rank.argsort()[new.cumsum() - 1]
+    return group, first[rank]
 
 
 def _dedup(rows, log_w):
-    """The positions of the first of each distinct row, in order, and
-    their log weights merged by ``logaddexp`` in row order."""
-    first, merged = {}, {}
-    for e, (key, lw) in enumerate(zip(map(tuple, rows), log_w)):
-        e = first.setdefault(key, e)
-        merged[e] = np.logaddexp(merged[e], lw) if e in merged else lw
-    return list(merged), list(merged.values())
+    """The positions of the first of each distinct row of the int array
+    ``rows``, in order, and their log weights merged by ``logaddexp`` in
+    row order."""
+    log_w = np.asarray(log_w, dtype=float)
+    group, first = _groups(rows)
+    if len(first) == len(rows):
+        return first, log_w
+    merged = np.full(len(first), -np.inf)
+    np.logaddexp.at(merged, group, log_w)
+    return first, merged
 
 
 _CONSOLIDATE_ATOL = 1e-2
 
 
-def _signatures(mixtures):
-    """One row per mixture, all of one shape: the component weights,
-    means and covariances, in component order."""
-    k = len(mixtures)
-    return np.concatenate([np.array([gm.w for gm in mixtures])[..., None],
-                           np.array([gm.m for gm in mixtures]),
-                           np.array([gm.P for gm in mixtures]).reshape(
-                               k, len(mixtures[0].w), -1)], 2).reshape(k, -1)
-
-
-def _close(mixtures, shared):
-    """``(k, k)`` mask of the pairs of ``mixtures``, all of one shape,
-    whose signatures are within ``_CONSOLIDATE_ATOL`` elementwise (on the
-    diagonal only where ``shared``); the first mean entry screens."""
-    x = np.array([gm.m[0, 0] for gm in mixtures])
-    near = np.abs(x[:, None] - x) <= _CONSOLIDATE_ATOL
-    near.flat[::len(x) + 1] = shared  # unless nan or inf, close to itself
-    a, b = np.nonzero(near)
-    if a.size:
-        S = _signatures(mixtures)
-        near[a, b] = np.abs(S[a] - S[b]).max(axis=1) <= _CONSOLIDATE_ATOL
-    return near
+def _apart(rows, mixtures):
+    """Whether no two of a few ``rows`` (lists of table positions) can
+    merge: in each bucket of one label set and signature size, every
+    label's mixtures are of one shape and the first present label's first
+    mean entries are farther apart than ``_CONSOLIDATE_ATOL``."""
+    buckets = {}
+    for row in rows:
+        held = [i for i in row if i >= 0]
+        shapes = tuple(mixtures[i].m.shape for i in held)
+        buckets.setdefault((tuple(i >= 0 for i in row), sum(
+            c * (1 + d + d * d) for c, d in shapes)), []).append(
+                (shapes, mixtures[held[0]].m[0, 0] if held else 0.0))
+    for members in buckets.values():
+        lead = sorted(x for _, x in members)
+        if len({shapes for shapes, _ in members}) > 1 or not all(
+                y - x > _CONSOLIDATE_ATOL for x, y in zip(lead, lead[1:])):
+            return False
+    return True
 
 
 def _consolidate(rows, log_w, mixtures):
@@ -95,70 +134,170 @@ def _consolidate(rows, log_w, mixtures):
     coincide within ``_CONSOLIDATE_ATOL`` elementwise: association
     histories whose Kalman chains converged are one hypothesis for every
     future purpose.  Rows are visited heaviest first; each joins the first
-    representative of its bucket (label set and signature size) that it
-    is close to, label by label (by whole signatures where a label's
-    mixtures differ in shape), or becomes one.  Returns the
-    representatives, in visiting order, and their merged log weights."""
+    representative of its bucket (label set and signature size) whose
+    signature (every label's component weights, means and covariances,
+    concatenated in label and component order) it is close to, or
+    becomes one.  Returns the representatives' positions in ``rows``, in
+    visiting order, and their merged log weights."""
+    log_w = np.asarray(log_w, dtype=float)
     order = _ranking(rows, log_w)
-    log_w = list(log_w)
-    shapes = [gm.m.shape for gm in mixtures]
-    # The signature sizes, which one label set fixes where all shapes
-    # agree; position -1 reads the trailing 0.
-    sizes = [c * (1 + d + d * d) for c, d in shapes] + [0]
-    buckets, rep, agree = {}, {}, len(set(shapes)) < 2
-    for e in order:
-        buckets.setdefault((tuple(i >= 0 for i in rows[e]), agree or sum(
-            sizes[i] for i in rows[e])), []).append(e)
-    for members in (m for m in buckets.values() if len(m) > 1):
-        close = np.ones((len(members), len(members)), dtype=bool)
-        for k in (k for k, i in enumerate(rows[members[0]]) if i >= 0):
-            slot = {}
-            inverse = [slot.setdefault(rows[e][k], len(slot))
-                       for e in members]
-            if len({shapes[i] for i in slot}) > 1:
-                S = np.array([np.concatenate([_signatures([mixtures[i]])[0]
-                                              for i in rows[e] if i >= 0])
-                              for e in members])
-                close = np.abs(S[:, None] - S).max(-1) <= _CONSOLIDATE_ATOL
-                break
-            mixture_close = _close([mixtures[i] for i in slot], [
-                inverse.count(g) > 1 for g in range(len(slot))])
-            close &= mixture_close if len(slot) == len(members) else \
-                mixture_close[np.ix_(inverse, inverse)]
+    if len(rows) < _FEW and _apart(rows.tolist(), mixtures):
+        return order, log_w[order]
+    rows, log_w = rows[order], log_w[order]
+    present = rows >= 0
+    # The signature size of every mixture in use, by table position;
+    # position -1 reads an absent label's 0.
+    used = list(dict.fromkeys(rows[present].tolist()))
+    shapes = [mixtures[i].m.shape for i in used]
+    size = np.zeros(len(mixtures) + 1)
+    size[used] = [c * (1 + d + d * d) for c, d in shapes]
+    # Buckets of one label set and signature size, in visiting order; a
+    # row alone in its bucket is a representative.
+    group, heads = _groups(np.concatenate(
+        (present, size[rows].sum(1)[:, None]), 1))
+    if len(heads) == len(rows):
+        return order, log_w
+    buckets = {}
+    shared = np.bincount(group)[group] > 1
+    for e, g in zip(shared.nonzero()[0].tolist(), group[shared].tolist()):
+        buckets.setdefault(g, []).append(e)
+    # A shape code and the first component's mean (its first entries
+    # where dimensions differ) of every mixture in use, read once.
+    dim, codes = min([d for _, d in shapes], default=1), {}
+    table = np.zeros((len(mixtures) + 1, 1 + dim))
+    table[used, 0] = [codes.setdefault(shape, len(codes)) for shape in shapes]
+    table[used, 1:] = np.array([mixtures[i].m[0, :dim] for i in used]
+                               ).reshape(len(used), dim)
+    signatures, rep, merges = {}, [True] * len(rows), []
+    for idx in map(np.array, buckets.values()):
+        cols = present[idx[0]]
+        held = table[rows[idx][:, cols]]
+        X, code = held[:, :, 1:].reshape(len(idx), -1), held[:, :, 0]
+        # Unless two first present labels' first mean entries are within
+        # the tolerance, or the labels' mixtures differ in shape, no two
+        # rows merge.
+        lead = sorted(X[:, 0].tolist()) if X.size else [0.0] * len(idx)
+        aligned = not np.count_nonzero(code != code[:1])
+        if aligned and all(y - x > _CONSOLIDATE_ATOL
+                           for x, y in zip(lead, lead[1:])):
+            continue
+        # Screen pairs by the first means, first entry first; then compare
+        # whole signatures.
+        x = X[:, 0] if X.size else np.zeros(len(idx))
+        a, b = (np.abs(x[:, None] - x) <= _CONSOLIDATE_ATOL).nonzero()
+        lower = b < a
+        a, b = a[lower], b[lower]
+        if len(a):
+            near = (np.abs(X[a] - X[b]) <= _CONSOLIDATE_ATOL).all(1)
+            a, b = a[near], b[near]
+        if not aligned:
+            # Rows whose labels' mixtures differ in shape compare their
+            # concatenations, whatever their means.
+            near = (code[:, None] != code).any(2)
+            near[a, b] = True
+            a, b = np.tril(near, -1).nonzero()
+        if not len(a):
+            continue
+        pair = np.zeros(len(idx), dtype=bool)
+        pair[a] = pair[b] = True
+        pieces = rows[idx[pair]][:, cols].ravel().tolist()
+        for i in pieces:
+            if i not in signatures:
+                gm = mixtures[i]
+                signatures[i] = np.concatenate(
+                    (gm.w[:, None], gm.m, gm.P.reshape(len(gm.w), -1)),
+                    1).ravel()
+        S = np.concatenate([np.zeros(0)] + [signatures[i] for i in pieces])
+        S = S.reshape(np.count_nonzero(pair), -1 if len(pieces) else 0)
+        pick = pair.cumsum() - 1
+        close = np.abs(S[pick[a]] - S[pick[b]]).max(1, initial=0.0) \
+            <= _CONSOLIDATE_ATOL
         # Row-major pairs: a row's earlier members are settled before it.
-        for a, b in zip(*np.nonzero(close)):
-            i, j = members[a], members[b]
-            if b < a and i not in rep and j not in rep:
-                rep[i] = j
-                log_w[j] = np.logaddexp(log_w[j], log_w[i])
-    kept = [e for e in order if e not in rep]
-    return kept, [log_w[e] for e in kept]
+        for i, j in zip(idx[a[close]].tolist(), idx[b[close]].tolist()):
+            if rep[i] and rep[j]:
+                rep[i] = False
+                merges.append((j, i))
+    if merges:
+        into, source = np.array(merges).T
+        np.logaddexp.at(log_w, into, log_w[source])
+        rep = np.array(rep)
+        return order[rep], log_w[rep]
+    return order, log_w
 
 
 def _finalize(rows, log_w, mixtures, cap):
-    """Consolidate, cap and normalize log-weighted rows (lists of table
-    positions); returns the kept rows' positions and their weights."""
+    """Consolidate, cap and normalize log-weighted rows (an int array of
+    table positions); returns the kept rows' positions and their
+    weights."""
     keep, log_w = _dedup(rows, log_w)
-    finite = [(e, lw) for e, lw in zip(keep, log_w) if math.isfinite(lw)]
-    if not finite:
+    finite = np.isfinite(log_w)
+    count = np.count_nonzero(finite)
+    if not count:
         raise NumericalError("all hypothesis weights vanished",
                              {"hypotheses": 0})
-    keep, log_w = zip(*finite)
-    kept, log_w = _consolidate([rows[e] for e in keep], log_w, mixtures)
-    keep = [keep[e] for e in kept]
+    if count < len(log_w):
+        keep, log_w = keep[finite], log_w[finite]
+    kept, log_w = _consolidate(rows[keep], log_w, mixtures)
     # Sort by weight, breaking ties by label set for reproducibility; the
     # rows are in that order already unless some merged.
-    if len(keep) < len(finite):
-        order = _ranking([rows[e] for e in keep], log_w)
-        keep, log_w = [keep[e] for e in order], [log_w[e] for e in order]
-    return keep[: int(cap)], _normalized(log_w[: int(cap)])
+    if len(kept) < len(keep):
+        order = _ranking(rows[keep[kept]], log_w)
+        kept, log_w = kept[order], log_w[order]
+    cap = int(cap)
+    return keep[kept[:cap]], _normalized(log_w[:cap])
 
 
 def _normalized(log_w):
     # exp(log_w) over its log-sum-exp, taken from the largest entry.
-    log_w = np.array(log_w)
+    log_w = np.asarray(log_w, dtype=float)
     top = log_w.max()
-    return np.exp(log_w - (top + np.log(np.sum(np.exp(log_w - top)))))
+    return np.exp(log_w - (top + np.log(np.exp(log_w - top).sum())))
+
+
+def _one_label_maps(cost, quota):
+    """``ranked_assignments`` of one-label hypotheses, stacked: row h of
+    the (g, m + 1) ``cost`` holds hypothesis h's cost of map j in column
+    j, the miss in column 0, and ``quota[h]`` bounds its maps.  Returns
+    the hypothesis, map and score of every kept map, hypothesis by
+    hypothesis, best first.
+
+    Up to ``_ENUMERATE_LIMIT`` measurements ``ranked_assignments``
+    enumerates: the finite maps sorted by (score, j), its scores summed
+    from 0.0.  Above it, Murty's algorithm gives that order too, but for
+    its own order of bit-equal costs, so a row with a tie (or with a
+    cost that is neither finite nor +inf) takes ``ranked_assignments``'
+    own maps."""
+    g, width = cost.shape
+    if cost.size < _FEW:
+        # A sort of (score, map) pairs; width - 1 <= _ENUMERATE_LIMIT.
+        maps = [(h, j, s) for h, (row, q) in enumerate(zip(
+            (cost + 0.0).tolist(), quota.tolist())) for s, j in sorted(
+                (s, j) for j, s in enumerate(row) if math.isfinite(s))[:q]]
+        return tuple(np.array(part, dtype=dtype).reshape(len(maps))
+                     for part, dtype in zip(zip(*maps) if maps else
+                                            ((), (), ()), (int, int, float)))
+    # Maps of a cost that is not finite rank last, as +inf.
+    score = np.where(np.isfinite(cost), cost + 0.0, np.inf)
+    order = score.argsort(1, kind="stable")
+    ranked = score[np.arange(g)[:, None], order]
+    finite = np.isfinite(ranked)
+    hyp, rank = (finite & (np.arange(width) < quota[:, None])).nonzero()
+    maps = hyp, order[hyp, rank], ranked[hyp, rank]
+    if width - 1 <= _ENUMERATE_LIMIT:
+        return maps
+    murty = ((ranked[:, 1:] == ranked[:, :-1]) & finite[:, 1:]).any(1) | (
+        np.isnan(cost) | (cost == -np.inf)).any(1)
+    if not murty.any():
+        return maps
+    keep = ~murty[hyp]
+    extra = [(h, theta[0], s) for h in np.flatnonzero(murty).tolist()
+             for theta, s in ranked_assignments(
+                 np.append(cost[h, 1:], cost[h, 0])[None], quota[h])]
+    maps = [np.concatenate((part[keep], np.array(new, dtype=part.dtype)))
+            for part, new in zip(maps, zip(*extra) if extra
+                                 else ((), (), ()))]
+    order = np.argsort(maps[0], kind="stable")
+    return tuple(part[order] for part in maps)
 
 
 def _per_hypothesis_quota(weights, cap):
@@ -193,27 +332,38 @@ def dglmb_predict(d, motion, cap):
     retained children.  Births join the pipeline as groups of their own.
     """
     d = d.normalized()
-    subsets, rows, log_w = {}, [], []
-    for row, lw, quota in zip(d.hypotheses.tolist(),
-                              _log_weights(d.w.tolist()),
-                              _per_hypothesis_quota(d.w.tolist(), cap)):
-        labels = [k for k, i in enumerate(row) if i >= 0]
-        key = (len(labels), quota)
-        if key not in subsets:
-            subsets[key] = _survival_subsets(*key, motion.survival_prob)
-        for subset, log_surv in subsets[key]:
-            rows.append([-1] * len(row))
-            for r in subset:
-                rows[-1][labels[r]] = row[labels[r]]
-            log_w.append(lw + log_surv)
-    # Predict the mixtures the children use, in a table of their own.
-    used = list(dict.fromkeys(i for row in rows for i in row if i >= 0))
-    mixtures = gm_predict([d.mixtures[i] for i in used], motion)
-    slot = {i: p for p, i in enumerate(used)}
-    rows = [[slot.get(i, -1) for i in row] for row in rows]
+    hyps = d.hypotheses
+    held = hyps >= 0
+    size, quota = held.sum(1).tolist(), _per_hypothesis_quota(d.w.tolist(),
+                                                              cap)
+    # The survivor subsets of |I| = s labels, one boolean mask row each,
+    # for every s in use: a hypothesis's quota takes a prefix of the list
+    # for the largest quota of its s.
+    top = {}
+    for s, q in zip(size, quota):
+        top[s] = max(top.get(s, 0), q)
+    masks, log_surv, first, count = [], [], {}, {}
+    for s in sorted(top):
+        best = _survival_subsets(s, top[s], motion.survival_prob)
+        first[s], count[s] = len(masks), len(best)
+        for subset, lw in best:
+            masks.append([k in subset for k in range(hyps.shape[1])])
+            log_surv.append(lw)
+    take = [min(q, count[s]) for s, q in zip(size, quota)]
+    parent = np.repeat(np.arange(len(hyps)), take)
+    subset = [first[s] + r for s, t in zip(size, take) for r in range(t)]
+    # Mask column k is the hypothesis's k-th label, so the columns run
+    # present labels first.
+    cols = (~held).argsort(1, kind="stable")[parent]
+    rows = np.empty((len(parent), hyps.shape[1]), dtype=int)
+    rows[np.arange(len(parent))[:, None], cols] = np.where(
+        np.array(masks, dtype=bool)[subset],
+        hyps[parent[:, None], cols], -1)
+    log_w = np.array(_log_weights(d.w.tolist()))[parent] + np.array(
+        log_surv)[subset]
+    mixtures = gm_predict(d.mixtures, motion)
     keep, w = _finalize(rows, log_w, mixtures, cap)
-    return DglmbDensity(d.label_space, mixtures, np.array(
-        [rows[e] for e in keep], dtype=int), w)
+    return DglmbDensity(d.label_space, mixtures, rows[keep], w)
 
 
 def dglmb_update(d, measurements, sensor, cap, gate_sq):
@@ -227,47 +377,80 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
     (table mixture, measurement) pair is gated and updated in one stacked
     ``kalman_updates`` pass, which reads the innovation terms the gate
     pass cached on the table and fills them, in one stacked call, for the
-    mixtures that hold none covering ``measurements``.
+    mixtures that hold none covering ``measurements``.  Hypotheses of at
+    most one label are ranked together by ``_one_label_maps``.
 
     Returns an :class:`UpdateOutput` carrying the posterior and the
     track-to-measurement association marginals of the retained children.
     """
     d = d.normalized()
-    m = len(measurements)
+    m, hyps = len(measurements), d.hypotheses
     log_pd, log_qd, log_kappa = _log_factors(sensor)
     log_lik, posteriors = kalman_updates(d.mixtures, sensor, measurements,
                                          gate_sq)
-    # Each mixture's cost and posterior table position per measurement;
-    # a last position, its own, for a miss.  A pair outside the gate keeps
-    # the mixture at an infinite cost.
-    gated = np.isfinite(log_lik)
-    child = np.repeat(np.arange(len(d.mixtures))[:, None], m + 1, 1)
-    child[:, :m][gated] = len(d.mixtures) + np.arange(len(posteriors))
-    cost, child = (-(log_pd + log_lik - log_kappa)).tolist(), child.tolist()
+    # Each mixture's cost and posterior table position for map j: j = 0,
+    # a miss, keeps the mixture; a pair outside the gate keeps it at an
+    # infinite cost.  A last row serves the empty hypothesis, whose one
+    # map costs 0.
+    n = len(d.mixtures)
+    cost = np.full((n + 1, m + 1), np.inf)
+    cost[:n, 0], cost[n, 0] = -log_qd, 0.0
+    cost[:n, 1:] = -(log_pd + log_lik - log_kappa)
+    child = np.repeat(np.arange(n + 1)[:, None], m + 1, 1)
+    child[n] = -1
+    child[:n, 1:][np.isfinite(log_lik)] = n + np.arange(len(posteriors))
     mixtures = list(d.mixtures) + posteriors
-    rows, thetas, log_w = [], [], []
-    for row, lw, quota in zip(d.hypotheses.tolist(),
-                              _log_weights(d.w.tolist()),
-                              _per_hypothesis_quota(d.w.tolist(), cap)):
-        cols = [k for k, i in enumerate(row) if i >= 0]
-        matrix = np.array([cost[row[k]] + [np.inf] * r + [-log_qd] + [
-            np.inf] * (len(cols) - r - 1) for r, k in enumerate(cols)],
-            dtype=float).reshape(len(cols), m + len(cols))
-        for theta, score in ranked_assignments(matrix, quota):
-            rows.append(list(row))
-            for k, j in zip(cols, theta):
-                rows[-1][k] = child[row[k]][j - 1]
-            thetas.append(list(zip(cols, theta)))
-            log_w.append(lw - score)
+    log_w = np.array(_log_weights(d.w.tolist()))
+    quota = np.array(_per_hypothesis_quota(d.w.tolist(), cap))
+    held = hyps >= 0
+    size = held.sum(1)
+    # Hypotheses of at most one label, in one stacked ranking.
+    group = (size <= 1).nonzero()[0]
+    at = hyps[group].max(1, initial=-1)
+    hyp, j, score = _one_label_maps(cost[at], quota[group])
+    parent = group[hyp]
+    held_one = held[parent]
+    rows = np.where(held_one, child[at[hyp], j][:, None], -1)
+    theta = np.where(held_one, j[:, None], 0)
+    blocks = [(parent, rows, theta, log_w[parent] - score)]
+    # Hypotheses of k >= 2 labels: their cost matrices stacked per k,
+    # each ranked by ranked_assignments.
+    for k in sorted(set(size.tolist()) - {0, 1}):
+        group = (size == k).nonzero()[0]
+        cols = held[group].nonzero()[1].reshape(len(group), k)
+        at = hyps[group[:, None], cols]
+        matrices = np.full((len(group), k, m + k), np.inf)
+        matrices[:, :, :m] = cost[at, 1:]
+        matrices[:, np.arange(k), m + np.arange(k)] = -log_qd
+        maps = [(e, t, s) for e, (matrix, q) in enumerate(zip(
+            matrices, quota[group].tolist())) for t, s in
+            ranked_assignments(matrix, q)]
+        if not maps:
+            continue
+        hyp, j, score = zip(*maps)
+        hyp, j = np.array(hyp), np.array(j, dtype=int)
+        parent, pick = group[hyp], (np.arange(len(hyp))[:, None], cols[hyp])
+        rows = hyps[parent]
+        rows[pick] = child[at[hyp], j]
+        theta = np.zeros(rows.shape, dtype=int)
+        theta[pick] = j
+        blocks.append((parent, rows, theta, log_w[parent] - np.array(score)))
+    if len(blocks) > 1:
+        parent, rows, theta, log_w = (np.concatenate(part)
+                                      for part in zip(*blocks))
+        order = parent.argsort(kind="stable")
+        rows, theta, log_w = rows[order], theta[order], log_w[order]
+    else:
+        _, rows, theta, log_w = blocks[0]
     keep, w = _finalize(rows, log_w, mixtures, cap)
-    marginals = np.zeros((len(d.label_space), m))
-    for e, wi in zip(keep, w.tolist()):
-        for k, j in thetas[e]:
-            if j:
-                marginals[k, j - 1] += wi
-    return UpdateOutput(DglmbDensity(
-        d.label_space, mixtures, np.array([rows[e] for e in keep], dtype=int),
-        w), marginals)
+    # Each kept child's weight on its (label, measurement) pairs, added
+    # in child order.
+    theta = theta[keep]
+    e, k = theta.nonzero()
+    marginals = np.bincount(k * m + theta[e, k] - 1, w[e],
+                            len(d.label_space) * m)
+    return UpdateOutput(DglmbDensity(d.label_space, mixtures, rows[keep], w),
+                        marginals.reshape(len(d.label_space), m))
 
 
 def _log_factors(sensor):
@@ -301,37 +484,46 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
     and ``theta`` a list.
 
     The absent hypothesis has one child.  The present one has its miss
-    and its gated measurements, ranked by (cost, theta) and cut at its
-    quota as ``ranked_assignments`` ranks a one-row cost matrix; above 16
-    measurements that is Murty's algorithm, which alone would put a miss
-    after a measurement of bit-equal cost.  Where the present hypothesis
-    has at most one option, as with nothing in the gate (the Bernoulli
-    missed-detection posterior, existence r (1 - p_D) / (1 - r p_D) and
-    ``gm`` unchanged: Ristic, Vo, Vo & Farina, "A tutorial on Bernoulli
-    filters", IEEE TSP 2013) or with p_D = 1 and one gated measurement, no
-    two children share a label set, and ``_finalize`` is a sort.
+    and its gated measurements, ranked by ``_one_label_maps`` as
+    ``ranked_assignments`` ranks a one-row cost matrix.  Where the present
+    hypothesis has at most one child, as with nothing in the gate (the
+    Bernoulli missed-detection posterior, existence r (1 - p_D) /
+    (1 - r p_D) and ``gm`` unchanged: Ristic, Vo, Vo & Farina, "A tutorial
+    on Bernoulli filters", IEEE TSP 2013) or with p_D = 1 and one gated
+    measurement, no two children share a label set, and ``_finalize`` is
+    a sort.
     """
     present, w = _bernoulli_expansion(existence)
     log_pd, log_qd, log_kappa = _log_factors(sensor)
-    options = [(-log_qd, 0, gm)]
-    for j, z in enumerate(measurements):
+    cost, options = [-log_qd], [gm]
+    for z in measurements:
         if mahalanobis_sq(z, gm, sensor) >= gate_sq:
+            cost.append(np.inf)
+            options.append(None)
             continue
         post, log_lik = gm_kalman_update_log(gm, z, sensor)
-        options.append((-(log_pd + log_lik - log_kappa), j + 1, post))
-    # Forbidden (infinite) costs would rank last; none is kept.
-    options = sorted((o for o in options if math.isfinite(o[0])),
-                     key=lambda o: o[:2])
-    mixtures, rows = [post for _, _, post in options], []
-    for there, log_w, quota in zip(present, _log_weights(w),
-                                   _per_hypothesis_quota(w, cap)):
-        # (table position, theta, log weight) of each child.
-        rows += [(p, theta, log_w - score) for p, (score, theta, _)
-                 in enumerate(options[:quota])] if there else [(-1, 0, log_w)]
-    if len(options) > 1:
-        keep, w = _finalize([row[:1] for row in rows],
+        cost.append(-(log_pd + log_lik - log_kappa))
+        options.append(post)
+    j, score = [], []
+    if True in present:
+        quota = _per_hypothesis_quota(w, cap)[present.index(True)]
+        if len(options) > options.count(None) + 1:
+            _, j, score = _one_label_maps(np.array([cost]),
+                                          np.array([quota]))
+            j, score = j.tolist(), score.tolist()
+        elif math.isfinite(cost[0]):
+            # Nothing in the gate: the miss alone.
+            j, score = [0], cost[:1]
+    mixtures = [options[i] for i in j]
+    # (table position, theta, log weight) of each child.
+    rows = []
+    for there, log_w in zip(present, _log_weights(w)):
+        rows += [(p, i, log_w - s) for p, (i, s) in enumerate(
+            zip(j, score))] if there else [(-1, 0, log_w)]
+    if len(mixtures) > 1:
+        keep, w = _finalize(np.array([row[:1] for row in rows]),
                             [row[2] for row in rows], mixtures, cap)
-        rows = [rows[e] for e in keep]
+        rows = [rows[e] for e in keep.tolist()]
     else:
         # One child per hypothesis: no two rows share a label set, so
         # _finalize keeps the finite rows, heaviest first and the absent
@@ -350,10 +542,9 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
 def dglmb_prune(d, weight_threshold, cap):
     """Drop hypotheses at or below ``weight_threshold``, keep the ``cap``
     heaviest, renormalize.  The heaviest hypothesis always survives."""
-    w = d.w.tolist()
-    order = _ranking(d.hypotheses.tolist(), w)
-    kept = ([h for h in order if w[h] > weight_threshold] or order[:1])[
-        : int(cap)]
-    tot = sum(w[h] for h in kept)
+    order = _ranking(d.hypotheses, d.w)
+    kept = order[d.w[order] > weight_threshold]
+    kept = (kept if len(kept) else order[:1])[: int(cap)]
+    w = d.w[kept]
     return DglmbDensity(d.label_space, d.mixtures, d.hypotheses[kept],
-                        np.array([w[h] / tot for h in kept]))
+                        w / sum(w.tolist()))

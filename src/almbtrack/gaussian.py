@@ -73,9 +73,9 @@ class GaussianMixture:
 
     def normalized(self):
         tot = self.total_weight()
-        if tot <= 0.0:
-            raise NumericalError("mixture weight sum is not positive",
-                                 {"total": tot})
+        if not 0.0 < tot < np.inf:
+            raise NumericalError("mixture weight sum is not positive and "
+                                 "finite", {"total": tot})
         # The innovation terms do not depend on the weights: share them.
         out = _mixture(self.w / tot, self.m, self.P)
         out._terms = self._terms

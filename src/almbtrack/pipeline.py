@@ -338,9 +338,8 @@ def _drop_labels(density, doomed):
     columns = [k for k, lab in enumerate(density.label_space)
                if lab not in doomed]
     index = density.hypotheses[:, columns]
-    first, log_w = _dedup(index.tolist(),
-                          np.log(np.maximum(density.w, 1e-300)).tolist())
-    weights = np.exp(np.array(log_w))
+    first, log_w = _dedup(index, np.log(np.maximum(density.w, 1e-300)))
+    weights = np.exp(log_w)
     return DglmbDensity(
         tuple(density.label_space[k] for k in columns), density.mixtures,
         index[first], weights / np.cumsum(weights)[-1])

@@ -283,6 +283,19 @@ def ref_cross_product(a, b, weight_threshold, cap):
     return ref_dglmb_prune(hyps, weight_threshold, cap)
 
 
+def ref_ranking(rows, values):
+    """``dglmb._ranking`` over list rows: positions sorted stably by
+    descending ``values``, ties broken by label set, as lists of the
+    present columns compare."""
+    keys = [-v for v in values]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if any(keys[a] == keys[b] for a, b in zip(order, order[1:])):
+        keys = [(key, [k for k, i in enumerate(row) if i >= 0])
+                for key, row in zip(keys, rows)]
+        order.sort(key=keys.__getitem__)
+    return order
+
+
 def ref_dedup(entries):
     """First occurrences of (labels, mixture ids), log weights merged; the
     entries keep every mixture alive, so no id is reused."""

@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from almbtrack import (Label, dglmb_cardinality, dglmb_to_lmb,
-                       lmb_cardinality, lmb_to_dglmb)
+from almbtrack import (Label, NumericalError, dglmb_cardinality,
+                       dglmb_to_lmb, lmb_cardinality, lmb_to_dglmb)
 from almbtrack.densities import top_weighted_subsets
 
 from conftest import CAP, single
@@ -27,6 +27,17 @@ def hyp_map(d):
 def test_label_ordering_and_repr():
     assert Label(1, 0) < Label(1, 1) < Label(2, 0)
     assert repr(Label(3, 2)) == "L(3,2)"
+
+
+@pytest.mark.parametrize("weight", [0.0, np.nan, np.inf])
+def test_dglmb_normalized_rejects_a_total_not_positive_and_finite(weight):
+    label = Label(0, 0)
+    d = dglmb_from_rows([label], [((), weight, {}), (
+        (label,), 0.0, {label: single([0.0, 0.0], np.eye(2))})])
+    with pytest.raises(NumericalError) as err:
+        d.normalized()
+    total = err.value.diagnostics["total"]
+    assert total == weight or np.isnan(total) and np.isnan(weight)
 
 
 def test_expand_single_half():

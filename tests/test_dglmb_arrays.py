@@ -13,19 +13,21 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from almbtrack import (GaussianMixture, Label,  # noqa: E402
-                       dglmb_cardinality, dglmb_prune, dglmb_to_lmb,
-                       gm_reduce)
-from almbtrack.dglmb import _CONSOLIDATE_ATOL, _consolidate  # noqa: E402
+                       NumericalError, dglmb_cardinality, dglmb_prune,
+                       dglmb_to_lmb, gm_reduce)
+from almbtrack.assignment import ranked_assignments  # noqa: E402
+from almbtrack.dglmb import (_CONSOLIDATE_ATOL, _consolidate,  # noqa: E402
+                             _finalize, _normalized, _one_label_maps)
 from almbtrack.pipeline import (DGLMB_PRUNE, CAP, GM_CAP,  # noqa: E402
                                 GM_MERGE, GM_PRUNE, _cross_product,
                                 _drop_labels, _marginalize)
 
 from conftest import random_mixture  # noqa: E402
 from oracles import (dglmb_from_rows, ref_consolidate,  # noqa: E402
-                     ref_cross_product, ref_dglmb_cardinality,
+                     ref_cross_product, ref_dedup, ref_dglmb_cardinality,
                      ref_dglmb_prune, ref_dglmb_to_lmb, ref_drop_labels,
-                     ref_marginalize, ref_mixture_average, rows_of,
-                     same_components, same_mixture)
+                     ref_marginalize, ref_mixture_average, ref_ranking,
+                     rows_of, same_components, same_mixture)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -178,3 +180,114 @@ def test_consolidate_matches_concatenated_compare(seed, n_labels, n_rows):
                 e) for e, (row, lw) in enumerate(zip(index, log_w))]
     assert list(zip(kept, merged)) == ref_consolidate(entries,
                                                       _CONSOLIDATE_ATOL)
+
+
+def reference_finalize(rows, log_w, mixtures, cap):
+    """``_finalize`` of list rows by the loops: ``ref_dedup``, the finite
+    rows, ``ref_consolidate``, ``ref_ranking`` where rows merged, the cap
+    and ``_normalized``."""
+    labels = [Label(0, k) for k in range(len(rows[0]))]
+    entries, first = [], {}
+    for e, (row, lw) in enumerate(zip(rows, log_w)):
+        spatial = {lab: mixtures[i] for lab, i in zip(labels, row) if i >= 0}
+        entries.append((tuple(spatial), lw, spatial))
+        first.setdefault(tuple(row), e)
+    kept = []
+    for labs, lw, spatial in ref_dedup(entries):
+        row = tuple(mixtures.index(spatial[lab]) if lab in spatial else -1
+                    for lab in labels)
+        if np.isfinite(lw):
+            kept.append((labs, lw, spatial, first[row]))
+    if not kept:
+        raise NumericalError("all hypothesis weights vanished")
+    merged = ref_consolidate(kept, _CONSOLIDATE_ATOL)
+    if len(merged) < len(kept):
+        order = ref_ranking([rows[e] for e, _ in merged],
+                            [lw for _, lw in merged])
+        merged = [merged[i] for i in order]
+    merged = merged[: int(cap)]
+    return [e for e, _ in merged], _normalized([lw for _, lw in merged])
+
+
+@SETTINGS
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 40),
+       st.sampled_from([1, 3, 50]), st.sampled_from([0.0, 0.2, 1.0]))
+def test_finalize_matches_the_loops(seed, n_labels, n_rows, cap, vanish):
+    # Rows drawn from a few candidates repeat; weights from a few values
+    # tie, also between a label set and its extensions ([0] against
+    # [0, 1]); a share ``vanish`` of the rows is at -inf.  Mixtures of one
+    # and two components come in families of near copies, so rows merge.
+    rng = np.random.default_rng(seed)
+    mixtures = []
+    for _ in range(3):
+        base = random_mixture(rng, n_comp=int(rng.integers(1, 3)))
+        mixtures += [base] + [near_copy(base, off) for off in (
+            0.5 * _CONSOLIDATE_ATOL, 2.0 * _CONSOLIDATE_ATOL)]
+    candidates = np.where(
+        rng.random((max(1, n_rows // 2), n_labels)) < 0.7,
+        rng.integers(len(mixtures), size=(max(1, n_rows // 2), n_labels)),
+        -1)
+    rows = candidates[rng.integers(len(candidates), size=n_rows)]
+    log_w = rng.choice([-1.0, -2.0, rng.normal()], n_rows)
+    log_w[rng.random(n_rows) < vanish] = -np.inf
+    try:
+        expected = reference_finalize(rows.tolist(), log_w.tolist(),
+                                      mixtures, cap)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            _finalize(rows, log_w, mixtures, cap)
+        return
+    keep, w = _finalize(rows, log_w, mixtures, cap)
+    assert keep.tolist() == expected[0]
+    assert w.tolist() == expected[1].tolist()
+
+
+def test_finalize_of_no_rows_raises():
+    # Every hypothesis lost all its maps, as at p_D = 1 with an empty gate.
+    with pytest.raises(NumericalError):
+        _finalize(np.zeros((0, 2), dtype=int), np.zeros(0), [], 50)
+
+
+def test_finalize_breaks_a_prefix_tie_by_label_set():
+    # Equal weights: the label set [0] ranks before its extension [0, 1]
+    # and the empty set before both, whatever the row order.
+    mixtures = [GaussianMixture([1.0], [[0.0, 0.0]], [np.eye(2)]),
+                GaussianMixture([1.0], [[50.0, 0.0]], [np.eye(2)])]
+    rows = np.array([[0, 1], [0, -1], [-1, -1]])
+    keep, w = _finalize(rows, np.array([-1.0, -1.0, -1.0]), mixtures, 50)
+    assert keep.tolist() == [2, 1, 0]
+    assert keep.tolist() == reference_finalize(
+        rows.tolist(), [-1.0] * 3, mixtures, 50)[0]
+
+
+@pytest.mark.parametrize("m", [3, 16, 17, 18, 19, 20])
+def test_one_label_maps_rank_like_ranked_assignments(m):
+    # Costs repeat bit for bit, a measurement may tie the miss, +inf
+    # forbids a map, and NaN and -inf costs are not finite either; every
+    # quota from 1 to m + 1, all rows in one stacked call and each alone
+    # (three measurements alone take the few-cells sort).  Above 16
+    # measurements ranked_assignments runs Murty's algorithm, whose order
+    # of tied costs is its own.
+    rng = np.random.default_rng(m)
+    for _ in range(4):
+        cost = rng.choice([0.5, 1.0, 2.5, np.inf], (8, m + 1))
+        cost[:3] = rng.normal(size=(3, m + 1))  # no ties
+        cost[3, 1:] = np.where(rng.random(m) < 0.3, np.inf,
+                               rng.normal(size=m))
+        cost[3, 1 + int(rng.integers(m))] = cost[3, 0]  # ties the miss
+        cost[4, 0] = np.inf  # p_D = 1: no miss
+        cost[5, 1 + int(rng.integers(m))] = np.nan
+        cost[6, 1 + int(rng.integers(m))] = -np.inf
+        for quota in range(1, m + 2):
+            quotas = np.full(len(cost), quota)
+            hyp, j, score = _one_label_maps(cost, quotas)
+            for h, row in enumerate(cost):
+                expected = ranked_assignments(
+                    np.append(row[1:], row[0])[None], quota)
+                alone = _one_label_maps(row[None], quotas[:1])
+                for hyp_, j_, score_, h_ in [(hyp, j, score, h),
+                                             (*alone, 0)]:
+                    assert [(x,) for x in j_[hyp_ == h_].tolist()] == \
+                        [theta for theta, _ in expected]
+                    assert score_[hyp_ == h_].tolist() == \
+                        [s for _, s in expected]

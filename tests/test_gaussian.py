@@ -150,6 +150,15 @@ def test_reduce_one_component_matches_merge_path(rng, weight):
         gm_reduce(single([0.0], [[1.0]], weight=0.0), 1e-5, 4.0, 20)
 
 
+@pytest.mark.parametrize("weight", [0.0, np.nan, np.inf])
+def test_normalized_rejects_a_total_not_positive_and_finite(weight):
+    gm = GaussianMixture([weight, 0.0], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
+    with pytest.raises(NumericalError) as err:
+        gm.normalized()
+    total = err.value.diagnostics["total"]
+    assert total == weight or np.isnan(total) and np.isnan(weight)
+
+
 def test_reduce_singular_covariance_raises_numerical_error():
     # The heaviest component has no velocity spread, so its covariance
     # has no inverse for the merge distance.
