@@ -11,8 +11,9 @@ A recursion's children are one (children x labels) int array of
 mixture-table positions, as in ``DglmbDensity``, and a log-weight vector,
 from expansion to ``_finalize``: the prediction writes them through one
 boolean subset mask per label count, the update gathers them from the
-(mixture, map) table of posterior positions, and the maps of all
-hypotheses of at most one label come from one stacked sort.
+(mixture, map) table of posterior positions, and up to 16 measurements
+the maps of all hypotheses of at most one label come from one stacked
+sort.
 All weight arithmetic runs in the log domain.  Hypotheses that end up
 with the same label set and the same per-label spatial densities (same
 mixture provenance, or numerically indistinguishable after their Kalman
@@ -62,35 +63,22 @@ def _ranking(rows, values):
     return np.lexsort((*cols.T[::-1], -values))
 
 
-# Below this many rows a Python loop costs less than numpy's fixed cost
-# per call.
-_FEW = 16
-
-
 def _groups(keys):
     """Equal rows of the 2-D ``keys``: each row's group, groups numbered
     in order of first appearance, and the first row of each group."""
-    if len(keys) < _FEW:
-        # A dict of the rows' bytes.
-        raw, step, seen = keys.tobytes(), keys[:1].nbytes, {}
-        group = [seen.setdefault(raw[e * step:(e + 1) * step], len(seen))
-                 for e in range(len(keys))]
-        return (np.array(group, dtype=int),
-                np.array([group.index(g) for g in range(len(seen))],
-                         dtype=int))
-    # A stable sort of the rows' bytes.
-    keys = np.ascontiguousarray(keys)
-    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[
-        :, 0] if keys.shape[1] else np.zeros(len(keys))
-    order = keys.argsort(kind="stable")
-    keys = keys[order]
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    first = order[new]
-    rank = first.argsort()
-    group = np.empty(len(keys), dtype=int)
-    group[order] = rank.argsort()[new.cumsum() - 1]
-    return group, first[rank]
+    # A dict of the rows' bytes.  Against a stable sort of the rows as
+    # void scalars, timed on 2-1,000 rows of 1 and 16 columns: the dict
+    # takes 2 us at 3 rows (the sort 9 us) and loses only from about 50
+    # rows, by 10 us at 100 rows.  A recursion of the sixteen-target
+    # scenario holds at most 140 rows.
+    raw, step, seen = keys.tobytes(), keys[:1].nbytes, {}
+    group, first = [], []
+    for e in range(len(keys)):
+        g = seen.setdefault(raw[e * step:(e + 1) * step], len(seen))
+        if g == len(first):
+            first.append(e)
+        group.append(g)
+    return np.array(group, dtype=int), np.array(first, dtype=int)
 
 
 def _dedup(rows, log_w):
@@ -109,11 +97,26 @@ def _dedup(rows, log_w):
 _CONSOLIDATE_ATOL = 1e-2
 
 
+def _spread(lead):
+    """Whether the sorted ``lead`` (first mean entries of a bucket's first
+    present label) are pairwise farther apart than ``_CONSOLIDATE_ATOL``,
+    so that no two of the bucket's rows can merge."""
+    return all(y - x > _CONSOLIDATE_ATOL for x, y in zip(lead, lead[1:]))
+
+
+# Below this many rows ``_apart`` proves nearly every call of the
+# benchmark's runs apart for less than the array screen's fixed cost:
+# timed on their recorded ``_consolidate`` inputs, 16 us against 37 us
+# at 3 rows and 27 against 69 at 7.  At 8-19 rows it proves about a third
+# apart, and 8 and 12 rows, the most common, take 60 us longer with it.
+_FEW_ROWS = 8
+
+
 def _apart(rows, mixtures):
     """Whether no two of a few ``rows`` (lists of table positions) can
     merge: in each bucket of one label set and signature size, every
     label's mixtures are of one shape and the first present label's first
-    mean entries are farther apart than ``_CONSOLIDATE_ATOL``."""
+    mean entries are ``_spread``."""
     buckets = {}
     for row in rows:
         held = [i for i in row if i >= 0]
@@ -121,12 +124,8 @@ def _apart(rows, mixtures):
         buckets.setdefault((tuple(i >= 0 for i in row), sum(
             c * (1 + d + d * d) for c, d in shapes)), []).append(
                 (shapes, mixtures[held[0]].m[0, 0] if held else 0.0))
-    for members in buckets.values():
-        lead = sorted(x for _, x in members)
-        if len({shapes for shapes, _ in members}) > 1 or not all(
-                y - x > _CONSOLIDATE_ATOL for x, y in zip(lead, lead[1:])):
-            return False
-    return True
+    return all(len({shapes for shapes, _ in members}) < 2 and _spread(
+        sorted(x for _, x in members)) for members in buckets.values())
 
 
 def _consolidate(rows, log_w, mixtures):
@@ -141,7 +140,7 @@ def _consolidate(rows, log_w, mixtures):
     visiting order, and their merged log weights."""
     log_w = np.asarray(log_w, dtype=float)
     order = _ranking(rows, log_w)
-    if len(rows) < _FEW and _apart(rows.tolist(), mixtures):
+    if len(rows) < _FEW_ROWS and _apart(rows.tolist(), mixtures):
         return order, log_w[order]
     rows, log_w = rows[order], log_w[order]
     present = rows >= 0
@@ -178,8 +177,7 @@ def _consolidate(rows, log_w, mixtures):
         # rows merge.
         lead = sorted(X[:, 0].tolist()) if X.size else [0.0] * len(idx)
         aligned = not np.count_nonzero(code != code[:1])
-        if aligned and all(y - x > _CONSOLIDATE_ATOL
-                           for x, y in zip(lead, lead[1:])):
+        if aligned and _spread(lead):
             continue
         # Screen pairs by the first means, first entry first; then compare
         # whole signatures.
@@ -263,41 +261,23 @@ def _one_label_maps(cost, quota):
 
     Up to ``_ENUMERATE_LIMIT`` measurements ``ranked_assignments``
     enumerates: the finite maps sorted by (score, j), its scores summed
-    from 0.0.  Above it, Murty's algorithm gives that order too, but for
-    its own order of bit-equal costs, so a row with a tie (or with a
-    cost that is neither finite nor +inf) takes ``ranked_assignments``'
-    own maps."""
+    from 0.0, which one stable sort of the stacked rows gives.  Above it,
+    Murty's algorithm orders bit-equal costs by its own rule, so every
+    row takes ``ranked_assignments``' own maps."""
     g, width = cost.shape
-    if cost.size < _FEW:
-        # A sort of (score, map) pairs; width - 1 <= _ENUMERATE_LIMIT.
-        maps = [(h, j, s) for h, (row, q) in enumerate(zip(
-            (cost + 0.0).tolist(), quota.tolist())) for s, j in sorted(
-                (s, j) for j, s in enumerate(row) if math.isfinite(s))[:q]]
-        return tuple(np.array(part, dtype=dtype).reshape(len(maps))
-                     for part, dtype in zip(zip(*maps) if maps else
-                                            ((), (), ()), (int, int, float)))
+    if width - 1 > _ENUMERATE_LIMIT:
+        maps = [(h, theta[0], s) for h, (row, q) in enumerate(zip(
+            cost, quota.tolist())) for theta, s in ranked_assignments(
+                np.append(row[1:], row[0])[None], q)]
+        return tuple(np.array(part, dtype=dtype) for part, dtype in zip(
+            zip(*maps) if maps else ((), (), ()), (int, int, float)))
     # Maps of a cost that is not finite rank last, as +inf.
     score = np.where(np.isfinite(cost), cost + 0.0, np.inf)
     order = score.argsort(1, kind="stable")
     ranked = score[np.arange(g)[:, None], order]
-    finite = np.isfinite(ranked)
-    hyp, rank = (finite & (np.arange(width) < quota[:, None])).nonzero()
-    maps = hyp, order[hyp, rank], ranked[hyp, rank]
-    if width - 1 <= _ENUMERATE_LIMIT:
-        return maps
-    murty = ((ranked[:, 1:] == ranked[:, :-1]) & finite[:, 1:]).any(1) | (
-        np.isnan(cost) | (cost == -np.inf)).any(1)
-    if not murty.any():
-        return maps
-    keep = ~murty[hyp]
-    extra = [(h, theta[0], s) for h in np.flatnonzero(murty).tolist()
-             for theta, s in ranked_assignments(
-                 np.append(cost[h, 1:], cost[h, 0])[None], quota[h])]
-    maps = [np.concatenate((part[keep], np.array(new, dtype=part.dtype)))
-            for part, new in zip(maps, zip(*extra) if extra
-                                 else ((), (), ()))]
-    order = np.argsort(maps[0], kind="stable")
-    return tuple(part[order] for part in maps)
+    hyp, rank = (np.isfinite(ranked) & (np.arange(width) < quota[:, None])
+                 ).nonzero()
+    return hyp, order[hyp, rank], ranked[hyp, rank]
 
 
 def _per_hypothesis_quota(weights, cap):

@@ -264,10 +264,9 @@ def test_finalize_breaks_a_prefix_tie_by_label_set():
 def test_one_label_maps_rank_like_ranked_assignments(m):
     # Costs repeat bit for bit, a measurement may tie the miss, +inf
     # forbids a map, and NaN and -inf costs are not finite either; every
-    # quota from 1 to m + 1, all rows in one stacked call and each alone
-    # (three measurements alone take the few-cells sort).  Above 16
-    # measurements ranked_assignments runs Murty's algorithm, whose order
-    # of tied costs is its own.
+    # quota from 1 to m + 1, all rows in one stacked call and each alone.
+    # Above 16 measurements ranked_assignments runs Murty's algorithm,
+    # whose order of tied costs is its own, and every row takes its maps.
     rng = np.random.default_rng(m)
     for _ in range(4):
         cost = rng.choice([0.5, 1.0, 2.5, np.inf], (8, m + 1))
