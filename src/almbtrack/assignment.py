@@ -9,7 +9,10 @@ using each measurement column at most once.
 Assignments are reported as maps ``row -> j`` with ``j = 0`` for a miss
 and ``j in 1..m`` for measurement ``j - 1``, together with their total
 cost.  Results come out in nondecreasing cost with deterministic
-tie-breaking.
+tie-breaking.  ``ranked_assignments`` checks the matrix and enumerates
+small problems exhaustively, handing larger ones to Murty's algorithm;
+``ranked_one_label`` ranks many one-row problems at once with the same
+results.
 """
 
 import heapq
@@ -43,13 +46,10 @@ def _solve(cost):
 
 
 def enumerate_assignments(cost, k):
-    """The ``k`` cheapest finite assignments by recursive enumeration,
-    sorted by cost."""
-    cost = np.asarray(cost, dtype=float)
+    """The ``k`` cheapest finite assignments of the float matrix ``cost``
+    by recursive enumeration, sorted by cost."""
     n = cost.shape[0]
     m = cost.shape[1] - n
-    if m < 0:
-        raise UsageError("cost matrix needs one miss column per row")
     results = []
 
     def recurse(row, used, cols, acc):
@@ -70,12 +70,10 @@ def enumerate_assignments(cost, k):
 
 
 def murty_assignments(cost, k):
-    """K best assignments via Murty partitioning over the Hungarian solver."""
-    cost = np.asarray(cost, dtype=float)
+    """The ``k`` best assignments of the float matrix ``cost`` via Murty
+    partitioning over the Hungarian solver."""
     n = cost.shape[0]
     m = cost.shape[1] - n
-    if m < 0:
-        raise UsageError("cost matrix needs one miss column per row")
     if n == 0:
         return [((), 0.0)]
     first = _solve(cost)
@@ -121,3 +119,31 @@ def ranked_assignments(cost, k):
     if n * m <= _ENUMERATE_LIMIT:
         return enumerate_assignments(cost, k)
     return murty_assignments(cost, k)
+
+
+def ranked_one_label(cost, quota):
+    """``ranked_assignments`` of one-row problems, stacked: row h of the
+    (g, m + 1) ``cost`` holds problem h's cost of map j in column j, the
+    miss in column 0, and ``quota[h]`` bounds its maps.  Returns the
+    problem, map and score of every kept map, problem by problem, best
+    first.
+
+    Up to ``_ENUMERATE_LIMIT`` measurements ``ranked_assignments``
+    enumerates: the finite maps sorted by (score, j), its scores summed
+    from 0.0, which one stable sort of the stacked rows gives.  Above it,
+    Murty's algorithm orders bit-equal costs by its own rule, so every
+    row takes ``ranked_assignments``' own maps."""
+    g, width = cost.shape
+    if width - 1 > _ENUMERATE_LIMIT:
+        maps = [(h, theta[0], s) for h, (row, q) in enumerate(zip(
+            cost, quota.tolist())) for theta, s in ranked_assignments(
+                np.append(row[1:], row[0])[None], q)]
+        return tuple(np.array(part, dtype=dtype) for part, dtype in zip(
+            zip(*maps) if maps else ((), (), ()), (int, int, float)))
+    # Maps of a cost that is not finite rank last, as +inf.
+    score = np.where(np.isfinite(cost), cost + 0.0, np.inf)
+    order = score.argsort(1, kind="stable")
+    ranked = score[np.arange(g)[:, None], order]
+    hyp, rank = (np.isfinite(ranked) & (np.arange(width) < quota[:, None])
+                 ).nonzero()
+    return hyp, order[hyp, rank], ranked[hyp, rank]

@@ -5,7 +5,9 @@ one per label.  A delta-GLMB density is a weighted list of hypotheses;
 each hypothesis fixes a label set and one spatial density per label in
 that set.  Both are tables over a sorted label space.  The conversions
 between the two forms and the cardinality distributions they induce
-live here.
+live here, with the expansion of independent Bernoulli existences into
+weighted label subsets: ``expansion`` for any number of tracks, and
+``bernoulli_expansion`` for one, in closed form with the same bits.
 """
 
 import heapq
@@ -17,7 +19,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import NumericalError
-from .gaussian import _mixture, joined_terms
+from .gaussian import mixture_average
 
 # Existence probabilities of exactly one are clamped so hypothesis
 # weights (products of r and 1 - r) stay finite.
@@ -144,6 +146,23 @@ def expansion(existences, max_hypotheses):
     return [subset for subset, _ in subsets], w / w.sum()
 
 
+def bernoulli_expansion(existence):
+    """``expansion([existence], cap)``, for any cap of 2 or more, then
+    normalized again as ``DglmbDensity.normalized`` does: whether each
+    label subset holds the track, and its weight, best first.  The absent
+    subset alone where the existence is 0."""
+    lo = _bernoulli_log_odds(existence)
+    if lo == -math.inf:
+        return [False], [1.0]
+    # The weights relative to the best subset's, as expansion's
+    # exponentials give them; then its normalization, then the density's.
+    w = [1.0, float(np.exp(-abs(lo)))]
+    for _ in range(2):
+        tot = w[0] + w[1]
+        w = [w[0] / tot, w[1] / tot]
+    return [lo > 0.0, lo <= 0.0], w
+
+
 def lmb_to_dglmb(lmb, max_hypotheses):
     """Expand an LMB density into the equivalent delta-GLMB density.
 
@@ -183,20 +202,6 @@ def dglmb_to_lmb(d):
             existences.append(min(r, 1.0))
     d._lmb = LmbDensity(tuple(labels), mixtures, existences)
     return d._lmb
-
-
-def mixture_average(parts, total):
-    """The sum of ``w / total`` times each normalized mixture ``gm``,
-    holding the innovation terms its parts share (``joined_terms``).  The
-    covariances are the parts' stored ones, symmetric already."""
-    weights, mixtures = zip(*parts)
-    out = _mixture(
-        np.concatenate([gm.w * (w / (total * gm.total_weight()))
-                        for w, gm in zip(weights, mixtures)]),
-        np.concatenate([gm.m for gm in mixtures]),
-        np.concatenate([gm.P for gm in mixtures]))
-    out._terms = joined_terms(mixtures)
-    return out
 
 
 def lmb_cardinality(lmb):

@@ -11,13 +11,14 @@ A recursion's children are one (children x labels) int array of
 mixture-table positions, as in ``DglmbDensity``, and a log-weight vector,
 from expansion to ``_finalize``: the prediction writes them through one
 boolean subset mask per label count, the update gathers them from the
-(mixture, map) table of posterior positions, and up to 16 measurements
-the maps of all hypotheses of at most one label come from one stacked
-sort.
+(mixture, map) table of posterior positions, and the maps of all
+hypotheses of at most one label come from one ``ranked_one_label`` call.
 All weight arithmetic runs in the log domain.  Hypotheses that end up
 with the same label set and the same per-label spatial densities (same
 mixture provenance, or numerically indistinguishable after their Kalman
-chains converged) are merged by summing weights.
+chains converged) are merged by summing weights.  Equal rows are found
+by one rule, ``row_groups``, which also serves the pipeline's label
+drops (``dglmb_drop_labels``) and marginals.
 """
 
 import math
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import _ENUMERATE_LIMIT, ranked_assignments
-from .densities import (DglmbDensity, _bernoulli_log_odds,
-                        top_weighted_subsets)
+from .assignment import ranked_assignments, ranked_one_label
+from .densities import DglmbDensity, bernoulli_expansion, top_weighted_subsets
 from .errors import NumericalError
 from .gaussian import (gm_kalman_update_log, gm_predict, kalman_updates,
                        mahalanobis_sq)
@@ -63,7 +63,7 @@ def _ranking(rows, values):
     return np.lexsort((*cols.T[::-1], -values))
 
 
-def _groups(keys):
+def row_groups(keys):
     """Equal rows of the 2-D ``keys``: each row's group, groups numbered
     in order of first appearance, and the first row of each group."""
     # A dict of the rows' bytes.  Against a stable sort of the rows as
@@ -86,12 +86,25 @@ def _dedup(rows, log_w):
     ``rows``, in order, and their log weights merged by ``logaddexp`` in
     row order."""
     log_w = np.asarray(log_w, dtype=float)
-    group, first = _groups(rows)
+    group, first = row_groups(rows)
     if len(first) == len(rows):
         return first, log_w
     merged = np.full(len(first), -np.inf)
     np.logaddexp.at(merged, group, log_w)
     return first, merged
+
+
+def dglmb_drop_labels(d, doomed):
+    """Drop the labels in ``doomed`` from the delta-GLMB density ``d``:
+    rows that then coincide merge by ``_dedup``, their weights added from
+    the floored log weights and renormalized."""
+    columns = [k for k, lab in enumerate(d.label_space) if lab not in doomed]
+    index = d.hypotheses[:, columns]
+    first, log_w = _dedup(index, np.log(np.maximum(d.w, 1e-300)))
+    weights = np.exp(log_w)
+    return DglmbDensity(tuple(d.label_space[k] for k in columns),
+                        d.mixtures, index[first],
+                        weights / np.cumsum(weights)[-1])
 
 
 _CONSOLIDATE_ATOL = 1e-2
@@ -152,7 +165,7 @@ def _consolidate(rows, log_w, mixtures):
     size[used] = [c * (1 + d + d * d) for c, d in shapes]
     # Buckets of one label set and signature size, in visiting order; a
     # row alone in its bucket is a representative.
-    group, heads = _groups(np.concatenate(
+    group, heads = row_groups(np.concatenate(
         (present, size[rows].sum(1)[:, None]), 1))
     if len(heads) == len(rows):
         return order, log_w
@@ -252,34 +265,6 @@ def _normalized(log_w):
     return np.exp(log_w - (top + np.log(np.exp(log_w - top).sum())))
 
 
-def _one_label_maps(cost, quota):
-    """``ranked_assignments`` of one-label hypotheses, stacked: row h of
-    the (g, m + 1) ``cost`` holds hypothesis h's cost of map j in column
-    j, the miss in column 0, and ``quota[h]`` bounds its maps.  Returns
-    the hypothesis, map and score of every kept map, hypothesis by
-    hypothesis, best first.
-
-    Up to ``_ENUMERATE_LIMIT`` measurements ``ranked_assignments``
-    enumerates: the finite maps sorted by (score, j), its scores summed
-    from 0.0, which one stable sort of the stacked rows gives.  Above it,
-    Murty's algorithm orders bit-equal costs by its own rule, so every
-    row takes ``ranked_assignments``' own maps."""
-    g, width = cost.shape
-    if width - 1 > _ENUMERATE_LIMIT:
-        maps = [(h, theta[0], s) for h, (row, q) in enumerate(zip(
-            cost, quota.tolist())) for theta, s in ranked_assignments(
-                np.append(row[1:], row[0])[None], q)]
-        return tuple(np.array(part, dtype=dtype) for part, dtype in zip(
-            zip(*maps) if maps else ((), (), ()), (int, int, float)))
-    # Maps of a cost that is not finite rank last, as +inf.
-    score = np.where(np.isfinite(cost), cost + 0.0, np.inf)
-    order = score.argsort(1, kind="stable")
-    ranked = score[np.arange(g)[:, None], order]
-    hyp, rank = (np.isfinite(ranked) & (np.arange(width) < quota[:, None])
-                 ).nonzero()
-    return hyp, order[hyp, rank], ranked[hyp, rank]
-
-
 def _per_hypothesis_quota(weights, cap):
     return [int(math.ceil(cap * w)) + 1 for w in weights]
 
@@ -358,7 +343,7 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
     ``kalman_updates`` pass, which reads the innovation terms the gate
     pass cached on the table and fills them, in one stacked call, for the
     mixtures that hold none covering ``measurements``.  Hypotheses of at
-    most one label are ranked together by ``_one_label_maps``.
+    most one label are ranked together by ``ranked_one_label``.
 
     Returns an :class:`UpdateOutput` carrying the posterior and the
     track-to-measurement association marginals of the retained children.
@@ -387,7 +372,7 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
     # Hypotheses of at most one label, in one stacked ranking.
     group = (size <= 1).nonzero()[0]
     at = hyps[group].max(1, initial=-1)
-    hyp, j, score = _one_label_maps(cost[at], quota[group])
+    hyp, j, score = ranked_one_label(cost[at], quota[group])
     parent = group[hyp]
     held_one = held[parent]
     rows = np.where(held_one, child[at[hyp], j][:, None], -1)
@@ -440,23 +425,6 @@ def _log_factors(sensor):
             math.log1p(-p_d) if p_d < 1.0 else -np.inf, sensor.log_clutter())
 
 
-def _bernoulli_expansion(existence):
-    """``expansion([existence], cap)``, for any cap of 2 or more, then
-    normalized again as ``DglmbDensity.normalized`` does: whether each
-    label subset holds the track, and its weight, best first.  The absent
-    subset alone where the existence is 0."""
-    lo = _bernoulli_log_odds(existence)
-    if lo == -math.inf:
-        return [False], [1.0]
-    # The weights relative to the best subset's, as expansion's
-    # exponentials give them; then its normalization, then the density's.
-    w = [1.0, float(np.exp(-abs(lo)))]
-    for _ in range(2):
-        tot = w[0] + w[1]
-        w = [w[0] / tot, w[1] / tot]
-    return [lo > 0.0, lo <= 0.0], w
-
-
 def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
     """``dglmb_update`` on the expansion of the one-track LMB density of
     ``existence`` and mixture ``gm``, in closed form: ``(mixtures, index,
@@ -464,7 +432,7 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
     and ``theta`` a list.
 
     The absent hypothesis has one child.  The present one has its miss
-    and its gated measurements, ranked by ``_one_label_maps`` as
+    and its gated measurements, ranked by ``ranked_one_label`` as
     ``ranked_assignments`` ranks a one-row cost matrix.  Where the present
     hypothesis has at most one child, as with nothing in the gate (the
     Bernoulli missed-detection posterior, existence r (1 - p_D) /
@@ -473,7 +441,7 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
     measurement, no two children share a label set, and ``_finalize`` is
     a sort.
     """
-    present, w = _bernoulli_expansion(existence)
+    present, w = bernoulli_expansion(existence)
     log_pd, log_qd, log_kappa = _log_factors(sensor)
     cost, options = [-log_qd], [gm]
     for z in measurements:
@@ -488,8 +456,8 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
     if True in present:
         quota = _per_hypothesis_quota(w, cap)[present.index(True)]
         if len(options) > options.count(None) + 1:
-            _, j, score = _one_label_maps(np.array([cost]),
-                                          np.array([quota]))
+            _, j, score = ranked_one_label(np.array([cost]),
+                                           np.array([quota]))
             j, score = j.tolist(), score.tolist()
         elif math.isfinite(cost[0]):
             # Nothing in the gate: the miss alone.

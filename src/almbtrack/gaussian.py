@@ -2,8 +2,8 @@
 
 All multi-object filters in this package represent each track's spatial
 density as a weighted Gaussian mixture and share the Kalman prediction,
-Kalman update, likelihood evaluation and mixture-reduction routines
-defined here.
+Kalman update, likelihood evaluation, mixture-averaging and
+mixture-reduction routines defined here.
 
 ``gm_predict``, ``predicted_measurement``, ``gate_mask`` and
 ``innovation_terms`` take a list of mixtures and make one stacked pass
@@ -14,7 +14,10 @@ of a single component, so a mixture gets the same bits in any company.
 A covariance is symmetrized once, where it is formed: on input, in the
 prediction ``F P F' + Q`` and in the innovation terms.  Mixtures built
 from covariances that are stored or symmetrized already skip the public
-constructor's checks and its symmetrize.
+constructor's checks and its symmetrize.  Only this module reads or
+writes a mixture's innovation terms: ``innovation_terms`` fills them, the
+gate and the Kalman update read them, and ``mixture_average`` carries
+its parts' terms over to their average.
 """
 
 from dataclasses import dataclass
@@ -240,21 +243,29 @@ def _cholesky(S):
         raise
 
 
-def joined_terms(mixtures):
-    """The innovation terms of ``mixtures`` concatenated in order, if
-    each holds them for one sensor and one measurement table; else None.
-    One mixture's are shared as they are."""
+def mixture_average(parts, total):
+    """The sum of ``w / total`` times each normalized mixture ``gm`` of
+    the ``(w, gm)`` ``parts``, its components the parts' in order.  The
+    covariances are the parts' stored ones, symmetric already.  Where
+    every part holds innovation terms for one sensor and one measurement
+    table, the average holds them too: one part's are shared as they
+    are, several parts' are concatenated in order."""
+    weights, mixtures = zip(*parts)
+    out = _mixture(
+        np.concatenate([gm.w * (w / (total * gm.total_weight()))
+                        for w, gm in zip(weights, mixtures)]),
+        np.concatenate([gm.m for gm in mixtures]),
+        np.concatenate([gm.P for gm in mixtures]))
     terms = [gm._terms for gm in mixtures]
     first = terms[0]
     if first is None or not all(
             t is not None and t["sensor"] is first["sensor"]
             and t["table"] == first["table"] for t in terms):
-        return None
-    if len(terms) == 1:
-        return first
-    return dict(first, **{
+        return out
+    out._terms = first if len(terms) == 1 else dict(first, **{
         name: np.concatenate([t[name] for t in terms]) for name in (
             "z_pred", "K", "cov", "logdet", "d2")})
+    return out
 
 
 def _covers(t, sensor, keys):

@@ -18,7 +18,8 @@ from .errors import ConfigurationError, check_numbers
 
 @dataclass(frozen=True)
 class OspaParams:
-    """Order ``p``, cutoff ``c`` and label penalty ``alpha`` (stage 2)."""
+    """Order ``p``, cutoff ``c`` and label penalty ``alpha`` (stage 2);
+    ``p`` and ``c`` must be finite."""
 
     p: float = 1.0
     c: float = 300.0
@@ -26,8 +27,8 @@ class OspaParams:
 
     def __post_init__(self):
         check_numbers("ospa", vars(self), [
-            (("p",), ">= 1", lambda v: v >= 1.0),
-            (("c",), "> 0", lambda v: v > 0.0),
+            (("p",), "in [1, inf)", lambda v: 1.0 <= v < np.inf),
+            (("c",), "in (0, inf)", lambda v: 0.0 < v < np.inf),
             (("alpha",), "in [0, c]", lambda v: 0.0 <= v <= self.c)])
 
 

@@ -24,12 +24,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .densities import (DglmbDensity, Label, LmbDensity, dglmb_to_lmb,
-                        lmb_to_dglmb, mixture_average)
-from .dglmb import (_dedup, dglmb_predict, dglmb_prune, dglmb_update,
-                    one_track_update)
+                        lmb_to_dglmb)
+from .dglmb import (dglmb_drop_labels, dglmb_predict, dglmb_prune,
+                    dglmb_update, one_track_update, row_groups)
 from .errors import UsageError, check_numbers
 from .gaussian import (gate_mask, gm_reduce, innovation_terms, map_point,
-                       predicted_measurement)
+                       mixture_average, predicted_measurement)
 from .lmb import lmb_predict, lmb_update
 from .switching import (Mode, Trigger, association_entropy, cardinality_kl,
                         decide_switch, kl_criterion)
@@ -334,17 +334,6 @@ def _update_one_track(group, measurements, sensor, config):
     return _settle(group, state, kl, entropy, density)
 
 
-def _drop_labels(density, doomed):
-    columns = [k for k, lab in enumerate(density.label_space)
-               if lab not in doomed]
-    index = density.hypotheses[:, columns]
-    first, log_w = _dedup(index, np.log(np.maximum(density.w, 1e-300)))
-    weights = np.exp(log_w)
-    return DglmbDensity(
-        tuple(density.label_space[k] for k in columns), density.mixtures,
-        index[first], weights / np.cumsum(weights)[-1])
-
-
 def prune_group(group):
     """Prune one group; returns None when nothing survives.
 
@@ -362,7 +351,7 @@ def prune_group(group):
     doomed = set(density.label_space) - {
         label for label, r in zip(view.label_space, view.r) if r > LMB_PRUNE}
     if doomed:
-        density = _drop_labels(density, doomed)
+        density = dglmb_drop_labels(density, doomed)
     if not density.label_space:
         return None
     return replace(group, density=density)
@@ -410,14 +399,11 @@ def _marginalize(density, member_labels):
                if lab in member_labels]
     sub = density.hypotheses[:, columns]
     # Child c collects the rows whose restriction has its label set.
-    child = {}
-    rows = np.array([child.setdefault(key.tobytes(), len(child))
-                     for key in sub >= 0])
-    weight = np.zeros(len(child))
+    rows, first = row_groups(sub >= 0)
+    weight = np.zeros(len(first))
     np.add.at(weight, rows, density.w)
     mixtures = list(density.mixtures)
-    index = np.full((len(child), len(columns)), -1)
-    first = np.unique(rows, return_index=True)[1]
+    index = np.full((len(first), len(columns)), -1)
     for c, k in zip(*np.nonzero(sub[first] >= 0)):
         used = sub[rows == c, k]
         if (used == used[0]).all():

@@ -116,7 +116,7 @@ def _validate(config):
          lambda v: isinstance(v, numbers.Integral) and v >= 1),
         (("seed",), "an integer >= 0",
          lambda v: isinstance(v, numbers.Integral) and v >= 0),
-        (("cycle_time",), "> 0", lambda v: v > 0.0)])
+        (("cycle_time",), "in (0, inf)", lambda v: 0.0 < v < np.inf)])
     region = _finite("region", config.region, (2, 2))
     if np.any(region[:, 0] >= region[:, 1]):
         raise ConfigurationError("region must be two nonempty intervals")
@@ -137,12 +137,12 @@ def _validate(config):
                                      % (i, site.std))
     # The tracker and ospa blocks check themselves on construction.
     check_numbers("motion", vars(config.motion), [
-        (("velocity_noise_std",), ">= 0", lambda v: v >= 0.0),
+        (("velocity_noise_std",), "in [0, inf)", lambda v: 0.0 <= v < np.inf),
         (("survival_prob",), "in [0, 1]", lambda v: 0.0 <= v <= 1.0)])
     check_numbers("sensor", vars(config.sensor), [
-        (("position_noise_std",), "> 0", lambda v: v > 0.0),
+        (("position_noise_std",), "in (0, inf)", lambda v: 0.0 < v < np.inf),
         (("detection_prob",), "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
-        (("clutter_rate",), ">= 0", lambda v: v >= 0.0)])
+        (("clutter_rate",), "in [0, inf)", lambda v: 0.0 <= v < np.inf)])
 
 
 def load_scenario(path):

@@ -15,12 +15,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from almbtrack import (GaussianMixture, Label,  # noqa: E402
                        NumericalError, dglmb_cardinality, dglmb_prune,
                        dglmb_to_lmb, gm_reduce)
-from almbtrack.assignment import ranked_assignments  # noqa: E402
+from almbtrack.assignment import (ranked_assignments,  # noqa: E402
+                                  ranked_one_label)
 from almbtrack.dglmb import (_CONSOLIDATE_ATOL, _consolidate,  # noqa: E402
-                             _finalize, _normalized, _one_label_maps)
+                             _finalize, _normalized, dglmb_drop_labels)
 from almbtrack.pipeline import (DGLMB_PRUNE, CAP, GM_CAP,  # noqa: E402
                                 GM_MERGE, GM_PRUNE, _cross_product,
-                                _drop_labels, _marginalize)
+                                _marginalize)
 
 from conftest import random_mixture  # noqa: E402
 from oracles import (dglmb_from_rows, ref_consolidate,  # noqa: E402
@@ -128,7 +129,7 @@ def test_cross_product_matches_object_loop(a, b):
 def test_drop_labels_matches_object_loop(d, mask):
     d = d.normalized()
     doomed = {lab for k, lab in enumerate(d.label_space) if mask >> k & 1}
-    out = _drop_labels(d, doomed)
+    out = dglmb_drop_labels(d, doomed)
     assert_matches(out, [lab for lab in d.label_space if lab not in doomed],
                    ref_drop_labels(d, doomed))
     assert_invariants(out)
@@ -279,11 +280,11 @@ def test_one_label_maps_rank_like_ranked_assignments(m):
         cost[6, 1 + int(rng.integers(m))] = -np.inf
         for quota in range(1, m + 2):
             quotas = np.full(len(cost), quota)
-            hyp, j, score = _one_label_maps(cost, quotas)
+            hyp, j, score = ranked_one_label(cost, quotas)
             for h, row in enumerate(cost):
                 expected = ranked_assignments(
                     np.append(row[1:], row[0])[None], quota)
-                alone = _one_label_maps(row[None], quotas[:1])
+                alone = ranked_one_label(row[None], quotas[:1])
                 for hyp_, j_, score_, h_ in [(hyp, j, score, h),
                                              (*alone, 0)]:
                     assert [(x,) for x in j_[hyp_ == h_].tolist()] == \

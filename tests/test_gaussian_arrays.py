@@ -19,10 +19,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from almbtrack import (GaussianMixture, MotionModel, SensorModel,  # noqa: E402
                        gm_predict, gm_reduce)
-from almbtrack.densities import mixture_average  # noqa: E402
 from almbtrack.gaussian import (gate_mask, gm_kalman_update_log,  # noqa: E402
                                 innovation_terms, kalman_updates,
-                                mahalanobis_sq, predicted_measurement)
+                                mahalanobis_sq, mixture_average,
+                                predicted_measurement)
 
 from oracles import (ref_gate_mask, ref_gm_predict,  # noqa: E402
                      ref_gm_reduce, ref_kalman_update, ref_mixture_average,
@@ -189,6 +189,53 @@ def test_mixture_average_matches_component_loop(seed, n_parts):
     total = sum(w for w, _ in parts)
     assert same_components(mixture_average(parts, total),
                            ref_mixture_average(parts, total))
+
+
+TERM_NAMES = ("z_pred", "K", "cov", "logdet", "d2")
+
+
+@SETTINGS
+@given(seeds, st.integers(1, 3), st.sampled_from(
+    ["shared", "table", "sensor", "none"]))
+def test_mixture_average_carries_terms_of_one_table(seed, n_parts, odd):
+    # Every part holds terms for (sensor, Z), except that with n_parts > 1
+    # the last holds them for another table, another sensor or none.
+    rng = np.random.default_rng(seed)
+    parts = [(float(rng.uniform(0.1, 1.0)), random_mixture(rng, 5.0))
+             for _ in range(n_parts)]
+    _, sensor = models(rng)
+    _, other = models(rng)
+    Z = rng.normal(0.0, 4.0, (3, 2))
+    innovation_terms([gm for _, gm in parts], sensor, Z)
+    last = parts[-1][1]
+    odd = odd if n_parts > 1 else "shared"
+    if odd == "table":
+        last._terms = None
+        innovation_terms([last], sensor, Z[:2])
+    elif odd == "sensor":
+        last._terms = None
+        innovation_terms([last], other, Z)
+    elif odd == "none":
+        last._terms = None
+    total = sum(w for w, _ in parts)
+    out = mixture_average(parts, total)
+    if odd != "shared":
+        assert out._terms is None
+    elif n_parts == 1:
+        assert out._terms is last._terms
+    else:
+        terms = [gm._terms for _, gm in parts]
+        for key in ("sensor", "table", "rows"):
+            assert out._terms[key] is terms[0][key]
+        for name in TERM_NAMES:
+            assert np.array_equal(out._terms[name], np.concatenate(
+                [t[name] for t in terms]))
+        # They are the terms a fill gives the average's own components.
+        fresh = mixture_average(parts, total)
+        fresh._terms = None
+        innovation_terms([fresh], sensor, Z)
+        for name in TERM_NAMES:
+            assert np.array_equal(out._terms[name], fresh._terms[name])
 
 
 @SETTINGS

@@ -327,6 +327,26 @@ def test_cli_rejects_removed_tracker_key(tmp_path, capsys):
         "error: unknown key(s) ['gate_sq'] in tracker\n"
 
 
+def test_cli_rejects_infinite_ospa_order_before_the_runs(
+        tmp_path, monkeypatch, capsys):
+    # The file says Infinity; the error names the field, and no filter
+    # runs before it.
+    def no_run(*args):
+        raise AssertionError("a filter ran")
+
+    monkeypatch.setattr(harness, "run_filter", no_run)
+    ospa = dict(builtin_scenario("two-target").to_dict()["ospa"],
+                p=float("inf"))
+    scenario = write_scenario(tmp_path, ospa=ospa)
+    assert "Infinity" in Path(scenario).read_text()
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", scenario, "--filter", "lmb",
+                 "--runs", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: ospa p must be in [1, inf), got inf\n"
+    assert not out.exists()
+
+
 def test_cli_plotdata_from_run(tmp_path):
     scenario = write_scenario(tmp_path)
     out = tmp_path / "out"

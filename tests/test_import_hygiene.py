@@ -1,7 +1,7 @@
-"""Import hygiene of the package: every module uses what it imports,
-every function reads every parameter it takes, every top-level function,
-class and method is used, and the public names are a pinned list that
-resolves."""
+"""Import hygiene of the package: every module uses what it imports and
+imports no underscore name, every function reads every parameter it
+takes, every top-level function, class and method is used, and the
+public names are a pinned list that resolves."""
 
 import ast
 from collections import Counter
@@ -49,6 +49,29 @@ def test_unused_import_is_reported():
     source = ("import os\nimport numpy as np\nfrom math import pi, tau\n"
               "__all__ = ['tau']\nprint(np.pi)\n")
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
+
+
+def private_imports(source):
+    """``(line, name)`` of every underscore name the module imports from
+    another module: a private name belongs to its own module, so a rule
+    that two modules need lives in one of them under a public name."""
+    return sorted((node.lineno, alias.name)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_private_import_is_reported():
+    source = ("import os._private\nfrom .a import _hidden, shown\n"
+              "from . import _module\nfrom .b import (public,\n"
+              "    _LIMIT as limit)\n_local = shown\n")
+    assert private_imports(source) == [
+        (2, "_hidden"), (3, "_module"), (4, "_LIMIT")]
 
 
 def unread_parameters(source):

@@ -241,6 +241,22 @@ def test_validation_catches_bad_tracker_values(block, key, value):
         scenario_from_dict(cfg)
 
 
+@pytest.mark.parametrize("block, key", [
+    (None, "cycle_time"), ("motion", "velocity_noise_std"),
+    ("sensor", "position_noise_std"), ("sensor", "clutter_rate"),
+    ("ospa", "p"), ("ospa", "c")])
+def test_validation_rejects_infinite_settings(block, key):
+    # JSON readers accept Infinity; these settings must be finite.
+    cfg = builtin_scenario("two-target").to_dict()
+    (cfg if block is None else cfg[block])[key] = float("inf")
+    text = json.dumps(cfg)
+    assert "Infinity" in text
+    with pytest.raises(ConfigurationError,
+                       match=r"%s %s must be in .*, inf\), got inf" % (
+                           block or "scenario", key)):
+        scenario_from_dict(json.loads(text))
+
+
 def test_validation_accepts_tracker_range_edges():
     cfg = builtin_scenario("two-target").to_dict()
     for edge in (0.0, float("inf")):
