@@ -25,7 +25,7 @@ from .errors import UsageError
 
 # Below this problem size exhaustive enumeration is cheaper than Murty's
 # algorithm and exact by construction.
-_ENUMERATE_LIMIT = 16
+ENUMERATE_LIMIT = 16
 
 
 def _to_map(cols, m):
@@ -116,7 +116,7 @@ def ranked_assignments(cost, k):
     k = int(k)
     if k <= 0:
         return []
-    if n * m <= _ENUMERATE_LIMIT:
+    if n * m <= ENUMERATE_LIMIT:
         return enumerate_assignments(cost, k)
     return murty_assignments(cost, k)
 
@@ -128,13 +128,13 @@ def ranked_one_label(cost, quota):
     problem, map and score of every kept map, problem by problem, best
     first.
 
-    Up to ``_ENUMERATE_LIMIT`` measurements ``ranked_assignments``
+    Up to ``ENUMERATE_LIMIT`` measurements ``ranked_assignments``
     enumerates: the finite maps sorted by (score, j), its scores summed
     from 0.0, which one stable sort of the stacked rows gives.  Above it,
     Murty's algorithm orders bit-equal costs by its own rule, so every
     row takes ``ranked_assignments``' own maps."""
     g, width = cost.shape
-    if width - 1 > _ENUMERATE_LIMIT:
+    if width - 1 > ENUMERATE_LIMIT:
         maps = [(h, theta[0], s) for h, (row, q) in enumerate(zip(
             cost, quota.tolist())) for theta, s in ranked_assignments(
                 np.append(row[1:], row[0])[None], q)]

@@ -8,6 +8,8 @@ between the two forms and the cardinality distributions they induce
 live here, with the expansion of independent Bernoulli existences into
 weighted label subsets: ``expansion`` for any number of tracks, and
 ``bernoulli_expansion`` for one, in closed form with the same bits.
+``segment_sums`` sums the weights of many densities at once, with the
+bits of one ``np.sum`` per density.
 """
 
 import heapq
@@ -210,6 +212,18 @@ def lmb_cardinality(lmb):
     for r in lmb.r:
         rho = np.convolve(rho, [1.0 - r, r])
     return rho
+
+
+def segment_sums(values, segments, count):
+    """``np.sum`` of each of ``count`` segments of the float array
+    ``values``, to the bit: ``segments`` numbers the segment of each
+    value, and a segment's values are summed in their order."""
+    # Below 8 terms np.sum adds one term at a time from 0.0, as bincount
+    # does; from 8 on it sums pairwise, so a long segment takes np.sum.
+    out = np.bincount(segments, values, count)
+    for k in (np.bincount(segments, minlength=count) >= 8).nonzero()[0]:
+        out[k] = np.sum(values[segments == k])
+    return out
 
 
 def dglmb_cardinality(d):

@@ -26,8 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import ranked_assignments, ranked_one_label
-from .densities import DglmbDensity, bernoulli_expansion, top_weighted_subsets
+from .assignment import (ENUMERATE_LIMIT, ranked_assignments,
+                         ranked_one_label)
+from .densities import (DglmbDensity, bernoulli_expansion, segment_sums,
+                        top_weighted_subsets)
 from .errors import NumericalError
 from .gaussian import (gm_kalman_update_log, gm_predict, kalman_updates,
                        mahalanobis_sq)
@@ -427,19 +429,15 @@ def _log_factors(sensor):
 
 def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
     """``dglmb_update`` on the expansion of the one-track LMB density of
-    ``existence`` and mixture ``gm``, in closed form: ``(mixtures, index,
-    theta, w)`` of the kept children, with ``index`` of one label column
-    and ``theta`` a list.
+    ``existence`` and mixture ``gm``: ``(mixtures, index, theta, w)`` of
+    the kept children, with ``index`` of one label column and ``theta`` a
+    list.
 
     The absent hypothesis has one child.  The present one has its miss
     and its gated measurements, ranked by ``ranked_one_label`` as
-    ``ranked_assignments`` ranks a one-row cost matrix.  Where the present
-    hypothesis has at most one child, as with nothing in the gate (the
-    Bernoulli missed-detection posterior, existence r (1 - p_D) /
-    (1 - r p_D) and ``gm`` unchanged: Ristic, Vo, Vo & Farina, "A tutorial
-    on Bernoulli filters", IEEE TSP 2013) or with p_D = 1 and one gated
-    measurement, no two children share a label set, and ``_finalize`` is
-    a sort.
+    ``ranked_assignments`` ranks a one-row cost matrix, and ``_finalize``
+    merges, caps and normalizes the children.  It is the path of the
+    densities ``one_track_updates`` cannot finalize by a sort.
     """
     present, w = bernoulli_expansion(existence)
     log_pd, log_qd, log_kappa = _log_factors(sensor)
@@ -455,36 +453,125 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
     j, score = [], []
     if True in present:
         quota = _per_hypothesis_quota(w, cap)[present.index(True)]
-        if len(options) > options.count(None) + 1:
-            _, j, score = ranked_one_label(np.array([cost]),
-                                           np.array([quota]))
-            j, score = j.tolist(), score.tolist()
-        elif math.isfinite(cost[0]):
-            # Nothing in the gate: the miss alone.
-            j, score = [0], cost[:1]
+        _, j, score = ranked_one_label(np.array([cost]), np.array([quota]))
+        j, score = j.tolist(), score.tolist()
     mixtures = [options[i] for i in j]
     # (table position, theta, log weight) of each child.
     rows = []
     for there, log_w in zip(present, _log_weights(w)):
         rows += [(p, i, log_w - s) for p, (i, s) in enumerate(
             zip(j, score))] if there else [(-1, 0, log_w)]
-    if len(mixtures) > 1:
-        keep, w = _finalize(np.array([row[:1] for row in rows]),
-                            [row[2] for row in rows], mixtures, cap)
-        rows = [rows[e] for e in keep.tolist()]
-    else:
-        # One child per hypothesis: no two rows share a label set, so
-        # _finalize keeps the finite rows, heaviest first and the absent
-        # row first on a tie.
-        rows = sorted((row for row in rows if math.isfinite(row[2])),
-                      key=lambda row: (-row[2], row[0] >= 0))
-        if not rows:
+    index = np.array([row[:1] for row in rows], dtype=int)
+    keep, w = _finalize(index, [row[2] for row in rows], mixtures, cap)
+    return mixtures, index[keep], [rows[e][1] for e in keep.tolist()], w
+
+
+def one_track_updates(tracks, measurements, sensor, cap, gate_sq):
+    """``one_track_update`` of many one-track LMB densities, in one batch.
+
+    ``tracks`` holds an ``(existence, gm, gated)`` triple per density,
+    ``gated`` the positions in the table ``measurements`` of the
+    measurements ``one_track_update`` would be given.  Returns ``(seg,
+    index, theta, w, tables)``: the kept children of all densities,
+    density by density and each density's in ``one_track_update``'s
+    order, as flat arrays of their density, table position, map and
+    weight; and each density's mixture table.
+
+    One ``kalman_updates`` pass gates and updates every (density,
+    measurement) pair, and one ``ranked_one_label`` call ranks the
+    options of every present hypothesis.  Where ``_apart`` proves a
+    density's children apart (fewer than ``_FEW_ROWS``, and the first
+    mean entries of the present ones ``_spread``) and the cap keeps them
+    all, ``_finalize`` is a stable sort by weight, the absent child first
+    on a tie, and ``_normalized``: one pass for all such densities.  So
+    it is with nothing in the gate, the Bernoulli missed-detection
+    posterior (existence r (1 - p_D) / (1 - r p_D) and ``gm`` unchanged:
+    Ristic, Vo, Vo & Farina, "A tutorial on Bernoulli filters", IEEE TSP
+    2013).  A density of more than ``ENUMERATE_LIMIT`` gated
+    measurements, where Murty's algorithm orders tied costs, and one
+    whose children might merge, such as the posteriors of two identical
+    measurements, take ``one_track_update``.
+    """
+    few = np.array([e for e, track in enumerate(tracks)
+                    if len(track[2]) <= ENUMERATE_LIMIT], dtype=int)
+    n, gms = len(few), [tracks[e][1] for e in few]
+    log_pd, log_qd, log_kappa = _log_factors(sensor)
+    # Each density's costs of the miss and of its gated measurements, in
+    # order, and the position of each hit's posterior in ``posteriors``.
+    size = [len(tracks[e][2]) for e in few]
+    cost = np.full((n, 1 + max(size, default=0)), np.inf)
+    cost[:, 0] = -log_qd
+    at = np.full(cost.shape, -1)
+    posteriors = []
+    if any(size):
+        log_lik, posteriors = kalman_updates(gms, sensor, measurements,
+                                             gate_sq)
+        hit = np.full(log_lik.shape, -1)
+        hit[np.isfinite(log_lik)] = np.arange(len(posteriors))
+        h = np.repeat(np.arange(n), size)
+        k = np.arange(1, len(h) + 1) - np.repeat(np.cumsum(size) - size,
+                                                 size)
+        col = np.array([j for e in few for j in tracks[e][2]], dtype=int)
+        cost[h, k] = -(log_pd + log_lik[h, col] - log_kappa)
+        at[h, k] = hit[h, col]
+    # Each density's absent and present log weights (NaN without a present
+    # hypothesis) and the present one's quota.
+    log_out, log_in = np.zeros(n), np.full(n, np.nan)
+    quota = np.zeros(n, dtype=int)
+    for d, e in enumerate(few.tolist()):
+        present, w = bernoulli_expansion(tracks[e][0])
+        log_w = _log_weights(w)
+        log_out[d] = log_w[present.index(False)]
+        if True in present:
+            i = present.index(True)
+            log_in[d], quota[d] = log_w[i], _per_hypothesis_quota(w, cap)[i]
+    there = (~np.isnan(log_in)).nonzero()[0]
+    hyp, j, score = ranked_one_label(cost[there], quota[there])
+    hyp = there[hyp]
+    first = np.searchsorted(hyp, np.arange(n + 1))
+    option, bounds = at[hyp, j].tolist(), first.tolist()
+    # Each density's mixture table, and whether _apart proves its finite
+    # children apart, no more of them than the cap keeps.
+    tables, apart = [None] * len(tracks), np.zeros(n, dtype=bool)
+    for d, (e, lw_in, lw_out) in enumerate(zip(
+            few.tolist(), log_in.tolist(), log_out.tolist())):
+        table = tables[e] = [gms[d] if i < 0 else posteriors[i]
+                             for i in option[bounds[d]:bounds[d + 1]]]
+        held = table if lw_in > -math.inf else []
+        count = len(held) + (lw_out > -math.inf)
+        if not count:
             raise NumericalError("all hypothesis weights vanished",
                                  {"hypotheses": 0})
-        rows = rows[: int(cap)]
-        w = _normalized([row[2] for row in rows])
-    return (mixtures, np.array([row[:1] for row in rows], dtype=int),
-            [row[1] for row in rows], w)
+        apart[d] = count < _FEW_ROWS and count <= cap and _spread(sorted(
+            gm.m[0, 0] for gm in held))
+    # Their children, the present ones in rank order and then the absent
+    # ones: the finite ones sorted by (density, -log w, present) and
+    # normalized.
+    seg = np.concatenate((hyp, np.arange(n)))
+    pos = np.concatenate((np.arange(len(hyp)) - first[hyp], np.full(n, -1)))
+    theta = np.concatenate((j, np.zeros(n, dtype=int)))
+    log_w = np.concatenate((log_in[hyp] - score, log_out))
+    keep = (np.isfinite(log_w) & apart[seg]).nonzero()[0]
+    keep = keep[np.lexsort((pos[keep] >= 0, -log_w[keep], seg[keep]))]
+    seg, pos, theta, log_w = seg[keep], pos[keep], theta[keep], log_w[keep]
+    top = log_w[np.searchsorted(seg, seg)]
+    total = segment_sums(np.exp(log_w - top), seg, n)
+    seg, w = few[seg], np.exp(log_w - (top + np.log(total[seg])))
+    # The others, one by one.
+    rest = sorted(set(range(len(tracks))) - set(few[apart].tolist()))
+    if not rest:
+        return seg, pos, theta, w, tables
+    blocks = [(seg, pos, theta, w)]
+    for e in rest:
+        existence, gm, gated = tracks[e]
+        tables[e], index, th, w = one_track_update(
+            existence, gm, [measurements[i] for i in gated], sensor, cap,
+            gate_sq)
+        blocks.append((np.full(len(w), e), index[:, 0],
+                       np.array(th, dtype=int), w))
+    seg, index, theta, w = (np.concatenate(part) for part in zip(*blocks))
+    order = seg.argsort(kind="stable")
+    return seg[order], index[order], theta[order], w[order], tables
 
 
 def dglmb_prune(d, weight_threshold, cap):

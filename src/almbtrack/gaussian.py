@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, UsageError
+from .errors import (ConfigurationError, NumericalError, UsageError,
+                     check_numbers)
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -94,10 +95,22 @@ def _mixture(w, m, P):
     return gm
 
 
+def _check_model(where, values, matrices, rules):
+    # ``check_numbers`` of a model's settings, after a check that its
+    # matrices hold finite entries only.
+    for name in matrices:
+        if not np.isfinite(values[name]).all():
+            raise ConfigurationError("%s %s must be finite, got %r"
+                                     % (where, name, values[name]))
+    check_numbers(where, values, rules)
+
+
 @dataclass(eq=False)
 class MotionModel:
     """Linear motion model x' = F x + w, w ~ N(0, Q), with survival
-    probability used by the multi-object predictors."""
+    probability used by the multi-object predictors.  ``F`` and ``Q``
+    must be finite and ``survival_prob`` in [0, 1]; anything else is a
+    ``ConfigurationError``."""
 
     F: np.ndarray
     Q: np.ndarray
@@ -110,8 +123,8 @@ class MotionModel:
         n = self.F.shape[0]
         if self.F.shape != (n, n) or self.Q.shape != (n, n):
             raise ConfigurationError("F and Q must be square and same size")
-        if not 0.0 <= self.survival_prob <= 1.0:
-            raise ConfigurationError("survival probability outside [0, 1]")
+        _check_model("motion", vars(self), ("F", "Q"), [
+            (("survival_prob",), "in [0, 1]", lambda v: 0.0 <= v <= 1.0)])
 
 
 @dataclass(eq=False)
@@ -120,7 +133,10 @@ class SensorModel:
     detection and clutter description used by the update steps.
 
     ``clutter_density`` is the clutter spatial density evaluated at a
-    measurement, i.e. lambda_c times the (uniform) clutter pdf.
+    measurement, i.e. lambda_c times the (uniform) clutter pdf.  ``H`` and
+    ``R`` must be finite, ``detection_prob`` in [0, 1] and
+    ``clutter_density`` in [0, inf); anything else is a
+    ``ConfigurationError``.
     """
 
     H: np.ndarray
@@ -138,10 +154,10 @@ class SensorModel:
         m = self.H.shape[0]
         if self.R.shape != (m, m):
             raise ConfigurationError("R shape does not match H rows")
-        if not 0.0 <= self.detection_prob <= 1.0:
-            raise ConfigurationError("detection probability outside [0, 1]")
-        if self.clutter_density < 0.0:
-            raise ConfigurationError("clutter density must be nonnegative")
+        _check_model("sensor", vars(self), ("H", "R"), [
+            (("detection_prob",), "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+            (("clutter_density",), "in [0, inf)",
+             lambda v: 0.0 <= v < np.inf)])
 
     @property
     def meas_dim(self):
@@ -324,20 +340,26 @@ def kalman_updates(mixtures, sensor, Z, gate_sq):
     ``mahalanobis_sq`` is ``gate_sq`` or more, and the posterior mixtures
     of the other pairs in row-major order, all with those functions'
     bits.  The innovation terms are those each mixture holds where they
-    cover ``Z``; the mixtures without get them from one
-    ``innovation_terms`` fill for ``Z``.
+    cover ``Z``, read whole where they were filled for exactly ``Z``; the
+    mixtures without get them from one ``innovation_terms`` fill for
+    ``Z``.
     """
     log_lik = np.full((len(mixtures), len(Z)), -np.inf)
     if not log_lik.size:
         return log_lik, []
     Z = np.asarray(Z, dtype=float).reshape(len(Z), -1)
-    keys = [z.tobytes() for z in Z]
-    lacking = [gm for gm in mixtures if not _covers(gm._terms, sensor, keys)]
-    if lacking:
-        innovation_terms(lacking, sensor, Z)
+    # Terms filled for exactly Z are read whole, others by Z's rows.
+    table = Z.tobytes()
+    if not all(gm._terms is not None and gm._terms["sensor"] is sensor
+               and gm._terms["table"] == table for gm in mixtures):
+        keys = [z.tobytes() for z in Z]
+        lacking = [gm for gm in mixtures
+                   if not _covers(gm._terms, sensor, keys)]
+        if lacking:
+            innovation_terms(lacking, sensor, Z)
     terms = [gm._terms for gm in mixtures]
-    d2 = np.concatenate([t["d2"][:, [t["rows"][key] for key in keys]]
-                         for t in terms])
+    d2 = np.concatenate([t["d2"] if t["table"] == table else t["d2"][
+        :, [t["rows"][key] for key in keys]] for t in terms])
     n = np.array([len(gm.w) for gm in mixtures])
     start = np.cumsum(n) - n
     a, j = np.nonzero(np.minimum.reduceat(d2, start) < gate_sq)

@@ -8,8 +8,13 @@ longer interact, and track extraction.
 
 Every group runs the same update: the exact delta-GLMB update, then the
 switching automaton, which keeps the posterior or approximates it in LMB
-form; an LMB group of one track takes it in closed form, to the bit, and
-with nothing in its gate as the Bernoulli missed-detection posterior.
+form.  The update stage is one call per scan (``update_group``).  Its
+LMB groups of one track take the update in closed form, to the bit, all
+in one batch: one Kalman pass over the scan's measurement table, one
+ranking, and the criteria as arrays, with the automaton run group by
+group.  A group whose entries might merge, or that gates more than 16
+measurements, falls back to the one-group closed form with the generic
+finalization (``dglmb.one_track_update``).
 The three filters are settings of this one path (``MultiObjectTracker``):
 ``"almb"`` switches per the criteria, ``"lmb"`` sets both thresholds to
 infinity so no group ever switches, and ``"dglmb"`` starts every birth
@@ -24,15 +29,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .densities import (DglmbDensity, Label, LmbDensity, dglmb_to_lmb,
-                        lmb_to_dglmb)
+                        lmb_to_dglmb, segment_sums)
 from .dglmb import (dglmb_drop_labels, dglmb_predict, dglmb_prune,
-                    dglmb_update, one_track_update, row_groups)
+                    dglmb_update, one_track_updates, row_groups)
 from .errors import UsageError, check_numbers
 from .gaussian import (gate_mask, gm_reduce, innovation_terms, map_point,
                        mixture_average, predicted_measurement)
 from .lmb import lmb_predict, lmb_update
-from .switching import (Mode, Trigger, association_entropy, cardinality_kl,
-                        decide_switch, kl_criterion)
+from .switching import (Mode, Trigger, association_entropies,
+                        association_entropy, cardinality_kl, decide_switch,
+                        kl_criterion)
 
 # The policies of ``MultiObjectTracker``; CSV rows follow this order.
 FILTER_NAMES = ("lmb", "dglmb", "almb")
@@ -261,30 +267,42 @@ def _reduce_lmb(lmb):
         lmb.r)
 
 
-def update_group(group, measurements, sensor, config):
-    """Measurement-update one group and run the switching automaton.
+def update_group(groups, measurements, sensor, config):
+    """Measurement-update the groups of a scan and run the switching
+    automaton on each; ``measurements`` is the scan's table, which each
+    group's ``gated`` indexes.
 
-    Returns ``(group, kl, entropy)``.  The criteria are evaluated on the
-    exact (un-pruned) update output.  A group the automaton leaves in
-    delta-GLMB form keeps that output, with the value of the criterion
-    that holds it there (0.0 when pinned); any other group takes the
-    mixture-reduced LMB approximation.  An LMB group of one track takes
-    the same update in closed form.
+    Returns one ``(group, kl, entropy)`` per group, in order.  The
+    criteria are evaluated on the exact (un-pruned) update output.  A
+    group the automaton leaves in delta-GLMB form keeps that output, with
+    the value of the criterion that holds it there (0.0 when pinned); any
+    other group takes the mixture-reduced LMB approximation.  The LMB
+    groups of one track take the same update in closed form, all in one
+    batch (``_update_one_track``).
     """
-    if isinstance(group.density, DglmbDensity):
-        full = dglmb_update(group.density, measurements, sensor,
-                            cap=CAP, gate_sq=GATE_SQ)
-    elif len(group.density.label_space) != 1:
-        full = lmb_update(group.density, measurements, sensor,
-                          cap=CAP, gate_sq=GATE_SQ)
-    else:
-        return _update_one_track(group, measurements, sensor, config)
-    kl = kl_criterion(full.posterior)
-    entropy = association_entropy(full.assoc_marginals)
-    state = decide_switch(group.state, kl, entropy, config)
-    return _settle(group, state, kl, entropy, full.posterior
-                   if state.mode is Mode.DGLMB
-                   else _reduce_lmb(dglmb_to_lmb(full.posterior)))
+    out, one_track = [None] * len(groups), []
+    for e, group in enumerate(groups):
+        if isinstance(group.density, LmbDensity) and \
+                len(group.density.label_space) == 1:
+            one_track.append(e)
+            continue
+        gated = [measurements[j] for j in group.gated]
+        if isinstance(group.density, DglmbDensity):
+            full = dglmb_update(group.density, gated, sensor, cap=CAP,
+                                gate_sq=GATE_SQ)
+        else:
+            full = lmb_update(group.density, gated, sensor, cap=CAP,
+                              gate_sq=GATE_SQ)
+        kl = kl_criterion(full.posterior)
+        entropy = association_entropy(full.assoc_marginals)
+        state = decide_switch(group.state, kl, entropy, config)
+        out[e] = _settle(group, state, kl, entropy, full.posterior
+                         if state.mode is Mode.DGLMB
+                         else _reduce_lmb(dglmb_to_lmb(full.posterior)))
+    for e, result in zip(one_track, _update_one_track(
+            [groups[e] for e in one_track], measurements, sensor, config)):
+        out[e] = result
+    return out
 
 
 def _settle(group, state, kl, entropy, density):
@@ -293,45 +311,64 @@ def _settle(group, state, kl, entropy, density):
                    criterion_value=float(value)), kl, entropy
 
 
-def _update_one_track(group, measurements, sensor, config):
-    """``update_group`` of a one-track LMB group.  The cardinality pmfs,
-    association marginals and LMB collapse are read off the finalized
-    entries with the arithmetic of ``dglmb_update``, ``dglmb_cardinality``
-    and ``dglmb_to_lmb``; only a group that switches gets a density.
-    The entries come from ``one_track_update``, in closed form.  A lone
-    one-component part, such as the prior on a miss, is kept at weight 1
-    without an average or reduction."""
-    lmb = group.density
-    mixtures, index, theta, w = one_track_update(
-        lmb.r[0], lmb.mixtures[0], measurements, sensor, CAP, GATE_SQ)
-    rho, marginals = np.zeros(2), np.zeros((1, len(measurements)))
-    tot, r, parts = float(w.sum()), 0.0, []
-    for i, j, wi in zip(index[:, 0].tolist(), theta, w.tolist()):
-        rho[int(i >= 0)] += wi
-        if i >= 0:
-            r += wi / tot
-            parts.append((wi / tot, mixtures[i]))
-        if j:
-            marginals[0, j - 1] += wi
-    existence = min(r, 1.0)
-    kl = cardinality_kl(rho, np.array([1.0 - existence, existence]))
-    entropy = association_entropy(marginals)
-    state = decide_switch(group.state, kl, entropy, config)
-    if state.mode is Mode.DGLMB:
-        density = DglmbDensity(lmb.label_space, mixtures, index, w)
-    elif r <= 0.0:
-        density = LmbDensity((), [], [])
-    elif len(parts) == 1 and len(parts[0][1].w) == 1:
-        # Averaging one one-component mixture and reducing the result
-        # leave it at weight 1, to the bit: x / x is 1, and symmetrizing a
-        # symmetric covariance again is exact.
-        gm = parts[0][1]
-        density = LmbDensity(lmb.label_space, [
-            gm if gm.w.tolist() == [1.0] else gm.normalized()], [existence])
-    else:
-        density = _reduce_lmb(LmbDensity(
-            lmb.label_space, [mixture_average(parts, r)], [existence]))
-    return _settle(group, state, kl, entropy, density)
+def _update_one_track(groups, measurements, sensor, config):
+    """``update_group`` of one-track LMB groups, as one batch.  Their
+    entries come from ``one_track_updates``.  The cardinality pmfs,
+    association marginals, LMB collapse and both criteria are read off
+    them for all groups at once, with the arithmetic of ``dglmb_update``,
+    ``dglmb_cardinality``, ``dglmb_to_lmb`` and the criteria; the
+    automaton runs group by group, and only a group that switches gets a
+    density.  A lone one-component part, such as the prior on a miss, is
+    kept at weight 1 without an average or reduction."""
+    n = len(groups)
+    if not n:
+        return []
+    seg, index, theta, w, tables = one_track_updates(
+        [(g.density.r[0], g.density.mixtures[0], g.gated) for g in groups],
+        measurements, sensor, CAP, GATE_SQ)
+    # Sums in row order: np.sum for the totals, one term at a time
+    # otherwise.
+    present = index >= 0
+    share = w / segment_sums(w, seg, n)[seg]
+    rho = np.zeros((n, 2))
+    np.add.at(rho, (seg, present.astype(int)), w)
+    r = np.bincount(seg[present], share[present], n)
+    existence = np.minimum(r, 1.0)
+    kl = cardinality_kl(rho, np.stack([1.0 - existence, existence], 1))
+    # Each group's marginals are its hits' weights, in measurement order.
+    hit = (theta > 0).nonzero()[0]
+    hit = hit[np.lexsort((theta[hit], seg[hit]))]
+    entropy = association_entropies(w[hit], seg[hit], n)
+    bounds = np.searchsorted(seg, np.arange(n + 1)).tolist()
+    out = []
+    for e, (group, kl_e, entropy_e, r_e, existence_e) in enumerate(zip(
+            groups, kl.tolist(), entropy.tolist(), r.tolist(),
+            existence.tolist())):
+        state = decide_switch(group.state, kl_e, entropy_e, config)
+        rows = slice(bounds[e], bounds[e + 1])
+        lmb, table = group.density, tables[e]
+        if state.mode is Mode.DGLMB:
+            density = DglmbDensity(lmb.label_space, table,
+                                   index[rows, None], w[rows])
+        elif r_e <= 0.0:
+            density = LmbDensity((), [], [])
+        else:
+            parts = [(s, table[i]) for i, s in zip(
+                index[rows].tolist(), share[rows].tolist()) if i >= 0]
+            if len(parts) == 1 and len(parts[0][1].w) == 1:
+                # Averaging one one-component mixture and reducing the
+                # result leave it at weight 1, to the bit: x / x is 1, and
+                # symmetrizing a symmetric covariance again is exact.
+                gm = parts[0][1]
+                density = LmbDensity(lmb.label_space, [
+                    gm if gm.w.tolist() == [1.0] else gm.normalized()],
+                    [existence_e])
+            else:
+                density = _reduce_lmb(LmbDensity(
+                    lmb.label_space, [mixture_average(parts, r_e)],
+                    [existence_e]))
+        out.append(_settle(group, state, kl_e, entropy_e, density))
+    return out
 
 
 def prune_group(group):
@@ -435,12 +472,14 @@ def pipeline_step(groups, measurements, step_index, motion, sensor,
 
     ``births`` is a list of ``(existence, mixture)`` pairs; new births
     start in the ``Trigger`` ``birth_state``."""
+    # One float table of the scan's measurements for the gate and the
+    # update, which read it whole.
+    measurements = np.asarray(measurements, dtype=float)
     groups = inject_birth(groups, births, step_index, birth_state, sensor)
     groups = [predict_group(g, motion) for g in groups]
     groups = gate_measurements(groups, measurements, sensor, GATE_SQ)
     groups = merge_groups(groups)
-    results = [update_group(g, [measurements[j] for j in g.gated], sensor,
-                            config) for g in groups]
+    results = update_group(groups, measurements, sensor, config)
     updated, kls, entropies = ([r[i] for r in results] for i in range(3))
     groups = [g for g in (prune_group(g) for g in updated) if g is not None]
     split = [part for group in groups for part in split_group(group, sensor)]

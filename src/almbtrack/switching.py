@@ -7,13 +7,17 @@ association marginals.  A group switches from LMB to delta-GLMB
 representation when either criterion exceeds its threshold and switches
 back only when the criterion that triggered the switch falls to the
 threshold or below.  All information measures use natural logarithms.
+Both criteria also come stacked, one per density of a batch, with the
+bits of one call per density; the one-density forms stay separate,
+since the stacked ones cost more on a single density.
 """
 
 import enum
 
 import numpy as np
 
-from .densities import dglmb_cardinality, dglmb_to_lmb, lmb_cardinality
+from .densities import (dglmb_cardinality, dglmb_to_lmb, lmb_cardinality,
+                        segment_sums)
 
 
 class Mode(enum.Enum):
@@ -55,6 +59,18 @@ def kl_divergence(p, q):
     return max(0.0, float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
 
 
+def kl_divergences(p, q):
+    """``kl_divergence`` of each row of the stacked pmfs ``p`` and ``q``,
+    arrays of one (g, n) shape, to the bit."""
+    mask = p > 0.0
+    rows = mask.nonzero()[0]
+    p, q = p[mask], q[mask]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = segment_sums(p * np.log(p / q), rows, len(mask))
+    return np.where(np.bincount(rows, q <= 0.0, len(mask)) > 0, np.inf,
+                    np.where(kl > 0.0, kl, 0.0))
+
+
 def kl_criterion(full):
     """KL divergence from a delta-GLMB posterior's cardinality pmf to the
     cardinality pmf of its LMB approximation."""
@@ -63,12 +79,15 @@ def kl_criterion(full):
 
 
 def cardinality_kl(rho_exact, rho_approx):
-    """``kl_criterion`` from the two cardinality pmfs."""
+    """``kl_criterion`` from the two cardinality pmfs; from stacked (g, n)
+    rows of each, the criterion of every row."""
     # An existence within one ulp of 1 zeroes cells of the product
     # cardinality outright while the exact side keeps matching
     # sub-precision mass, which would read as a support mismatch and pin
     # the group in delta-GLMB form; mass that small decides nothing.
     rho_exact = np.where(rho_exact > 1e-15, rho_exact, 0.0)
+    if rho_exact.ndim == 2:
+        return kl_divergences(rho_exact, rho_approx)
     return kl_divergence(rho_exact, rho_approx)
 
 
@@ -84,6 +103,15 @@ def association_entropy(marginals):
     mask = r > 0.0
     # + 0.0 turns the -0.0 of an all-certain matrix into plain zero.
     return float(-np.sum(r[mask] * np.log(r[mask])) + 0.0)
+
+
+def association_entropies(marginals, segments, count):
+    """``association_entropy`` of each of ``count`` segments of the flat
+    ``marginals``, to the bit: ``segments`` numbers the segment of each
+    entry, and a segment's entries are in row-major order."""
+    mask = marginals > 0.0
+    r = marginals[mask]
+    return -segment_sums(r * np.log(r), segments[mask], count) + 0.0
 
 
 def decide_switch(state, kl, entropy, config):

@@ -263,6 +263,21 @@ def ref_dglmb_cardinality(d):
     return rho
 
 
+def ref_kl_divergence(p, q):
+    """``kl_divergence`` of two pmfs of one length, one np.sum over the
+    cells where p is positive."""
+    mask = p > 0.0
+    if np.any(q[mask] <= 0.0):
+        return np.inf
+    return max(0.0, float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
+
+
+def ref_association_entropy(marginals):
+    """``association_entropy``: one np.sum over the positive entries."""
+    r = np.asarray(marginals, dtype=float)
+    return float(-np.sum(r[r > 0.0] * np.log(r[r > 0.0])) + 0.0)
+
+
 def ref_dglmb_prune(hyps, weight_threshold, cap):
     """``dglmb_prune`` of a list of (labels, weight, spatial)."""
     hyps = sorted(hyps, key=lambda h: (-h[1], h[0]))

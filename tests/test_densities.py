@@ -7,7 +7,7 @@ import pytest
 
 from almbtrack import (Label, NumericalError, dglmb_cardinality,
                        dglmb_to_lmb, lmb_cardinality, lmb_to_dglmb)
-from almbtrack.densities import top_weighted_subsets
+from almbtrack.densities import segment_sums, top_weighted_subsets
 
 from conftest import CAP, single
 from oracles import (dglmb_from_rows, existence_from_dglmb,
@@ -201,3 +201,18 @@ def test_top_weighted_subsets_limit():
     odds = np.zeros(4)
     out = list(top_weighted_subsets(odds, limit=5))
     assert len(out) == 5
+
+
+def test_segment_sums_match_np_sum(rng):
+    # Segments of 0-20 terms of mixed magnitudes, in any order in the flat
+    # array: np.sum sums fewer than 8 terms one at a time and more
+    # pairwise, and each segment must get its bits.
+    for _ in range(200):
+        count = int(rng.integers(1, 6))
+        sizes = rng.integers(0, 21, count)
+        segments = rng.permutation(np.repeat(np.arange(count), sizes))
+        values = rng.random(len(segments)) * 10.0 ** rng.integers(
+            -8, 8, len(segments))
+        got = segment_sums(values, segments, count)
+        assert got.tolist() == [np.sum(values[segments == k])
+                                for k in range(count)]

@@ -34,6 +34,23 @@ def test_component_validation():
     assert np.array_equal(gm.P, [[[1.0, 1.0], [1.0, 1.0]]])
 
 
+@pytest.mark.parametrize("field", ["F", "Q", "H", "R", "clutter_density"])
+def test_models_reject_non_finite_settings(field):
+    # Each setting in turn holds inf, -inf or NaN, the others are valid.
+    for value in (np.inf, -np.inf, np.nan):
+        settings = {name: np.eye(2) for name in "FQHR"}
+        settings["clutter_density"] = 1e-4
+        if field == "clutter_density":
+            settings[field] = value
+        else:
+            settings[field][0, 1] = value
+        with pytest.raises(ConfigurationError,
+                           match=r"^(motion|sensor) %s " % field):
+            MotionModel(settings["F"], settings["Q"], 0.99)
+            SensorModel(settings["H"], settings["R"], 0.98,
+                        settings["clutter_density"])
+
+
 def test_predict_identity():
     gm = single([1.0, 2.0], [[4.0, 0.0], [0.0, 9.0]])
     model = MotionModel(np.eye(2), np.zeros((2, 2)), 1.0)

@@ -170,6 +170,40 @@ def test_stacked_kalman_update_of_an_empty_table_or_scan():
 
 
 @SETTINGS
+@given(seeds, st.lists(sizes, min_size=1, max_size=4), st.integers(1, 5))
+def test_stacked_kalman_update_reads_a_whole_table_as_a_covering_one(
+        seed, counts, m):
+    # Terms filled for exactly Z are read whole, and terms filled for a
+    # larger table, Z's rows among others in another order, row by row:
+    # alone or in one call, both give the same results, and neither is
+    # filled again.
+    rng = np.random.default_rng(seed)
+    _, sensor = models(rng)
+    Z = rng.normal(0.0, 4.0, (m, 2))
+    larger = rng.permutation(np.concatenate([Z, rng.normal(0.0, 4.0,
+                                                           (2, 2))]))
+    exact = [random_mixture(rng, 3.0, n) for n in counts]
+    wider = [GaussianMixture(gm.w, gm.m, gm.P) for gm in exact]
+    innovation_terms(exact, sensor, Z)
+    innovation_terms(wider, sensor, larger)
+    d2 = np.concatenate([gm._terms["d2"] for gm in exact])
+    gate_sq = float(rng.choice(np.ravel(d2)))
+    terms = [gm._terms for gm in exact + wider]
+    whole, whole_post = kalman_updates(exact, sensor, Z, gate_sq)
+    rows, rows_post = kalman_updates(wider, sensor, Z, gate_sq)
+    both, both_post = kalman_updates(exact + wider, sensor, Z, gate_sq)
+    assert all(gm._terms is t for gm, t in zip(exact + wider, terms))
+    assert (whole == rows).all()
+    assert (both == np.concatenate([whole, rows])).all()
+    assert len(whole_post) == len(rows_post)
+    assert len(both_post) == 2 * len(whole_post)
+    for a, b, c, d in zip(whole_post, rows_post, both_post,
+                          both_post[len(whole_post):]):
+        assert same_mixture(a, b) and same_mixture(a, c)
+        assert same_mixture(a, d)
+
+
+@SETTINGS
 @given(seeds, st.sampled_from([0.0, 1e-5, 0.3]),
        st.sampled_from([0.0, 4.0, 100.0]), st.sampled_from([1, 2, 20]))
 def test_reduce_matches_component_loop(seed, prune, merge, cap):

@@ -10,12 +10,12 @@ import pytest
 from almbtrack import (ConfigurationError, DensityGroup, DglmbDensity,
                        GaussianMixture, Label, LmbDensity, Mode,
                        MultiObjectTracker, NumericalError, PipelineConfig,
-                       Trigger, UsageError,
-                       association_entropy, builtin_scenario, decide_switch,
-                       dglmb_to_lmb, generate_measurements, generate_truth,
+                       Trigger, UsageError, association_entropy,
+                       builtin_scenario, decide_switch, dglmb_to_lmb,
+                       dglmb_update, generate_measurements, generate_truth,
                        kl_criterion, lmb_to_dglmb, lmb_update)
 from almbtrack import dglmb, pipeline
-from almbtrack.dglmb import one_track_update
+from almbtrack.dglmb import one_track_update, one_track_updates
 from almbtrack.harness import run_filter
 from almbtrack.pipeline import (CAP, GATE_SQ, _reduce_lmb, _within,
                                 extract_tracks, gate_measurements,
@@ -42,6 +42,13 @@ def track_group(label, x, y, existence=0.9, std=10.0, state=None):
     if state is None:
         return DensityGroup(lmb)
     return DensityGroup(lmb, state)
+
+
+def update_one(group, scan, sensor, config):
+    """``update_group`` of ``group`` alone, on every measurement of
+    ``scan``."""
+    group = dataclasses.replace(group, gated=tuple(range(len(scan))))
+    return update_group([group], scan, sensor, config)[0]
 
 
 def test_birth_injects_one_group_per_entry():
@@ -204,8 +211,8 @@ def test_update_policy_lmb_always_collapses():
     # The LMB filter's setting: with infinite thresholds even a contested
     # update stays in LMB form.
     never = PipelineConfig(kl_threshold=np.inf, entropy_threshold=np.inf)
-    new, kl, entropy = update_group(contested_group(), [[2.0, 0.0]],
-                                    SENSOR, never)
+    new, kl, entropy = update_one(contested_group(), [[2.0, 0.0]],
+                                  SENSOR, never)
     assert kl > CFG.kl_threshold
     assert isinstance(new.density, LmbDensity)
     assert new.state == LMB_STATE and new.criterion_value == 0.0
@@ -216,7 +223,7 @@ def test_update_policy_dglmb_keeps_full_posterior():
                                                   existence=0.5).density,
                                       CAP),
                          PINNED)
-    new, _, _ = update_group(group, [[1.0, 0.0]], SENSOR, CFG)
+    new, _, _ = update_one(group, [[1.0, 0.0]], SENSOR, CFG)
     assert isinstance(new.density, DglmbDensity)
     # Miss and hit branches both survive in the exact posterior.
     assert len(new.density.hypotheses) >= 2
@@ -224,8 +231,8 @@ def test_update_policy_dglmb_keeps_full_posterior():
 
 
 def test_update_policy_almb_switches_on_contested_measurement():
-    new, kl, entropy = update_group(contested_group(), [[2.0, 0.0]],
-                                    SENSOR, CFG)
+    new, kl, entropy = update_one(contested_group(), [[2.0, 0.0]],
+                                  SENSOR, CFG)
     assert kl > CFG.kl_threshold
     assert new.state.mode is Mode.DGLMB
     assert isinstance(new.density, DglmbDensity)
@@ -234,7 +241,7 @@ def test_update_policy_almb_switches_on_contested_measurement():
 
 def test_update_policy_almb_stays_lmb_when_clean():
     group = track_group(Label(1, 0), 0.0, 0.0)
-    new, kl, entropy = update_group(group, [[1.0, 0.0]], SENSOR, CFG)
+    new, kl, entropy = update_one(group, [[1.0, 0.0]], SENSOR, CFG)
     assert new.state.mode is Mode.LMB
     assert isinstance(new.density, LmbDensity)
     assert new.criterion_value == 0.0
@@ -249,7 +256,7 @@ def test_update_empty_scan_cannot_trigger_entropy():
         l2: (0.9, single([1, 0, 0, 0], np.eye(4))),
     })
     group = DensityGroup(lmb)
-    new, kl, entropy = update_group(group, [], SENSOR, CFG)
+    new, kl, entropy = update_one(group, [], SENSOR, CFG)
     assert entropy == 0.0
     assert new.state.mode is Mode.LMB
 
@@ -480,10 +487,13 @@ def test_tracker_locks_onto_clean_target():
 # path it replaces, bit for bit.
 
 def generic_update(group, measurements, sensor, config):
-    """``update_group`` of an LMB group through the delta-GLMB update:
-    expansion, update, both criteria, the automaton and the reduction."""
-    result = lmb_update(group.density, measurements, sensor, cap=CAP,
-                        gate_sq=GATE_SQ)
+    """``update_group`` of a group through the delta-GLMB update (of its
+    expansion, for an LMB group): the update, both criteria, the
+    automaton and the reduction."""
+    update = dglmb_update if isinstance(group.density, DglmbDensity) \
+        else lmb_update
+    result = update(group.density, measurements, sensor, cap=CAP,
+                    gate_sq=GATE_SQ)
     kl = kl_criterion(result.posterior)
     entropy = association_entropy(result.assoc_marginals)
     state = decide_switch(group.state, kl, entropy, config)
@@ -549,8 +559,8 @@ NEVER = PipelineConfig(kl_threshold=np.inf, entropy_threshold=np.inf)
 def test_one_track_update_matches_generic_path(existence, p_d, scan,
                                                components, config):
     sensor = position_sensor(10.0, p_d, 1.25e-5)
-    fast = update_group(one_track(existence, components), scan, sensor,
-                        config)
+    fast = update_one(one_track(existence, components), scan, sensor,
+                      config)
     slow = generic_update(one_track(existence, components), scan, sensor,
                           config)
     assert_same_update(fast, slow)
@@ -576,12 +586,41 @@ def test_one_track_miss_entries_match_the_generic_update(p_d, rng):
             [slow.mixtures[i] for i in slow.hypotheses[:, 0] if i >= 0]
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3, CAP])
+@pytest.mark.parametrize("p_d", [0.0, 0.9, 1.0])
+def test_one_track_batch_entries_match_one_track_update(p_d, cap, rng):
+    # Tracks of every existence class and of 1-3 components gate 0-6 of
+    # 14 measurements, two of them identical; caps of 1-3 cut their
+    # entries.  Each track's entries in the batch equal those of its own
+    # one_track_update, in order.
+    sensor = position_sensor(10.0, p_d, 1.25e-5)
+    Z = rng.normal(0.0, 15.0, (12, 2)).tolist() + [[5.0, 3.0]] * 2
+    tracks = []
+    for existence in [0.0, 1e-300, 0.02, 0.5, 0.9, 1.0] + \
+            rng.random(10).tolist():
+        gm = one_track(existence, int(rng.integers(1, 4))).density \
+            .mixtures[0]
+        tracks.append((existence, gm, tuple(sorted(rng.choice(
+            len(Z), int(rng.integers(0, 7)), replace=False).tolist()))))
+    seg, index, theta, w, tables = one_track_updates(
+        tracks, np.array(Z), sensor, cap, GATE_SQ)
+    assert seg.tolist() == sorted(seg.tolist())
+    for e, (existence, gm, gated) in enumerate(tracks):
+        mixtures, want_index, want_theta, want_w = one_track_update(
+            existence, gm, [Z[j] for j in gated], sensor, cap, GATE_SQ)
+        assert index[seg == e].tolist() == want_index[:, 0].tolist()
+        assert theta[seg == e].tolist() == want_theta
+        assert w[seg == e].tolist() == want_w.tolist()
+        assert len(tables[e]) == len(mixtures)
+        assert all(same_mixture(a, b) for a, b in zip(tables[e], mixtures))
+
+
 def test_one_track_update_keeps_the_quota_truncation():
     # At existence 0.02 the present hypothesis may keep only
     # ceil(50 * 0.02) + 1 = 2 of its five options (miss and four hits).
     scan = [[5.0, 3.0], [-8.0, 12.0], [2.0, -6.0], [11.0, 9.0]]
     sensor = position_sensor(10.0, 0.9, 1.25e-5)
-    fast = update_group(one_track(0.02, 1), scan, sensor, CFG)
+    fast = update_one(one_track(0.02, 1), scan, sensor, CFG)
     slow = generic_update(one_track(0.02, 1), scan, sensor, CFG)
     assert_same_update(fast, slow)
     full = lmb_update(one_track(0.02, 1).density, scan, sensor, cap=CAP,
@@ -597,7 +636,7 @@ def test_one_track_update_ranks_many_measurements_like_murty():
     scan += [scan[3], scan[3], scan[10]]
     sensor = position_sensor(10.0, 0.9, 1.25e-5)
     for existence in (0.05, 0.9):
-        fast = update_group(one_track(existence, 3), scan, sensor, CFG)
+        fast = update_one(one_track(existence, 3), scan, sensor, CFG)
         slow = generic_update(one_track(existence, 3), scan, sensor, CFG)
         assert_same_update(fast, slow)
 
@@ -606,7 +645,7 @@ def test_one_track_update_switches_on_entropy():
     # Two equally likely sources split the association marginals; a
     # single track's KL criterion stays at zero.
     scan = [[10.0, 0.0], [-10.0, 0.0]]
-    fast = update_group(one_track(0.9, 1), scan, SENSOR, CFG)
+    fast = update_one(one_track(0.9, 1), scan, SENSOR, CFG)
     slow = generic_update(one_track(0.9, 1), scan, SENSOR, CFG)
     assert_same_update(fast, slow)
     group, kl, entropy = fast
@@ -615,11 +654,67 @@ def test_one_track_update_switches_on_entropy():
     assert group.criterion_value == entropy
 
 
+def mixed_scan(rng):
+    """One scan's groups, with their gates filled, and its measurement
+    table.  In order: a one-track group with one hit; a delta-GLMB group;
+    one with two identical measurements, whose posteriors consolidate;
+    one of 18 gated measurements, where Murty's algorithm ranks; a
+    two-track group; one with an empty gate; and one-track groups of
+    existence 0 and 1, with one hit each.  The groups lie 300 m apart."""
+    def at(x, y, existence, components=1):
+        group = one_track(existence, components)
+        gm = group.density.mixtures[0]
+        shifted = GaussianMixture(gm.w, gm.m + [x, y, 0.0, 0.0], gm.P)
+        return DensityGroup(lmb_from_tracks({Label(1, int(x + 3 * y)): (
+            existence, shifted)}))
+
+    pinned = at(-300.0, 0.0, 0.7)
+    pinned = DensityGroup(lmb_to_dglmb(pinned.density, CAP), PINNED)
+    pair = lmb_from_tracks({
+        Label(2, 0): (0.8, single([0.0, 600.0, 0.0, 0.0], 80.0 * np.eye(4))),
+        Label(2, 1): (0.6, single([12.0, 600.0, 0.0, 0.0],
+                                  80.0 * np.eye(4)))})
+    groups = [at(0.0, 0.0, 0.9), pinned, at(300.0, 0.0, 0.5),
+              at(-600.0, 0.0, 0.6, 3), DensityGroup(pair),
+              at(0.0, 300.0, 0.3), at(0.0, -300.0, 0.0),
+              at(600.0, 0.0, 1.0)]
+    Z = [[5.0, 3.0], [-296.0, 4.0], [292.0, 12.0], [292.0, 12.0]]
+    Z += (rng.normal(0.0, 6.0, (18, 2)) + [-600.0, 0.0]).tolist()
+    Z += [[6.0, 598.0], [3.0, -304.0], [603.0, -2.0]]
+    return gate_measurements(groups, Z, SENSOR, GATE_SQ), Z
+
+
+@pytest.mark.parametrize("config", [CFG, NEVER], ids=["almb", "lmb"])
+@pytest.mark.parametrize("p_d", [0.0, 0.9, 1.0])
+def test_one_batch_of_every_path_matches_the_generic_update(p_d, config,
+                                                            monkeypatch):
+    groups, Z = mixed_scan(np.random.default_rng(11))
+    assert [len(g.gated) for g in groups] == [1, 1, 2, 18, 1, 0, 1, 1]
+    sensor = position_sensor(10.0, p_d, 1.25e-5)
+    taken, real_update = [], dglmb.one_track_update
+
+    def update(existence, gm, measurements, *args):
+        taken.append(len(measurements))
+        return real_update(existence, gm, measurements, *args)
+
+    monkeypatch.setattr(dglmb, "one_track_update", update)
+    batch = update_group(groups, Z, sensor, config)
+    # Without detections no two posteriors compete; otherwise the twin
+    # measurements must consolidate.
+    assert taken == ([18] if p_d == 0.0 else [2, 18])
+    assert len(batch) == len(groups)
+    for group, result in zip(groups, batch):
+        assert_same_update(result, generic_update(
+            group, [Z[j] for j in group.gated], sensor, config))
+
+
 def test_lmb_filter_sends_only_multi_track_groups_to_lmb_update(monkeypatch):
+    # One update_group call per scan takes every group; the one-track LMB
+    # groups among them never reach lmb_update.
     config = builtin_scenario("two-target")
     scans = generate_measurements(generate_truth(config), config,
                                   np.random.default_rng(2025))[:30]
-    seen, one_track_updates = [], []
+    seen, one_track_updates, calls = [], [], []
     real_lmb_update, real_update_group = pipeline.lmb_update, \
         pipeline.update_group
 
@@ -627,49 +722,62 @@ def test_lmb_filter_sends_only_multi_track_groups_to_lmb_update(monkeypatch):
         seen.append(len(lmb.label_space))
         return real_lmb_update(lmb, *args, **kwargs)
 
-    def spy_update_group(group, *args):
-        if isinstance(group.density, LmbDensity) \
-                and len(group.density.label_space) == 1:
-            one_track_updates.append(group)
-        return real_update_group(group, *args)
+    def spy_update_group(groups, *args):
+        calls.append(len(groups))
+        one_track_updates.extend(
+            g for g in groups if isinstance(g.density, LmbDensity)
+            and len(g.density.label_space) == 1)
+        return real_update_group(groups, *args)
 
     monkeypatch.setattr(pipeline, "lmb_update", spy_lmb_update)
     monkeypatch.setattr(pipeline, "update_group", spy_update_group)
     run_filter("lmb", scans, config)
-    assert one_track_updates
+    assert len(calls) == 30 and one_track_updates
     assert all(n >= 2 for n in seen)
 
 
 def test_miss_only_update_skips_the_generic_one_track_update(monkeypatch):
-    # A one-track group with nothing in its gate takes the closed form:
-    # its update never reaches the generic _finalize, which the other
-    # updates of the run still call.
+    # A one-track group with nothing in its gate takes the batch's closed
+    # form: it never reaches one_track_update, and the batch reaches
+    # _finalize only inside one_track_update.  The other updates of the
+    # run still call _finalize.
     config = builtin_scenario("two-target")
     scans = generate_measurements(generate_truth(config), config,
                                   np.random.default_rng(2025))[:30]
-    real_update, real_finalize = pipeline.one_track_update, dglmb._finalize
-    in_miss, misses, finalized = [False], [], []
+    real_batch, real_update, real_finalize = \
+        pipeline.one_track_updates, dglmb.one_track_update, dglmb._finalize
+    inside, empty, finalized = {"batch": 0, "update": 0}, [], []
+
+    def batch(tracks, *args):
+        empty.extend(not gated for _, _, gated in tracks)
+        inside["batch"] += 1
+        try:
+            return real_batch(tracks, *args)
+        finally:
+            inside["batch"] -= 1
 
     def update(existence, gm, measurements, *args):
-        in_miss[0] = not measurements
-        misses.append(in_miss[0])
+        if not measurements:
+            raise AssertionError("an empty gate reached one_track_update")
+        inside["update"] += 1
         try:
             return real_update(existence, gm, measurements, *args)
         finally:
-            in_miss[0] = False
+            inside["update"] -= 1
 
     def finalize(*args):
-        if in_miss[0]:
-            raise AssertionError("miss-only update reached _finalize")
+        if inside["batch"] and not inside["update"]:
+            raise AssertionError("the batch reached _finalize")
         finalized.append(args)
         return real_finalize(*args)
 
-    monkeypatch.setattr(pipeline, "one_track_update", update)
+    monkeypatch.setattr(pipeline, "one_track_updates", batch)
+    monkeypatch.setattr(dglmb, "one_track_update", update)
     monkeypatch.setattr(dglmb, "_finalize", finalize)
     for name in ("lmb", "almb"):
-        del misses[:], finalized[:]
+        del empty[:], finalized[:]
         assert len(run_filter(name, scans, config).estimates) == 30
-        assert any(misses) and finalized
+        assert any(empty) and finalized
 
 
 def close_pair(a, b, limit):
@@ -724,6 +832,6 @@ def test_stacked_split_test_is_exact(rng):
 
 
 def test_update_of_an_empty_lmb_group_takes_the_generic_path():
-    new, kl, entropy = update_group(DensityGroup(lmb_from_tracks({})),
-                                    [[1.0, 0.0]], SENSOR, CFG)
+    new, kl, entropy = update_one(DensityGroup(lmb_from_tracks({})),
+                                  [[1.0, 0.0]], SENSOR, CFG)
     assert new.density.label_space == () and kl == 0.0 and entropy == 0.0

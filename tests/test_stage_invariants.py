@@ -109,8 +109,7 @@ def run_stages(config, policy, exact_from=None):
         check(groups, "gate")
         groups = merge_groups(groups)
         check(groups, "merge")
-        results = [update_group(g, [Z[j] for j in g.gated], sensor,
-                                tracker.config) for g in groups]
+        results = update_group(groups, Z, sensor, tracker.config)
         for _, kl, entropy in results:
             assert not np.isnan(kl) and not np.isnan(entropy)
         groups = [group for group, _, _ in results]

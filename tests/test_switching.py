@@ -8,9 +8,11 @@ from almbtrack import (Label, Mode, PipelineConfig, Trigger,
                        kl_divergence, lmb_to_dglmb)
 from almbtrack.lmb import lmb_update
 from almbtrack import SensorModel
+from almbtrack.switching import association_entropies, cardinality_kl
 
 from conftest import CAP, single
 from oracles import (dglmb_from_rows, lmb_from_tracks, random_lmb_instance,
+                     ref_association_entropy, ref_kl_divergence,
                      switch_cases)
 
 L1, L2 = Label(0, 0), Label(0, 1)
@@ -109,6 +111,32 @@ def test_entropy_permutation_invariant(rng):
 def test_entropy_empty_matrix_is_zero():
     assert association_entropy(np.zeros((0, 0))) == 0.0
     assert association_entropy(np.zeros((3, 0))) == 0.0
+
+
+def test_stacked_criteria_match_the_one_density_formulas(rng):
+    # Up to 12 cells per row (np.sum sums pairwise from 8), with zero
+    # cells, support mismatches and mass below the 1e-15 floor; up to 4 x
+    # 4 marginals per density, some empty.
+    for _ in range(300):
+        g, n = int(rng.integers(1, 6)), int(rng.integers(1, 13))
+        p = rng.random((g, n)) * (rng.random((g, n)) < 0.7)
+        p[:, 0] += 1e-3
+        p /= p.sum(1, keepdims=True)
+        p[rng.random((g, n)) < 0.1] = 1e-16
+        q = rng.random((g, n)) * (rng.random((g, n)) < 0.9)
+        want = [ref_kl_divergence(np.where(a > 1e-15, a, 0.0), b)
+                for a, b in zip(p, q)]
+        assert cardinality_kl(p, q).tolist() == want
+        assert [cardinality_kl(a, b) for a, b in zip(p, q)] == want
+        shapes = rng.integers(0, 5, (g, 2))
+        marginals = [rng.random(shape) * (rng.random(shape) < 0.7)
+                     for shape in shapes.tolist()]
+        want = [ref_association_entropy(m) for m in marginals]
+        got = association_entropies(
+            np.concatenate([m.ravel() for m in marginals]),
+            np.repeat(np.arange(g), shapes.prod(1)), g)
+        assert got.tolist() == want
+        assert [association_entropy(m) for m in marginals] == want
 
 
 def test_switch_automaton_exhaustive():
