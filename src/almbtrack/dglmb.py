@@ -41,7 +41,8 @@ class UpdateOutput:
 
     Row i of ``assoc_marginals`` is ``posterior.label_space[i]``; entry
     (i, j) is the posterior probability that label i exists and
-    generated measurement j.
+    generated measurement j of the update's table, 0 where no mixture
+    of the prior gates j.
     """
 
     posterior: DglmbDensity
@@ -342,19 +343,26 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
     assignments expand each hypothesis into children whose weights are
     globally renormalized; ``cap`` keeps the heaviest children.  Every
     (table mixture, measurement) pair is gated and updated in one stacked
-    ``kalman_updates`` pass, which reads the innovation terms the gate
-    pass cached on the table and fills them, in one stacked call, for the
-    mixtures that hold none covering ``measurements``.  Hypotheses of at
-    most one label are ranked together by ``ranked_one_label``.
+    ``kalman_updates`` pass, which reads the innovation terms the table
+    holds for exactly ``measurements`` (in the pipeline, the scan's whole
+    table, whose terms the gate pass cached) and fills them, in one
+    stacked call, for the other mixtures.  Only the measurements some
+    table mixture gates are ranked: no map holds any other.  Hypotheses
+    of at most one label are ranked together by ``ranked_one_label``.
 
     Returns an :class:`UpdateOutput` carrying the posterior and the
-    track-to-measurement association marginals of the retained children.
+    track-to-measurement association marginals of the retained children,
+    over every measurement.
     """
     d = d.normalized()
-    m, hyps = len(measurements), d.hypotheses
+    hyps = d.hypotheses
     log_pd, log_qd, log_kappa = _log_factors(sensor)
     log_lik, posteriors = kalman_updates(d.mixtures, sensor, measurements,
                                          gate_sq)
+    # The gated columns, in order; the pairs' posteriors are row-major
+    # over them as over the whole table.
+    gated = np.isfinite(log_lik).any(0).nonzero()[0]
+    log_lik, m = log_lik[:, gated], len(gated)
     # Each mixture's cost and posterior table position for map j: j = 0,
     # a miss, keeps the mixture; a pair outside the gate keeps it at an
     # infinite cost.  A last row serves the empty hypothesis, whose one
@@ -414,10 +422,12 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
     # in child order.
     theta = theta[keep]
     e, k = theta.nonzero()
-    marginals = np.bincount(k * m + theta[e, k] - 1, w[e],
-                            len(d.label_space) * m)
+    labels = len(d.label_space)
+    marginals = np.zeros((labels, len(measurements)))
+    marginals[:, gated] = np.bincount(k * m + theta[e, k] - 1, w[e],
+                                      labels * m).reshape(labels, m)
     return UpdateOutput(DglmbDensity(d.label_space, mixtures, rows[keep], w),
-                        marginals.reshape(len(d.label_space), m))
+                        marginals)
 
 
 def _log_factors(sensor):

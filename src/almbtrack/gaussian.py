@@ -15,9 +15,10 @@ A covariance is symmetrized once, where it is formed: on input, in the
 prediction ``F P F' + Q`` and in the innovation terms.  Mixtures built
 from covariances that are stored or symmetrized already skip the public
 constructor's checks and its symmetrize.  Only this module reads or
-writes a mixture's innovation terms: ``innovation_terms`` fills them, the
-gate and the Kalman update read them, and ``mixture_average`` carries
-its parts' terms over to their average.
+writes a mixture's innovation terms: ``innovation_terms`` fills them for
+one measurement table, the gate and the Kalman update read them whole,
+by position in that table, and ``mixture_average`` carries its parts'
+terms over to their average.  A call for another table fills them anew.
 """
 
 from dataclasses import dataclass
@@ -47,9 +48,11 @@ class GaussianMixture:
       construction (positive definiteness is only enforced where a
       factorization is actually taken).
 
-    A mixture is never modified, except that ``innovation_terms`` keeps
-    the innovation terms of all its components for one sensor and one
-    measurement table in ``_terms``.
+    Every weight, mean and covariance entry must be finite; anything
+    else is a ``ConfigurationError`` that names the field.  A mixture is
+    never modified, except that ``innovation_terms`` keeps the innovation
+    terms of all its components for one sensor and one measurement table
+    in ``_terms``, one ``d2`` column per row of that table.
     """
 
     def __init__(self, w, m, P):
@@ -63,6 +66,7 @@ class GaussianMixture:
             raise ConfigurationError(
                 "mixture of weights %s, means %s and covariances %s"
                 % (w.shape, m.shape, P.shape))
+        _check_model("mixture", {"w": w, "m": m, "P": P}, ("w", "m", "P"), [])
         if min(w.tolist()) < 0.0:
             raise ConfigurationError("component weight must be nonnegative")
         self.w, self.m, self.P = w, m, _symmetrize(P)
@@ -96,8 +100,8 @@ def _mixture(w, m, P):
 
 
 def _check_model(where, values, matrices, rules):
-    # ``check_numbers`` of a model's settings, after a check that its
-    # matrices hold finite entries only.
+    # ``check_numbers`` of a model's or a mixture's settings, after a
+    # check that its arrays hold finite entries only.
     for name in matrices:
         if not np.isfinite(values[name]).all():
             raise ConfigurationError("%s %s must be finite, got %r"
@@ -209,12 +213,13 @@ def innovation_terms(mixtures, sensor, Z):
     components, one row each: ``z_pred = H m``, the gain ``K``, ``cov =
     (I - K H) P`` (symmetrized), ``logdet`` of ``S = H P H' + R`` and
     ``d2[i, j] = |L_i^-1 (Z[j] - z_pred_i)|^2`` with ``L_i`` the Cholesky
-    factor of ``S_i``, for the bytes of ``Z`` (``table``) and of its rows
-    (``rows``).  A component whose ``S`` has no Cholesky factor raises
-    ``NumericalError`` here, and no mixture of the call keeps new terms.
-    The terms of all mixtures that lack them come from one stacked pass,
-    whose slices run the routine of a single component: the same bits in
-    any company.
+    factor of ``S_i``, and the bytes of ``Z`` (``table``): column ``j``
+    of ``d2`` is row ``j`` of ``Z``.  Terms held for another sensor or
+    table are replaced.  A component whose ``S`` has no Cholesky factor
+    raises ``NumericalError`` here, and no mixture of the call keeps new
+    terms.  The terms of all mixtures that lack them come from one
+    stacked pass, whose slices run the routine of a single component:
+    the same bits in any company.
     """
     Z = np.asarray(Z, dtype=float).reshape(len(Z), -1)
     table = Z.tobytes()
@@ -233,13 +238,12 @@ def innovation_terms(mixtures, sensor, Z):
     # measurement, which a solve with many columns need not be.
     y = np.linalg.solve(L[:, None], (Z - z_pred[:, None])[..., None])
     d2 = np.matmul(y.swapaxes(-1, -2), y)[..., 0, 0]
-    rows = {z.tobytes(): j for j, z in enumerate(Z)}
     a = 0
     for gm in new:
         b = a + len(gm.w)
-        gm._terms = dict(sensor=sensor, table=table, rows=rows,
-                         z_pred=z_pred[a:b], K=K[a:b], cov=cov[a:b],
-                         logdet=logdet[a:b], d2=d2[a:b])
+        gm._terms = dict(sensor=sensor, table=table, z_pred=z_pred[a:b],
+                         K=K[a:b], cov=cov[a:b], logdet=logdet[a:b],
+                         d2=d2[a:b])
         a = b
 
 
@@ -284,21 +288,6 @@ def mixture_average(parts, total):
     return out
 
 
-def _covers(t, sensor, keys):
-    # Whether terms t are for sensor and hold a d2 column for each key.
-    return t is not None and t["sensor"] is sensor and all(
-        key in t["rows"] for key in keys)
-
-
-def _terms_at(gm, sensor, z):
-    # (terms, j) of gm with d2[:, j] the squared whitened residuals of
-    # the measurement z, filled on demand.
-    key = z.tobytes()
-    if not _covers(gm._terms, sensor, [key]):
-        innovation_terms([gm], sensor, [z])
-    return gm._terms, gm._terms["rows"][key]
-
-
 def _update_rows(n, w, m, z_pred, K, logdet, d2, z):
     # Kalman updates of (mixture, measurement) pairs of n components each,
     # in consecutive blocks of n rows, one row per (component, measurement):
@@ -325,9 +314,10 @@ def gm_kalman_update_log(gm, z, sensor):
         raise ConfigurationError("sensor model dimension does not match mixture")
     if z.size != sensor.meas_dim:
         raise ConfigurationError("measurement dimension does not match H")
-    t, j = _terms_at(gm, sensor, z)
+    innovation_terms([gm], sensor, z[None])
+    t = gm._terms
     log_lik, w, mean = _update_rows(len(gm.w), gm.w, gm.m, t["z_pred"],
-                                    t["K"], t["logdet"], t["d2"][:, j], z)
+                                    t["K"], t["logdet"], t["d2"][:, 0], z)
     return _mixture(w, mean, t["cov"]), float(log_lik[0])
 
 
@@ -339,27 +329,17 @@ def kalman_updates(mixtures, sensor, Z, gate_sq):
     ``gm_kalman_update_log``, ``-inf`` for the pairs whose
     ``mahalanobis_sq`` is ``gate_sq`` or more, and the posterior mixtures
     of the other pairs in row-major order, all with those functions'
-    bits.  The innovation terms are those each mixture holds where they
-    cover ``Z``, read whole where they were filled for exactly ``Z``; the
-    mixtures without get them from one ``innovation_terms`` fill for
-    ``Z``.
+    bits.  Every mixture's terms are read whole, column ``j`` for row
+    ``j`` of ``Z``: those held for exactly ``Z`` as they are, the others
+    from one ``innovation_terms`` fill for ``Z``.
     """
     log_lik = np.full((len(mixtures), len(Z)), -np.inf)
     if not log_lik.size:
         return log_lik, []
     Z = np.asarray(Z, dtype=float).reshape(len(Z), -1)
-    # Terms filled for exactly Z are read whole, others by Z's rows.
-    table = Z.tobytes()
-    if not all(gm._terms is not None and gm._terms["sensor"] is sensor
-               and gm._terms["table"] == table for gm in mixtures):
-        keys = [z.tobytes() for z in Z]
-        lacking = [gm for gm in mixtures
-                   if not _covers(gm._terms, sensor, keys)]
-        if lacking:
-            innovation_terms(lacking, sensor, Z)
+    innovation_terms(mixtures, sensor, Z)
     terms = [gm._terms for gm in mixtures]
-    d2 = np.concatenate([t["d2"] if t["table"] == table else t["d2"][
-        :, [t["rows"][key] for key in keys]] for t in terms])
+    d2 = np.concatenate([t["d2"] for t in terms])
     n = np.array([len(gm.w) for gm in mixtures])
     start = np.cumsum(n) - n
     a, j = np.nonzero(np.minimum.reduceat(d2, start) < gate_sq)
@@ -447,8 +427,8 @@ def mahalanobis_sq(z, gm, sensor):
     gate when any component covers it; gating on a single representative
     component starves the low-weight alternatives that exist precisely
     to recover from association mistakes."""
-    t, j = _terms_at(gm, sensor, np.asarray(z, dtype=float).reshape(-1))
-    return min([np.inf] + t["d2"][:, j].tolist())
+    innovation_terms([gm], sensor, np.asarray(z, dtype=float)[None])
+    return min([np.inf] + gm._terms["d2"][:, 0].tolist())
 
 
 def gate_mask(measurements, mixtures, sensor, gate_sq):

@@ -276,9 +276,11 @@ def update_group(groups, measurements, sensor, config):
     criteria are evaluated on the exact (un-pruned) update output.  A
     group the automaton leaves in delta-GLMB form keeps that output, with
     the value of the criterion that holds it there (0.0 when pinned); any
-    other group takes the mixture-reduced LMB approximation.  The LMB
-    groups of one track take the same update in closed form, all in one
-    batch (``_update_one_track``).
+    other group takes the mixture-reduced LMB approximation.  Every
+    update reads the whole table, by position: ``dglmb_update`` and
+    ``lmb_update`` rank only the measurements the group's mixtures gate.
+    The LMB groups of one track take the same update in closed form, all
+    in one batch (``_update_one_track``), which reads ``gated``.
     """
     out, one_track = [None] * len(groups), []
     for e, group in enumerate(groups):
@@ -286,13 +288,10 @@ def update_group(groups, measurements, sensor, config):
                 len(group.density.label_space) == 1:
             one_track.append(e)
             continue
-        gated = [measurements[j] for j in group.gated]
-        if isinstance(group.density, DglmbDensity):
-            full = dglmb_update(group.density, gated, sensor, cap=CAP,
-                                gate_sq=GATE_SQ)
-        else:
-            full = lmb_update(group.density, gated, sensor, cap=CAP,
-                              gate_sq=GATE_SQ)
+        update = dglmb_update if isinstance(group.density, DglmbDensity) \
+            else lmb_update
+        full = update(group.density, measurements, sensor, cap=CAP,
+                      gate_sq=GATE_SQ)
         kl = kl_criterion(full.posterior)
         entropy = association_entropy(full.assoc_marginals)
         state = decide_switch(group.state, kl, entropy, config)

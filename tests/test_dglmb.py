@@ -7,7 +7,7 @@ from almbtrack import (ConfigurationError, GaussianMixture, Label,
                        NumericalError, SensorModel, dglmb_predict,
                        dglmb_prune, dglmb_update, lmb_to_dglmb)
 from almbtrack.dglmb import _CONSOLIDATE_ATOL, _consolidate
-from almbtrack.gaussian import MotionModel, gm_kalman_update_log
+from almbtrack.gaussian import MotionModel, gate_mask, gm_kalman_update_log
 from almbtrack.pipeline import DensityGroup, gate_measurements
 
 from conftest import CAP, cv_motion, random_mixture, scalar_sensor, single
@@ -136,8 +136,9 @@ def test_update_gated_out_measurement_is_pure_clutter():
 
 def test_update_after_gate_pass_matches_direct_call_bit_for_bit():
     # The gate pass caches innovation terms for the scan's whole
-    # measurement list and the update of the gated subset reads them; a
-    # direct call on fresh mixtures fills them for the subset instead.
+    # measurement list, which the update of the gated subset fills again
+    # for the subset; a direct call on fresh mixtures fills them for the
+    # subset at once.
     sensor = SensorModel(np.eye(2), 4.0 * np.eye(2), 0.9, 1e-3)
     Z = [np.array(z) for z in ([0.5, 0.3], [300.0, 0.0], [4.2, -1.0],
                                [2.0, 2.0], [-3.0, 6.5])]
@@ -160,6 +161,36 @@ def test_update_after_gate_pass_matches_direct_call_bit_for_bit():
         assert a[:2] == b[:2]
         for lab in a[0]:
             assert same_mixture(a[2][lab], b[2][lab])
+
+
+def test_update_of_a_table_equals_that_of_the_measurements_it_gates(rng):
+    # Far measurements among the near ones: the update of the whole table
+    # reads the terms the gate cached and ranks only the measurements a
+    # mixture of the table gates.  Its rows and mixtures are those of the
+    # update of that sub-list, to the bit, and so are its marginals on
+    # those columns; they are 0 on the others.
+    sensor = SensorModel(np.eye(2), 4.0 * np.eye(2), 0.9, 1e-3)
+    for _ in range(20):
+        lmb, Z = random_lmb_instance(rng, max_tracks=3, max_measurements=4)
+        for _ in range(int(rng.integers(1, 3))):
+            Z.insert(int(rng.integers(0, len(Z) + 1)),
+                     rng.normal(0.0, 8.0, 2) + 500.0)
+        prior = lmb_to_dglmb(lmb, CAP)
+        gated = gate_mask(Z, prior.mixtures, sensor, 9.2).nonzero()[0]
+        assert len(gated) < len(Z)
+        whole = dglmb_update(prior, Z, sensor, cap=CAP, gate_sq=9.2)
+        sub = dglmb_update(prior, [Z[j] for j in gated], sensor, cap=CAP,
+                           gate_sq=9.2)
+        assert whole.assoc_marginals.shape == (len(prior.label_space),
+                                               len(Z))
+        assert np.array_equal(whole.assoc_marginals[:, gated],
+                              sub.assoc_marginals)
+        assert not np.delete(whole.assoc_marginals, gated, 1).any()
+        assert len(whole.posterior.w) == len(sub.posterior.w)
+        for a, b in zip(rows_of(whole.posterior), rows_of(sub.posterior)):
+            assert a[:2] == b[:2]
+            for lab in a[0]:
+                assert same_mixture(a[2][lab], b[2][lab])
 
 
 def test_update_matches_brute_force(rng):

@@ -6,7 +6,7 @@ import pytest
 from almbtrack import (ConfigurationError, GaussianMixture, MotionModel,
                        NumericalError, SensorModel, UsageError, gm_predict,
                        gm_reduce)
-from almbtrack.gaussian import (gate_mask, gm_kalman_update_log,
+from almbtrack.gaussian import (_mixture, gate_mask, gm_kalman_update_log,
                                 innovation_terms, mahalanobis_sq, map_point,
                                 predicted_measurement)
 
@@ -34,21 +34,26 @@ def test_component_validation():
     assert np.array_equal(gm.P, [[[1.0, 1.0], [1.0, 1.0]]])
 
 
-@pytest.mark.parametrize("field", ["F", "Q", "H", "R", "clutter_density"])
+@pytest.mark.parametrize("field", ["F", "Q", "H", "R", "clutter_density",
+                                   "w", "m", "P"])
 def test_models_reject_non_finite_settings(field):
-    # Each setting in turn holds inf, -inf or NaN, the others are valid.
+    # Each setting in turn holds inf, -inf or NaN, the others are valid:
+    # the models' matrices and clutter density, and a mixture's weights,
+    # means and covariances.
     for value in (np.inf, -np.inf, np.nan):
         settings = {name: np.eye(2) for name in "FQHR"}
-        settings["clutter_density"] = 1e-4
+        settings.update(clutter_density=1e-4, w=np.ones(2),
+                        m=np.zeros((2, 2)), P=np.stack([np.eye(2)] * 2))
         if field == "clutter_density":
             settings[field] = value
         else:
-            settings[field][0, 1] = value
+            settings[field].flat[1] = value
         with pytest.raises(ConfigurationError,
-                           match=r"^(motion|sensor) %s " % field):
+                           match=r"^(motion|sensor|mixture) %s " % field):
             MotionModel(settings["F"], settings["Q"], 0.99)
             SensorModel(settings["H"], settings["R"], 0.98,
                         settings["clutter_density"])
+            GaussianMixture(settings["w"], settings["m"], settings["P"])
 
 
 def test_predict_identity():
@@ -169,7 +174,10 @@ def test_reduce_one_component_matches_merge_path(rng, weight):
 
 @pytest.mark.parametrize("weight", [0.0, np.nan, np.inf])
 def test_normalized_rejects_a_total_not_positive_and_finite(weight):
-    gm = GaussianMixture([weight, 0.0], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
+    # The public constructor rejects a weight that is not finite; a
+    # mixture the library forms itself is not checked.
+    gm = _mixture(np.array([weight, 0.0]), np.array([[0.0], [1.0]]),
+                  np.ones((2, 1, 1)))
     with pytest.raises(NumericalError) as err:
         gm.normalized()
     total = err.value.diagnostics["total"]
@@ -299,9 +307,8 @@ def test_terms_for_another_table_are_a_whole_fill(rng):
     innovation_terms(refilled, sensor, Z[3:])
     innovation_terms(once, sensor, Z[3:])
     for a, b in zip(refilled, once):
-        assert set(a._terms) == {"sensor", "table", "rows", *TERMS}
+        assert set(a._terms) == {"sensor", "table", *TERMS}
         assert a._terms["table"] == b._terms["table"]
-        assert a._terms["rows"] == b._terms["rows"]
         for name in TERMS:
             assert np.array_equal(a._terms[name], b._terms[name]), name
 

@@ -171,12 +171,12 @@ def test_stacked_kalman_update_of_an_empty_table_or_scan():
 
 @SETTINGS
 @given(seeds, st.lists(sizes, min_size=1, max_size=4), st.integers(1, 5))
-def test_stacked_kalman_update_reads_a_whole_table_as_a_covering_one(
+def test_stacked_kalman_update_refills_terms_of_another_table_once(
         seed, counts, m):
-    # Terms filled for exactly Z are read whole, and terms filled for a
-    # larger table, Z's rows among others in another order, row by row:
-    # alone or in one call, both give the same results, and neither is
-    # filled again.
+    # Terms filled for exactly Z are read whole.  Terms filled for a
+    # larger table, Z's rows among others in another order, are filled
+    # again for Z, with the same bits, and a later call reads them as
+    # they are.  Alone or in one call, both give the same results.
     rng = np.random.default_rng(seed)
     _, sensor = models(rng)
     Z = rng.normal(0.0, 4.0, (m, 2))
@@ -188,16 +188,22 @@ def test_stacked_kalman_update_reads_a_whole_table_as_a_covering_one(
     innovation_terms(wider, sensor, larger)
     d2 = np.concatenate([gm._terms["d2"] for gm in exact])
     gate_sq = float(rng.choice(np.ravel(d2)))
-    terms = [gm._terms for gm in exact + wider]
+    held = [gm._terms for gm in exact]
     whole, whole_post = kalman_updates(exact, sensor, Z, gate_sq)
-    rows, rows_post = kalman_updates(wider, sensor, Z, gate_sq)
+    refilled, refilled_post = kalman_updates(wider, sensor, Z, gate_sq)
+    filled = [gm._terms for gm in wider]
+    for t, f in zip(held, filled):
+        assert f["table"] == t["table"] == Z.tobytes()
+        for name in TERM_NAMES:
+            assert np.array_equal(f[name], t[name]), name
     both, both_post = kalman_updates(exact + wider, sensor, Z, gate_sq)
-    assert all(gm._terms is t for gm, t in zip(exact + wider, terms))
-    assert (whole == rows).all()
-    assert (both == np.concatenate([whole, rows])).all()
-    assert len(whole_post) == len(rows_post)
+    assert all(gm._terms is t for gm, t in zip(exact + wider,
+                                                held + filled))
+    assert (whole == refilled).all()
+    assert (both == np.concatenate([whole, refilled])).all()
+    assert len(whole_post) == len(refilled_post)
     assert len(both_post) == 2 * len(whole_post)
-    for a, b, c, d in zip(whole_post, rows_post, both_post,
+    for a, b, c, d in zip(whole_post, refilled_post, both_post,
                           both_post[len(whole_post):]):
         assert same_mixture(a, b) and same_mixture(a, c)
         assert same_mixture(a, d)
@@ -259,7 +265,7 @@ def test_mixture_average_carries_terms_of_one_table(seed, n_parts, odd):
         assert out._terms is last._terms
     else:
         terms = [gm._terms for _, gm in parts]
-        for key in ("sensor", "table", "rows"):
+        for key in ("sensor", "table"):
             assert out._terms[key] is terms[0][key]
         for name in TERM_NAMES:
             assert np.array_equal(out._terms[name], np.concatenate(

@@ -1,7 +1,8 @@
 """Import hygiene of the package: every module uses what it imports and
 imports no underscore name, every function reads every parameter it
-takes, every top-level function, class and method is used, and the
-public names are a pinned list that resolves."""
+takes, every top-level function, class and method is used, no module
+touches another's underscore attributes, and the public names are a
+pinned list that resolves."""
 
 import ast
 from collections import Counter
@@ -225,6 +226,61 @@ def test_unused_method_is_reported():
     assert unreferenced_methods(sources) == [
         ("a.py", "A", "named"), ("a.py", "A", "recursive"),
         ("a.py", "A", "stored")]
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def foreign_private_attributes(sources):
+    """``(module, line, name)`` of every underscore attribute a module
+    reads or writes that another module owns.
+
+    ``sources`` maps module file names to their text.  A module owns the
+    underscore attributes its code sets on ``self`` and the underscore
+    members its classes define; dunder names are not reported.
+    """
+    owner, touched = {}, []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    names = [member.name] if isinstance(member, (
+                        ast.FunctionDef, ast.AsyncFunctionDef)) else [
+                        t.id for t in getattr(member, "targets", [
+                            getattr(member, "target", None)])
+                        if isinstance(t, ast.Name)]
+                    for name in filter(_private, names):
+                        owner.setdefault(name, module)
+            elif isinstance(node, ast.Attribute) and _private(node.attr):
+                touched.append((module, node.lineno, node.attr))
+                if isinstance(node.ctx, ast.Store) and isinstance(
+                        node.value, ast.Name) and node.value.id == "self":
+                    owner.setdefault(node.attr, module)
+    return sorted((module, line, name) for module, line, name in touched
+                  if owner.get(name) != module)
+
+
+def test_no_foreign_private_attributes():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert foreign_private_attributes(sources) == []
+
+
+def test_foreign_private_attribute_is_reported():
+    sources = {
+        "a.py": ("class A:\n"
+                 "    _LIMIT = 3\n    _size: int = 0\n"
+                 "    def __init__(self):\n        self._cache = None\n"
+                 "    def _fill(self):\n        self._cache = 1\n"
+                 "def reset(a):\n    a._cache = a._fill() + a._size\n"
+                 "    return a.__dict__\n"),
+        "b.py": ("from .a import A\n"
+                 "def peek(a):\n    return a._cache, A._LIMIT, a._size\n"
+                 "def poke(a):\n    a._fill()\n    a._spare = 2\n"),
+    }
+    assert foreign_private_attributes(sources) == [
+        ("b.py", 3, "_LIMIT"), ("b.py", 3, "_cache"), ("b.py", 3, "_size"),
+        ("b.py", 5, "_fill"), ("b.py", 6, "_spare")]
 
 
 EXPORTS = (

@@ -16,6 +16,7 @@ from almbtrack import (ConfigurationError, DensityGroup, DglmbDensity,
                        kl_criterion, lmb_to_dglmb, lmb_update)
 from almbtrack import dglmb, pipeline
 from almbtrack.dglmb import one_track_update, one_track_updates
+from almbtrack.gaussian import gate_mask
 from almbtrack.harness import run_filter
 from almbtrack.pipeline import (CAP, GATE_SQ, _reduce_lmb, _within,
                                 extract_tracks, gate_measurements,
@@ -706,6 +707,28 @@ def test_one_batch_of_every_path_matches_the_generic_update(p_d, config,
     for group, result in zip(groups, batch):
         assert_same_update(result, generic_update(
             group, [Z[j] for j in group.gated], sensor, config))
+
+
+def test_update_of_a_merged_group_skips_a_measurement_no_mixture_gates():
+    # Both tracks gate the shared measurement; only the unlikely one gates
+    # the other.  The merge's prune drops every row that holds that track,
+    # so its mixture leaves the table, and the group's ``gated`` keeps a
+    # measurement no table mixture gates.  The update of the whole scan
+    # equals the update of the group's sub-list.
+    pinned = DensityGroup(lmb_to_dglmb(track_group(
+        Label(1, 0), 0.0, 0.0).density, CAP), PINNED)
+    unlikely = track_group(Label(1, 1), 30.0, 0.0, existence=1e-6)
+    Z = [[-400.0, 0.0], [15.0, 0.0], [60.0, 0.0]]
+    group, = merge_groups(gate_measurements([pinned, unlikely], Z, SENSOR,
+                                            GATE_SQ))
+    assert group.gated == (1, 2)
+    assert isinstance(group.density, DglmbDensity)
+    table = group.density.mixtures
+    assert gate_mask(Z, table, SENSOR, GATE_SQ).tolist() == [
+        False, True, False]
+    assert_same_update(update_group([group], Z, SENSOR, CFG)[0],
+                       generic_update(group, [Z[j] for j in group.gated],
+                                      SENSOR, CFG))
 
 
 def test_lmb_filter_sends_only_multi_track_groups_to_lmb_update(monkeypatch):
