@@ -479,51 +479,49 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
 def one_track_updates(tracks, measurements, sensor, cap, gate_sq):
     """``one_track_update`` of many one-track LMB densities, in one batch.
 
-    ``tracks`` holds an ``(existence, gm, gated)`` triple per density,
-    ``gated`` the positions in the table ``measurements`` of the
-    measurements ``one_track_update`` would be given.  Returns ``(seg,
-    index, theta, w, tables)``: the kept children of all densities,
-    density by density and each density's in ``one_track_update``'s
-    order, as flat arrays of their density, table position, map and
-    weight; and each density's mixture table.
+    ``tracks`` holds an ``(existence, gm)`` pair per density.  Returns
+    ``(seg, index, theta, w, tables)``: the kept children of all
+    densities, density by density and each density's in
+    ``one_track_update``'s order, as flat arrays of their density, table
+    position, map and weight; and each density's mixture table.
 
     One ``kalman_updates`` pass gates and updates every (density,
-    measurement) pair, and one ``ranked_one_label`` call ranks the
-    options of every present hypothesis.  Where ``_apart`` proves a
-    density's children apart (fewer than ``_FEW_ROWS``, and the first
-    mean entries of the present ones ``_spread``) and the cap keeps them
-    all, ``_finalize`` is a stable sort by weight, the absent child first
-    on a tie, and ``_normalized``: one pass for all such densities.  So
-    it is with nothing in the gate, the Bernoulli missed-detection
-    posterior (existence r (1 - p_D) / (1 - r p_D) and ``gm`` unchanged:
-    Ristic, Vo, Vo & Farina, "A tutorial on Bernoulli filters", IEEE TSP
-    2013).  A density of more than ``ENUMERATE_LIMIT`` gated
-    measurements, where Murty's algorithm orders tied costs, and one
-    whose children might merge, such as the posteriors of two identical
-    measurements, take ``one_track_update``.
+    measurement) pair of the table ``measurements``; a density's gate is
+    the finite entries of its row.  One ``ranked_one_label`` call ranks
+    the options of every present hypothesis.  Where the first mean
+    entries of a density's present children are ``_spread`` and the cap
+    keeps them all, no two can merge, and ``_finalize`` is a stable sort
+    by weight, the absent child first on a tie, and ``_normalized``: one
+    pass for all such densities.  So it is with
+    nothing in the gate, the Bernoulli missed-detection posterior
+    (existence r (1 - p_D) / (1 - r p_D) and ``gm`` unchanged: Ristic,
+    Vo, Vo & Farina, "A tutorial on Bernoulli filters", IEEE TSP 2013).
+    A density of more than ``ENUMERATE_LIMIT`` gated measurements, where
+    Murty's algorithm orders tied costs, and one whose children might
+    merge, such as the posteriors of two identical measurements, take
+    ``one_track_update`` on the table rows of its gate.
     """
-    few = np.array([e for e, track in enumerate(tracks)
-                    if len(track[2]) <= ENUMERATE_LIMIT], dtype=int)
-    n, gms = len(few), [tracks[e][1] for e in few]
     log_pd, log_qd, log_kappa = _log_factors(sensor)
+    log_lik, posteriors = kalman_updates([gm for _, gm in tracks], sensor,
+                                         measurements, gate_sq)
+    gated = np.isfinite(log_lik)
+    size = np.count_nonzero(gated, 1)
+    few = (size <= ENUMERATE_LIMIT).nonzero()[0]
+    n, size = len(few), size[few]
     # Each density's costs of the miss and of its gated measurements, in
-    # order, and the position of each hit's posterior in ``posteriors``.
-    size = [len(tracks[e][2]) for e in few]
-    cost = np.full((n, 1 + max(size, default=0)), np.inf)
+    # order, and the position of each hit's posterior in ``posteriors``,
+    # which come row-major over the finite entries.
+    cost = np.full((n, 1 + size.max(initial=0)), np.inf)
     cost[:, 0] = -log_qd
     at = np.full(cost.shape, -1)
-    posteriors = []
-    if any(size):
-        log_lik, posteriors = kalman_updates(gms, sensor, measurements,
-                                             gate_sq)
-        hit = np.full(log_lik.shape, -1)
-        hit[np.isfinite(log_lik)] = np.arange(len(posteriors))
-        h = np.repeat(np.arange(n), size)
-        k = np.arange(1, len(h) + 1) - np.repeat(np.cumsum(size) - size,
-                                                 size)
-        col = np.array([j for e in few for j in tracks[e][2]], dtype=int)
-        cost[h, k] = -(log_pd + log_lik[h, col] - log_kappa)
-        at[h, k] = hit[h, col]
+    if posteriors:
+        hit = np.full(gated.shape, -1)
+        hit[gated] = np.arange(len(posteriors))
+        h, col = gated[few].nonzero()
+        k = np.arange(1, len(h) + 1) - (np.cumsum(size) - size)[h]
+        row = few[h]
+        cost[h, k] = -(log_pd + log_lik[row, col] - log_kappa)
+        at[h, k] = hit[row, col]
     # Each density's absent and present log weights (NaN without a present
     # hypothesis) and the present one's quota.
     log_out, log_in = np.zeros(n), np.full(n, np.nan)
@@ -540,19 +538,19 @@ def one_track_updates(tracks, measurements, sensor, cap, gate_sq):
     hyp = there[hyp]
     first = np.searchsorted(hyp, np.arange(n + 1))
     option, bounds = at[hyp, j].tolist(), first.tolist()
-    # Each density's mixture table, and whether _apart proves its finite
-    # children apart, no more of them than the cap keeps.
+    # Each density's mixture table, and whether its finite children are
+    # apart, no more of them than the cap keeps.
     tables, apart = [None] * len(tracks), np.zeros(n, dtype=bool)
     for d, (e, lw_in, lw_out) in enumerate(zip(
             few.tolist(), log_in.tolist(), log_out.tolist())):
-        table = tables[e] = [gms[d] if i < 0 else posteriors[i]
+        table = tables[e] = [tracks[e][1] if i < 0 else posteriors[i]
                              for i in option[bounds[d]:bounds[d + 1]]]
         held = table if lw_in > -math.inf else []
         count = len(held) + (lw_out > -math.inf)
         if not count:
             raise NumericalError("all hypothesis weights vanished",
                                  {"hypotheses": 0})
-        apart[d] = count < _FEW_ROWS and count <= cap and _spread(sorted(
+        apart[d] = count <= cap and _spread(sorted(
             gm.m[0, 0] for gm in held))
     # Their children, the present ones in rank order and then the absent
     # ones: the finite ones sorted by (density, -log w, present) and
@@ -573,10 +571,9 @@ def one_track_updates(tracks, measurements, sensor, cap, gate_sq):
         return seg, pos, theta, w, tables
     blocks = [(seg, pos, theta, w)]
     for e in rest:
-        existence, gm, gated = tracks[e]
-        tables[e], index, th, w = one_track_update(
-            existence, gm, [measurements[i] for i in gated], sensor, cap,
-            gate_sq)
+        tables[e], index, th, w = one_track_update(*tracks[e], [
+            z for z, inside in zip(measurements, gated[e]) if inside],
+            sensor, cap, gate_sq)
         blocks.append((np.full(len(w), e), index[:, 0],
                        np.array(th, dtype=int), w))
     seg, index, theta, w = (np.concatenate(part) for part in zip(*blocks))

@@ -4,17 +4,18 @@ Each scan processes statistically independent density groups through a
 fixed stage order: birth injection, prediction, gating, merging of
 groups that compete for measurements, measurement update with optional
 representation switching, pruning, splitting of groups whose tracks no
-longer interact, and track extraction.
+longer interact, and track extraction.  A group holds nothing of a
+scan: the gate's lists of gated measurements serve the merge alone.
 
 Every group runs the same update: the exact delta-GLMB update, then the
 switching automaton, which keeps the posterior or approximates it in LMB
-form.  The update stage is one call per scan (``update_group``).  Its
-LMB groups of one track take the update in closed form, to the bit, all
-in one batch: one Kalman pass over the scan's measurement table, one
-ranking, and the criteria as arrays, with the automaton run group by
-group.  A group whose entries might merge, or that gates more than 16
-measurements, falls back to the one-group closed form with the generic
-finalization (``dglmb.one_track_update``).
+form.  The update stage is one call per scan (``update_group``), and
+each update gates the scan's measurement table in its own Kalman pass.
+Its LMB groups of one track take the update in closed form, to the bit,
+all in one batch: one Kalman pass, one ranking, and the criteria as
+arrays, with the automaton run group by group.  A group whose entries
+might merge, or that gates more than 16 measurements, takes the
+one-group form with the generic finalization (``dglmb.one_track_update``).
 The three filters are settings of this one path (``MultiObjectTracker``):
 ``"almb"`` switches per the criteria, ``"lmb"`` sets both thresholds to
 infinity so no group ever switches, and ``"dglmb"`` starts every birth
@@ -32,7 +33,7 @@ from .densities import (DglmbDensity, Label, LmbDensity, dglmb_to_lmb,
                         lmb_to_dglmb, segment_sums)
 from .dglmb import (dglmb_drop_labels, dglmb_predict, dglmb_prune,
                     dglmb_update, one_track_updates, row_groups)
-from .errors import UsageError, check_numbers
+from .errors import ConfigurationError, UsageError, check_numbers
 from .gaussian import (gate_mask, gm_reduce, innovation_terms, map_point,
                        mixture_average, predicted_measurement)
 from .lmb import lmb_predict, lmb_update
@@ -81,14 +82,12 @@ class DensityGroup:
     ``criterion_value`` holds the group's outstanding value of the
     criterion that keeps it in delta-GLMB form (zero in LMB form); a
     merged group inherits the state of the member with the largest
-    outstanding value.  ``gated`` holds indices into the current scan's
-    measurement list.
+    outstanding value.
     """
 
     density: object
     state: Trigger = Trigger.NONE
     criterion_value: float = 0.0
-    gated: tuple = ()
 
     def lmb_view(self):
         if isinstance(self.density, LmbDensity):
@@ -171,10 +170,9 @@ def predict_group(group, motion):
 
 
 def gate_measurements(groups, measurements, sensor, gate_sq):
-    """Assign each group the measurement indices inside any track's gate.
-
-    Returns the groups with ``gated`` filled.  Measurements gated by no
-    group are ignored downstream (treated as clutter).
+    """The positions in ``measurements`` inside any track's gate, one
+    ascending list per group, for ``merge_groups``.  Measurements gated
+    by no group are ignored downstream (treated as clutter).
     """
     # The mixture tables first: the collapses of delta-GLMB densities
     # concatenate the terms of their parts.
@@ -182,9 +180,9 @@ def gate_measurements(groups, measurements, sensor, gate_sq):
         innovation_terms([gm for group in groups
                           for gm in group.density.mixtures], sensor,
                          measurements)
-    return [replace(group, gated=tuple(int(j) for j in np.flatnonzero(
-        gate_mask(measurements, group.lmb_view().mixtures, sensor,
-                  gate_sq)))) for group in groups]
+    return [np.flatnonzero(gate_mask(measurements, group.lmb_view().mixtures,
+                                     sensor, gate_sq)).tolist()
+            for group in groups]
 
 
 def _union_lmb(members):
@@ -220,8 +218,8 @@ def _cross_product(a, b):
     return dglmb_prune(merged, DGLMB_PRUNE, CAP)
 
 
-def merge_groups(groups):
-    """Merge groups that gate a common measurement (transitive closure).
+def merge_groups(groups, gates):
+    """Merge groups whose ``gates`` share a measurement (transitive closure).
 
     LMB groups union their track sets; if any member is in delta-GLMB
     form the merged group is delta-GLMB, expanding LMB members with at
@@ -229,24 +227,20 @@ def merge_groups(groups):
     (pruned at ``DGLMB_PRUNE`` and capped at ``CAP``).
     """
     owner, shared = {}, []
-    for i, group in enumerate(groups):
-        for j in group.gated:
-            if j in owner:
+    for i, gate in enumerate(gates):
+        for j in gate:
+            if owner.setdefault(j, i) != i:
                 shared.append((owner[j], i))
-            else:
-                owner[j] = i
     out = []
     for cluster in _components(len(groups), shared):
         members = [groups[i] for i in cluster]
         if len(members) == 1:
             out.append(members[0])
             continue
-        gated = tuple(sorted(set().union(*(m.gated for m in members))))
         dglmb_members = [m for m in members
                          if isinstance(m.density, DglmbDensity)]
         if not dglmb_members:
-            out.append(DensityGroup(_union_lmb(members), Trigger.NONE,
-                                    0.0, gated))
+            out.append(DensityGroup(_union_lmb(members)))
             continue
         lead = max(dglmb_members, key=lambda m: m.criterion_value)
         merged = None
@@ -256,8 +250,7 @@ def merge_groups(groups):
                 density = lmb_to_dglmb(density, CAP)
             merged = density if merged is None else \
                 _cross_product(merged, density)
-        out.append(DensityGroup(merged, lead.state, lead.criterion_value,
-                                gated))
+        out.append(DensityGroup(merged, lead.state, lead.criterion_value))
     return out
 
 
@@ -269,18 +262,18 @@ def _reduce_lmb(lmb):
 
 def update_group(groups, measurements, sensor, config):
     """Measurement-update the groups of a scan and run the switching
-    automaton on each; ``measurements`` is the scan's table, which each
-    group's ``gated`` indexes.
+    automaton on each; ``measurements`` is the scan's table.
 
     Returns one ``(group, kl, entropy)`` per group, in order.  The
     criteria are evaluated on the exact (un-pruned) update output.  A
     group the automaton leaves in delta-GLMB form keeps that output, with
     the value of the criterion that holds it there (0.0 when pinned); any
     other group takes the mixture-reduced LMB approximation.  Every
-    update reads the whole table, by position: ``dglmb_update`` and
-    ``lmb_update`` rank only the measurements the group's mixtures gate.
-    The LMB groups of one track take the same update in closed form, all
-    in one batch (``_update_one_track``), which reads ``gated``.
+    update reads the whole table, by position, and gates it in its own
+    Kalman pass: ``dglmb_update`` and ``lmb_update`` rank only the
+    measurements the group's mixtures gate.  The LMB groups of one track
+    take the same update in closed form, all in one batch
+    (``_update_one_track``), each over its own gate.
     """
     out, one_track = [None] * len(groups), []
     for e, group in enumerate(groups):
@@ -323,7 +316,7 @@ def _update_one_track(groups, measurements, sensor, config):
     if not n:
         return []
     seg, index, theta, w, tables = one_track_updates(
-        [(g.density.r[0], g.density.mixtures[0], g.gated) for g in groups],
+        [(g.density.r[0], g.density.mixtures[0]) for g in groups],
         measurements, sensor, CAP, GATE_SQ)
     # Sums in row order: np.sum for the totals, one term at a time
     # otherwise.
@@ -469,15 +462,24 @@ def pipeline_step(groups, measurements, step_index, motion, sensor,
                   births, config, birth_state=Trigger.NONE):
     """Run one full scan; returns ``(groups, extracted, diagnostics)``.
 
-    ``births`` is a list of ``(existence, mixture)`` pairs; new births
-    start in the ``Trigger`` ``birth_state``."""
-    # One float table of the scan's measurements for the gate and the
-    # update, which read it whole.
-    measurements = np.asarray(measurements, dtype=float)
+    ``measurements`` holds one row of ``sensor.meas_dim`` finite numbers
+    per measurement, or none; anything else raises ``ConfigurationError``
+    naming the scan before any stage runs.  ``births`` is a list of
+    ``(existence, mixture)`` pairs; new births start in ``birth_state``.
+    """
+    try:  # one float table, which the gate and the update read whole
+        measurements = np.asarray(measurements, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or not numbers
+        measurements = None
+    if measurements is None or measurements.shape != (0,) and (
+            measurements.shape[1:] != (sensor.meas_dim,)
+            or not np.isfinite(measurements).all()):
+        raise ConfigurationError("scan %d: a measurement must be %d finite "
+                                 "numbers" % (step_index, sensor.meas_dim))
     groups = inject_birth(groups, births, step_index, birth_state, sensor)
     groups = [predict_group(g, motion) for g in groups]
-    groups = gate_measurements(groups, measurements, sensor, GATE_SQ)
-    groups = merge_groups(groups)
+    gates = gate_measurements(groups, measurements, sensor, GATE_SQ)
+    groups = merge_groups(groups, gates)
     results = update_group(groups, measurements, sensor, config)
     updated, kls, entropies = ([r[i] for r in results] for i in range(3))
     groups = [g for g in (prune_group(g) for g in updated) if g is not None]

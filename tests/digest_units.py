@@ -3,8 +3,9 @@
 A digest covers every scan's estimate labels, the bytes of their
 position vectors and ``repr(sorted(diagnostics.items()))``.  The units
 are all three filters on builtin two-target seeds 2025-2030 and
-sixteen-target seed 4033 (21 lines).  Run it on two trees and diff the
-output to show that a change keeps the filters' output bit for bit:
+sixteen-target seeds 4033-4034, the benchmark's units (24 lines).  Run
+it with each tree's ``src`` and diff the output to show that a change
+keeps the filters' output bit for bit:
 
     PYTHONPATH=src python3 tests/digest_units.py > digests.txt
 
@@ -19,7 +20,7 @@ from almbtrack import builtin_scenario, generate_measurements, generate_truth
 from almbtrack.harness import FILTER_NAMES, run_filter
 
 UNITS = [("two-target", seed) for seed in range(2025, 2031)] + [
-    ("sixteen-target", 4033)]
+    ("sixteen-target", seed) for seed in (4033, 4034)]
 
 
 def digest(result):

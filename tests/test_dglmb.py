@@ -150,9 +150,9 @@ def test_update_after_gate_pass_matches_direct_call_bit_for_bit():
         }), CAP)
 
     gated_prior = prior()
-    group, = gate_measurements([DensityGroup(gated_prior)], Z, sensor, 9.2)
-    assert 0 < len(group.gated) < len(Z)
-    subset = [Z[j] for j in group.gated]
+    gate, = gate_measurements([DensityGroup(gated_prior)], Z, sensor, 9.2)
+    assert 0 < len(gate) < len(Z)
+    subset = [Z[j] for j in gate]
     via_gate = dglmb_update(gated_prior, subset, sensor, cap=50, gate_sq=9.2)
     direct = dglmb_update(prior(), subset, sensor, cap=50, gate_sq=9.2)
     assert np.array_equal(via_gate.assoc_marginals, direct.assoc_marginals)

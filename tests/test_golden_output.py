@@ -47,8 +47,8 @@ def compute(scenario):
     for name in FILTER_NAMES:
         count = events[name] = {"merged_away": 0, "split_off": 0}
 
-        def counted_merge(groups):
-            result = merge(groups)
+        def counted_merge(groups, gates):
+            result = merge(groups, gates)
             count["merged_away"] += len(groups) - len(result)
             return result
 

@@ -16,8 +16,9 @@ from almbtrack import (ConfigurationError, DensityGroup, DglmbDensity,
                        kl_criterion, lmb_to_dglmb, lmb_update)
 from almbtrack import dglmb, pipeline
 from almbtrack.dglmb import one_track_update, one_track_updates
-from almbtrack.gaussian import gate_mask
+from almbtrack.gaussian import gate_mask, gm_kalman_update_log
 from almbtrack.harness import run_filter
+from almbtrack.scenarios import make_birth_model, make_motion, make_sensor
 from almbtrack.pipeline import (CAP, GATE_SQ, _reduce_lmb, _within,
                                 extract_tracks, gate_measurements,
                                 inject_birth, merge_groups, pipeline_step,
@@ -46,10 +47,9 @@ def track_group(label, x, y, existence=0.9, std=10.0, state=None):
 
 
 def update_one(group, scan, sensor, config):
-    """``update_group`` of ``group`` alone, on every measurement of
-    ``scan``."""
-    group = dataclasses.replace(group, gated=tuple(range(len(scan))))
-    return update_group([group], scan, sensor, config)[0]
+    """``update_group`` of ``group`` alone on the table ``scan``, which
+    the update gates itself."""
+    return update_group([group], np.array(scan), sensor, config)[0]
 
 
 def test_birth_injects_one_group_per_entry():
@@ -107,7 +107,7 @@ def test_gate_keeps_near_drops_far():
     outside = [np.sqrt(9.2103) * 10.0 + 0.5, 0.0]
     out = gate_measurements([group], [inside, outside, [500.0, 500.0]],
                             SENSOR, GATE_SQ)
-    assert out[0].gated == (0,)
+    assert out == [[0]]
 
 
 def test_gate_unions_over_tracks():
@@ -119,48 +119,46 @@ def test_gate_unions_over_tracks():
     group = DensityGroup(lmb)
     out = gate_measurements([group], [[0.0, 0.0], [200.0, 0.0],
                                       [100.0, 0.0]], SENSOR, GATE_SQ)
-    assert out[0].gated == (0, 1)
+    assert out == [[0, 1]]
 
 
 def test_gate_empty_scan():
     group = track_group(Label(1, 0), 0.0, 0.0)
     out = gate_measurements([group], [], SENSOR, GATE_SQ)
-    assert out[0].gated == ()
+    assert out == [[]]
 
 
 def test_merge_leaves_disjoint_groups_alone():
     a = track_group(Label(1, 0), 0.0, 0.0)
     b = track_group(Label(1, 1), 500.0, 0.0)
     Z = [[0.0, 0.0], [500.0, 0.0]]
-    gated = gate_measurements([a, b], Z, SENSOR, GATE_SQ)
-    merged = merge_groups(gated)
-    assert len(merged) == 2
+    gates = gate_measurements([a, b], Z, SENSOR, GATE_SQ)
+    assert gates == [[0], [1]]
+    merged = merge_groups([a, b], gates)
+    assert merged == [a, b]
 
 
 def test_merge_unions_lmb_groups_sharing_a_measurement():
     a = track_group(Label(1, 0), 0.0, 0.0)
     b = track_group(Label(1, 1), 20.0, 0.0)
     Z = [[10.0, 0.0]]
-    gated = gate_measurements([a, b], Z, SENSOR, GATE_SQ)
-    merged = merge_groups(gated)
+    gates = gate_measurements([a, b], Z, SENSOR, GATE_SQ)
+    assert gates == [[0], [0]]
+    merged = merge_groups([a, b], gates)
     assert len(merged) == 1
     assert isinstance(merged[0].density, LmbDensity)
     assert merged[0].density.label_space == (Label(1, 0), Label(1, 1))
-    assert merged[0].gated == (0,)
 
 
 def test_merge_closes_chains_of_shared_measurements():
     # a and b share measurement 0, b and c share measurement 1: a, b and c
     # form one group although a and c share nothing.  d gates alone.
     labels = [Label(1, i) for i in range(4)]
-    a, d, b, c = [DensityGroup(track_group(lab, 0.0, 0.0).density,
-                               gated=gated)
-                  for lab, gated in zip(labels, [(0,), (2,), (0, 1), (1,)])]
-    merged = merge_groups([a, d, b, c])
+    a, d, b, c = [track_group(lab, 0.0, 0.0) for lab in labels]
+    merged = merge_groups([a, d, b, c], [[0], [2], [0, 1], [1]])
     assert len(merged) == 2
     assert merged[0].density.label_space == (labels[0], labels[2],
                                              labels[3])
-    assert merged[0].gated == (0, 1)
     assert merged[1] is d
 
 
@@ -170,9 +168,9 @@ def test_merge_cross_product_weights():
         {la: (0.5, single([0, 0, 0, 0], np.eye(4)))}), CAP)
     db = lmb_to_dglmb(lmb_from_tracks(
         {lb: (0.3, single([9, 0, 0, 0], np.eye(4)))}), CAP)
-    ga = DensityGroup(da, Trigger.KL, 0.2, (0,))
-    gb = DensityGroup(db, Trigger.ENTROPY, 0.1, (0,))
-    merged = merge_groups([ga, gb])
+    ga = DensityGroup(da, Trigger.KL, 0.2)
+    gb = DensityGroup(db, Trigger.ENTROPY, 0.1)
+    merged = merge_groups([ga, gb], [[0], [0]])
     assert len(merged) == 1
     d = merged[0].density
     assert isinstance(d, DglmbDensity)
@@ -188,11 +186,10 @@ def test_merge_cross_product_weights():
 def test_merge_expands_lmb_member_into_delta():
     la, lb = Label(1, 0), Label(1, 1)
     a = track_group(la, 0.0, 0.0, existence=0.5)
-    a = DensityGroup(a.density, a.state, 0.0, (0,))
     db = lmb_to_dglmb(lmb_from_tracks(
         {lb: (0.3, single([9, 0, 0, 0], np.eye(4)))}), CAP)
-    gb = DensityGroup(db, Trigger.KL, 0.4, (0,))
-    merged = merge_groups([a, gb])
+    gb = DensityGroup(db, Trigger.KL, 0.4)
+    merged = merge_groups([a, gb], [[0], [0]])
     assert len(merged) == 1
     assert isinstance(merged[0].density, DglmbDensity)
     assert len(merged[0].density.hypotheses) == 4
@@ -205,7 +202,7 @@ def contested_group():
         l1: (0.5, single([0, 0, 0, 0], 25.0 * np.eye(4))),
         l2: (0.5, single([5, 0, 0, 0], 25.0 * np.eye(4))),
     })
-    return DensityGroup(lmb, gated=(0,))
+    return DensityGroup(lmb)
 
 
 def test_update_policy_lmb_always_collapses():
@@ -467,6 +464,28 @@ def test_unfactorable_innovation_covariance_raises_in_its_scan(policy,
                                   -498.75 * np.eye(2))
 
 
+@pytest.mark.parametrize("scan", [
+    [[0.0, 0.0, 0.0]], [[np.nan, 0.0]], [[-1000.0, np.inf]], [[1.0], [2.0]],
+    [[1.0, 2.0], [3.0]]],
+    ids=["three-entries", "nan", "inf", "one-entry-rows", "ragged"])
+def test_malformed_scan_raises_before_any_stage(scan, monkeypatch):
+    # A scan must be a table of finite rows of the sensor's dimension;
+    # anything else names its scan, and no stage runs on it.  An empty
+    # scan is valid.
+    config = builtin_scenario("two-target")
+    tracker = MultiObjectTracker(make_motion(config), make_sensor(config),
+                                 make_birth_model(config), policy="lmb")
+    tracker.step([])
+    tracker.step([[-990.0, 5.0]])
+
+    def stage(*args):
+        raise AssertionError("a stage ran on a malformed scan")
+
+    monkeypatch.setattr(pipeline, "inject_birth", stage)
+    with pytest.raises(ConfigurationError, match="^scan 3: "):
+        tracker.step(scan)
+
+
 def test_tracker_locks_onto_clean_target():
     # p_D = 1, no clutter: the track confirms quickly and the estimate
     # follows the constant-velocity truth.
@@ -590,10 +609,11 @@ def test_one_track_miss_entries_match_the_generic_update(p_d, rng):
 @pytest.mark.parametrize("cap", [1, 2, 3, CAP])
 @pytest.mark.parametrize("p_d", [0.0, 0.9, 1.0])
 def test_one_track_batch_entries_match_one_track_update(p_d, cap, rng):
-    # Tracks of every existence class and of 1-3 components gate 0-6 of
-    # 14 measurements, two of them identical; caps of 1-3 cut their
-    # entries.  Each track's entries in the batch equal those of its own
-    # one_track_update, in order.
+    # Tracks of every existence class and of 1-3 components, spread so
+    # that they gate none to all of 14 measurements, two of them
+    # identical; caps of 1-3 cut their entries.  Each track's entries in
+    # the batch equal those of its own one_track_update on the
+    # measurements the gate stage gives it, in order.
     sensor = position_sensor(10.0, p_d, 1.25e-5)
     Z = rng.normal(0.0, 15.0, (12, 2)).tolist() + [[5.0, 3.0]] * 2
     tracks = []
@@ -601,14 +621,18 @@ def test_one_track_batch_entries_match_one_track_update(p_d, cap, rng):
             rng.random(10).tolist():
         gm = one_track(existence, int(rng.integers(1, 4))).density \
             .mixtures[0]
-        tracks.append((existence, gm, tuple(sorted(rng.choice(
-            len(Z), int(rng.integers(0, 7)), replace=False).tolist()))))
+        tracks.append((existence, GaussianMixture(
+            gm.w, gm.m + [*rng.uniform(-70.0, 70.0, 2), 0.0, 0.0], gm.P)))
+    gates = gate_measurements(
+        [DensityGroup(lmb_from_tracks({Label(1, 0): track}))
+         for track in tracks], Z, sensor, GATE_SQ)
+    assert min(map(len, gates)) == 0 and max(map(len, gates)) == len(Z)
     seg, index, theta, w, tables = one_track_updates(
         tracks, np.array(Z), sensor, cap, GATE_SQ)
     assert seg.tolist() == sorted(seg.tolist())
-    for e, (existence, gm, gated) in enumerate(tracks):
+    for e, ((existence, gm), gate) in enumerate(zip(tracks, gates)):
         mixtures, want_index, want_theta, want_w = one_track_update(
-            existence, gm, [Z[j] for j in gated], sensor, cap, GATE_SQ)
+            existence, gm, [Z[j] for j in gate], sensor, cap, GATE_SQ)
         assert index[seg == e].tolist() == want_index[:, 0].tolist()
         assert theta[seg == e].tolist() == want_theta
         assert w[seg == e].tolist() == want_w.tolist()
@@ -656,12 +680,13 @@ def test_one_track_update_switches_on_entropy():
 
 
 def mixed_scan(rng):
-    """One scan's groups, with their gates filled, and its measurement
-    table.  In order: a one-track group with one hit; a delta-GLMB group;
-    one with two identical measurements, whose posteriors consolidate;
-    one of 18 gated measurements, where Murty's algorithm ranks; a
-    two-track group; one with an empty gate; and one-track groups of
-    existence 0 and 1, with one hit each.  The groups lie 300 m apart."""
+    """One scan's groups, the gated measurements ``gate_measurements``
+    returns for each, and its measurement table.  In order: a one-track
+    group with one hit; a delta-GLMB group; one with two identical
+    measurements, whose posteriors consolidate; one of 18 gated
+    measurements, where Murty's algorithm ranks; a two-track group; one
+    with an empty gate; and one-track groups of existence 0 and 1, with
+    one hit each.  The groups lie 300 m apart."""
     def at(x, y, existence, components=1):
         group = one_track(existence, components)
         gm = group.density.mixtures[0]
@@ -682,15 +707,15 @@ def mixed_scan(rng):
     Z = [[5.0, 3.0], [-296.0, 4.0], [292.0, 12.0], [292.0, 12.0]]
     Z += (rng.normal(0.0, 6.0, (18, 2)) + [-600.0, 0.0]).tolist()
     Z += [[6.0, 598.0], [3.0, -304.0], [603.0, -2.0]]
-    return gate_measurements(groups, Z, SENSOR, GATE_SQ), Z
+    return groups, gate_measurements(groups, Z, SENSOR, GATE_SQ), Z
 
 
 @pytest.mark.parametrize("config", [CFG, NEVER], ids=["almb", "lmb"])
 @pytest.mark.parametrize("p_d", [0.0, 0.9, 1.0])
 def test_one_batch_of_every_path_matches_the_generic_update(p_d, config,
                                                             monkeypatch):
-    groups, Z = mixed_scan(np.random.default_rng(11))
-    assert [len(g.gated) for g in groups] == [1, 1, 2, 18, 1, 0, 1, 1]
+    groups, gates, Z = mixed_scan(np.random.default_rng(11))
+    assert [len(gate) for gate in gates] == [1, 1, 2, 18, 1, 0, 1, 1]
     sensor = position_sensor(10.0, p_d, 1.25e-5)
     taken, real_update = [], dglmb.one_track_update
 
@@ -699,36 +724,85 @@ def test_one_batch_of_every_path_matches_the_generic_update(p_d, config,
         return real_update(existence, gm, measurements, *args)
 
     monkeypatch.setattr(dglmb, "one_track_update", update)
-    batch = update_group(groups, Z, sensor, config)
+    batch = update_group(groups, np.array(Z), sensor, config)
     # Without detections no two posteriors compete; otherwise the twin
     # measurements must consolidate.
     assert taken == ([18] if p_d == 0.0 else [2, 18])
     assert len(batch) == len(groups)
-    for group, result in zip(groups, batch):
+    for group, gate, result in zip(groups, gates, batch):
         assert_same_update(result, generic_update(
-            group, [Z[j] for j in group.gated], sensor, config))
+            group, [Z[j] for j in gate], sensor, config))
+
+
+def test_one_track_hits_take_the_measurements_of_the_gate_stage():
+    # The batch gates each one-track group from its own Kalman pass.  Its
+    # hit entries are the Kalman posteriors of exactly the measurements
+    # gate_measurements returns for the group (the twins consolidate into
+    # one entry), and a group of existence 0 has none.
+    groups, gates, Z = mixed_scan(np.random.default_rng(11))
+    one = [(g.density.r[0], g.density.mixtures[0], gate)
+           for g, gate in zip(groups, gates)
+           if isinstance(g.density, LmbDensity)
+           and len(g.density.label_space) == 1]
+    assert [len(gate) for _, _, gate in one] == [1, 2, 18, 0, 1, 1]
+    seg, index, theta, w, tables = one_track_updates(
+        [(existence, gm) for existence, gm, _ in one], np.array(Z), SENSOR,
+        CAP, GATE_SQ)
+    for e, (existence, gm, gate) in enumerate(one):
+        hits = (seg == e) & (theta > 0)
+        taken = [gate[t - 1] for t in theta[hits].tolist()]
+        want = [] if existence == 0.0 else gate
+        assert {tuple(Z[j]) for j in taken} == {tuple(Z[j]) for j in want}
+        for i, j in zip(index[hits].tolist(), taken):
+            assert same_mixture(tables[e][i],
+                                gm_kalman_update_log(gm, Z[j], SENSOR)[0])
+
+
+def test_one_track_group_of_many_separated_hits_takes_the_closed_form(
+        monkeypatch):
+    # Seven gated measurements 10 m apart, none at the prior's mean, give
+    # nine entries, the absent one, the miss and seven hits, whose means
+    # are far apart: no two can merge, so the batch sorts them itself and
+    # never calls one_track_update.  Its entries equal one_track_update's.
+    existence, gm = 0.9, one_track(0.9, 1).density.mixtures[0]
+    Z = [[x, 0.0] for x in range(-35, 30, 10)]
+    taken, real_update = [], dglmb.one_track_update
+
+    def update(*args):
+        taken.append(args)
+        return real_update(*args)
+
+    monkeypatch.setattr(dglmb, "one_track_update", update)
+    seg, index, theta, w, tables = one_track_updates(
+        [(existence, gm)], np.array(Z), SENSOR, CAP, GATE_SQ)
+    assert not taken and len(w) == 9
+    mixtures, want_index, want_theta, want_w = real_update(
+        existence, gm, Z, SENSOR, CAP, GATE_SQ)
+    assert index.tolist() == want_index[:, 0].tolist()
+    assert theta.tolist() == want_theta and w.tolist() == want_w.tolist()
+    assert len(tables[0]) == len(mixtures)
+    assert all(same_mixture(a, b) for a, b in zip(tables[0], mixtures))
 
 
 def test_update_of_a_merged_group_skips_a_measurement_no_mixture_gates():
     # Both tracks gate the shared measurement; only the unlikely one gates
     # the other.  The merge's prune drops every row that holds that track,
-    # so its mixture leaves the table, and the group's ``gated`` keeps a
+    # so its mixture leaves the table, and the members' gates hold a
     # measurement no table mixture gates.  The update of the whole scan
-    # equals the update of the group's sub-list.
+    # equals the update of the sub-list the members gate.
     pinned = DensityGroup(lmb_to_dglmb(track_group(
         Label(1, 0), 0.0, 0.0).density, CAP), PINNED)
     unlikely = track_group(Label(1, 1), 30.0, 0.0, existence=1e-6)
     Z = [[-400.0, 0.0], [15.0, 0.0], [60.0, 0.0]]
-    group, = merge_groups(gate_measurements([pinned, unlikely], Z, SENSOR,
-                                            GATE_SQ))
-    assert group.gated == (1, 2)
+    gates = gate_measurements([pinned, unlikely], Z, SENSOR, GATE_SQ)
+    assert gates == [[1], [1, 2]]
+    group, = merge_groups([pinned, unlikely], gates)
     assert isinstance(group.density, DglmbDensity)
     table = group.density.mixtures
     assert gate_mask(Z, table, SENSOR, GATE_SQ).tolist() == [
         False, True, False]
-    assert_same_update(update_group([group], Z, SENSOR, CFG)[0],
-                       generic_update(group, [Z[j] for j in group.gated],
-                                      SENSOR, CFG))
+    assert_same_update(update_group([group], np.array(Z), SENSOR, CFG)[0],
+                       generic_update(group, [Z[1], Z[2]], SENSOR, CFG))
 
 
 def test_lmb_filter_sends_only_multi_track_groups_to_lmb_update(monkeypatch):
@@ -763,16 +837,26 @@ def test_miss_only_update_skips_the_generic_one_track_update(monkeypatch):
     # A one-track group with nothing in its gate takes the batch's closed
     # form: it never reaches one_track_update, and the batch reaches
     # _finalize only inside one_track_update.  The other updates of the
-    # run still call _finalize.
+    # run still call _finalize.  A group's gate is what the gate stage
+    # returns for it, found by its mixture.
     config = builtin_scenario("two-target")
     scans = generate_measurements(generate_truth(config), config,
                                   np.random.default_rng(2025))[:30]
-    real_batch, real_update, real_finalize = \
-        pipeline.one_track_updates, dglmb.one_track_update, dglmb._finalize
+    real_gate, real_batch, real_update, real_finalize = \
+        pipeline.gate_measurements, pipeline.one_track_updates, \
+        dglmb.one_track_update, dglmb._finalize
     inside, empty, finalized = {"batch": 0, "update": 0}, [], []
+    gate_of = {}
+
+    def gate(groups, *args):
+        gates = real_gate(groups, *args)
+        gate_of.clear()
+        gate_of.update((id(gm), g) for group, g in zip(groups, gates)
+                       for gm in group.density.mixtures)
+        return gates
 
     def batch(tracks, *args):
-        empty.extend(not gated for _, _, gated in tracks)
+        empty.extend(not gate_of[id(gm)] for _, gm in tracks)
         inside["batch"] += 1
         try:
             return real_batch(tracks, *args)
@@ -794,6 +878,7 @@ def test_miss_only_update_skips_the_generic_one_track_update(monkeypatch):
         finalized.append(args)
         return real_finalize(*args)
 
+    monkeypatch.setattr(pipeline, "gate_measurements", gate)
     monkeypatch.setattr(pipeline, "one_track_updates", batch)
     monkeypatch.setattr(dglmb, "one_track_update", update)
     monkeypatch.setattr(dglmb, "_finalize", finalize)

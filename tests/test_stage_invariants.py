@@ -105,9 +105,9 @@ def run_stages(config, policy, exact_from=None):
         if exact_from is not None and k >= exact_from:
             on = on_predictions(groups, sensor)
             Z, exact = list(Z) + on, exact + len(on)
-        groups = gate_measurements(groups, Z, sensor, GATE_SQ)
-        check(groups, "gate")
-        groups = merge_groups(groups)
+        gates = gate_measurements(groups, Z, sensor, GATE_SQ)
+        assert all(0 <= j < len(Z) for gate in gates for j in gate)
+        groups = merge_groups(groups, gates)
         check(groups, "merge")
         results = update_group(groups, Z, sensor, tracker.config)
         for _, kl, entropy in results:
