@@ -168,10 +168,8 @@ def _consolidate(rows, log_w, mixtures):
     size[used] = [c * (1 + d + d * d) for c, d in shapes]
     # Buckets of one label set and signature size, in visiting order; a
     # row alone in its bucket is a representative.
-    group, heads = row_groups(np.concatenate(
+    group, _ = row_groups(np.concatenate(
         (present, size[rows].sum(1)[:, None]), 1))
-    if len(heads) == len(rows):
-        return order, log_w
     buckets = {}
     shared = np.bincount(group)[group] > 1
     for e, g in zip(shared.nonzero()[0].tolist(), group[shared].tolist()):
@@ -547,9 +545,6 @@ def one_track_updates(tracks, measurements, sensor, cap, gate_sq):
                              for i in option[bounds[d]:bounds[d + 1]]]
         held = table if lw_in > -math.inf else []
         count = len(held) + (lw_out > -math.inf)
-        if not count:
-            raise NumericalError("all hypothesis weights vanished",
-                                 {"hypotheses": 0})
         apart[d] = count <= cap and _spread(sorted(
             gm.m[0, 0] for gm in held))
     # Their children, the present ones in rank order and then the absent

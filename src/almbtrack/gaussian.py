@@ -7,10 +7,11 @@ mixture-reduction routines defined here.
 
 ``gm_predict``, ``predicted_measurement``, ``gate_mask`` and
 ``innovation_terms`` take a list of mixtures and make one stacked pass
-over its components; the Kalman update is one kernel, which
-``gm_kalman_update_log`` runs on one (mixture, measurement) pair and
-``kalman_updates`` on a whole mixture table.  Each slice runs the routine
-of a single component, so a mixture gets the same bits in any company.
+over its components; the Kalman update is one routine,
+``kalman_updates``, over a whole mixture table, and
+``gm_kalman_update_log`` is its view of one (mixture, measurement) pair.
+Each slice runs the routine of a single component, so a mixture gets
+the same bits in any company.
 A covariance is symmetrized once, where it is formed: on input, in the
 prediction ``F P F' + Q`` and in the innovation terms.  Mixtures built
 from covariances that are stored or symmetrized already skip the public
@@ -288,50 +289,35 @@ def mixture_average(parts, total):
     return out
 
 
-def _update_rows(n, w, m, z_pred, K, logdet, d2, z):
-    # Kalman updates of (mixture, measurement) pairs of n components each,
-    # in consecutive blocks of n rows, one row per (component, measurement):
-    # each pair's log likelihood, and each row's posterior weight and mean.
-    # A pair's log-sum-exp reduces one contiguous row of n, which gives the
-    # bits of np.sum over that mixture's components.
-    log_w = (np.log(np.maximum(w, 1e-300)) + -0.5 * (
-        z.shape[-1] * _LOG_2PI + logdet + d2)).reshape(-1, n)
-    top = log_w.max(1)
-    log_lik = top + np.log(np.sum(np.exp(log_w - top[:, None]), 1))
-    return (log_lik, np.exp(log_w - log_lik[:, None]).ravel(),
-            m + np.matmul(K, (z - z_pred)[..., None])[..., 0])
-
-
 def gm_kalman_update_log(gm, z, sensor):
-    """Kalman-update a normalized mixture against one measurement.
-
-    Returns ``(posterior, log_likelihood)`` where the posterior is the
-    normalized updated mixture and the log likelihood is
-    ``log sum_i w_i N(z; H m_i, H P_i H' + R)``.
-    """
+    """``kalman_updates([gm], sensor, [z], inf)`` on its one pair:
+    ``(posterior, log_likelihood)``.  A measurement at no finite distance
+    from ``gm``, such as one whose distance overflows, raises
+    ``NumericalError``."""
     z = np.asarray(z, dtype=float).reshape(-1)
     if sensor.H.shape[1] != gm.dim:
         raise ConfigurationError("sensor model dimension does not match mixture")
     if z.size != sensor.meas_dim:
         raise ConfigurationError("measurement dimension does not match H")
-    innovation_terms([gm], sensor, z[None])
-    t = gm._terms
-    log_lik, w, mean = _update_rows(len(gm.w), gm.w, gm.m, t["z_pred"],
-                                    t["K"], t["logdet"], t["d2"][:, 0], z)
-    return _mixture(w, mean, t["cov"]), float(log_lik[0])
+    log_lik, posteriors = kalman_updates([gm], sensor, z[None], np.inf)
+    if not posteriors:
+        raise NumericalError("measurement at no finite distance from the "
+                             "mixture", {"measurement": z})
+    return posteriors[0], float(log_lik[0, 0])
 
 
 def kalman_updates(mixtures, sensor, Z, gate_sq):
     """Gate and Kalman-update every pair of a mixture of ``mixtures`` and
-    a row of ``Z``, stacked over all pairs.
+    a row of ``Z``, stacked over all pairs; a pair is gated where the
+    ``d2`` of some component is below ``gate_sq``.
 
-    Returns ``(log_lik, posteriors)``: the (k, M) log likelihoods of
-    ``gm_kalman_update_log``, ``-inf`` for the pairs whose
-    ``mahalanobis_sq`` is ``gate_sq`` or more, and the posterior mixtures
-    of the other pairs in row-major order, all with those functions'
-    bits.  Every mixture's terms are read whole, column ``j`` for row
-    ``j`` of ``Z``: those held for exactly ``Z`` as they are, the others
-    from one ``innovation_terms`` fill for ``Z``.
+    Returns ``(log_lik, posteriors)``: the (k, M) log likelihoods ``log
+    sum_i w_i N(z; H m_i, H P_i H' + R)``, ``-inf`` for the pairs not
+    gated, and the normalized posterior mixtures of the gated pairs in
+    row-major order, each pair with the bits of a call on it alone.
+    Every mixture's terms are read whole, column ``j`` for row ``j`` of
+    ``Z``: those held for exactly ``Z`` as they are, the others from one
+    ``innovation_terms`` fill for ``Z``.
     """
     log_lik = np.full((len(mixtures), len(Z)), -np.inf)
     if not log_lik.size:
@@ -352,14 +338,21 @@ def kalman_updates(mixtures, sensor, Z, gate_sq):
     posteriors = [None] * a.size
     for size in set(n[a].tolist()):
         # The pairs of mixtures of this many components, one block of
-        # rows each.
+        # rows each, one row per (component, measurement).  A pair's
+        # log-sum-exp reduces one contiguous row of ``size``, which gives
+        # the bits of np.sum over that mixture's components.
         p = np.flatnonzero(n[a] == size)
         rows = (start[a[p], None] + np.arange(size)).ravel()
         zj = np.repeat(j[p], size)
-        lik, pw, mean = _update_rows(size, w[rows], m[rows], z_pred[rows],
-                                     K[rows], logdet[rows], d2[rows, zj],
-                                     Z[zj])
+        lw = np.log(np.maximum(w[rows], 1e-300)) + -0.5 * (
+            Z.shape[-1] * _LOG_2PI + logdet[rows] + d2[rows, zj])
+        lw = lw.reshape(-1, size)
+        top = lw.max(1)
+        lik = top + np.log(np.sum(np.exp(lw - top[:, None]), 1))
         log_lik[a[p], j[p]] = lik
+        pw = np.exp(lw - lik[:, None]).ravel()
+        dz = Z[zj] - z_pred[rows]
+        mean = m[rows] + np.matmul(K[rows], dz[..., None])[..., 0]
         P = cov[rows]
         for q, e in enumerate(p.tolist()):
             b = slice(q * size, (q + 1) * size)

@@ -169,10 +169,10 @@ def predict_group(group, motion):
     return replace(group, density=density)
 
 
-def gate_measurements(groups, measurements, sensor, gate_sq):
-    """The positions in ``measurements`` inside any track's gate, one
-    ascending list per group, for ``merge_groups``.  Measurements gated
-    by no group are ignored downstream (treated as clutter).
+def gate_measurements(groups, measurements, sensor):
+    """The positions in ``measurements`` inside any track's ``GATE_SQ``
+    gate, one ascending list per group, for ``merge_groups``; the others
+    are ignored downstream (treated as clutter).
     """
     # The mixture tables first: the collapses of delta-GLMB densities
     # concatenate the terms of their parts.
@@ -181,7 +181,7 @@ def gate_measurements(groups, measurements, sensor, gate_sq):
                           for gm in group.density.mixtures], sensor,
                          measurements)
     return [np.flatnonzero(gate_mask(measurements, group.lmb_view().mixtures,
-                                     sensor, gate_sq)).tolist()
+                                     sensor, GATE_SQ)).tolist()
             for group in groups]
 
 
@@ -478,7 +478,7 @@ def pipeline_step(groups, measurements, step_index, motion, sensor,
                                  "numbers" % (step_index, sensor.meas_dim))
     groups = inject_birth(groups, births, step_index, birth_state, sensor)
     groups = [predict_group(g, motion) for g in groups]
-    gates = gate_measurements(groups, measurements, sensor, GATE_SQ)
+    gates = gate_measurements(groups, measurements, sensor)
     groups = merge_groups(groups, gates)
     results = update_group(groups, measurements, sensor, config)
     updated, kls, entropies = ([r[i] for r in results] for i in range(3))
@@ -506,7 +506,9 @@ class MultiObjectTracker:
     ``"lmb"`` is ALMB whose switching criteria never fire (both
     thresholds infinite); ``"dglmb"`` is ALMB whose births start pinned
     in delta-GLMB form.  ``births`` is a list of ``(existence, mixture)``
-    pairs; an existence outside [0, 1] is a ``ConfigurationError``.
+    pairs.  An existence outside [0, 1], and a sensor or birth mixture of
+    another state dimension than the motion model, are a
+    ``ConfigurationError``.
     """
 
     def __init__(self, motion, sensor, births, config=None,
@@ -517,6 +519,12 @@ class MultiObjectTracker:
         for i, (existence, _) in enumerate(births):
             check_numbers("births[%d]" % i, {"existence": existence}, [
                 (("existence",), "in [0, 1]", lambda v: 0.0 <= v <= 1.0)])
+        for what, size in [("sensor H columns", sensor.H.shape[1])] + [
+                ("births[%d] mixture dimension" % i, gm.dim)
+                for i, (_, gm) in enumerate(births)]:
+            if size != motion.F.shape[0]:
+                raise ConfigurationError("%s %d, motion state dimension %d"
+                                         % (what, size, motion.F.shape[0]))
         config = config or PipelineConfig()
         if policy == "lmb":
             config = replace(config, kl_threshold=np.inf,

@@ -120,6 +120,9 @@ def _validate(config):
     region = _finite("region", config.region, (2, 2))
     if np.any(region[:, 0] >= region[:, 1]):
         raise ConfigurationError("region must be two nonempty intervals")
+    if not 0.0 < region_area(config) < np.inf:
+        raise ConfigurationError("region area must be in (0, inf), got %r"
+                                 % region_area(config))
     for i, script in enumerate(config.truth):
         check_numbers("truth[%d]" % i, vars(script), [
             (("birth_step", "death_step"), "an integer",
@@ -185,8 +188,8 @@ def make_motion(config):
 
 
 def region_area(config):
-    region = np.asarray(config.region, dtype=float)
-    return float(np.prod(region[:, 1] - region[:, 0]))
+    (x0, x1), (y0, y1) = np.asarray(config.region, dtype=float).tolist()
+    return (x1 - x0) * (y1 - y0)
 
 
 def make_sensor(config):

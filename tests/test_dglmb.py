@@ -8,7 +8,7 @@ from almbtrack import (ConfigurationError, GaussianMixture, Label,
                        dglmb_prune, dglmb_update, lmb_to_dglmb)
 from almbtrack.dglmb import _CONSOLIDATE_ATOL, _consolidate
 from almbtrack.gaussian import MotionModel, gate_mask, gm_kalman_update_log
-from almbtrack.pipeline import DensityGroup, gate_measurements
+from almbtrack.pipeline import GATE_SQ, DensityGroup, gate_measurements
 
 from conftest import CAP, cv_motion, random_mixture, scalar_sensor, single
 from oracles import (brute_dglmb_update, dglmb_from_rows,
@@ -150,11 +150,12 @@ def test_update_after_gate_pass_matches_direct_call_bit_for_bit():
         }), CAP)
 
     gated_prior = prior()
-    gate, = gate_measurements([DensityGroup(gated_prior)], Z, sensor, 9.2)
+    gate, = gate_measurements([DensityGroup(gated_prior)], Z, sensor)
     assert 0 < len(gate) < len(Z)
     subset = [Z[j] for j in gate]
-    via_gate = dglmb_update(gated_prior, subset, sensor, cap=50, gate_sq=9.2)
-    direct = dglmb_update(prior(), subset, sensor, cap=50, gate_sq=9.2)
+    via_gate = dglmb_update(gated_prior, subset, sensor, cap=50,
+                            gate_sq=GATE_SQ)
+    direct = dglmb_update(prior(), subset, sensor, cap=50, gate_sq=GATE_SQ)
     assert np.array_equal(via_gate.assoc_marginals, direct.assoc_marginals)
     assert len(via_gate.posterior.w) == len(direct.posterior.w)
     for a, b in zip(rows_of(via_gate.posterior), rows_of(direct.posterior)):

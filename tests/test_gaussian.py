@@ -10,7 +10,8 @@ from almbtrack.gaussian import (_mixture, gate_mask, gm_kalman_update_log,
                                 innovation_terms, mahalanobis_sq, map_point,
                                 predicted_measurement)
 
-from conftest import cv_motion, random_mixture, scalar_sensor, single
+from conftest import (cv_motion, position_sensor, random_mixture,
+                      scalar_sensor, single)
 from oracles import (gm_covariance, gm_mean, ref_gm_reduce, ref_terms,
                      same_components)
 
@@ -350,6 +351,24 @@ def test_a_component_without_a_factor_raises_when_its_terms_are_filled():
     # Predicting the measurement takes no factor, so it does not raise.
     z_pred, S = predicted_measurement([gm], sensor)
     np.testing.assert_array_equal(S, np.zeros((1, 2, 2)))
+
+
+def test_update_at_no_finite_distance_raises_with_the_measurement():
+    # Both components' squared distances overflow to inf: no component
+    # gives the measurement a likelihood, so there is no posterior, where
+    # a log-sum-exp over the infinite terms gave NaN.  A near measurement
+    # then updates as before.
+    gm = GaussianMixture([0.5, 0.5], [[0.0, 0.0, 0.0, 0.0],
+                                      [5.0, 5.0, 0.0, 0.0]],
+                         [np.eye(4), np.eye(4)])
+    sensor = position_sensor(1.0)
+    far = np.array([1e200, 1e200])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericalError) as err:
+            gm_kalman_update_log(gm, far, sensor)
+    np.testing.assert_array_equal(err.value.diagnostics["measurement"], far)
+    post, log_lik = gm_kalman_update_log(gm, [1.0, 1.0], sensor)
+    assert np.isfinite(log_lik) and np.isfinite(post.w).all()
 
 
 def test_gate_raises_for_a_component_without_a_factor_in_any_order():

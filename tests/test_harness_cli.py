@@ -268,6 +268,12 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     for name in ("lmb", "almb"):
         assert main(["run", "--scenario", singular, "--filter", name,
                      "--runs", "1", "--out", str(tmp_path / name)]) == 3
+    # Regions whose area underflows to 0.0 or overflows to inf.
+    for region in ([[0.0, 1e-200], [0.0, 1e-200]],
+                   [[-1e200, 1e200], [-1e200, 1e200]]):
+        tiny_or_huge = write_scenario(tmp_path, region=region, truth=[])
+        assert main(["run", "--scenario", tiny_or_huge, "--filter", "lmb",
+                     "--runs", "1", "--out", str(tmp_path / "p")]) == 2
     text_steps = write_scenario(tmp_path, steps="x")
     assert main(["run", "--scenario", text_steps, "--filter", "lmb",
                  "--runs", "1", "--out", str(tmp_path / "u")]) == 2

@@ -10,7 +10,7 @@ import pytest
 from almbtrack import (ConfigurationError, DensityGroup, DglmbDensity,
                        GaussianMixture, Label, LmbDensity, Mode,
                        MultiObjectTracker, NumericalError, PipelineConfig,
-                       Trigger, UsageError, association_entropy,
+                       SensorModel, Trigger, UsageError, association_entropy,
                        builtin_scenario, decide_switch, dglmb_to_lmb,
                        dglmb_update, generate_measurements, generate_truth,
                        kl_criterion, lmb_to_dglmb, lmb_update)
@@ -105,8 +105,7 @@ def test_gate_keeps_near_drops_far():
     group = track_group(Label(1, 0), 0.0, 0.0, std=0.0)
     inside = [np.sqrt(9.2103) * 10.0 - 0.5, 0.0]
     outside = [np.sqrt(9.2103) * 10.0 + 0.5, 0.0]
-    out = gate_measurements([group], [inside, outside, [500.0, 500.0]],
-                            SENSOR, GATE_SQ)
+    out = gate_measurements([group], [inside, outside, [500.0, 500.0]], SENSOR)
     assert out == [[0]]
 
 
@@ -118,13 +117,13 @@ def test_gate_unions_over_tracks():
     })
     group = DensityGroup(lmb)
     out = gate_measurements([group], [[0.0, 0.0], [200.0, 0.0],
-                                      [100.0, 0.0]], SENSOR, GATE_SQ)
+                                      [100.0, 0.0]], SENSOR)
     assert out == [[0, 1]]
 
 
 def test_gate_empty_scan():
     group = track_group(Label(1, 0), 0.0, 0.0)
-    out = gate_measurements([group], [], SENSOR, GATE_SQ)
+    out = gate_measurements([group], [], SENSOR)
     assert out == [[]]
 
 
@@ -132,7 +131,7 @@ def test_merge_leaves_disjoint_groups_alone():
     a = track_group(Label(1, 0), 0.0, 0.0)
     b = track_group(Label(1, 1), 500.0, 0.0)
     Z = [[0.0, 0.0], [500.0, 0.0]]
-    gates = gate_measurements([a, b], Z, SENSOR, GATE_SQ)
+    gates = gate_measurements([a, b], Z, SENSOR)
     assert gates == [[0], [1]]
     merged = merge_groups([a, b], gates)
     assert merged == [a, b]
@@ -142,7 +141,7 @@ def test_merge_unions_lmb_groups_sharing_a_measurement():
     a = track_group(Label(1, 0), 0.0, 0.0)
     b = track_group(Label(1, 1), 20.0, 0.0)
     Z = [[10.0, 0.0]]
-    gates = gate_measurements([a, b], Z, SENSOR, GATE_SQ)
+    gates = gate_measurements([a, b], Z, SENSOR)
     assert gates == [[0], [0]]
     merged = merge_groups([a, b], gates)
     assert len(merged) == 1
@@ -412,6 +411,22 @@ def test_tracker_rejects_bad_birth_existence(existence):
         MultiObjectTracker(MOTION, SENSOR, births)
 
 
+def test_tracker_rejects_models_of_another_state_dimension():
+    # The builtin 4-D motion and births with a sensor over a 3-D state,
+    # and births over a 2-D state with the 4-D models: each used to fail
+    # only at the first scan, in a matrix product.
+    config = builtin_scenario("two-target")
+    motion, births = make_motion(config), make_birth_model(config)
+    sensor = SensorModel(np.eye(2, 3), np.eye(2), 0.9, 1e-6)
+    with pytest.raises(ConfigurationError, match="sensor H columns 3, "
+                       "motion state dimension 4"):
+        MultiObjectTracker(motion, sensor, births)
+    flat = births + [(0.1, single([0.0, 0.0], np.eye(2)))]
+    with pytest.raises(ConfigurationError, match=r"births\[%d\] mixture "
+                       "dimension 2" % len(births)):
+        MultiObjectTracker(motion, make_sensor(config), flat)
+
+
 def test_tracker_policies_are_settings():
     births = [birth_entry(0.0, 0.0)]
     lmb = MultiObjectTracker(MOTION, SENSOR, births, CFG, "lmb")
@@ -625,7 +640,7 @@ def test_one_track_batch_entries_match_one_track_update(p_d, cap, rng):
             gm.w, gm.m + [*rng.uniform(-70.0, 70.0, 2), 0.0, 0.0], gm.P)))
     gates = gate_measurements(
         [DensityGroup(lmb_from_tracks({Label(1, 0): track}))
-         for track in tracks], Z, sensor, GATE_SQ)
+         for track in tracks], Z, sensor)
     assert min(map(len, gates)) == 0 and max(map(len, gates)) == len(Z)
     seg, index, theta, w, tables = one_track_updates(
         tracks, np.array(Z), sensor, cap, GATE_SQ)
@@ -707,7 +722,7 @@ def mixed_scan(rng):
     Z = [[5.0, 3.0], [-296.0, 4.0], [292.0, 12.0], [292.0, 12.0]]
     Z += (rng.normal(0.0, 6.0, (18, 2)) + [-600.0, 0.0]).tolist()
     Z += [[6.0, 598.0], [3.0, -304.0], [603.0, -2.0]]
-    return groups, gate_measurements(groups, Z, SENSOR, GATE_SQ), Z
+    return groups, gate_measurements(groups, Z, SENSOR), Z
 
 
 @pytest.mark.parametrize("config", [CFG, NEVER], ids=["almb", "lmb"])
@@ -794,7 +809,7 @@ def test_update_of_a_merged_group_skips_a_measurement_no_mixture_gates():
         Label(1, 0), 0.0, 0.0).density, CAP), PINNED)
     unlikely = track_group(Label(1, 1), 30.0, 0.0, existence=1e-6)
     Z = [[-400.0, 0.0], [15.0, 0.0], [60.0, 0.0]]
-    gates = gate_measurements([pinned, unlikely], Z, SENSOR, GATE_SQ)
+    gates = gate_measurements([pinned, unlikely], Z, SENSOR)
     assert gates == [[1], [1, 2]]
     group, = merge_groups([pinned, unlikely], gates)
     assert isinstance(group.density, DglmbDensity)

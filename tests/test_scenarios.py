@@ -225,6 +225,8 @@ NAN = float("nan")
     bad(None, "region", "x"), bad(None, "region", [[-1.0, NAN], [0.0, 1.0]]),
     bad(None, "region", [["-1", "1"], ["-1", "1"]]),
     bad(None, "region", [[-1.0, 1.0], [-1.0]]),
+    bad(None, "region", [[0.0, 1e-200], [0.0, 1e-200]]),
+    bad(None, "region", [[-1e200, 1e200], [-1e200, 1e200]]),
     bad(None, "birth", 5), bad(None, "birth", None), bad(None, "truth", None),
     bad("birth", "existence", "x"), bad("birth", "mean", [0.0, "x", 0.0, 0.0]),
     bad("birth", "std", [1.0, 1.0, 1.0, NAN]),

@@ -22,7 +22,7 @@ from almbtrack import (DglmbDensity, MultiObjectTracker, builtin_scenario,
                        generate_measurements, generate_truth)
 from almbtrack.gaussian import mahalanobis_sq, predicted_measurement
 from almbtrack.harness import FILTER_NAMES
-from almbtrack.pipeline import (CAP, EXTRACTION, GATE_SQ, extract_tracks,
+from almbtrack.pipeline import (CAP, EXTRACTION, extract_tracks,
                                 gate_measurements, inject_birth, merge_groups,
                                 predict_group, prune_group, split_group,
                                 update_group)
@@ -105,7 +105,7 @@ def run_stages(config, policy, exact_from=None):
         if exact_from is not None and k >= exact_from:
             on = on_predictions(groups, sensor)
             Z, exact = list(Z) + on, exact + len(on)
-        gates = gate_measurements(groups, Z, sensor, GATE_SQ)
+        gates = gate_measurements(groups, Z, sensor)
         assert all(0 <= j < len(Z) for gate in gates for j in gate)
         groups = merge_groups(groups, gates)
         check(groups, "merge")
