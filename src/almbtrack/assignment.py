@@ -1,20 +1,20 @@
 """Ranked track-to-measurement assignments.
 
-Cost matrices have one row per track and ``m + n`` columns: the first
-``m`` columns are measurements, column ``m + i`` is row ``i``'s private
-missed-detection column (set to +inf for every other row).  Forbidden
-pairings carry +inf.  An assignment gives every row exactly one column,
-using each measurement column at most once.
+A problem of k rows (tracks) and m measurements gives every row one
+option: ``j = 0``, its miss, or ``j in 1..m``, measurement ``j - 1``,
+each measurement taken at most once.  Such a map ``row -> j`` costs the
+sum of its rows' costs; forbidden options cost +inf.  Maps come out in
+nondecreasing cost with deterministic tie-breaking.
 
-Assignments are reported as maps ``row -> j`` with ``j = 0`` for a miss
-and ``j in 1..m`` for measurement ``j - 1``, together with their total
-cost.  Results come out in nondecreasing cost with deterministic
-tie-breaking.  ``ranked_assignments`` checks the matrix and enumerates
-small problems exhaustively, handing larger ones to Murty's algorithm;
-``ranked_one_label`` ranks many one-row problems at once with the same
-results.
+``ranked_stack`` ranks many problems of one shape with k * m at most
+``ENUMERATE_LIMIT`` at once, from their stacked costs ``cost[h, i, j]``:
+exhaustively, through one table of every map.  Larger problems go one at
+a time to Murty's algorithm (``ranked_assignments``), on a padded matrix
+of ``m + k`` columns: the ``m`` measurements, then in column ``m + i``
+row ``i``'s private miss, which is +inf in every other row.
 """
 
+import functools
 import heapq
 import itertools
 
@@ -26,6 +26,50 @@ from .errors import UsageError
 # Below this problem size exhaustive enumeration is cheaper than Murty's
 # algorithm and exact by construction.
 ENUMERATE_LIMIT = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _maps(k, m):
+    """Every map of ``k`` rows over ``m`` measurements, a read-only (maps,
+    k) int array in lexicographic order: each prefix extended by the miss,
+    then by each measurement it has not taken, ascending."""
+    maps = [()]
+    for _ in range(k):
+        maps = [t + (j,) for t in maps for j in range(m + 1)
+                if not j or j not in t]
+    table = np.array(maps, dtype=int).reshape(len(maps), k)
+    table.flags.writeable = False
+    return table
+
+
+def ranked_stack(cost, quota):
+    """Rank the stacked problems of one shape: ``cost[h, i, j]`` is
+    problem h's cost of giving row i option j, and ``quota[h]`` bounds its
+    maps.  Returns the problem, map (a row of k options) and score of
+    every kept map, problem by problem, best first.
+
+    A map's score adds its rows' costs in row order to 0.0.  A map with a
+    cost that is not finite, or whose sum overflows, is dropped, and each
+    problem's maps are sorted stably by score, so that equal scores rank
+    in lexicographic map order.
+    """
+    g, k, width = cost.shape
+    # A cost that is not finite reads +inf, and so does a map holding one.
+    cost = np.where(np.isfinite(cost), cost + 0.0, np.inf)
+    if k == 1:
+        # The map table is the identity.
+        score, maps = cost[:, 0], None
+    else:
+        maps = _maps(k, width - 1)
+        score = np.zeros((g, len(maps)))
+        for i in range(k):
+            score += cost[:, i, maps[:, i]]
+    order = score.argsort(1, kind="stable")
+    ranked = score[np.arange(g)[:, None], order]
+    hyp, rank = (np.isfinite(ranked) & (np.arange(score.shape[1])
+                                        < quota[:, None])).nonzero()
+    pick = order[hyp, rank]
+    return hyp, pick[:, None] if k == 1 else maps[pick], ranked[hyp, rank]
 
 
 def _to_map(cols, m):
@@ -43,30 +87,6 @@ def _solve(cost):
         return None
     order = np.argsort(rows)
     return tuple(int(c) for c in cols[order]), value
-
-
-def enumerate_assignments(cost, k):
-    """The ``k`` cheapest finite assignments of the float matrix ``cost``
-    by recursive enumeration, sorted by cost."""
-    n = cost.shape[0]
-    m = cost.shape[1] - n
-    results = []
-
-    def recurse(row, used, cols, acc):
-        if row == n:
-            results.append((_to_map(cols, m), acc))
-            return
-        for j in range(m):
-            c = cost[row, j]
-            if j not in used and np.isfinite(c):
-                recurse(row + 1, used | {j}, cols + (j,), acc + float(c))
-        c = cost[row, m + row]
-        if np.isfinite(c):
-            recurse(row + 1, used, cols + (m + row,), acc + float(c))
-
-    recurse(0, frozenset(), (), 0.0)
-    results.sort(key=lambda t: (t[1], t[0]))
-    return results[: int(k)]
 
 
 def murty_assignments(cost, k):
@@ -101,10 +121,11 @@ def murty_assignments(cost, k):
 
 
 def ranked_assignments(cost, k):
-    """Up to ``k`` best assignments of a padded cost matrix.
+    """Up to ``k`` best assignments of a padded cost matrix, as
+    ``(map, cost)`` pairs.
 
-    Enumerates every valid assignment when ``rows * measurements <= 16``
-    and runs Murty's algorithm otherwise.
+    Ranks by ``ranked_stack`` when ``rows * measurements <= 16`` and by
+    Murty's algorithm otherwise.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
@@ -116,34 +137,9 @@ def ranked_assignments(cost, k):
     k = int(k)
     if k <= 0:
         return []
-    if n * m <= ENUMERATE_LIMIT:
-        return enumerate_assignments(cost, k)
-    return murty_assignments(cost, k)
-
-
-def ranked_one_label(cost, quota):
-    """``ranked_assignments`` of one-row problems, stacked: row h of the
-    (g, m + 1) ``cost`` holds problem h's cost of map j in column j, the
-    miss in column 0, and ``quota[h]`` bounds its maps.  Returns the
-    problem, map and score of every kept map, problem by problem, best
-    first.
-
-    Up to ``ENUMERATE_LIMIT`` measurements ``ranked_assignments``
-    enumerates: the finite maps sorted by (score, j), its scores summed
-    from 0.0, which one stable sort of the stacked rows gives.  Above it,
-    Murty's algorithm orders bit-equal costs by its own rule, so every
-    row takes ``ranked_assignments``' own maps."""
-    g, width = cost.shape
-    if width - 1 > ENUMERATE_LIMIT:
-        maps = [(h, theta[0], s) for h, (row, q) in enumerate(zip(
-            cost, quota.tolist())) for theta, s in ranked_assignments(
-                np.append(row[1:], row[0])[None], q)]
-        return tuple(np.array(part, dtype=dtype) for part, dtype in zip(
-            zip(*maps) if maps else ((), (), ()), (int, int, float)))
-    # Maps of a cost that is not finite rank last, as +inf.
-    score = np.where(np.isfinite(cost), cost + 0.0, np.inf)
-    order = score.argsort(1, kind="stable")
-    ranked = score[np.arange(g)[:, None], order]
-    hyp, rank = (np.isfinite(ranked) & (np.arange(width) < quota[:, None])
-                 ).nonzero()
-    return hyp, order[hyp, rank], ranked[hyp, rank]
+    if n * m > ENUMERATE_LIMIT:
+        return murty_assignments(cost, k)
+    _, maps, score = ranked_stack(np.concatenate(
+        (cost[:, m:].diagonal()[:, None], cost[:, :m]), 1)[None],
+        np.array([k]))
+    return list(zip(map(tuple, maps.tolist()), score.tolist()))

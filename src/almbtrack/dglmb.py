@@ -11,8 +11,10 @@ A recursion's children are one (children x labels) int array of
 mixture-table positions, as in ``DglmbDensity``, and a log-weight vector,
 from expansion to ``_finalize``: the prediction writes them through one
 boolean subset mask per label count, the update gathers them from the
-(mixture, map) table of posterior positions, and the maps of all
-hypotheses of at most one label come from one ``ranked_one_label`` call.
+(mixture, map) table of posterior positions.  The update ranks the maps
+of all hypotheses of one label count in one ``ranked_stack`` call, the
+empty hypothesis with those of one label, and a problem too large to
+enumerate by Murty's algorithm (``ranked_assignments``).
 All weight arithmetic runs in the log domain.  Hypotheses that end up
 with the same label set and the same per-label spatial densities (same
 mixture provenance, or numerically indistinguishable after their Kalman
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import (ENUMERATE_LIMIT, ranked_assignments,
-                         ranked_one_label)
+from .assignment import ENUMERATE_LIMIT, ranked_assignments, ranked_stack
 from .densities import (DglmbDensity, bernoulli_expansion, segment_sums,
                         top_weighted_subsets)
 from .errors import NumericalError
@@ -345,8 +346,8 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
     holds for exactly ``measurements`` (in the pipeline, the scan's whole
     table, whose terms the gate pass cached) and fills them, in one
     stacked call, for the other mixtures.  Only the measurements some
-    table mixture gates are ranked: no map holds any other.  Hypotheses
-    of at most one label are ranked together by ``ranked_one_label``.
+    table mixture gates are ranked: no map holds any other.  The
+    hypotheses of each label count are ranked together (``_ranked``).
 
     Returns an :class:`UpdateOutput` carrying the posterior and the
     track-to-measurement association marginals of the retained children,
@@ -376,46 +377,27 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
     log_w = np.array(_log_weights(d.w.tolist()))
     quota = np.array(_per_hypothesis_quota(d.w.tolist(), cap))
     held = hyps >= 0
-    size = held.sum(1)
-    # Hypotheses of at most one label, in one stacked ranking.
-    group = (size <= 1).nonzero()[0]
-    at = hyps[group].max(1, initial=-1)
-    hyp, j, score = ranked_one_label(cost[at], quota[group])
-    parent = group[hyp]
-    held_one = held[parent]
-    rows = np.where(held_one, child[at[hyp], j][:, None], -1)
-    theta = np.where(held_one, j[:, None], 0)
-    blocks = [(parent, rows, theta, log_w[parent] - score)]
-    # Hypotheses of k >= 2 labels: their cost matrices stacked per k,
-    # each ranked by ranked_assignments.
-    for k in sorted(set(size.tolist()) - {0, 1}):
+    # The hypotheses of each label count k, their costs stacked and ranked
+    # in one call; the empty hypothesis ranks with those of one label, by
+    # the last cost row in its column 0.
+    size = np.maximum(held.sum(1), 1)
+    blocks = []
+    for k in sorted(set(size.tolist())):
         group = (size == k).nonzero()[0]
-        cols = held[group].nonzero()[1].reshape(len(group), k)
-        at = hyps[group[:, None], cols]
-        matrices = np.full((len(group), k, m + k), np.inf)
-        matrices[:, :, :m] = cost[at, 1:]
-        matrices[:, np.arange(k), m + np.arange(k)] = -log_qd
-        maps = [(e, t, s) for e, (matrix, q) in enumerate(zip(
-            matrices, quota[group].tolist())) for t, s in
-            ranked_assignments(matrix, q)]
-        if not maps:
-            continue
-        hyp, j, score = zip(*maps)
-        hyp, j = np.array(hyp), np.array(j, dtype=int)
-        parent, pick = group[hyp], (np.arange(len(hyp))[:, None], cols[hyp])
-        rows = hyps[parent]
-        rows[pick] = child[at[hyp], j]
-        theta = np.zeros(rows.shape, dtype=int)
-        theta[pick] = j
-        blocks.append((parent, rows, theta, log_w[parent] - np.array(score)))
+        cols = (~held[group]).argsort(1, kind="stable")[:, :k]
+        hyp, j, score = _ranked(cost[hyps[group[:, None], cols]],
+                                quota[group])
+        theta = np.zeros((len(hyp), hyps.shape[1]), dtype=int)
+        theta[np.arange(len(hyp))[:, None], cols[hyp]] = j
+        blocks.append((group[hyp], theta, score))
+    parent, theta, score = blocks[0]
     if len(blocks) > 1:
-        parent, rows, theta, log_w = (np.concatenate(part)
-                                      for part in zip(*blocks))
+        parent, theta, score = (np.concatenate(part) for part in zip(*blocks))
         order = parent.argsort(kind="stable")
-        rows, theta, log_w = rows[order], theta[order], log_w[order]
-    else:
-        _, rows, theta, log_w = blocks[0]
-    keep, w = _finalize(rows, log_w, mixtures, cap)
+        parent, theta, score = parent[order], theta[order], score[order]
+    # An absent label reads the last row's -1 at map 0.
+    rows = child[hyps[parent], theta]
+    keep, w = _finalize(rows, log_w[parent] - score, mixtures, cap)
     # Each kept child's weight on its (label, measurement) pairs, added
     # in child order.
     theta = theta[keep]
@@ -426,6 +408,24 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
                                       labels * m).reshape(labels, m)
     return UpdateOutput(DglmbDensity(d.label_space, mixtures, rows[keep], w),
                         marginals)
+
+
+def _ranked(cost, quota):
+    """``ranked_stack`` of the stacked problems ``cost[h, i, j]`` of k
+    rows and m measurements: while k * m is at most ``ENUMERATE_LIMIT``
+    in one call, and above it one ``ranked_assignments`` call (Murty's
+    algorithm, whose order of tied costs is its own) per problem, on its
+    padded matrix."""
+    k, width = cost.shape[1:]
+    if k * (width - 1) <= ENUMERATE_LIMIT:
+        return ranked_stack(cost, quota)
+    miss = np.eye(k, dtype=bool)
+    maps = [(h, t, s) for h, (c, q) in enumerate(zip(cost, quota.tolist()))
+            for t, s in ranked_assignments(np.concatenate(
+                (c[:, 1:], np.where(miss, c[:, :1], np.inf)), 1), q)]
+    hyp, theta, score = zip(*maps) if maps else ((), (), ())
+    return (np.array(hyp, dtype=int),
+            np.array(theta, dtype=int).reshape(-1, k), np.array(score))
 
 
 def _log_factors(sensor):
@@ -442,10 +442,10 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
     list.
 
     The absent hypothesis has one child.  The present one has its miss
-    and its gated measurements, ranked by ``ranked_one_label`` as
-    ``ranked_assignments`` ranks a one-row cost matrix, and ``_finalize``
-    merges, caps and normalizes the children.  It is the path of the
-    densities ``one_track_updates`` cannot finalize by a sort.
+    and its gated measurements, ranked by ``_ranked`` as ``dglmb_update``
+    ranks a hypothesis of one label, and ``_finalize`` merges, caps and
+    normalizes the children.  It is the path of the densities
+    ``one_track_updates`` cannot finalize by a sort.
     """
     present, w = bernoulli_expansion(existence)
     log_pd, log_qd, log_kappa = _log_factors(sensor)
@@ -461,8 +461,8 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
     j, score = [], []
     if True in present:
         quota = _per_hypothesis_quota(w, cap)[present.index(True)]
-        _, j, score = ranked_one_label(np.array([cost]), np.array([quota]))
-        j, score = j.tolist(), score.tolist()
+        _, j, score = _ranked(np.array([[cost]]), np.array([quota]))
+        j, score = j[:, 0].tolist(), score.tolist()
     mixtures = [options[i] for i in j]
     # (table position, theta, log weight) of each child.
     rows = []
@@ -485,8 +485,8 @@ def one_track_updates(tracks, measurements, sensor, cap, gate_sq):
 
     One ``kalman_updates`` pass gates and updates every (density,
     measurement) pair of the table ``measurements``; a density's gate is
-    the finite entries of its row.  One ``ranked_one_label`` call ranks
-    the options of every present hypothesis.  Where the first mean
+    the finite entries of its row.  One ``ranked_stack`` call ranks the
+    options of every present hypothesis.  Where the first mean
     entries of a density's present children are ``_spread`` and the cap
     keeps them all, no two can merge, and ``_finalize`` is a stable sort
     by weight, the absent child first on a tie, and ``_normalized``: one
@@ -532,8 +532,8 @@ def one_track_updates(tracks, measurements, sensor, cap, gate_sq):
             i = present.index(True)
             log_in[d], quota[d] = log_w[i], _per_hypothesis_quota(w, cap)[i]
     there = (~np.isnan(log_in)).nonzero()[0]
-    hyp, j, score = ranked_one_label(cost[there], quota[there])
-    hyp = there[hyp]
+    hyp, j, score = _ranked(cost[there, None], quota[there])
+    hyp, j = there[hyp], j[:, 0]
     first = np.searchsorted(hyp, np.arange(n + 1))
     option, bounds = at[hyp, j].tolist(), first.tolist()
     # Each density's mixture table, and whether its finite children are

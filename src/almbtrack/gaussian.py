@@ -238,7 +238,9 @@ def innovation_terms(mixtures, sensor, Z):
     # One right-hand side per slice: that is the bits of a solve per
     # measurement, which a solve with many columns need not be.
     y = np.linalg.solve(L[:, None], (Z - z_pred[:, None])[..., None])
-    d2 = np.matmul(y.swapaxes(-1, -2), y)[..., 0, 0]
+    # A measurement too far for a finite distance is outside every gate.
+    with np.errstate(over="ignore"):
+        d2 = np.matmul(y.swapaxes(-1, -2), y)[..., 0, 0]
     a = 0
     for gm in new:
         b = a + len(gm.w)

@@ -12,9 +12,10 @@ switching automaton, which keeps the posterior or approximates it in LMB
 form.  The update stage is one call per scan (``update_group``), and
 each update gates the scan's measurement table in its own Kalman pass.
 Its LMB groups of one track take the update in closed form, to the bit,
-all in one batch: one Kalman pass, one ranking, and the criteria as
-arrays, with the automaton run group by group.  A group whose entries
-might merge, or that gates more than 16 measurements, takes the
+all in one batch: one Kalman pass, one stacked ranking of their maps as
+every update ranks them, and the criteria as arrays, with the automaton
+run group by group.  A group whose entries might merge, or that gates
+more than 16 measurements, where Murty's algorithm ranks, takes the
 one-group form with the generic finalization (``dglmb.one_track_update``).
 The three filters are settings of this one path (``MultiObjectTracker``):
 ``"almb"`` switches per the criteria, ``"lmb"`` sets both thresholds to

@@ -103,6 +103,34 @@ def association_maps(n, m):
             yield choice
 
 
+def enumerate_assignments(cost, k):
+    """The ``k`` cheapest finite assignments of the padded float matrix
+    ``cost`` (one row per track, ``m`` measurement columns, then one
+    private miss column per row), by recursive enumeration: each map's
+    cost is added in row order from 0.0, and the maps are sorted by
+    (cost, map), ``j = 0`` for a miss and ``j`` for measurement
+    ``j - 1``."""
+    n = cost.shape[0]
+    m = cost.shape[1] - n
+    results = []
+
+    def recurse(row, used, theta, acc):
+        if row == n:
+            results.append((theta, acc))
+            return
+        for j in range(m):
+            c = cost[row, j]
+            if j not in used and np.isfinite(c):
+                recurse(row + 1, used | {j}, theta + (j + 1,), acc + float(c))
+        c = cost[row, m + row]
+        if np.isfinite(c):
+            recurse(row + 1, used, theta + (0,), acc + float(c))
+
+    recurse(0, frozenset(), (), 0.0)
+    results.sort(key=lambda t: (t[1], t[0]))
+    return results[: int(k)]
+
+
 def brute_dglmb_update(d, measurements, sensor):
     """Exhaustive measurement update of a delta-GLMB density.
 
@@ -210,10 +238,11 @@ def switch_cases(config):
     return cases
 
 
-def random_lmb_instance(rng, max_tracks=3, max_measurements=4, dim=2):
+def random_lmb_instance(rng, max_tracks=3, max_measurements=4, dim=2,
+                        min_tracks=1, min_measurements=0):
     """Small random LMB prior plus a measurement set near the tracks."""
-    n = int(rng.integers(1, max_tracks + 1))
-    m = int(rng.integers(0, max_measurements + 1))
+    n = int(rng.integers(min_tracks, max_tracks + 1))
+    m = int(rng.integers(min_measurements, max_measurements + 1))
     tracks = {}
     centers = []
     for i in range(n):

@@ -6,6 +6,7 @@ import pytest
 from almbtrack import (ConfigurationError, GaussianMixture, Label,
                        NumericalError, SensorModel, dglmb_predict,
                        dglmb_prune, dglmb_update, lmb_to_dglmb)
+from almbtrack import dglmb
 from almbtrack.dglmb import _CONSOLIDATE_ATOL, _consolidate
 from almbtrack.gaussian import MotionModel, gate_mask, gm_kalman_update_log
 from almbtrack.pipeline import GATE_SQ, DensityGroup, gate_measurements
@@ -194,11 +195,27 @@ def test_update_of_a_table_equals_that_of_the_measurements_it_gates(rng):
                 assert same_mixture(a[2][lab], b[2][lab])
 
 
-def test_update_matches_brute_force(rng):
+def test_update_matches_brute_force(rng, monkeypatch):
+    # Priors of 1-3 tracks over 0-3 measurements, all enumerated; then of
+    # 2-3 tracks over 7-9 measurements, where every hypothesis of k labels
+    # over m measurements with k * m > 16 takes Murty's algorithm.
     sensor = SensorModel(np.eye(2), 4.0 * np.eye(2), 0.9, 1e-3)
-    for trial in range(25):
-        lmb, Z = random_lmb_instance(rng, max_tracks=3, max_measurements=3)
+    murty, real_ranked = [], dglmb.ranked_assignments
+
+    def ranked(cost, k):
+        murty.append(cost.shape)
+        return real_ranked(cost, k)
+
+    monkeypatch.setattr(dglmb, "ranked_assignments", ranked)
+    instances = [random_lmb_instance(rng, max_tracks=3, max_measurements=3)
+                 for _ in range(25)] + [
+        random_lmb_instance(rng, max_tracks=3, max_measurements=9,
+                            min_tracks=2, min_measurements=7)
+        for _ in range(6)]
+    reached = 0
+    for lmb, Z in instances:
         prior = lmb_to_dglmb(lmb, CAP)
+        murty.clear()
         out = dglmb_update(prior, Z, sensor, cap=CAP, gate_sq=np.inf)
         weights, existence, marginals, means = brute_dglmb_update(
             prior, Z, sensor)
@@ -213,6 +230,12 @@ def test_update_matches_brute_force(rng):
         for i, lab in enumerate(labels):
             np.testing.assert_allclose(out.assoc_marginals[row[lab]],
                                        marginals[i], atol=1e-9)
+        big = sorted({k for k in range(len(labels) + 1) if k * len(Z) > 16})
+        assert sorted({k for k, _ in murty}) == big
+        assert all(columns == k + len(Z) for k, columns in murty)
+        reached += bool(big)
+    # 4 of the 6 larger priors hold such a hypothesis.
+    assert reached == 4
 
 
 def test_update_marginals_bounded_by_existence(rng):

@@ -15,20 +15,21 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from almbtrack import (GaussianMixture, Label,  # noqa: E402
                        NumericalError, dglmb_cardinality, dglmb_prune,
                        dglmb_to_lmb, gm_reduce)
-from almbtrack.assignment import (ranked_assignments,  # noqa: E402
-                                  ranked_one_label)
+from almbtrack.assignment import ranked_assignments  # noqa: E402
 from almbtrack.dglmb import (_CONSOLIDATE_ATOL, _consolidate,  # noqa: E402
-                             _finalize, _normalized, dglmb_drop_labels)
+                             _finalize, _normalized, _ranked,
+                             dglmb_drop_labels)
 from almbtrack.pipeline import (DGLMB_PRUNE, CAP, GM_CAP,  # noqa: E402
                                 GM_MERGE, GM_PRUNE, _cross_product,
                                 _marginalize)
 
 from conftest import random_mixture  # noqa: E402
-from oracles import (dglmb_from_rows, ref_consolidate,  # noqa: E402
-                     ref_cross_product, ref_dedup, ref_dglmb_cardinality,
-                     ref_dglmb_prune, ref_dglmb_to_lmb, ref_drop_labels,
-                     ref_marginalize, ref_mixture_average, ref_ranking,
-                     rows_of, same_components, same_mixture)
+from oracles import (dglmb_from_rows, enumerate_assignments,  # noqa: E402
+                     ref_consolidate, ref_cross_product, ref_dedup,
+                     ref_dglmb_cardinality, ref_dglmb_prune,
+                     ref_dglmb_to_lmb, ref_drop_labels, ref_marginalize,
+                     ref_mixture_average, ref_ranking, rows_of,
+                     same_components, same_mixture)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -266,8 +267,9 @@ def test_one_label_maps_rank_like_ranked_assignments(m):
     # Costs repeat bit for bit, a measurement may tie the miss, +inf
     # forbids a map, and NaN and -inf costs are not finite either; every
     # quota from 1 to m + 1, all rows in one stacked call and each alone.
-    # Above 16 measurements ranked_assignments runs Murty's algorithm,
-    # whose order of tied costs is its own, and every row takes its maps.
+    # Up to 16 measurements the maps are the recursive enumeration's.
+    # Above, ranked_assignments runs Murty's algorithm, whose order of
+    # tied costs is its own, and every row takes its maps.
     rng = np.random.default_rng(m)
     for _ in range(4):
         cost = rng.choice([0.5, 1.0, 2.5, np.inf], (8, m + 1))
@@ -280,14 +282,15 @@ def test_one_label_maps_rank_like_ranked_assignments(m):
         cost[6, 1 + int(rng.integers(m))] = -np.inf
         for quota in range(1, m + 2):
             quotas = np.full(len(cost), quota)
-            hyp, j, score = ranked_one_label(cost, quotas)
+            hyp, j, score = _ranked(cost[:, None], quotas)
             for h, row in enumerate(cost):
-                expected = ranked_assignments(
-                    np.append(row[1:], row[0])[None], quota)
-                alone = ranked_one_label(row[None], quotas[:1])
+                padded = np.append(row[1:], row[0])[None]
+                expected = (enumerate_assignments if m <= 16 else
+                            ranked_assignments)(padded, quota)
+                alone = _ranked(row[None, None], quotas[:1])
                 for hyp_, j_, score_, h_ in [(hyp, j, score, h),
                                              (*alone, 0)]:
-                    assert [(x,) for x in j_[hyp_ == h_].tolist()] == \
+                    assert [tuple(x) for x in j_[hyp_ == h_].tolist()] == \
                         [theta for theta, _ in expected]
                     assert score_[hyp_ == h_].tolist() == \
                         [s for _, s in expected]

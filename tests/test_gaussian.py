@@ -1,5 +1,7 @@
 """Gaussian-mixture primitives: prediction, update, reduction, gating."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -354,16 +356,17 @@ def test_a_component_without_a_factor_raises_when_its_terms_are_filled():
 
 
 def test_update_at_no_finite_distance_raises_with_the_measurement():
-    # Both components' squared distances overflow to inf: no component
-    # gives the measurement a likelihood, so there is no posterior, where
-    # a log-sum-exp over the infinite terms gave NaN.  A near measurement
-    # then updates as before.
+    # Both components' squared distances overflow to inf, silently: no
+    # component gives the measurement a likelihood, so there is no
+    # posterior, where a log-sum-exp over the infinite terms gave NaN.  A
+    # near measurement then updates as before.
     gm = GaussianMixture([0.5, 0.5], [[0.0, 0.0, 0.0, 0.0],
                                       [5.0, 5.0, 0.0, 0.0]],
                          [np.eye(4), np.eye(4)])
     sensor = position_sensor(1.0)
     far = np.array([1e200, 1e200])
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(NumericalError) as err:
             gm_kalman_update_log(gm, far, sensor)
     np.testing.assert_array_equal(err.value.diagnostics["measurement"], far)

@@ -3,6 +3,7 @@ prune, split, extraction, and the stateful tracker wrapper with its
 three filter settings."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -501,6 +502,22 @@ def test_malformed_scan_raises_before_any_stage(scan, monkeypatch):
         tracker.step(scan)
 
 
+@pytest.mark.parametrize("policy", ["lmb", "almb", "dglmb"])
+def test_far_measurements_step_without_a_warning(policy):
+    # Measurements finite but too far for a finite squared distance lie
+    # outside every gate: the tracker steps on them as on clutter, and no
+    # numpy warning escapes the library.
+    config = builtin_scenario("two-target")
+    tracker = MultiObjectTracker(make_motion(config), make_sensor(config),
+                                 make_birth_model(config), policy=policy)
+    scan = [[-990.0, 5.0], [1e200, 1e200], [1e150, -1e150]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(5):
+            tracker.step(scan)
+    assert tracker.step_index == 5
+
+
 def test_tracker_locks_onto_clean_target():
     # p_D = 1, no clutter: the track confirms quickly and the estimate
     # follows the constant-velocity truth.
@@ -668,9 +685,11 @@ def test_one_track_update_keeps_the_quota_truncation():
     assert sum(1 for labels, _, _ in rows_of(full) if labels) == 2
 
 
-def test_one_track_update_ranks_many_measurements_like_murty():
+def test_one_track_update_ranks_many_measurements_like_murty(monkeypatch):
     # Above 16 gated measurements the ranked assignments run Murty's
-    # algorithm; identical measurements tie and keep index order.
+    # algorithm; identical measurements tie and keep index order.  The
+    # one-group form hands its one row to ranked_assignments as a padded
+    # 1 x 20 matrix and takes its maps.
     rng = np.random.default_rng(7)
     scan = [list(z) for z in rng.normal(0.0, 8.0, (16, 2))]
     scan += [scan[3], scan[3], scan[10]]
@@ -679,6 +698,21 @@ def test_one_track_update_ranks_many_measurements_like_murty():
         fast = update_one(one_track(existence, 3), scan, sensor, CFG)
         slow = generic_update(one_track(existence, 3), scan, sensor, CFG)
         assert_same_update(fast, slow)
+    ranked, real_ranked = [], dglmb.ranked_assignments
+
+    def rank(cost, k):
+        ranked.append((cost.shape, real_ranked(cost, k)))
+        return ranked[-1][1]
+
+    monkeypatch.setattr(dglmb, "ranked_assignments", rank)
+    gm = one_track(0.9, 3).density.mixtures[0]
+    mixtures, index, theta, w = one_track_update(0.9, gm, scan, sensor, CAP,
+                                                 GATE_SQ)
+    assert [shape for shape, _ in ranked] == [(1, 20)]
+    # The miss and 19 hits; the twins' children consolidate.
+    maps = [t for (t,), _ in ranked[0][1]]
+    assert sorted(maps) == list(range(20)) and len(mixtures) == 20
+    assert set(theta) <= set(maps) and len(theta) < 21
 
 
 def test_one_track_update_switches_on_entropy():
