@@ -6,12 +6,13 @@ each measurement taken at most once.  Such a map ``row -> j`` costs the
 sum of its rows' costs; forbidden options cost +inf.  Maps come out in
 nondecreasing cost with deterministic tie-breaking.
 
-``ranked_stack`` ranks many problems of one shape with k * m at most
-``ENUMERATE_LIMIT`` at once, from their stacked costs ``cost[h, i, j]``:
-exhaustively, through one table of every map.  Larger problems go one at
-a time to Murty's algorithm (``ranked_assignments``), on a padded matrix
-of ``m + k`` columns: the ``m`` measurements, then in column ``m + i``
-row ``i``'s private miss, which is +inf in every other row.
+Two rankers, one per size.  ``ranked_stack`` enumerates: it ranks many
+problems of one shape with k * m at most ``ENUMERATE_LIMIT`` at once,
+from their stacked costs ``cost[h, i, j]``, through one table of every
+map.  ``ranked_assignments`` runs Murty's algorithm on one larger
+problem's padded matrix of ``m + k`` columns: the ``m`` measurements,
+then in column ``m + i`` row ``i``'s private miss, which is +inf in every
+other row.
 """
 
 import functools
@@ -23,8 +24,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import UsageError
 
-# Below this problem size exhaustive enumeration is cheaper than Murty's
-# algorithm and exact by construction.
+# Up to this many cells (rows times measurements) exhaustive enumeration
+# is cheaper than Murty's algorithm and exact by construction.
 ENUMERATE_LIMIT = 16
 
 
@@ -89,11 +90,20 @@ def _solve(cost):
     return tuple(int(c) for c in cols[order]), value
 
 
-def murty_assignments(cost, k):
-    """The ``k`` best assignments of the float matrix ``cost`` via Murty
-    partitioning over the Hungarian solver."""
+def ranked_assignments(cost, k):
+    """Up to ``k`` best assignments of a padded cost matrix, as
+    ``(map, cost)`` pairs, by Murty's partitioning over the Hungarian
+    solver (Murty, Operations Research 1968)."""
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2:
+        raise UsageError("cost must be a matrix")
     n = cost.shape[0]
     m = cost.shape[1] - n
+    if m < 0:
+        raise UsageError("cost matrix needs one miss column per row")
+    k = int(k)
+    if k <= 0:
+        return []
     if n == 0:
         return [((), 0.0)]
     first = _solve(cost)
@@ -118,28 +128,3 @@ def murty_assignments(cost, k):
             if sol is not None:
                 heapq.heappush(heap, (sol[1], next(seq), sol[0], child))
     return out
-
-
-def ranked_assignments(cost, k):
-    """Up to ``k`` best assignments of a padded cost matrix, as
-    ``(map, cost)`` pairs.
-
-    Ranks by ``ranked_stack`` when ``rows * measurements <= 16`` and by
-    Murty's algorithm otherwise.
-    """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise UsageError("cost must be a matrix")
-    n = cost.shape[0]
-    m = cost.shape[1] - n
-    if m < 0:
-        raise UsageError("cost matrix needs one miss column per row")
-    k = int(k)
-    if k <= 0:
-        return []
-    if n * m > ENUMERATE_LIMIT:
-        return murty_assignments(cost, k)
-    _, maps, score = ranked_stack(np.concatenate(
-        (cost[:, m:].diagonal()[:, None], cost[:, :m]), 1)[None],
-        np.array([k]))
-    return list(zip(map(tuple, maps.tolist()), score.tolist()))

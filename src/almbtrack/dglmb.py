@@ -13,8 +13,9 @@ from expansion to ``_finalize``: the prediction writes them through one
 boolean subset mask per label count, the update gathers them from the
 (mixture, map) table of posterior positions.  The update ranks the maps
 of all hypotheses of one label count in one ``ranked_stack`` call, the
-empty hypothesis with those of one label, and a problem too large to
-enumerate by Murty's algorithm (``ranked_assignments``).
+empty hypothesis with those of one label; a problem of more than
+``ENUMERATE_LIMIT`` cells goes alone to Murty's algorithm
+(``ranked_assignments``).
 All weight arithmetic runs in the log domain.  Hypotheses that end up
 with the same label set and the same per-label spatial densities (same
 mixture provenance, or numerically indistinguishable after their Kalman
@@ -411,11 +412,12 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
 
 
 def _ranked(cost, quota):
-    """``ranked_stack`` of the stacked problems ``cost[h, i, j]`` of k
-    rows and m measurements: while k * m is at most ``ENUMERATE_LIMIT``
-    in one call, and above it one ``ranked_assignments`` call (Murty's
-    algorithm, whose order of tied costs is its own) per problem, on its
-    padded matrix."""
+    """The ranked maps of the stacked problems ``cost[h, i, j]`` of k
+    rows and m measurements, as ``ranked_stack`` returns them.  While
+    k * m is at most ``ENUMERATE_LIMIT``, ``ranked_stack`` enumerates
+    them in one call.  Above it, each problem goes on its own to
+    ``ranked_assignments`` (Murty's algorithm, whose order of tied costs
+    is its own) as its 2-D padded matrix."""
     k, width = cost.shape[1:]
     if k * (width - 1) <= ENUMERATE_LIMIT:
         return ranked_stack(cost, quota)

@@ -19,7 +19,8 @@ from .errors import ConfigurationError, check_numbers
 @dataclass(frozen=True)
 class OspaParams:
     """Order ``p``, cutoff ``c`` and label penalty ``alpha`` (stage 2);
-    ``p`` and ``c`` must be finite."""
+    ``p`` and ``c`` must be finite.  All three are stored as floats, so
+    that powers such as ``c ** p`` are floats too."""
 
     p: float = 1.0
     c: float = 300.0
@@ -30,6 +31,8 @@ class OspaParams:
             (("p",), "in [1, inf)", lambda v: 1.0 <= v < np.inf),
             (("c",), "in (0, inf)", lambda v: 0.0 < v < np.inf),
             (("alpha",), "in [0, c]", lambda v: 0.0 <= v <= self.c)])
+        for name in ("p", "c", "alpha"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def _positions(points):

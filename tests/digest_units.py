@@ -5,10 +5,10 @@ position vectors and ``repr(sorted(diagnostics.items()))``.  The units
 are all three filters on builtin two-target seeds 2025-2030 and
 sixteen-target seeds 4033-4034, the benchmark's units, and on
 sixteen-target seeds 4033-4034 with ``CROWDED``'s sensor, 30 m noise and
-50 clutter per scan, whose larger gates reach Murty's algorithm (30
-lines).  Run
-it with each tree's ``src`` and diff the output to show that a change
-keeps the filters' output bit for bit:
+50 clutter per scan, and with ``BUSY``'s, 30 m noise and 150 clutter,
+whose larger gates reach Murty's algorithm (36 lines).  Run it with each
+tree's ``src`` and diff the output to show that a change keeps the
+filters' output bit for bit:
 
     PYTHONPATH=src python3 tests/digest_units.py > digests.txt
 
@@ -26,10 +26,19 @@ from almbtrack.harness import FILTER_NAMES, run_filter
 # The crowded sixteen-target: its sensor's wider noise and clutter make
 # gates of 2-5 tracks over enough measurements to reach Murty's algorithm.
 CROWDED = dict(position_noise_std=30.0, clutter_rate=50.0)
+# The busy sixteen-target: three times the crowded clutter also gives
+# single tracks more than 16 gated measurements, so Murty's algorithm
+# ranks problems of one row too.
+BUSY = dict(position_noise_std=30.0, clutter_rate=150.0)
 
-UNITS = [("two-target", seed, {}) for seed in range(2025, 2031)] + [
-    ("sixteen-target", seed, {}) for seed in (4033, 4034)] + [
-    ("sixteen-target", seed, CROWDED) for seed in (4033, 4034)]
+# (printed name, builtin scenario, seed, sensor settings) of each unit.
+UNITS = [("two-target", "two-target", seed, {})
+         for seed in range(2025, 2031)] + [
+    ("sixteen-target", "sixteen-target", seed, {}) for seed in (4033, 4034)
+] + [(name, "sixteen-target", seed, sensor)
+     for name, sensor in (("sixteen-target-crowded", CROWDED),
+                          ("sixteen-target-busy", BUSY))
+     for seed in (4033, 4034)]
 
 
 def digest(result):
@@ -43,7 +52,7 @@ def digest(result):
 
 
 def main():
-    for scenario, seed, sensor in UNITS:
+    for unit, scenario, seed, sensor in UNITS:
         config = builtin_scenario(scenario)
         # dataclasses.replace, so that the script runs on any tree.
         config = dataclasses.replace(config, sensor=dataclasses.replace(
@@ -52,8 +61,7 @@ def main():
             generate_truth(config), config, np.random.default_rng(seed))
         for name in FILTER_NAMES:
             result = run_filter(name, measurements, config)
-            print(scenario + ("-crowded" if sensor else ""), seed, name,
-                  digest(result), flush=True)
+            print(unit, seed, name, digest(result), flush=True)
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from almbtrack import UsageError
-from almbtrack.assignment import (ENUMERATE_LIMIT, murty_assignments,
-                                  ranked_assignments, ranked_stack)
+from almbtrack.assignment import (ENUMERATE_LIMIT, ranked_assignments,
+                                  ranked_stack)
 
 from conftest import CAP
 from oracles import enumerate_assignments
@@ -57,7 +57,6 @@ def test_forbidden_pairings_excluded():
 def test_k_larger_than_count_returns_all():
     cost = pad([[1.0]], [2.0])
     assert len(ranked_assignments(cost, 99)) == 2
-    assert len(murty_assignments(cost, 99)) == 2
 
 
 def test_k_zero_and_empty_problem():
@@ -76,7 +75,7 @@ def test_murty_matches_enumeration(rng):
         miss = rng.normal(0.0, 3.0, n)
         cost = pad(block, miss)
         full = enumerate_assignments(cost, CAP)
-        murty = murty_assignments(cost, len(full) + 5)
+        murty = ranked_assignments(cost, len(full) + 5)
         assert len(murty) == len(full)
         np.testing.assert_allclose([c for _, c in murty],
                                    [c for _, c in full], atol=1e-9)
@@ -91,17 +90,15 @@ def test_murty_prefix_of_full_ordering(rng):
         cost = pad(rng.normal(0.0, 2.0, (n, m)), rng.normal(0.0, 2.0, n))
         full = enumerate_assignments(cost, CAP)
         k = max(1, len(full) // 2)
-        murty = murty_assignments(cost, k)
+        murty = ranked_assignments(cost, k)
         np.testing.assert_allclose([c for _, c in murty],
                                    [c for _, c in full[:k]], atol=1e-9)
 
 
 def test_maps_are_distinct(rng):
     cost = pad(rng.normal(0.0, 1.0, (3, 3)), rng.normal(0.0, 1.0, 3))
-    for out in (ranked_assignments(cost, 100),
-                murty_assignments(cost, 100)):
-        maps = [a for a, _ in out]
-        assert len(maps) == len(set(maps))
+    maps = [a for a, _ in ranked_assignments(cost, 100)]
+    assert len(maps) == len(set(maps))
 
 
 def test_measurement_used_at_most_once():
@@ -146,7 +143,7 @@ def test_stack_ranks_like_the_enumeration(k, m):
     # too, +inf forbids an option, and NaN and -inf are not finite
     # either.  Quotas run from 0 to past the count of maps.  Each
     # problem's maps and score bits, in the stacked call and alone, are
-    # the recursion's, and ranked_assignments gives them too.
+    # the recursion's.
     rng = np.random.default_rng(100 * k + m)
     pool = [0.5, 1.0, 2.5, 0.0, -0.0, -1.5, INF, -INF, np.nan]
     for _ in range(3):
@@ -164,8 +161,6 @@ def test_stack_ranks_like_the_enumeration(k, m):
                 got = hyp_ == (h if hyp_ is hyp else 0)
                 assert bits(zip(maps_[got].tolist(),
                                 score_[got].tolist())) == want
-            assert bits(ranked_assignments(padded(problem), q)) == \
-                (want if q else ([], b""))
 
 
 def test_stack_of_no_problem():

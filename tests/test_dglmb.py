@@ -7,6 +7,7 @@ from almbtrack import (ConfigurationError, GaussianMixture, Label,
                        NumericalError, SensorModel, dglmb_predict,
                        dglmb_prune, dglmb_update, lmb_to_dglmb)
 from almbtrack import dglmb
+from almbtrack.assignment import ENUMERATE_LIMIT
 from almbtrack.dglmb import _CONSOLIDATE_ATOL, _consolidate
 from almbtrack.gaussian import MotionModel, gate_mask, gm_kalman_update_log
 from almbtrack.pipeline import GATE_SQ, DensityGroup, gate_measurements
@@ -236,6 +237,41 @@ def test_update_matches_brute_force(rng, monkeypatch):
         reached += bool(big)
     # 4 of the 6 larger priors hold such a hypothesis.
     assert reached == 4
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_ranked_hands_murty_only_problems_above_the_limit(k, rng,
+                                                          monkeypatch):
+    # Stacks of k rows over m measurements, k * m on both sides of
+    # ENUMERATE_LIMIT: the enumerator takes the stack at or below it, and
+    # above it each problem reaches ranked_assignments alone, as its 2-D
+    # padded matrix, and its maps come back in stack order.
+    padded, real_ranked = [], dglmb.ranked_assignments
+
+    def ranked(cost, quota):
+        padded.append(cost)
+        return real_ranked(cost, quota)
+
+    monkeypatch.setattr(dglmb, "ranked_assignments", ranked)
+    edge = ENUMERATE_LIMIT // k
+    for m in range(edge - 1, edge + 3):
+        cost = rng.normal(size=(3, k, m + 1))
+        quota = np.array([4, 0, 7])
+        padded.clear()
+        hyp, maps, score = dglmb._ranked(cost, quota)
+        if k * m <= ENUMERATE_LIMIT:
+            assert padded == []
+            continue
+        assert len(padded) == len(cost)
+        want = []
+        for h, (problem, matrix) in enumerate(zip(cost, padded)):
+            miss = np.full((k, k), np.inf)
+            np.fill_diagonal(miss, problem[:, 0])
+            assert np.array_equal(matrix, np.concatenate(
+                (problem[:, 1:], miss), 1))
+            want += [(h, t, s) for t, s in real_ranked(matrix, quota[h])]
+        assert [(h, tuple(t), s) for h, t, s in zip(
+            hyp.tolist(), maps.tolist(), score.tolist())] == want
 
 
 def test_update_marginals_bounded_by_existence(rng):

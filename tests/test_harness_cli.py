@@ -353,6 +353,23 @@ def test_cli_rejects_infinite_ospa_order_before_the_runs(
     assert not out.exists()
 
 
+def test_cli_run_takes_integer_ospa_settings(tmp_path):
+    # 300 ** 8 in Python ints overflows a numpy scale factor; the run
+    # scores as it does with the same settings written as floats.
+    ospat = []
+    for ospa in ({"p": 8, "c": 300, "alpha": 100},
+                 {"p": 8.0, "c": 300.0, "alpha": 100.0}):
+        case = tmp_path / str(len(ospat))
+        case.mkdir()
+        scenario = write_scenario(case, ospa=ospa)
+        assert main(["run", "--scenario", scenario, "--filter", "lmb",
+                     "--runs", "1", "--out", str(case / "out"),
+                     "--timing-mode", "zero"]) == 0
+        ospat.append([row["ospat_m"] for row in
+                      read_rows(str(case / "out" / "results.csv"))])
+    assert len(ospat[0]) == 10 and ospat[0] == ospat[1]
+
+
 def test_cli_plotdata_from_run(tmp_path):
     scenario = write_scenario(tmp_path)
     out = tmp_path / "out"

@@ -189,3 +189,22 @@ def test_ospat_alpha_zero_equals_unlabeled_ospa(rng):
         t = [pos for _, pos in truth[k]]
         e = [pos for _, pos in est[k]]
         assert got[k] == ospa(t, e, params)
+
+
+@pytest.mark.parametrize("p, c, alpha", [(8, 300, 100), (7, 1000, 0)])
+def test_ospat_takes_integer_settings_as_floats(p, c, alpha):
+    # c ** p in Python ints passes 2**63 here, past what a numpy float
+    # array can be scaled by; the settings are stored as floats.
+    params = OspaParams(p=p, c=c, alpha=alpha)
+    assert all(type(v) is float for v in (params.p, params.c, params.alpha))
+    truth = steps_from({
+        "a": [[0, 0], [0, 1], [0, 2], [0, 3]],
+        "b": [[100, 0], [100, 1], [100, 2], None],
+    })
+    est = steps_from({
+        1: [[0, 0], [0, 1], [100, 2], [100, 3]],
+        2: [[100, 0], None, [0, 2], [0, 3]],
+    })
+    floats = OspaParams(p=float(p), c=float(c), alpha=float(alpha))
+    assert ospat(truth, est, params).tobytes() == \
+        ospat(truth, est, floats).tobytes()
