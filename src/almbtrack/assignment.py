@@ -6,13 +6,13 @@ each measurement taken at most once.  Such a map ``row -> j`` costs the
 sum of its rows' costs; forbidden options cost +inf.  Maps come out in
 nondecreasing cost with deterministic tie-breaking.
 
-Two rankers, one per size.  ``ranked_stack`` enumerates: it ranks many
-problems of one shape with k * m at most ``ENUMERATE_LIMIT`` at once,
-from their stacked costs ``cost[h, i, j]``, through one table of every
-map.  ``ranked_assignments`` runs Murty's algorithm on one larger
-problem's padded matrix of ``m + k`` columns: the ``m`` measurements,
-then in column ``m + i`` row ``i``'s private miss, which is +inf in every
-other row.
+Two rankers, one per shape.  ``ranked_stack`` ranks many problems of one
+shape at once from their stacked costs ``cost[h, i, j]``: one row at any
+m by a sort, the miss first on a tie, and k * m at most
+``ENUMERATE_LIMIT`` through one table of every map.  ``ranked_assignments``
+runs Murty's algorithm on one larger problem of two rows or more, as its
+padded matrix of ``m + k`` columns: the ``m`` measurements, then in
+column ``m + i`` row ``i``'s private miss, +inf in every other row.
 """
 
 import functools
@@ -52,7 +52,8 @@ def ranked_stack(cost, quota):
     A map's score adds its rows' costs in row order to 0.0.  A map with a
     cost that is not finite, or whose sum overflows, is dropped, and each
     problem's maps are sorted stably by score, so that equal scores rank
-    in lexicographic map order.
+    in lexicographic map order.  A single row, at any m, is sorted alone,
+    the miss first on a tie; more rows read a table of every map.
     """
     g, k, width = cost.shape
     # A cost that is not finite reads +inf, and so does a map holding one.

@@ -13,8 +13,8 @@ from expansion to ``_finalize``: the prediction writes them through one
 boolean subset mask per label count, the update gathers them from the
 (mixture, map) table of posterior positions.  The update ranks the maps
 of all hypotheses of one label count in one ``ranked_stack`` call, the
-empty hypothesis with those of one label; a problem of more than
-``ENUMERATE_LIMIT`` cells goes alone to Murty's algorithm
+empty hypothesis with those of one label; a problem of two labels or more
+and more than ``ENUMERATE_LIMIT`` cells goes alone to Murty's algorithm
 (``ranked_assignments``).
 All weight arithmetic runs in the log domain.  Hypotheses that end up
 with the same label set and the same per-label spatial densities (same
@@ -413,13 +413,13 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
 
 def _ranked(cost, quota):
     """The ranked maps of the stacked problems ``cost[h, i, j]`` of k
-    rows and m measurements, as ``ranked_stack`` returns them.  While
-    k * m is at most ``ENUMERATE_LIMIT``, ``ranked_stack`` enumerates
-    them in one call.  Above it, each problem goes on its own to
-    ``ranked_assignments`` (Murty's algorithm, whose order of tied costs
-    is its own) as its 2-D padded matrix."""
+    rows and m measurements, as ``ranked_stack`` returns them, which
+    sorts one row at any m, the miss first on a tie, and enumerates k * m
+    up to ``ENUMERATE_LIMIT``.  Above it, each problem of two rows or more
+    goes alone to ``ranked_assignments`` (Murty's algorithm, whose order
+    of tied costs is its own) as its 2-D padded matrix."""
     k, width = cost.shape[1:]
-    if k * (width - 1) <= ENUMERATE_LIMIT:
+    if k == 1 or k * (width - 1) <= ENUMERATE_LIMIT:
         return ranked_stack(cost, quota)
     miss = np.eye(k, dtype=bool)
     maps = [(h, t, s) for h, (c, q) in enumerate(zip(cost, quota.tolist()))
@@ -447,7 +447,8 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
     and its gated measurements, ranked by ``_ranked`` as ``dglmb_update``
     ranks a hypothesis of one label, and ``_finalize`` merges, caps and
     normalizes the children.  It is the path of the densities
-    ``one_track_updates`` cannot finalize by a sort.
+    ``one_track_updates`` cannot finalize by a sort: those whose children
+    might merge or outnumber the cap.
     """
     present, w = bernoulli_expansion(existence)
     log_pd, log_qd, log_kappa = _log_factors(sensor)
@@ -488,26 +489,24 @@ def one_track_updates(tracks, measurements, sensor, cap, gate_sq):
     One ``kalman_updates`` pass gates and updates every (density,
     measurement) pair of the table ``measurements``; a density's gate is
     the finite entries of its row.  One ``ranked_stack`` call ranks the
-    options of every present hypothesis.  Where the first mean
+    options of every present hypothesis, however many it gates: each
+    cost row sorted, the miss first on a tie.  Where the first mean
     entries of a density's present children are ``_spread`` and the cap
     keeps them all, no two can merge, and ``_finalize`` is a stable sort
     by weight, the absent child first on a tie, and ``_normalized``: one
-    pass for all such densities.  So it is with
-    nothing in the gate, the Bernoulli missed-detection posterior
-    (existence r (1 - p_D) / (1 - r p_D) and ``gm`` unchanged: Ristic,
-    Vo, Vo & Farina, "A tutorial on Bernoulli filters", IEEE TSP 2013).
-    A density of more than ``ENUMERATE_LIMIT`` gated measurements, where
-    Murty's algorithm orders tied costs, and one whose children might
-    merge, such as the posteriors of two identical measurements, take
-    ``one_track_update`` on the table rows of its gate.
+    pass for all such densities.  So it is with nothing in the gate, the
+    Bernoulli missed-detection posterior (existence r (1 - p_D) /
+    (1 - r p_D) and ``gm`` unchanged: Ristic, Vo, Vo & Farina, "A
+    tutorial on Bernoulli filters", IEEE TSP 2013).  A density whose
+    children might merge, such as the posteriors of two identical
+    measurements, or outnumber the cap takes ``one_track_update`` on the
+    table rows of its gate.
     """
     log_pd, log_qd, log_kappa = _log_factors(sensor)
     log_lik, posteriors = kalman_updates([gm for _, gm in tracks], sensor,
                                          measurements, gate_sq)
     gated = np.isfinite(log_lik)
-    size = np.count_nonzero(gated, 1)
-    few = (size <= ENUMERATE_LIMIT).nonzero()[0]
-    n, size = len(few), size[few]
+    n, size = len(tracks), np.count_nonzero(gated, 1)
     # Each density's costs of the miss and of its gated measurements, in
     # order, and the position of each hit's posterior in ``posteriors``,
     # which come row-major over the finite entries.
@@ -517,17 +516,16 @@ def one_track_updates(tracks, measurements, sensor, cap, gate_sq):
     if posteriors:
         hit = np.full(gated.shape, -1)
         hit[gated] = np.arange(len(posteriors))
-        h, col = gated[few].nonzero()
+        h, col = gated.nonzero()
         k = np.arange(1, len(h) + 1) - (np.cumsum(size) - size)[h]
-        row = few[h]
-        cost[h, k] = -(log_pd + log_lik[row, col] - log_kappa)
-        at[h, k] = hit[row, col]
+        cost[h, k] = -(log_pd + log_lik[h, col] - log_kappa)
+        at[h, k] = hit[h, col]
     # Each density's absent and present log weights (NaN without a present
     # hypothesis) and the present one's quota.
     log_out, log_in = np.zeros(n), np.full(n, np.nan)
     quota = np.zeros(n, dtype=int)
-    for d, e in enumerate(few.tolist()):
-        present, w = bernoulli_expansion(tracks[e][0])
+    for d, (existence, _) in enumerate(tracks):
+        present, w = bernoulli_expansion(existence)
         log_w = _log_weights(w)
         log_out[d] = log_w[present.index(False)]
         if True in present:
@@ -540,12 +538,12 @@ def one_track_updates(tracks, measurements, sensor, cap, gate_sq):
     option, bounds = at[hyp, j].tolist(), first.tolist()
     # Each density's mixture table, and whether its finite children are
     # apart, no more of them than the cap keeps.
-    tables, apart = [None] * len(tracks), np.zeros(n, dtype=bool)
-    for d, (e, lw_in, lw_out) in enumerate(zip(
-            few.tolist(), log_in.tolist(), log_out.tolist())):
-        table = tables[e] = [tracks[e][1] if i < 0 else posteriors[i]
-                             for i in option[bounds[d]:bounds[d + 1]]]
-        held = table if lw_in > -math.inf else []
+    tables, apart = [], np.zeros(n, dtype=bool)
+    for d, (lw_in, lw_out) in enumerate(zip(log_in.tolist(),
+                                            log_out.tolist())):
+        tables.append([tracks[d][1] if i < 0 else posteriors[i]
+                       for i in option[bounds[d]:bounds[d + 1]]])
+        held = tables[d] if lw_in > -math.inf else []
         count = len(held) + (lw_out > -math.inf)
         apart[d] = count <= cap and _spread(sorted(
             gm.m[0, 0] for gm in held))
@@ -561,9 +559,9 @@ def one_track_updates(tracks, measurements, sensor, cap, gate_sq):
     seg, pos, theta, log_w = seg[keep], pos[keep], theta[keep], log_w[keep]
     top = log_w[np.searchsorted(seg, seg)]
     total = segment_sums(np.exp(log_w - top), seg, n)
-    seg, w = few[seg], np.exp(log_w - (top + np.log(total[seg])))
+    w = np.exp(log_w - (top + np.log(total[seg])))
     # The others, one by one.
-    rest = sorted(set(range(len(tracks))) - set(few[apart].tolist()))
+    rest = (~apart).nonzero()[0].tolist()
     if not rest:
         return seg, pos, theta, w, tables
     blocks = [(seg, pos, theta, w)]

@@ -19,8 +19,8 @@ from .errors import ConfigurationError, check_numbers
 @dataclass(frozen=True)
 class OspaParams:
     """Order ``p``, cutoff ``c`` and label penalty ``alpha`` (stage 2);
-    ``p`` and ``c`` must be finite.  All three are stored as floats, so
-    that powers such as ``c ** p`` are floats too."""
+    ``p``, ``c`` and ``c ** p`` must be finite.  All three are stored as
+    floats, so that powers such as ``c ** p`` are floats too."""
 
     p: float = 1.0
     c: float = 300.0
@@ -33,6 +33,20 @@ class OspaParams:
             (("alpha",), "in [0, c]", lambda v: 0.0 <= v <= self.c)])
         for name in ("p", "c", "alpha"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        try:
+            self.c ** self.p
+        except OverflowError:
+            raise ConfigurationError("ospa c ** p must be finite, got %r ** %r"
+                                     % (self.c, self.p)) from None
+
+
+def _bounded(value, params):
+    """``value``, a multiple of ``c ** p``, unless it overflows: then the
+    order is too large for the number of points or scans scored."""
+    if not np.isfinite(value):
+        raise ConfigurationError("ospa p = %r is too large: a sum of c ** p "
+                                 "terms overflows" % params.p)
+    return value
 
 
 def _positions(points):
@@ -59,9 +73,10 @@ def _ospa_from_matrix(dist, n, m, params):
         return 0.0
     if n == 0 or m == 0:
         return float(params.c)
+    big = max(n, m)
+    _bounded(params.c ** params.p * big, params)
     rows, cols = linear_sum_assignment(dist ** params.p)
     cost = float((dist[rows, cols] ** params.p).sum())
-    big = max(n, m)
     total = cost + (params.c ** params.p) * (big - min(n, m))
     return float((total / big) ** (1.0 / params.p))
 
@@ -88,6 +103,8 @@ def _stage1_correspondence(scans, n_truth, n_est, params):
     if not n_truth or not n_est:
         return partner
     cut = params.c ** params.p
+    # Above every sum the scans accumulate.
+    big = _bounded(cut * 2.0 * (len(scans) + 1), params)
     acc = np.zeros((n_truth, n_est))
     co = np.zeros_like(acc, dtype=bool)
     for rows, cols, dist in scans:
@@ -101,7 +118,6 @@ def _stage1_correspondence(scans, n_truth, n_est, params):
         acc[pairs] += np.minimum(dist, params.c) ** params.p
         co[pairs] = True
     # Pairs that never coexist carry no identity information.
-    big = cut * 2.0 * (len(scans) + 1)
     rows, cols = linear_sum_assignment(np.where(co, acc, big))
     kept = co[rows, cols]
     partner[rows[kept]] = cols[kept]
@@ -131,7 +147,9 @@ def ospat(truth_steps, estimate_steps, params=None):
     for k, (rows, cols, base) in enumerate(scans):
         mismatch = np.where(partner[rows][:, None] == np.array(cols, int),
                             0.0, params.alpha)
-        dist = np.minimum((base ** params.p + mismatch ** params.p)
-                          ** (1.0 / params.p), params.c)
+        # A far pair's power may overflow to inf: it is cut to c.
+        with np.errstate(over="ignore"):
+            dist = np.minimum((base ** params.p + mismatch ** params.p)
+                              ** (1.0 / params.p), params.c)
         out[k] = _ospa_from_matrix(dist, len(rows), len(cols), params)
     return out

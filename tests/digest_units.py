@@ -5,10 +5,11 @@ position vectors and ``repr(sorted(diagnostics.items()))``.  The units
 are all three filters on builtin two-target seeds 2025-2030 and
 sixteen-target seeds 4033-4034, the benchmark's units, and on
 sixteen-target seeds 4033-4034 with ``CROWDED``'s sensor, 30 m noise and
-50 clutter per scan, and with ``BUSY``'s, 30 m noise and 150 clutter,
-whose larger gates reach Murty's algorithm (36 lines).  Run it with each
-tree's ``src`` and diff the output to show that a change keeps the
-filters' output bit for bit:
+50 clutter per scan, with ``BUSY``'s, 30 m noise and 150 clutter, whose
+larger gates reach Murty's algorithm, and with ``WIDE``'s, 30 m noise and
+300 clutter, whose one-track groups gate more than 16 measurements
+(42 lines).  Run it with each tree's ``src`` and diff the output to show
+that a change keeps the filters' output bit for bit:
 
     PYTHONPATH=src python3 tests/digest_units.py > digests.txt
 
@@ -26,10 +27,13 @@ from almbtrack.harness import FILTER_NAMES, run_filter
 # The crowded sixteen-target: its sensor's wider noise and clutter make
 # gates of 2-5 tracks over enough measurements to reach Murty's algorithm.
 CROWDED = dict(position_noise_std=30.0, clutter_rate=50.0)
-# The busy sixteen-target: three times the crowded clutter also gives
-# single tracks more than 16 gated measurements, so Murty's algorithm
-# ranks problems of one row too.
+# The busy sixteen-target: three times the crowded clutter gives more
+# problems of two rows or more to Murty's algorithm, and one-label
+# hypotheses of the delta-GLMB update more than 16 gated measurements.
 BUSY = dict(position_noise_std=30.0, clutter_rate=150.0)
+# The wide sixteen-target: twice the busy clutter gives one-track LMB
+# groups more than 16 gated measurements too.
+WIDE = dict(position_noise_std=30.0, clutter_rate=300.0)
 
 # (printed name, builtin scenario, seed, sensor settings) of each unit.
 UNITS = [("two-target", "two-target", seed, {})
@@ -37,7 +41,8 @@ UNITS = [("two-target", "two-target", seed, {})
     ("sixteen-target", "sixteen-target", seed, {}) for seed in (4033, 4034)
 ] + [(name, "sixteen-target", seed, sensor)
      for name, sensor in (("sixteen-target-crowded", CROWDED),
-                          ("sixteen-target-busy", BUSY))
+                          ("sixteen-target-busy", BUSY),
+                          ("sixteen-target-wide", WIDE))
      for seed in (4033, 4034)]
 
 

@@ -244,7 +244,8 @@ def test_ranked_hands_murty_only_problems_above_the_limit(k, rng,
                                                           monkeypatch):
     # Stacks of k rows over m measurements, k * m on both sides of
     # ENUMERATE_LIMIT: the enumerator takes the stack at or below it, and
-    # above it each problem reaches ranked_assignments alone, as its 2-D
+    # so it does a stack of one row at any width.  Above it each problem
+    # of two rows or more reaches ranked_assignments alone, as its 2-D
     # padded matrix, and its maps come back in stack order.
     padded, real_ranked = [], dglmb.ranked_assignments
 
@@ -259,7 +260,7 @@ def test_ranked_hands_murty_only_problems_above_the_limit(k, rng,
         quota = np.array([4, 0, 7])
         padded.clear()
         hyp, maps, score = dglmb._ranked(cost, quota)
-        if k * m <= ENUMERATE_LIMIT:
+        if k == 1 or k * m <= ENUMERATE_LIMIT:
             assert padded == []
             continue
         assert len(padded) == len(cost)

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from almbtrack import (GaussianMixture, Label,  # noqa: E402
                        NumericalError, dglmb_cardinality, dglmb_prune,
                        dglmb_to_lmb, gm_reduce)
-from almbtrack.assignment import ranked_assignments  # noqa: E402
 from almbtrack.dglmb import (_CONSOLIDATE_ATOL, _consolidate,  # noqa: E402
                              _finalize, _normalized, _ranked,
                              dglmb_drop_labels)
@@ -262,14 +261,14 @@ def test_finalize_breaks_a_prefix_tie_by_label_set():
         rows.tolist(), [-1.0] * 3, mixtures, 50)[0]
 
 
-@pytest.mark.parametrize("m", [3, 16, 17, 18, 19, 20])
-def test_one_label_maps_rank_like_ranked_assignments(m):
+@pytest.mark.parametrize("m", range(1, 21))
+def test_one_label_maps_rank_like_the_enumeration(m):
     # Costs repeat bit for bit, a measurement may tie the miss, +inf
     # forbids a map, and NaN and -inf costs are not finite either; every
     # quota from 1 to m + 1, all rows in one stacked call and each alone.
-    # Up to 16 measurements the maps are the recursive enumeration's.
-    # Above, ranked_assignments runs Murty's algorithm, whose order of
-    # tied costs is its own, and every row takes its maps.
+    # At every width, above ENUMERATE_LIMIT too, the maps are the
+    # recursive enumeration's: the miss first on a tie, and a cost that
+    # is not finite drops only its own option.
     rng = np.random.default_rng(m)
     for _ in range(4):
         cost = rng.choice([0.5, 1.0, 2.5, np.inf], (8, m + 1))
@@ -285,8 +284,7 @@ def test_one_label_maps_rank_like_ranked_assignments(m):
             hyp, j, score = _ranked(cost[:, None], quotas)
             for h, row in enumerate(cost):
                 padded = np.append(row[1:], row[0])[None]
-                expected = (enumerate_assignments if m <= 16 else
-                            ranked_assignments)(padded, quota)
+                expected = enumerate_assignments(padded, quota)
                 alone = _ranked(row[None, None], quotas[:1])
                 for hyp_, j_, score_, h_ in [(hyp, j, score, h),
                                              (*alone, 0)]:

@@ -370,6 +370,17 @@ def test_cli_run_takes_integer_ospa_settings(tmp_path):
     assert len(ospat[0]) == 10 and ospat[0] == ospat[1]
 
 
+def test_cli_run_rejects_an_overflowing_ospa_order(tmp_path, monkeypatch):
+    # 300 ** 125 overflows a float: a usage error before any run.
+    runs = []
+    monkeypatch.setattr(harness, "run_filter",
+                        lambda *args, **kwargs: runs.append(args))
+    scenario = write_scenario(tmp_path, ospa={"p": 125})
+    assert main(["run", "--scenario", scenario, "--filter", "lmb",
+                 "--runs", "1", "--out", str(tmp_path / "out")]) == 2
+    assert runs == []
+
+
 def test_cli_plotdata_from_run(tmp_path):
     scenario = write_scenario(tmp_path)
     out = tmp_path / "out"

@@ -1,5 +1,7 @@
 """OSPA and labeled OSPA scoring."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,35 @@ def test_params_validation():
         OspaParams(alpha=400.0)
     with pytest.raises(ConfigurationError):
         OspaParams(p=float("nan"))
+    # 300 ** 125 overflows a float.
+    with pytest.raises(ConfigurationError):
+        OspaParams(p=125.0)
+
+
+def test_orders_whose_sums_overflow_raise():
+    # 300 ** 124 is finite, but not twice it, nor 20 times it: a scored
+    # distance never exceeds c, so inf is no answer.
+    params = OspaParams(p=124.0)
+    with pytest.raises(ConfigurationError):
+        ospa([[0, 0]], [[x, x] for x in range(20)], params)
+    truth = steps_from({"a": [[0, 0]] * 100, "b": [[500, 0]] * 100})
+    est = steps_from({7: [[1, 0]] * 100})
+    with pytest.raises(ConfigurationError):
+        ospat(truth, est, params)
+
+
+def test_far_pairs_score_the_cutoff_without_a_warning():
+    # 1000 ** 120 overflows; the pair is cut to c all the same.
+    params = OspaParams(p=120.0)
+    truth = steps_from({"a": [[0, 0]] * 100, "b": [[500, 0]] * 100})
+    est = steps_from({7: [[1, 0]] * 100, 8: [[1500, 0]] * 100})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ospat(truth, est, params)
+        far = ospat(steps_from({"a": [[0, 0]]}),
+                    steps_from({1: [[1000, 0]]}), params)
+    assert far.tolist() == [300.0]
+    assert np.all((got > 0.0) & (got <= 300.0))
 
 
 def steps_from(paths):

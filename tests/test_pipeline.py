@@ -16,6 +16,7 @@ from almbtrack import (ConfigurationError, DensityGroup, DglmbDensity,
                        dglmb_update, generate_measurements, generate_truth,
                        kl_criterion, lmb_to_dglmb, lmb_update)
 from almbtrack import dglmb, pipeline
+from almbtrack.assignment import ranked_assignments
 from almbtrack.dglmb import one_track_update, one_track_updates
 from almbtrack.gaussian import gate_mask, gm_kalman_update_log
 from almbtrack.harness import run_filter
@@ -686,10 +687,11 @@ def test_one_track_update_keeps_the_quota_truncation():
 
 
 def test_one_track_update_ranks_many_measurements_like_murty(monkeypatch):
-    # Above 16 gated measurements the ranked assignments run Murty's
-    # algorithm; identical measurements tie and keep index order.  The
-    # one-group form hands its one row to ranked_assignments as a padded
-    # 1 x 20 matrix and takes its maps.
+    # Above 16 gated measurements, too, the one row of a one-track update
+    # is sorted by ranked_stack, never handed to Murty's algorithm.  Here
+    # no measurement ties the miss, so its maps are those Murty's
+    # algorithm gives the padded 1 x 20 matrix: identical measurements tie
+    # and keep index order.
     rng = np.random.default_rng(7)
     scan = [list(z) for z in rng.normal(0.0, 8.0, (16, 2))]
     scan += [scan[3], scan[3], scan[10]]
@@ -698,19 +700,31 @@ def test_one_track_update_ranks_many_measurements_like_murty(monkeypatch):
         fast = update_one(one_track(existence, 3), scan, sensor, CFG)
         slow = generic_update(one_track(existence, 3), scan, sensor, CFG)
         assert_same_update(fast, slow)
-    ranked, real_ranked = [], dglmb.ranked_assignments
+    murty, stacked, real_stack = [], [], dglmb.ranked_stack
 
-    def rank(cost, k):
-        ranked.append((cost.shape, real_ranked(cost, k)))
-        return ranked[-1][1]
+    def stack(cost, quota):
+        stacked.append((cost, real_stack(cost, quota)))
+        return stacked[-1][1]
 
-    monkeypatch.setattr(dglmb, "ranked_assignments", rank)
+    monkeypatch.setattr(dglmb, "ranked_assignments",
+                        lambda *args: murty.append(args))
+    monkeypatch.setattr(dglmb, "ranked_stack", stack)
     gm = one_track(0.9, 3).density.mixtures[0]
     mixtures, index, theta, w = one_track_update(0.9, gm, scan, sensor, CAP,
                                                  GATE_SQ)
-    assert [shape for shape, _ in ranked] == [(1, 20)]
-    # The miss and 19 hits; the twins' children consolidate.
-    maps = [t for (t,), _ in ranked[0][1]]
+    assert not murty and len(stacked) == 1
+    cost, (_, j, score) = stacked[0]
+    assert cost.shape == (1, 1, 20)
+    maps = j[:, 0].tolist()
+    want = ranked_assignments(np.append(cost[0, 0, 1:], cost[0, 0, 0])[None],
+                              len(maps) + 1)
+    assert maps == [t for (t,), _ in want]
+    assert score.tolist() == [s for _, s in want]
+    # The twins of measurements 4 and 11 (scan rows 3 and 10) rank in
+    # index order; their children consolidate.
+    assert [maps.index(t) for t in (4, 17, 18)] == sorted(
+        maps.index(t) for t in (4, 17, 18))
+    assert maps.index(11) < maps.index(19)
     assert sorted(maps) == list(range(20)) and len(mixtures) == 20
     assert set(theta) <= set(maps) and len(theta) < 21
 
@@ -733,9 +747,9 @@ def mixed_scan(rng):
     returns for each, and its measurement table.  In order: a one-track
     group with one hit; a delta-GLMB group; one with two identical
     measurements, whose posteriors consolidate; one of 18 gated
-    measurements, where Murty's algorithm ranks; a two-track group; one
-    with an empty gate; and one-track groups of existence 0 and 1, with
-    one hit each.  The groups lie 300 m apart."""
+    measurements, whose cost row the batch sorts like any other; a
+    two-track group; one with an empty gate; and one-track groups of
+    existence 0 and 1, with one hit each.  The groups lie 300 m apart."""
     def at(x, y, existence, components=1):
         group = one_track(existence, components)
         gm = group.density.mixtures[0]
@@ -775,8 +789,9 @@ def test_one_batch_of_every_path_matches_the_generic_update(p_d, config,
     monkeypatch.setattr(dglmb, "one_track_update", update)
     batch = update_group(groups, np.array(Z), sensor, config)
     # Without detections no two posteriors compete; otherwise the twin
-    # measurements must consolidate.
-    assert taken == ([18] if p_d == 0.0 else [2, 18])
+    # measurements must consolidate.  The group of 18 gated measurements
+    # stays in the batch.
+    assert taken == ([] if p_d == 0.0 else [2])
     assert len(batch) == len(groups)
     for group, gate, result in zip(groups, gates, batch):
         assert_same_update(result, generic_update(
