@@ -104,7 +104,9 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except NumericalError as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
+        scan = exc.diagnostics.get("scan")
+        where = "" if scan is None else " in scan %d" % scan
+        print("numerical failure%s: %s" % (where, exc), file=sys.stderr)
         return 3
 
 

@@ -15,7 +15,9 @@ boolean subset mask per label count, the update gathers them from the
 of all hypotheses of one label count in one ``ranked_stack`` call, the
 empty hypothesis with those of one label; a problem of two labels or more
 and more than ``ENUMERATE_LIMIT`` cells goes alone to Murty's algorithm
-(``ranked_assignments``).
+(``ranked_assignments``).  That expansion, ``_children``, serves every
+update: ``dglmb_update`` finalizes its children, and
+``one_track_updates`` those of many one-track LMB densities at once.
 All weight arithmetic runs in the log domain.  Hypotheses that end up
 with the same label set and the same per-label spatial densities (same
 mixture provenance, or numerically indistinguishable after their Kalman
@@ -340,43 +342,71 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
     Per hypothesis an association cost matrix is built from the log
     factors: miss ``1 - p_D``, assignment ``p_D g(z|track) / kappa(z)``;
     pairs outside the ``gate_sq`` Mahalanobis gate are forbidden.  Ranked
-    assignments expand each hypothesis into children whose weights are
-    globally renormalized; ``cap`` keeps the heaviest children.  Every
-    (table mixture, measurement) pair is gated and updated in one stacked
-    ``kalman_updates`` pass, which reads the innovation terms the table
-    holds for exactly ``measurements`` (in the pipeline, the scan's whole
-    table, whose terms the gate pass cached) and fills them, in one
-    stacked call, for the other mixtures.  Only the measurements some
-    table mixture gates are ranked: no map holds any other.  The
-    hypotheses of each label count are ranked together (``_ranked``).
+    assignments expand each hypothesis into children (``_children``), then
+    ``_finalize`` renormalizes them globally and keeps the ``cap`` best.
 
     Returns an :class:`UpdateOutput` carrying the posterior and the
     track-to-measurement association marginals of the retained children,
     over every measurement.
     """
     d = d.normalized()
-    hyps = d.hypotheses
+    mixtures, _, rows, theta, log_w, _ = _children(
+        d.mixtures, d.hypotheses, d.w.tolist(), measurements, sensor, cap,
+        gate_sq)
+    keep, w = _finalize(rows, log_w, mixtures, cap)
+    # Each kept child's weight on its (label, measurement) pairs, added
+    # in child order.
+    theta = theta[keep]
+    e, k = theta.nonzero()
+    labels, m = len(d.label_space), len(measurements)
+    marginals = np.bincount(k * m + theta[e, k] - 1, w[e],
+                            labels * m).reshape(labels, m)
+    return UpdateOutput(DglmbDensity(d.label_space, mixtures, rows[keep], w),
+                        marginals)
+
+
+def _children(mixtures, hyps, w, measurements, sensor, cap, gate_sq):
+    """The children of the hypotheses ``hyps`` (rows of positions in the
+    table ``mixtures``, -1 for an absent label) of the weights ``w``, a
+    list, over the table ``measurements``: the expansion that precedes
+    ``_finalize``.
+
+    Every (table mixture, measurement) pair is gated and updated in one
+    stacked ``kalman_updates`` pass, which reads the innovation terms the
+    table holds for exactly ``measurements`` (in the pipeline, the scan's
+    whole table, whose terms the gate pass cached) and fills them, in one
+    stacked call, for the other mixtures.  Only the measurements some
+    table mixture gates are ranked: no map holds any other.  The
+    hypotheses of each label count are ranked together (``_ranked``), each
+    keeping ``_per_hypothesis_quota`` maps.
+
+    Returns ``(table, parent, rows, theta, log_w, inside)``: the mixture
+    table (``mixtures``, then the posteriors), and of each child, in
+    parent order and each parent's best first, its hypothesis, its row of
+    table positions, its map (per label, 0 for a miss, else the
+    measurement's position + 1) and its log weight; and the (mixture,
+    measurement) gate mask.
+    """
     log_pd, log_qd, log_kappa = _log_factors(sensor)
-    log_lik, posteriors = kalman_updates(d.mixtures, sensor, measurements,
+    log_lik, posteriors = kalman_updates(mixtures, sensor, measurements,
                                          gate_sq)
+    inside = np.isfinite(log_lik)
     # The gated columns, in order; the pairs' posteriors are row-major
     # over them as over the whole table.
-    gated = np.isfinite(log_lik).any(0).nonzero()[0]
+    gated = inside.any(0).nonzero()[0]
     log_lik, m = log_lik[:, gated], len(gated)
     # Each mixture's cost and posterior table position for map j: j = 0,
     # a miss, keeps the mixture; a pair outside the gate keeps it at an
     # infinite cost.  A last row serves the empty hypothesis, whose one
     # map costs 0.
-    n = len(d.mixtures)
+    n = len(mixtures)
     cost = np.full((n + 1, m + 1), np.inf)
     cost[:n, 0], cost[n, 0] = -log_qd, 0.0
     cost[:n, 1:] = -(log_pd + log_lik - log_kappa)
     child = np.repeat(np.arange(n + 1)[:, None], m + 1, 1)
     child[n] = -1
-    child[:n, 1:][np.isfinite(log_lik)] = n + np.arange(len(posteriors))
-    mixtures = list(d.mixtures) + posteriors
-    log_w = np.array(_log_weights(d.w.tolist()))
-    quota = np.array(_per_hypothesis_quota(d.w.tolist(), cap))
+    child[:n, 1:][inside[:, gated]] = n + np.arange(len(posteriors))
+    quota = np.array(_per_hypothesis_quota(w, cap))
     held = hyps >= 0
     # The hypotheses of each label count k, their costs stacked and ranked
     # in one call; the empty hypothesis ranks with those of one label, by
@@ -398,17 +428,9 @@ def dglmb_update(d, measurements, sensor, cap, gate_sq):
         parent, theta, score = parent[order], theta[order], score[order]
     # An absent label reads the last row's -1 at map 0.
     rows = child[hyps[parent], theta]
-    keep, w = _finalize(rows, log_w[parent] - score, mixtures, cap)
-    # Each kept child's weight on its (label, measurement) pairs, added
-    # in child order.
-    theta = theta[keep]
-    e, k = theta.nonzero()
-    labels = len(d.label_space)
-    marginals = np.zeros((labels, len(measurements)))
-    marginals[:, gated] = np.bincount(k * m + theta[e, k] - 1, w[e],
-                                      labels * m).reshape(labels, m)
-    return UpdateOutput(DglmbDensity(d.label_space, mixtures, rows[keep], w),
-                        marginals)
+    return (list(mixtures) + posteriors, parent, rows,
+            np.concatenate(([0], gated + 1))[theta],
+            np.array(_log_weights(w))[parent] - score, inside)
 
 
 def _ranked(cost, quota):
@@ -480,100 +502,71 @@ def one_track_update(existence, gm, measurements, sensor, cap, gate_sq):
 def one_track_updates(tracks, measurements, sensor, cap, gate_sq):
     """``one_track_update`` of many one-track LMB densities, in one batch.
 
-    ``tracks`` holds an ``(existence, gm)`` pair per density.  Returns
-    ``(seg, index, theta, w, tables)``: the kept children of all
-    densities, density by density and each density's in
-    ``one_track_update``'s order, as flat arrays of their density, table
-    position, map and weight; and each density's mixture table.
+    ``tracks`` holds an ``(existence, gm)`` pair per density, one or
+    more.  Returns ``(seg, index, theta, w, table)``: the kept children
+    of all densities, density by density and each density's in
+    ``one_track_update``'s order, as flat arrays of their density,
+    position in the one mixture table ``table``, map (0 for a miss, else
+    the measurement's position + 1) and weight.
 
-    One ``kalman_updates`` pass gates and updates every (density,
-    measurement) pair of the table ``measurements``; a density's gate is
-    the finite entries of its row.  One ``ranked_stack`` call ranks the
-    options of every present hypothesis, however many it gates: each
-    cost row sorted, the miss first on a tie.  Where the first mean
-    entries of a density's present children are ``_spread`` and the cap
-    keeps them all, no two can merge, and ``_finalize`` is a stable sort
-    by weight, the absent child first on a tie, and ``_normalized``: one
-    pass for all such densities.  So it is with nothing in the gate, the
-    Bernoulli missed-detection posterior (existence r (1 - p_D) /
-    (1 - r p_D) and ``gm`` unchanged: Ristic, Vo, Vo & Farina, "A
-    tutorial on Bernoulli filters", IEEE TSP 2013).  A density whose
-    children might merge, such as the posteriors of two identical
-    measurements, or outnumber the cap takes ``one_track_update`` on the
-    table rows of its gate.
+    One ``_children`` call, the expansion of ``dglmb_update``, expands
+    every density's absent and present hypotheses, weighted by
+    ``bernoulli_expansion``: each present cost row is sorted, the miss
+    first on a tie.  Where the first mean entries of a density's present
+    children are ``_spread`` and the cap keeps them all, no two can merge,
+    and ``_finalize`` is a stable sort by weight, the absent child first
+    on a tie, and ``_normalized``: one pass for all such densities.  So it
+    is with nothing in the gate, the Bernoulli missed-detection posterior
+    (existence r (1 - p_D) / (1 - r p_D) and ``gm`` unchanged: Ristic, Vo,
+    Vo & Farina, "A tutorial on Bernoulli filters", IEEE TSP 2013).  A
+    density whose children might merge, such as the posteriors of two
+    identical measurements, or outnumber the cap takes
+    ``one_track_update`` on the measurements of its gate.
     """
-    log_pd, log_qd, log_kappa = _log_factors(sensor)
-    log_lik, posteriors = kalman_updates([gm for _, gm in tracks], sensor,
-                                         measurements, gate_sq)
-    gated = np.isfinite(log_lik)
-    n, size = len(tracks), np.count_nonzero(gated, 1)
-    # Each density's costs of the miss and of its gated measurements, in
-    # order, and the position of each hit's posterior in ``posteriors``,
-    # which come row-major over the finite entries.
-    cost = np.full((n, 1 + size.max(initial=0)), np.inf)
-    cost[:, 0] = -log_qd
-    at = np.full(cost.shape, -1)
-    if posteriors:
-        hit = np.full(gated.shape, -1)
-        hit[gated] = np.arange(len(posteriors))
-        h, col = gated.nonzero()
-        k = np.arange(1, len(h) + 1) - (np.cumsum(size) - size)[h]
-        cost[h, k] = -(log_pd + log_lik[h, col] - log_kappa)
-        at[h, k] = hit[h, col]
-    # Each density's absent and present log weights (NaN without a present
-    # hypothesis) and the present one's quota.
-    log_out, log_in = np.zeros(n), np.full(n, np.nan)
-    quota = np.zeros(n, dtype=int)
+    n, owner, hyps, weights = len(tracks), [], [], []
     for d, (existence, _) in enumerate(tracks):
         present, w = bernoulli_expansion(existence)
-        log_w = _log_weights(w)
-        log_out[d] = log_w[present.index(False)]
-        if True in present:
-            i = present.index(True)
-            log_in[d], quota[d] = log_w[i], _per_hypothesis_quota(w, cap)[i]
-    there = (~np.isnan(log_in)).nonzero()[0]
-    hyp, j, score = _ranked(cost[there, None], quota[there])
-    hyp, j = there[hyp], j[:, 0]
-    first = np.searchsorted(hyp, np.arange(n + 1))
-    option, bounds = at[hyp, j].tolist(), first.tolist()
-    # Each density's mixture table, and whether its finite children are
-    # apart, no more of them than the cap keeps.
-    tables, apart = [], np.zeros(n, dtype=bool)
-    for d, (lw_in, lw_out) in enumerate(zip(log_in.tolist(),
-                                            log_out.tolist())):
-        tables.append([tracks[d][1] if i < 0 else posteriors[i]
-                       for i in option[bounds[d]:bounds[d + 1]]])
-        held = tables[d] if lw_in > -math.inf else []
-        count = len(held) + (lw_out > -math.inf)
-        apart[d] = count <= cap and _spread(sorted(
-            gm.m[0, 0] for gm in held))
-    # Their children, the present ones in rank order and then the absent
-    # ones: the finite ones sorted by (density, -log w, present) and
+        owner += [d] * len(present)
+        hyps += [d if there else -1 for there in present]
+        weights += w
+    table, parent, rows, theta, log_w, inside = _children(
+        [gm for _, gm in tracks], np.array(hyps)[:, None], weights,
+        measurements, sensor, cap, gate_sq)
+    seg, index, theta = np.array(owner)[parent], rows[:, 0], theta[:, 0]
+    # Whether each density's finite children are apart, no more of them
+    # than the cap keeps.
+    finite, present = np.isfinite(log_w), index >= 0
+    lead = [[] for _ in range(n)]
+    for d, i in zip(seg[finite & present].tolist(),
+                    index[finite & present].tolist()):
+        lead[d].append(table[i].m[0, 0])
+    apart = np.array([c <= cap and _spread(sorted(x)) for c, x in zip(
+        np.bincount(seg[finite], minlength=n).tolist(), lead)], dtype=bool)
+    # Their finite children sorted by (density, -log w, present) and
     # normalized.
-    seg = np.concatenate((hyp, np.arange(n)))
-    pos = np.concatenate((np.arange(len(hyp)) - first[hyp], np.full(n, -1)))
-    theta = np.concatenate((j, np.zeros(n, dtype=int)))
-    log_w = np.concatenate((log_in[hyp] - score, log_out))
-    keep = (np.isfinite(log_w) & apart[seg]).nonzero()[0]
-    keep = keep[np.lexsort((pos[keep] >= 0, -log_w[keep], seg[keep]))]
-    seg, pos, theta, log_w = seg[keep], pos[keep], theta[keep], log_w[keep]
+    keep = (finite & apart[seg]).nonzero()[0]
+    keep = keep[np.lexsort((present[keep], -log_w[keep], seg[keep]))]
+    seg, index, theta, log_w = (a[keep] for a in (seg, index, theta, log_w))
     top = log_w[np.searchsorted(seg, seg)]
     total = segment_sums(np.exp(log_w - top), seg, n)
     w = np.exp(log_w - (top + np.log(total[seg])))
-    # The others, one by one.
+    # The others, one by one, their mixtures appended to the table.
     rest = (~apart).nonzero()[0].tolist()
     if not rest:
-        return seg, pos, theta, w, tables
-    blocks = [(seg, pos, theta, w)]
+        return seg, index, theta, w, table
+    blocks = [(seg, index, theta, w)]
     for e in rest:
-        tables[e], index, th, w = one_track_update(*tracks[e], [
-            z for z, inside in zip(measurements, gated[e]) if inside],
-            sensor, cap, gate_sq)
-        blocks.append((np.full(len(w), e), index[:, 0],
-                       np.array(th, dtype=int), w))
+        gate = inside[e].nonzero()[0]
+        mixtures, own, th, w = one_track_update(
+            *tracks[e], [measurements[j] for j in gate], sensor, cap,
+            gate_sq)
+        blocks.append((np.full(len(w), e), np.where(
+            own[:, 0] >= 0, own[:, 0] + len(table), -1),
+            np.concatenate(([0], gate + 1))[th], w))
+        table += mixtures
     seg, index, theta, w = (np.concatenate(part) for part in zip(*blocks))
     order = seg.argsort(kind="stable")
-    return seg[order], index[order], theta[order], w[order], tables
+    return seg[order], index[order], theta[order], w[order], table
 
 
 def dglmb_prune(d, weight_threshold, cap):

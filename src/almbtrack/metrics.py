@@ -62,8 +62,10 @@ def _distances(x, y):
     X, Y = _positions(x), _positions(y)
     if len(X) == 0 or len(Y) == 0:
         return np.zeros((len(X), len(Y)))
-    d = X[:, None, :] - Y[None, :, :]
-    return np.sqrt(np.matmul(d[..., None, :], d[..., None])[..., 0, 0])
+    # A far pair may overflow to inf: every caller cuts it to c.
+    with np.errstate(over="ignore"):
+        d = X[:, None, :] - Y[None, :, :]
+        return np.sqrt(np.matmul(d[..., None, :], d[..., None])[..., 0, 0])
 
 
 def _ospa_from_matrix(dist, n, m, params):

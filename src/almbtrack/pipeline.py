@@ -12,11 +12,10 @@ switching automaton, which keeps the posterior or approximates it in LMB
 form.  The update stage is one call per scan (``update_group``), and
 each update gates the scan's measurement table in its own Kalman pass.
 Its LMB groups of one track take the update in closed form, to the bit,
-all in one batch: one Kalman pass, one stacked ranking of their maps as
-every update ranks them, a cost row sorted at any width, the miss first
-on a tie, and the criteria as arrays, with the automaton run group by
-group.  A group whose entries might merge, or outnumber the cap, takes
-the one-group form, finalized generically (``dglmb.one_track_update``).
+all in one batch: one expansion of all their hypotheses, the one every
+``dglmb_update`` runs, and the criteria as arrays, with the automaton run
+group by group.  A group whose entries might merge, or outnumber the
+cap, takes the one-group form (``dglmb.one_track_update``).
 The three filters are settings of this one path (``MultiObjectTracker``):
 ``"almb"`` switches per the criteria, ``"lmb"`` sets both thresholds to
 infinity so no group ever switches, and ``"dglmb"`` starts every birth
@@ -34,7 +33,8 @@ from .densities import (DglmbDensity, Label, LmbDensity, dglmb_to_lmb,
                         lmb_to_dglmb, segment_sums)
 from .dglmb import (dglmb_drop_labels, dglmb_predict, dglmb_prune,
                     dglmb_update, one_track_updates, row_groups)
-from .errors import ConfigurationError, UsageError, check_numbers
+from .errors import (ConfigurationError, NumericalError, UsageError,
+                     check_numbers)
 from .gaussian import (gate_mask, gm_reduce, innovation_terms, map_point,
                        mixture_average, predicted_measurement)
 from .lmb import lmb_predict, lmb_update
@@ -316,7 +316,7 @@ def _update_one_track(groups, measurements, sensor, config):
     n = len(groups)
     if not n:
         return []
-    seg, index, theta, w, tables = one_track_updates(
+    seg, index, theta, w, table = one_track_updates(
         [(g.density.r[0], g.density.mixtures[0]) for g in groups],
         measurements, sensor, CAP, GATE_SQ)
     # Sums in row order: np.sum for the totals, one term at a time
@@ -339,7 +339,7 @@ def _update_one_track(groups, measurements, sensor, config):
             existence.tolist())):
         state = decide_switch(group.state, kl_e, entropy_e, config)
         rows = slice(bounds[e], bounds[e + 1])
-        lmb, table = group.density, tables[e]
+        lmb = group.density
         if state.mode is Mode.DGLMB:
             density = DglmbDensity(lmb.label_space, table,
                                    index[rows, None], w[rows])
@@ -465,8 +465,10 @@ def pipeline_step(groups, measurements, step_index, motion, sensor,
 
     ``measurements`` holds one row of ``sensor.meas_dim`` finite numbers
     per measurement, or none; anything else raises ``ConfigurationError``
-    naming the scan before any stage runs.  ``births`` is a list of
-    ``(existence, mixture)`` pairs; new births start in ``birth_state``.
+    naming the scan before any stage runs, and a stage's
+    ``NumericalError`` names it as ``diagnostics["scan"]``.  ``births`` is
+    a list of ``(existence, mixture)`` pairs; new births start in
+    ``birth_state``.
     """
     try:  # one float table, which the gate and the update read whole
         measurements = np.asarray(measurements, dtype=float)
@@ -477,15 +479,21 @@ def pipeline_step(groups, measurements, step_index, motion, sensor,
             or not np.isfinite(measurements).all()):
         raise ConfigurationError("scan %d: a measurement must be %d finite "
                                  "numbers" % (step_index, sensor.meas_dim))
-    groups = inject_birth(groups, births, step_index, birth_state, sensor)
-    groups = [predict_group(g, motion) for g in groups]
-    gates = gate_measurements(groups, measurements, sensor)
-    groups = merge_groups(groups, gates)
-    results = update_group(groups, measurements, sensor, config)
-    updated, kls, entropies = ([r[i] for r in results] for i in range(3))
-    groups = [g for g in (prune_group(g) for g in updated) if g is not None]
-    split = [part for group in groups for part in split_group(group, sensor)]
-    extracted = extract_tracks(split, EXTRACTION)
+    try:
+        groups = inject_birth(groups, births, step_index, birth_state, sensor)
+        groups = [predict_group(g, motion) for g in groups]
+        gates = gate_measurements(groups, measurements, sensor)
+        groups = merge_groups(groups, gates)
+        results = update_group(groups, measurements, sensor, config)
+        updated, kls, entropies = ([r[i] for r in results] for i in range(3))
+        groups = [g for g in (prune_group(g) for g in updated)
+                  if g is not None]
+        split = [part for group in groups
+                 for part in split_group(group, sensor)]
+        extracted = extract_tracks(split, EXTRACTION)
+    except NumericalError as err:
+        err.diagnostics["scan"] = step_index
+        raise
     n_dglmb = sum(1 for g in split if isinstance(g.density, DglmbDensity))
     diagnostics = {
         "kl": kls,

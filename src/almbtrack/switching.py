@@ -7,9 +7,9 @@ association marginals.  A group switches from LMB to delta-GLMB
 representation when either criterion exceeds its threshold and switches
 back only when the criterion that triggered the switch falls to the
 threshold or below.  All information measures use natural logarithms.
-Both criteria also come stacked, one per density of a batch, with the
-bits of one call per density; the one-density forms stay separate,
-since the stacked ones cost more on a single density.
+Each criterion has one implementation, stacked over the densities of
+a batch (``kl_divergences``, ``association_entropies``); the
+one-density forms call it on one row.
 """
 
 import enum
@@ -49,24 +49,20 @@ def kl_divergence(p, q):
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    padded = np.zeros((2, max(p.size, q.size)))
-    padded[0, :p.size], padded[1, :q.size] = p, q
-    p, q = padded
-    mask = p > 0.0
-    if np.any(q[mask] <= 0.0):
-        return float(np.inf)
-    # Rounding can leave a tiny negative sum when p ~ q; KL is >= 0.
-    return max(0.0, float(np.sum(p[mask] * np.log(p[mask] / q[mask]))))
+    padded = np.zeros((2, 1, max(p.size, q.size)))
+    padded[0, 0, :p.size], padded[1, 0, :q.size] = p, q
+    return float(kl_divergences(*padded)[0])
 
 
 def kl_divergences(p, q):
     """``kl_divergence`` of each row of the stacked pmfs ``p`` and ``q``,
-    arrays of one (g, n) shape, to the bit."""
+    arrays of one (g, n) shape."""
     mask = p > 0.0
     rows = mask.nonzero()[0]
     p, q = p[mask], q[mask]
     with np.errstate(divide="ignore", invalid="ignore"):
         kl = segment_sums(p * np.log(p / q), rows, len(mask))
+    # Rounding can leave a tiny negative sum when p ~ q; KL is >= 0.
     return np.where(np.bincount(rows, q <= 0.0, len(mask)) > 0, np.inf,
                     np.where(kl > 0.0, kl, 0.0))
 
@@ -97,20 +93,18 @@ def association_entropy(marginals):
     Sums ``-r log r`` over all track/measurement entries; zero entries
     contribute nothing, and a measurement-free scan yields zero.
     """
-    r = np.asarray(marginals, dtype=float)
-    if r.size == 0:
-        return 0.0
-    mask = r > 0.0
-    # + 0.0 turns the -0.0 of an all-certain matrix into plain zero.
-    return float(-np.sum(r[mask] * np.log(r[mask])) + 0.0)
+    r = np.asarray(marginals, dtype=float).ravel()
+    return float(association_entropies(r, np.zeros(r.size, dtype=int),
+                                       1)[0])
 
 
 def association_entropies(marginals, segments, count):
     """``association_entropy`` of each of ``count`` segments of the flat
-    ``marginals``, to the bit: ``segments`` numbers the segment of each
-    entry, and a segment's entries are in row-major order."""
+    ``marginals``: ``segments`` numbers the segment of each entry, and a
+    segment's entries are in row-major order."""
     mask = marginals > 0.0
     r = marginals[mask]
+    # + 0.0 turns the -0.0 of an all-certain segment into plain zero.
     return -segment_sums(r * np.log(r), segments[mask], count) + 0.0
 
 

@@ -258,7 +258,8 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["run", "--scenario", nan_noise, "--filter", "lmb",
                  "--runs", "1", "--out", str(tmp_path / "v")]) == 2
     # No process noise and no birth velocity spread pass validation, but
-    # give LMB tracks singular covariances: a numerical failure, exit 3.
+    # give LMB tracks singular covariances: a numerical failure, exit 3,
+    # in the first scan, which the message names.
     birth = builtin_scenario("two-target").to_dict()["birth"]
     for entry in birth:
         entry["std"] = [10.0, 0.0, 10.0, 0.0]
@@ -266,8 +267,11 @@ def test_cli_error_exit_codes(tmp_path, capsys):
                               motion={"velocity_noise_std": 0.0,
                                       "survival_prob": 0.99})
     for name in ("lmb", "almb"):
+        capsys.readouterr()
         assert main(["run", "--scenario", singular, "--filter", name,
                      "--runs", "1", "--out", str(tmp_path / name)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure in scan 1: ")
     # Regions whose area underflows to 0.0 or overflows to inf.
     for region in ([[0.0, 1e-200], [0.0, 1e-200]],
                    [[-1e200, 1e200], [-1e200, 1e200]]):

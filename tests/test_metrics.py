@@ -103,6 +103,18 @@ def test_far_pairs_score_the_cutoff_without_a_warning():
     assert np.all((got > 0.0) & (got <= 300.0))
 
 
+def test_points_too_far_to_square_score_the_cutoff_without_a_warning():
+    # The squared distance of 1e200 overflows, and so does the difference
+    # of 1e308 and -1e308; each pair is cut to c.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for far in (1e200, 1e308):
+            assert ospa([[0, 0]], [[far, 0]]) == 300.0
+            assert ospa([[-far, 0]], [[far, 0]]) == 300.0
+            assert ospat(steps_from({"a": [[0, 0]]}),
+                         steps_from({1: [[far, 0]]})).tolist() == [300.0]
+
+
 def steps_from(paths):
     """Build per-scan (id, position) lists from id -> list of positions
     (None marks absence)."""

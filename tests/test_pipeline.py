@@ -476,6 +476,7 @@ def test_unfactorable_innovation_covariance_raises_in_its_scan(policy,
     with pytest.raises(NumericalError) as err:
         tracker.step(scans[-1])
     assert tracker.step_index == len(scans)
+    assert err.value.diagnostics["scan"] == len(scans)
     assert err.value.diagnostics["what"] == "innovation covariance"
     np.testing.assert_array_equal(err.value.diagnostics["matrix"],
                                   -498.75 * np.eye(2))
@@ -639,6 +640,22 @@ def test_one_track_miss_entries_match_the_generic_update(p_d, rng):
             [slow.mixtures[i] for i in slow.hypotheses[:, 0] if i >= 0]
 
 
+def assert_entries_of_one_track_update(table, index, theta, w, gate,
+                                       expected):
+    """Whether one density's batch entries, positions in the batch's
+    ``table`` and maps over the whole measurement table, equal the
+    entries ``expected`` of its ``one_track_update`` on the measurements
+    ``gate``, child by child."""
+    mixtures, want_index, want_theta, want_w = expected
+    want_index = want_index[:, 0].tolist()
+    assert [i >= 0 for i in index.tolist()] == [i >= 0 for i in want_index]
+    assert all(same_mixture(table[i], mixtures[k])
+               for i, k in zip(index.tolist(), want_index) if k >= 0)
+    assert theta.tolist() == [gate[t - 1] + 1 if t else 0
+                              for t in want_theta]
+    assert w.tolist() == want_w.tolist()
+
+
 @pytest.mark.parametrize("cap", [1, 2, 3, CAP])
 @pytest.mark.parametrize("p_d", [0.0, 0.9, 1.0])
 def test_one_track_batch_entries_match_one_track_update(p_d, cap, rng):
@@ -660,17 +677,14 @@ def test_one_track_batch_entries_match_one_track_update(p_d, cap, rng):
         [DensityGroup(lmb_from_tracks({Label(1, 0): track}))
          for track in tracks], Z, sensor)
     assert min(map(len, gates)) == 0 and max(map(len, gates)) == len(Z)
-    seg, index, theta, w, tables = one_track_updates(
+    seg, index, theta, w, table = one_track_updates(
         tracks, np.array(Z), sensor, cap, GATE_SQ)
     assert seg.tolist() == sorted(seg.tolist())
     for e, ((existence, gm), gate) in enumerate(zip(tracks, gates)):
-        mixtures, want_index, want_theta, want_w = one_track_update(
-            existence, gm, [Z[j] for j in gate], sensor, cap, GATE_SQ)
-        assert index[seg == e].tolist() == want_index[:, 0].tolist()
-        assert theta[seg == e].tolist() == want_theta
-        assert w[seg == e].tolist() == want_w.tolist()
-        assert len(tables[e]) == len(mixtures)
-        assert all(same_mixture(a, b) for a, b in zip(tables[e], mixtures))
+        assert_entries_of_one_track_update(
+            table, index[seg == e], theta[seg == e], w[seg == e], gate,
+            one_track_update(existence, gm, [Z[j] for j in gate], sensor,
+                             cap, GATE_SQ))
 
 
 def test_one_track_update_keeps_the_quota_truncation():
@@ -809,16 +823,17 @@ def test_one_track_hits_take_the_measurements_of_the_gate_stage():
            if isinstance(g.density, LmbDensity)
            and len(g.density.label_space) == 1]
     assert [len(gate) for _, _, gate in one] == [1, 2, 18, 0, 1, 1]
-    seg, index, theta, w, tables = one_track_updates(
+    seg, index, theta, w, table = one_track_updates(
         [(existence, gm) for existence, gm, _ in one], np.array(Z), SENSOR,
         CAP, GATE_SQ)
     for e, (existence, gm, gate) in enumerate(one):
         hits = (seg == e) & (theta > 0)
-        taken = [gate[t - 1] for t in theta[hits].tolist()]
+        taken = [t - 1 for t in theta[hits].tolist()]
         want = [] if existence == 0.0 else gate
+        assert set(taken) <= set(want)
         assert {tuple(Z[j]) for j in taken} == {tuple(Z[j]) for j in want}
         for i, j in zip(index[hits].tolist(), taken):
-            assert same_mixture(tables[e][i],
+            assert same_mixture(table[i],
                                 gm_kalman_update_log(gm, Z[j], SENSOR)[0])
 
 
@@ -837,15 +852,55 @@ def test_one_track_group_of_many_separated_hits_takes_the_closed_form(
         return real_update(*args)
 
     monkeypatch.setattr(dglmb, "one_track_update", update)
-    seg, index, theta, w, tables = one_track_updates(
+    seg, index, theta, w, table = one_track_updates(
         [(existence, gm)], np.array(Z), SENSOR, CAP, GATE_SQ)
     assert not taken and len(w) == 9
-    mixtures, want_index, want_theta, want_w = real_update(
-        existence, gm, Z, SENSOR, CAP, GATE_SQ)
-    assert index.tolist() == want_index[:, 0].tolist()
-    assert theta.tolist() == want_theta and w.tolist() == want_w.tolist()
-    assert len(tables[0]) == len(mixtures)
-    assert all(same_mixture(a, b) for a, b in zip(tables[0], mixtures))
+    assert_entries_of_one_track_update(
+        table, index, theta, w, list(range(len(Z))),
+        real_update(existence, gm, Z, SENSOR, CAP, GATE_SQ))
+
+
+def test_every_update_takes_its_children_from_one_expansion(monkeypatch):
+    # On the mixed scan, update_group expands the one-track batch in one
+    # _children call and the delta-GLMB and two-track groups in one call
+    # each.  The batch neither gates nor ranks: its kalman_updates and
+    # _ranked calls run inside _children, or inside the one_track_update
+    # of the group whose twin measurements consolidate.
+    assert not {"kalman_updates", "_ranked", "ranked_stack",
+                "ranked_assignments", "_finalize"} & set(
+                    one_track_updates.__code__.co_names)
+    groups, gates, Z = mixed_scan(np.random.default_rng(11))
+    sensor = position_sensor(10.0, 0.9, 1.25e-5)
+    where, calls = [], []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def run(*args, **kwargs):
+            calls.append((name, tuple(where)))
+            where.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                where.pop()
+
+        monkeypatch.setattr(module, name, run)
+
+    spy(pipeline, "one_track_updates")
+    for name in ("_children", "one_track_update", "kalman_updates",
+                 "_ranked"):
+        spy(dglmb, name)
+    update_group(groups, np.array(Z), sensor, CFG)
+    expansions = [inside for name, inside in calls if name == "_children"]
+    assert [("one_track_updates" in inside) for inside in expansions] == [
+        False, False, True]
+    batch = [(name, inside) for name, inside in calls
+             if "one_track_updates" in inside]
+    assert [name for name, _ in batch].count("one_track_update") == 1
+    assert [name for name, _ in batch].count("kalman_updates") == 1
+    for name, inside in batch:
+        if name in ("kalman_updates", "_ranked"):
+            assert "_children" in inside or "one_track_update" in inside
 
 
 def test_update_of_a_merged_group_skips_a_measurement_no_mixture_gates():
